@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
-from .lattices import IntMatrix, integer_kernel
+from .lattices import IntMatrix, integer_kernel, solve_rational
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ def root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     n = gcm.size
     if len(mu.fund) != n:
         raise DimensionError("weight length does not match Cartan matrix size")
-    sol = _solve_rational(gcm.entries, mu.fund)
+    sol = solve_rational(gcm.entries, mu.fund)
     if sol is None:
         return None
     v0, kernel_dim = sol
@@ -267,33 +267,6 @@ def root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     a = gcm.null_vector
     t = Fraction(mu.delta) - sum(Fraction(s[j]) * v0[j] for j in range(n))
     return tuple(v0[j] + t * a[j] for j in range(n))
-
-
-def _solve_rational(a_rows, rhs):
-    """Solve A v = rhs over Q.  Returns (particular solution, kernel dim) or None."""
-    n = len(a_rows)
-    aug = [[Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][n] != 0:
-            return None
-    v = [Fraction(0)] * n
-    for row, c in zip(aug, pivots):
-        v[c] = row[n]
-    return v, n - r
 
 
 def in_positive_root_cone(gcm: GeneralizedCartanMatrix, mu: KMWeight):

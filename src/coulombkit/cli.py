@@ -127,7 +127,7 @@ def _depth(args) -> int:
 
 
 def _token(args) -> CancellationToken | None:
-    return CancellationToken(args.timeout) if args.timeout else None
+    return CancellationToken(args.timeout) if args.timeout is not None else None
 
 
 def _table_from_dims(dims: list[int]) -> list:

@@ -68,9 +68,6 @@ class DifferenceOperator:
         """A multiplication operator f(w, hbar) * e^0."""
         return DifferenceOperator.from_terms(rank, {(0,) * rank: poly})
 
-    def term_dict(self) -> dict[Coweight, sympy.Expr]:
-        return dict(self.terms)
-
     def _check_rank(self, other: "DifferenceOperator") -> None:
         if self.rank != other.rank:
             raise DimensionError("operators act on tori of different ranks")
@@ -90,14 +87,6 @@ class DifferenceOperator:
 
     def __mul__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return multiply(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DifferenceOperator):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rank, self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms

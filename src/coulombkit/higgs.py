@@ -1,18 +1,18 @@
 """Higgs-side Hamiltonian reduction for torus actions, by exact invariant theory.
 
 The reducing torus acts on hypermultiplet pairs (x_i, y_i) through an integer
-charge matrix; the moment ideal is generated by the weighted sums of x_i y_i,
-and graded dimensions of the invariant quotient are computed degree by degree
-with exact integer linear algebra.  Both x_i and y_i carry degree 1/2 so the
-moment generators are homogeneous of degree 1, matching the Coulomb-side
-normalization.
+charge matrix; the moment ideal is generated by the weighted sums of x_i y_i.
+Graded dimensions of the invariant quotient are a Koszul count: the moment
+generators form a regular sequence of weight-zero elements, so the quotient's
+invariants are the weight-zero monomials cut down by (1 - t)^m.  Both x_i and
+y_i carry degree 1/2 so the moment generators are homogeneous of degree 1,
+matching the Coulomb-side normalization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import sympy
 
@@ -63,68 +63,36 @@ def moment_ideal_generators(th: HiggsTheory) -> list[sympy.Expr]:
     return gens
 
 
-def _monomials_of_degree(n2: int, t: int):
-    """Exponent vectors over 2n variables with total degree t."""
-    if t == 0:
-        yield (0,) * n2
-        return
-    for combo in combinations_with_replacement(range(n2), t):
-        e = [0] * n2
-        for i in combo:
-            e[i] += 1
-        yield tuple(e)
-
-
-def _weight(th: HiggsTheory, expo) -> tuple[int, ...]:
-    n = th.n
-    return tuple(
-        sum((expo[i] - expo[n + i]) * th.charges[i][j] for i in range(n))
-        for j in range(th.m)
-    )
-
-
 def invariant_hilbert(
     th: HiggsTheory, max_deg, token: CancellationToken | None = None
 ) -> GradedDimensionTable:
     """Graded dimension of the torus invariants of the moment-ideal quotient.
 
-    Works per degree: the weight-zero monomial basis modulo the weight-zero
-    slice of the degree-graded ideal piece, with exact integer rank computation.
-    Degrees step by 1/2 (deg x_i = deg y_i = 1/2).
+    The mu_j form a regular sequence: (x, y) -> (x_i y_i) is flat, and the
+    mu_j are linearly independent linear forms in the x_i y_i because the
+    columns of the charge matrix are (``HiggsTheory.of`` enforces it), so
+    mu^{-1}(0) has codimension m.  Taking torus invariants is exact and each
+    mu_j has weight zero, so the Koszul resolution gives
+    HS(C[x, y] / mu)^T = (1 - s^2)^m * #(weight-zero monomials), where s steps
+    one half-degree (deg x_i = deg y_i = 1/2, deg mu_j = 1).
     """
-    max_deg = Fraction(max_deg)
-    n2 = 2 * th.n
-    zero_w = (0,) * th.m
-    table: GradedDimensionTable = {}
-    for t in range(0, int(2 * max_deg) + 1):
-        check(token)
-        deg = Fraction(t, 2)
-        basis = [e for e in _monomials_of_degree(n2, t) if _weight(th, e) == zero_w]
-        index = {e: i for i, e in enumerate(basis)}
-        if not basis:
-            table[deg] = 0
-            continue
-        rows = []
-        if t >= 2 and th.m:
-            lower = [e for e in _monomials_of_degree(n2, t - 2) if _weight(th, e) == zero_w]
-            for e in lower:
-                check(token)
-                for j in range(th.m):
-                    # mu_j * x^e expressed in the weight-zero basis of degree t
-                    row = [0] * len(basis)
-                    for i in range(th.n):
-                        coeff = th.charges[i][j]
-                        if coeff == 0:
-                            continue
-                        lifted = list(e)
-                        lifted[i] += 1
-                        lifted[th.n + i] += 1
-                        row[index[tuple(lifted)]] += coeff
-                    if any(row):
-                        rows.append(row)
-        rank = sympy.Matrix(rows).rank() if rows else 0
-        table[deg] = len(basis) - rank
-    return table
+    top = int(2 * Fraction(max_deg))
+    zero = (0,) * th.m
+    # counts[t] maps a weight to the number of monomials of half-degree t with it
+    counts = [{zero: 1} if t == 0 else {} for t in range(top + 1)]
+    for w in th.charges + tuple(tuple(-c for c in row) for row in th.charges):
+        # ascending t lets each variable appear to any power
+        for t in range(1, top + 1):
+            check(token)
+            layer = counts[t]
+            for wt, c in counts[t - 1].items():
+                key = tuple(a + b for a, b in zip(wt, w))
+                layer[key] = layer.get(key, 0) + c
+    dims = [layer.get(zero, 0) for layer in counts]
+    for _ in range(th.m):
+        for t in range(top, 1, -1):
+            dims[t] -= dims[t - 2]
+    return {Fraction(t, 2): d for t, d in enumerate(dims)}
 
 
 @dataclass(frozen=True)

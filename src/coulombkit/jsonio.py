@@ -12,7 +12,7 @@ import sympy
 
 from .cartan import GeneralizedCartanMatrix, KMWeight, NAMED_CARTAN_MATRICES, named_gcm, validate_and_symmetrize
 from .difference_ops import HBAR, DifferenceOperator, w_vars
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .higgs import GradedDimensionTable
 from .lattices import IntMatrix
 from .monopole import AbelianTheory, CoulombElement
@@ -74,10 +74,17 @@ def _poly_to_json(expr, gens) -> list:
     return out
 
 
-def _poly_from_json(terms, gens):
+def _poly_from_json(terms, gens, path):
     expr = sympy.Integer(0)
-    for t in terms:
-        coeff = sympy.Rational(t["coeff"])
+    for i, t in enumerate(terms):
+        if len(t["powers"]) != len(gens):
+            raise DimensionError(
+                f"{path}/{i}/powers: {len(t['powers'])} exponents for {len(gens)} generators"
+            )
+        try:
+            coeff = sympy.Rational(t["coeff"])
+        except ZeroDivisionError:
+            raise DomainError(f"{path}/{i}/coeff: zero denominator in {t['coeff']!r}") from None
         mono = sympy.Integer(1)
         for g, p in zip(gens, t["powers"]):
             mono *= g ** int(p)
@@ -102,7 +109,8 @@ def element_from_json(doc) -> CoulombElement:
     rank = int(doc["rank"])
     gens = w_vars(rank)
     terms = [
-        (tuple(t["coweight"]), _poly_from_json(t["poly"], gens)) for t in doc["terms"]
+        (tuple(t["coweight"]), _poly_from_json(t["poly"], gens, f"/terms/{j}/poly"))
+        for j, t in enumerate(doc["terms"])
     ]
     return CoulombElement.from_terms(rank, terms)
 
@@ -122,7 +130,8 @@ def operator_from_json(doc) -> DifferenceOperator:
     rank = int(doc["rank"])
     gens = w_vars(rank) + (HBAR,)
     terms = [
-        (tuple(t["coweight"]), _poly_from_json(t["poly"], gens)) for t in doc["terms"]
+        (tuple(t["coweight"]), _poly_from_json(t["poly"], gens, f"/terms/{j}/poly"))
+        for j, t in enumerate(doc["terms"])
     ]
     return DifferenceOperator.from_terms(rank, terms)
 

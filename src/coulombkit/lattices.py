@@ -1,15 +1,17 @@
-"""Exact integer linear algebra for character and cocharacter lattices.
+"""Exact linear algebra for character and cocharacter lattices.
 
-Everything here is plain arbitrary-precision integer arithmetic: Smith normal
-form with unimodular transforms, column-style Hermite normal form used to
-canonicalize sublattices, and the dual-torus kernel construction.  Coweights
-and character vectors are plain integer tuples; ``pairing`` is their dot
-product.
+Smith normal form with unimodular transforms (which also gives the rank),
+column-style Hermite normal form used to canonicalize sublattices, the
+dual-torus kernel construction, and Gauss-Jordan solving over Q.  Integer work
+is plain arbitrary-precision arithmetic and rational work uses ``Fraction``.
+Coweights and character vectors are plain integer tuples; ``pairing`` is their
+dot product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, LatticeError
@@ -91,6 +93,36 @@ class IntMatrix:
 
     def rank(self) -> int:
         return sum(1 for d in smith_diagonal(self) if d != 0)
+
+
+def solve_rational(a_rows, rhs):
+    """Solve the square system A v = rhs over Q by Gauss-Jordan elimination.
+
+    Returns (particular solution, kernel dimension), or None when inconsistent.
+    """
+    n = len(a_rows)
+    aug = [[Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][n] != 0:
+            return None
+    v = [Fraction(0)] * n
+    for row, c in zip(aug, pivots):
+        v[c] = row[n]
+    return v, n - r
 
 
 def pairing(lam: Sequence[int], rho: Sequence[int]) -> int:

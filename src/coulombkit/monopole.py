@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
+from math import comb, floor
 
 import sympy
 
@@ -20,7 +20,7 @@ from . import difference_ops as dops
 from .cancel import CancellationToken, check
 from .difference_ops import HBAR, DifferenceOperator, w_vars
 from .errors import DimensionError, DomainError, LiftError
-from .lattices import CharacterVector, Coweight, pairing
+from .lattices import CharacterVector, Coweight, IntMatrix, pairing, solve_rational
 
 
 @dataclass(frozen=True)
@@ -216,21 +216,20 @@ def _coweights_up_to_degree(th: AbelianTheory, max_deg: Fraction, token=None):
     k = th.rank
     if k == 0:
         return [()]
-    mat = sympy.Matrix([list(rho) for rho in th.characters]) if th.characters else sympy.zeros(0, k)
-    if mat.rank() < k:
+    if IntMatrix.from_rows(th.characters).rank() < k:
         raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
     # pick k independent characters M; |lam|_inf <= |M^-1|_inf * |M lam|_1
     # and |M lam|_1 <= 2 * deg(lam), which bounds the search box exactly
     rows = []
-    for i in range(len(th.characters)):
-        if sympy.Matrix([list(th.characters[j]) for j in rows + [i]]).rank() == len(rows) + 1:
-            rows.append(i)
+    for rho in th.characters:
+        if IntMatrix.from_rows(rows + [rho]).rank() == len(rows) + 1:
+            rows.append(rho)
         if len(rows) == k:
             break
-    minv = sympy.Matrix([list(th.characters[i]) for i in rows]).inv()
-    opnorm = max(sum(abs(minv[i, j]) for j in range(k)) for i in range(k))
-    bound = opnorm * 2 * sympy.Rational(max_deg.numerator, max_deg.denominator)
-    radius = int(sympy.floor(bound))
+    # column j of M^-1 solves M v = e_j
+    minv_cols = [solve_rational(rows, [int(i == j) for i in range(k)])[0] for j in range(k)]
+    opnorm = max(sum(abs(col[i]) for col in minv_cols) for i in range(k))
+    radius = floor(opnorm * 2 * max_deg)
     out = []
     for lam in iproduct(range(-radius, radius + 1), repeat=k):
         check(token)

@@ -171,6 +171,40 @@ def test_timeout_exit_code(capsys, tmp_path):
     assert code == 3 and "cancelled" in err
 
 
+def test_timeout_zero_is_a_deadline(capsys, tmp_path):
+    rank_three = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    code, _, err = run(
+        capsys,
+        ["hypertoric", "compare", "--max-deg", "4", "--timeout", "0"],
+        rank_three,
+        tmp_path=tmp_path,
+    )
+    assert code == 3 and "cancelled" in err
+
+
+def _ring_doc(a_poly):
+    one = [{"coeff": "1", "powers": [0]}]
+    return {
+        "theory": {"rank": 1, "characters": [[1]]},
+        "a": {"rank": 1, "terms": [{"coweight": [1], "poly": a_poly}]},
+        "b": {"rank": 1, "terms": [{"coweight": [-1], "poly": one}]},
+    }
+
+
+def test_zero_denominator_coefficient_is_rejected(capsys, tmp_path):
+    doc = _ring_doc([{"coeff": "1", "powers": [1]}, {"coeff": "1/0", "powers": [0]}])
+    code, out, err = run(capsys, ["abelian", "ring"], doc, tmp_path=tmp_path)
+    assert code == 1 and out == ""
+    assert "/terms/0/poly/1/coeff" in err
+
+
+def test_powers_length_must_match_generators(capsys, tmp_path):
+    doc = _ring_doc([{"coeff": "1", "powers": [0, 5, 7]}])
+    code, out, err = run(capsys, ["abelian", "ring"], doc, tmp_path=tmp_path)
+    assert code == 1 and out == ""
+    assert "/terms/0/poly/0/powers" in err
+
+
 def test_output_byte_stable(capsys, tmp_path):
     doc = {"cartan": "A2", "lambda": {"fund": [2, 2]}, "mu": {"fund": [0, 0]}}
     code1, out1, _ = run(capsys, ["km", "mult"], doc, tmp_path=tmp_path)

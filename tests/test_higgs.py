@@ -1,6 +1,8 @@
 """Torus Hamiltonian reduction and the Coulomb/Higgs dimension comparison."""
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -13,7 +15,7 @@ from coulombkit.higgs import (
     invariant_hilbert,
     moment_ideal_generators,
 )
-from coulombkit.lattices import IntMatrix
+from coulombkit.lattices import IntMatrix, smith_diagonal
 
 
 def test_moment_generators():
@@ -91,3 +93,61 @@ def test_compare_rank_two_samples():
     for rows in ([[1, 0], [1, 1]], [[1, 0], [0, 1], [1, 1]], [[1, 1], [0, 1], [1, 0]]):
         report = coulomb_higgs_compare(IntMatrix.from_rows(rows), 2)
         assert report.verdict, rows
+
+
+def _rank_method(th, max_deg):
+    """Reference oracle: the weight-zero monomials of each degree modulo the
+    weight-zero slice of the moment ideal, whose dimension is a matrix rank."""
+    n2, zero = 2 * th.n, (0,) * th.m
+
+    def weight_zero_monomials(t):
+        out = []
+        for combo in combinations_with_replacement(range(n2), t):
+            e = [0] * n2
+            for i in combo:
+                e[i] += 1
+            w = tuple(sum((e[i] - e[th.n + i]) * th.charges[i][j] for i in range(th.n))
+                      for j in range(th.m))
+            if w == zero:
+                out.append(tuple(e))
+        return out
+
+    table = {}
+    for t in range(int(2 * max_deg) + 1):
+        basis = weight_zero_monomials(t)
+        index = {e: i for i, e in enumerate(basis)}
+        rows = []
+        for e in weight_zero_monomials(t - 2) if t >= 2 else []:
+            for j in range(th.m):
+                # mu_j * x^e in the degree-t basis
+                row = [0] * len(basis)
+                for i in range(th.n):
+                    lifted = list(e)
+                    lifted[i] += 1
+                    lifted[th.n + i] += 1
+                    row[index[tuple(lifted)]] += th.charges[i][j]
+                rows.append(row)
+        table[Fraction(t, 2)] = len(basis) - (sympy.Matrix(rows).rank() if rows else 0)
+    return table
+
+
+def _saturated_charge_matrices(count, seed):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        m = rng.randint(1, 3)
+        rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(rng.randint(m, 4))]
+        if smith_diagonal(IntMatrix.from_rows(rows)) == (1,) * m:
+            found.append(rows)
+    return found
+
+
+def test_koszul_count_matches_rank_method():
+    for rows in _saturated_charge_matrices(20, seed=3):
+        th = HiggsTheory.of(rows)
+        assert invariant_hilbert(th, 3) == _rank_method(th, 3), rows
+
+
+def test_compare_rank_three():
+    a = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    assert coulomb_higgs_compare(a, 4).verdict
