@@ -208,19 +208,19 @@ def _theory_and_elements(doc, *keys):
 
 def _cmd_abelian_ring(doc, args):
     th, (a, b) = _theory_and_elements(doc, "a", "b")
-    prod = monopole.classical_product(th, a, b)
+    prod = monopole.classical_product(th, a, b, _token(args))
     return {"result": str(prod), "element": jsonio.element_to_json(prod)}
 
 
 def _cmd_abelian_quantize(doc, args):
     th, (a,) = _theory_and_elements(doc, "element")
-    op = monopole.quantize(th, a)
+    op = monopole.quantize(th, a, _token(args))
     return {"result": str(op), "operator": jsonio.operator_to_json(op)}
 
 
 def _cmd_abelian_poisson(doc, args):
     th, (a, b) = _theory_and_elements(doc, "a", "b")
-    br = monopole.poisson(th, a, b)
+    br = monopole.poisson(th, a, b, _token(args))
     return {"result": str(br), "element": jsonio.element_to_json(br)}
 
 

@@ -4,16 +4,23 @@ An operator is a finite sum of terms f(w, hbar) * e^lam, where e^lam shifts
 polynomial arguments by hbar * lam and f is an exact rational-coefficient
 polynomial.  Multiplication normal-orders coefficients to the left of shifts:
 (f e^lam)(g e^mu) = f * g(w + hbar lam) * e^(lam + mu).
+
+Coefficients are elements of one sparse polynomial ring per rank,
+QQ[w_1 .. w_rank, hbar] (``poly_ring``); sympy expressions appear only where
+values enter (``from_terms``) and leave (``terms``, ``str``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement, PolyRing, ring
 
-from .errors import DimensionError, LiftError
+from .cancel import CancellationToken, check
+from .errors import DimensionError, DomainError, LiftError
 from .lattices import Coweight
 
 HBAR = sympy.Symbol("hbar")
@@ -26,29 +33,87 @@ def w_vars(rank: int) -> tuple[sympy.Symbol, ...]:
     return sympy.symbols(f"w1:{rank + 1}")
 
 
-def _canonical(expr) -> sympy.Expr:
-    return sympy.expand(sympy.sympify(expr))
+@lru_cache(maxsize=32)
+def poly_ring(rank: int) -> PolyRing:
+    """QQ[w_1 .. w_rank, hbar] in lex order; hbar is the last generator."""
+    return ring(w_vars(rank) + (HBAR,), QQ)[0]
+
+
+def to_poly(rank: int, value) -> PolyElement:
+    """``value`` (a ring element, a rational or a polynomial sympy expression)
+    as an element of ``poly_ring(rank)``."""
+    R = poly_ring(rank)
+    if isinstance(value, PolyElement) and value.ring == R:
+        return value
+    try:
+        return R.from_expr(sympy.sympify(value))
+    except (ValueError, TypeError, sympy.SympifyError):
+        gens = ", ".join(map(str, R.symbols))
+        raise DomainError(f"{value} is not a polynomial in {gens}") from None
+
+
+def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, PolyElement], ...]:
+    """Convert each coefficient, sum equal coweights, drop zero coefficients,
+    sort by coweight."""
+    merged: dict[Coweight, PolyElement] = {}
+    for lam, p in terms.items() if isinstance(terms, dict) else terms:
+        lam = tuple(int(x) for x in lam)
+        if len(lam) != rank:
+            raise DimensionError(f"coweight length does not match {owner} rank")
+        p = convert(p)
+        merged[lam] = merged[lam] + p if lam in merged else p
+    return tuple((lam, p) for lam, p in sorted(merged.items()) if p)
 
 
 @dataclass(frozen=True)
-class DifferenceOperator:
-    """Finite sum over coweights lam of f_lam(w, hbar) * e^lam."""
+class _GradedSum:
+    """Finite sum over coweights lam of a coefficient in ``poly_ring(rank)``
+    times the basis element ``_basis``^lam of degree lam."""
 
     rank: int
-    terms: tuple[tuple[Coweight, sympy.Expr], ...]
+    polys: tuple[tuple[Coweight, PolyElement], ...]
+
+    @property
+    def terms(self) -> tuple[tuple[Coweight, sympy.Expr], ...]:
+        return tuple((lam, p.as_expr()) for lam, p in self.polys)
+
+    def _check_rank(self, other) -> None:
+        if self.rank != other.rank:
+            raise DimensionError(self._rank_mismatch)
+
+    def __add__(self, other):
+        self._check_rank(other)
+        return self.from_terms(self.rank, self.polys + other.polys)
+
+    def __sub__(self, other):
+        self._check_rank(other)
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = to_poly(self.rank, c)
+        return self.from_terms(self.rank, [(lam, c * p) for lam, p in self.polys])
+
+    def is_zero(self) -> bool:
+        return not self.polys
+
+    def __str__(self) -> str:
+        if not self.polys:
+            return "0"
+        return " + ".join(
+            f"({p.as_expr()})" + (f"*{self._basis}^{list(lam)}" if any(lam) else "")
+            for lam, p in self.polys
+        )
+
+
+class DifferenceOperator(_GradedSum):
+    """Finite sum over coweights lam of f_lam(w, hbar) * e^lam."""
+
+    _basis = "e"
+    _rank_mismatch = "operators act on tori of different ranks"
 
     @staticmethod
     def from_terms(rank: int, terms) -> "DifferenceOperator":
-        merged: dict[Coweight, sympy.Expr] = {}
-        for lam, poly in dict(terms).items() if isinstance(terms, dict) else terms:
-            lam = tuple(int(x) for x in lam)
-            if len(lam) != rank:
-                raise DimensionError("coweight length does not match operator rank")
-            merged[lam] = _canonical(merged.get(lam, 0) + poly)
-        cleaned = tuple(
-            (lam, poly) for lam, poly in sorted(merged.items()) if poly != 0
-        )
-        return DifferenceOperator(rank, cleaned)
+        return DifferenceOperator(rank, _merge(rank, terms, lambda p: to_poly(rank, p), "operator"))
 
     @staticmethod
     def zero(rank: int) -> "DifferenceOperator":
@@ -56,89 +121,72 @@ class DifferenceOperator:
 
     @staticmethod
     def one(rank: int) -> "DifferenceOperator":
-        return DifferenceOperator.from_terms(rank, {(0,) * rank: sympy.Integer(1)})
+        return DifferenceOperator.from_terms(rank, {(0,) * rank: 1})
 
     @staticmethod
     def shift(rank: int, lam) -> "DifferenceOperator":
         """The pure shift operator e^lam."""
-        return DifferenceOperator.from_terms(rank, {tuple(lam): sympy.Integer(1)})
+        return DifferenceOperator.from_terms(rank, {tuple(lam): 1})
 
     @staticmethod
     def polynomial(rank: int, poly) -> "DifferenceOperator":
         """A multiplication operator f(w, hbar) * e^0."""
         return DifferenceOperator.from_terms(rank, {(0,) * rank: poly})
 
-    def _check_rank(self, other: "DifferenceOperator") -> None:
-        if self.rank != other.rank:
-            raise DimensionError("operators act on tori of different ranks")
-
-    def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        self._check_rank(other)
-        return DifferenceOperator.from_terms(self.rank, list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        self._check_rank(other)
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "DifferenceOperator":
-        return DifferenceOperator.from_terms(
-            self.rank, [(lam, c * poly) for lam, poly in self.terms]
-        )
-
     def __mul__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return multiply(self, other)
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for lam, poly in self.terms:
-            e = "" if not any(lam) else f"*e^{list(lam)}"
-            parts.append(f"({poly}){e}")
-        return " + ".join(parts)
+def _shift(p: PolyElement, lam: Coweight) -> PolyElement:
+    """p(w + hbar * lam, hbar)."""
+    gens = p.ring.gens
+    subs = [(w, w + l * gens[-1]) for w, l in zip(gens, lam) if l]
+    return p.compose(subs) if subs else p
 
 
 def shift_polynomial(rank: int, poly, lam: Coweight) -> sympy.Expr:
     """Substitute w_j -> w_j + hbar * lam_j, the action of e^lam."""
-    ws = w_vars(rank)
-    subs = {w: w + HBAR * l for w, l in zip(ws, lam) if l}
-    return _canonical(sympy.sympify(poly).subs(subs, simultaneous=True))
+    return _shift(to_poly(rank, poly), lam).as_expr()
 
 
-def multiply(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
+def multiply(
+    a: DifferenceOperator, b: DifferenceOperator, token: CancellationToken | None = None
+) -> DifferenceOperator:
     a._check_rank(b)
-    acc: list[tuple[Coweight, sympy.Expr]] = []
-    for lam, f in a.terms:
-        for mu, g in b.terms:
+    acc: list[tuple[Coweight, PolyElement]] = []
+    for lam, f in a.polys:
+        for mu, g in b.polys:
+            check(token)
             key = tuple(x + y for x, y in zip(lam, mu))
-            acc.append((key, f * shift_polynomial(a.rank, g, lam)))
+            acc.append((key, f * _shift(g, lam)))
     return DifferenceOperator.from_terms(a.rank, acc)
 
 
-def commutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
-    return multiply(a, b) - multiply(b, a)
+def commutator(
+    a: DifferenceOperator, b: DifferenceOperator, token: CancellationToken | None = None
+) -> DifferenceOperator:
+    return multiply(a, b, token) - multiply(b, a, token)
 
 
 def specialize_hbar(a: DifferenceOperator, value) -> DifferenceOperator:
-    val = sympy.Rational(Fraction(value)) if not isinstance(value, sympy.Expr) else value
-    return DifferenceOperator.from_terms(
-        a.rank, [(lam, poly.subs(HBAR, val)) for lam, poly in a.terms]
-    )
+    v = to_poly(a.rank, value)
+    hbar = v.ring.gens[-1]
+    return DifferenceOperator.from_terms(a.rank, [(lam, p.compose(hbar, v)) for lam, p in a.polys])
 
 
-def poisson_from_lifts(a_lift: DifferenceOperator, b_lift: DifferenceOperator) -> DifferenceOperator:
+def poisson_from_lifts(
+    a_lift: DifferenceOperator, b_lift: DifferenceOperator, token: CancellationToken | None = None
+) -> DifferenceOperator:
     """(a*b - b*a) / hbar followed by hbar -> 0.
 
-    Raises LiftError if some commutator coefficient is not divisible by hbar,
-    which signals inconsistent lifts of classical elements.
+    Every commutator coefficient is divisible by hbar, because hbar is central
+    and the algebra is commutative modulo hbar; LiftError guards that.
     """
-    comm = commutator(a_lift, b_lift)
+    comm = commutator(a_lift, b_lift, token)
+    hbar = poly_ring(comm.rank).gens[-1]
     out = []
-    for lam, poly in comm.terms:
-        if poly.subs(HBAR, 0) != 0:
+    for lam, p in comm.polys:
+        if p.coeff_wrt(hbar, 0):
             raise LiftError(f"commutator coefficient at {lam} is not divisible by hbar")
-        out.append((lam, _canonical(poly / HBAR).subs(HBAR, 0)))
+        out.append((lam, p.coeff_wrt(hbar, 1)))
     return DifferenceOperator.from_terms(comm.rank, out)

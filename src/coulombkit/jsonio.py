@@ -8,10 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from .cartan import GeneralizedCartanMatrix, KMWeight, NAMED_CARTAN_MATRICES, named_gcm, validate_and_symmetrize
-from .difference_ops import HBAR, DifferenceOperator, w_vars
+from .difference_ops import DifferenceOperator, poly_ring
 from .errors import DimensionError, DomainError
 from .higgs import GradedDimensionTable
 from .lattices import IntMatrix
@@ -20,7 +18,7 @@ from .quiver import DimVectors, Quiver
 
 
 def fraction_str(q) -> str:
-    q = Fraction(q)
+    """An int, a Fraction or a ring coefficient as "n" or "n/d"."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -63,77 +61,69 @@ def gcm_to_json(gcm: GeneralizedCartanMatrix) -> dict:
 
 # ---------------------------------------------------------------- polynomials
 
-def _poly_to_json(expr, gens) -> list:
-    expr = sympy.expand(sympy.sympify(expr))
-    if not gens:
-        return [{"coeff": fraction_str(Fraction(str(expr))), "powers": []}] if expr != 0 else []
-    poly = sympy.Poly(expr, *gens)
-    out = []
-    for powers, coeff in sorted(poly.terms(), key=lambda t: t[0]):
-        out.append({"coeff": fraction_str(Fraction(str(sympy.Rational(coeff)))), "powers": list(powers)})
-    return out
+def _poly_to_json(poly, nvars: int) -> list:
+    """Terms of a ring element sorted by exponents; only the first ``nvars``
+    exponents are written, so elements leave out hbar, the last generator."""
+    return [
+        {"coeff": fraction_str(c), "powers": list(monom[:nvars])}
+        for monom, c in sorted(poly.items())
+    ]
 
 
-def _poly_from_json(terms, gens, path):
-    expr = sympy.Integer(0)
+def _poly_from_json(terms, rank: int, nvars: int, path):
+    ring = poly_ring(rank)
+    coeffs: dict[tuple, Fraction] = {}
     for i, t in enumerate(terms):
-        if len(t["powers"]) != len(gens):
+        if len(t["powers"]) != nvars:
             raise DimensionError(
-                f"{path}/{i}/powers: {len(t['powers'])} exponents for {len(gens)} generators"
+                f"{path}/{i}/powers: {len(t['powers'])} exponents for {nvars} generators"
             )
         try:
-            coeff = sympy.Rational(t["coeff"])
+            q = Fraction(t["coeff"])
         except ZeroDivisionError:
             raise DomainError(f"{path}/{i}/coeff: zero denominator in {t['coeff']!r}") from None
-        mono = sympy.Integer(1)
-        for g, p in zip(gens, t["powers"]):
-            mono *= g ** int(p)
-        expr += coeff * mono
-    return sympy.expand(expr)
+        monom = tuple(int(p) for p in t["powers"]) + (0,) * (ring.ngens - nvars)
+        if min(monom, default=0) < 0:
+            raise DomainError(f"{path}/{i}/powers: negative exponent in {t['powers']}")
+        coeffs[monom] = coeffs.get(monom, 0) + q
+    return ring.from_dict({m: ring.domain(q.numerator, q.denominator) for m, q in coeffs.items()})
+
+
+def _to_json(value, with_hbar: bool) -> dict:
+    nvars = value.rank + with_hbar
+    return {
+        "rank": value.rank,
+        "terms": [
+            {"coweight": list(lam), "poly": _poly_to_json(poly, nvars)} for lam, poly in value.polys
+        ],
+    }
+
+
+def _terms_from_json(doc, with_hbar: bool) -> list:
+    rank = int(doc["rank"])
+    nvars = rank + with_hbar
+    return [
+        (tuple(t["coweight"]), _poly_from_json(t["poly"], rank, nvars, f"/terms/{j}/poly"))
+        for j, t in enumerate(doc["terms"])
+    ]
 
 
 # ---------------------------------------------------------------- elements
 
 def element_to_json(a: CoulombElement) -> dict:
-    gens = w_vars(a.rank)
-    return {
-        "rank": a.rank,
-        "terms": [
-            {"coweight": list(lam), "poly": _poly_to_json(poly, gens)}
-            for lam, poly in a.terms
-        ],
-    }
+    return _to_json(a, with_hbar=False)
 
 
 def element_from_json(doc) -> CoulombElement:
-    rank = int(doc["rank"])
-    gens = w_vars(rank)
-    terms = [
-        (tuple(t["coweight"]), _poly_from_json(t["poly"], gens, f"/terms/{j}/poly"))
-        for j, t in enumerate(doc["terms"])
-    ]
-    return CoulombElement.from_terms(rank, terms)
+    return CoulombElement.from_terms(int(doc["rank"]), _terms_from_json(doc, with_hbar=False))
 
 
 def operator_to_json(op: DifferenceOperator) -> dict:
-    gens = w_vars(op.rank) + (HBAR,)
-    return {
-        "rank": op.rank,
-        "terms": [
-            {"coweight": list(lam), "poly": _poly_to_json(poly, gens)}
-            for lam, poly in op.terms
-        ],
-    }
+    return _to_json(op, with_hbar=True)
 
 
 def operator_from_json(doc) -> DifferenceOperator:
-    rank = int(doc["rank"])
-    gens = w_vars(rank) + (HBAR,)
-    terms = [
-        (tuple(t["coweight"]), _poly_from_json(t["poly"], gens, f"/terms/{j}/poly"))
-        for j, t in enumerate(doc["terms"])
-    ]
-    return DifferenceOperator.from_terms(rank, terms)
+    return DifferenceOperator.from_terms(int(doc["rank"]), _terms_from_json(doc, with_hbar=True))
 
 
 # ---------------------------------------------------------------- theories

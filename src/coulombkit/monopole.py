@@ -9,16 +9,17 @@ grading, the Hilbert series and the birationality witness all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, floor
 
 import sympy
+from sympy.polys.rings import PolyElement
 
 from . import difference_ops as dops
 from .cancel import CancellationToken, check
-from .difference_ops import HBAR, DifferenceOperator, w_vars
+from .difference_ops import DifferenceOperator, _GradedSum, _merge, poly_ring, to_poly
 from .errors import DimensionError, DomainError, LiftError
 from .lattices import CharacterVector, Coweight, IntMatrix, pairing, solve_rational
 
@@ -44,32 +45,25 @@ class AbelianTheory:
         return AbelianTheory.of(1, [(1,)] * ell)
 
     def linear_form(self, rho: CharacterVector) -> sympy.Expr:
-        ws = w_vars(self.rank)
-        return sympy.Add(*[int(c) * w for c, w in zip(rho, ws)])
+        return _linear_form(self, rho).as_expr()
 
 
-@dataclass(frozen=True)
-class CoulombElement:
-    """Finite sum of f_lam(w) * r^lam with exact rational coefficients."""
+class CoulombElement(_GradedSum):
+    """Finite sum of f_lam(w) * r^lam with exact rational coefficients, held
+    in ``poly_ring(rank)`` with no hbar."""
 
-    rank: int
-    terms: tuple[tuple[Coweight, sympy.Expr], ...]
+    _basis = "r"
+    _rank_mismatch = "elements live in different theories"
 
     @staticmethod
     def from_terms(rank: int, terms) -> "CoulombElement":
-        merged: dict[Coweight, sympy.Expr] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for lam, poly in items:
-            lam = tuple(int(x) for x in lam)
-            if len(lam) != rank:
-                raise DimensionError("coweight length does not match theory rank")
-            poly = sympy.expand(sympy.sympify(poly))
-            if poly.has(HBAR):
+        def classical(p):
+            p = to_poly(rank, p)
+            if p.degree(poly_ring(rank).gens[-1]) > 0:
                 raise DomainError("classical elements may not involve hbar")
-            merged[lam] = sympy.expand(merged.get(lam, 0) + poly)
-        return CoulombElement(
-            rank, tuple((lam, p) for lam, p in sorted(merged.items()) if p != 0)
-        )
+            return p
+
+        return CoulombElement(rank, _merge(rank, terms, classical, "theory"))
 
     @staticmethod
     def monopole(rank: int, lam, poly=1) -> "CoulombElement":
@@ -80,35 +74,19 @@ class CoulombElement:
     def polynomial(rank: int, poly) -> "CoulombElement":
         return CoulombElement.from_terms(rank, {(0,) * rank: poly})
 
-    def __add__(self, other: "CoulombElement") -> "CoulombElement":
-        self._check_rank(other)
-        return CoulombElement.from_terms(self.rank, list(self.terms) + list(other.terms))
 
-    def __sub__(self, other: "CoulombElement") -> "CoulombElement":
-        self._check_rank(other)
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "CoulombElement":
-        return CoulombElement.from_terms(self.rank, [(l, c * p) for l, p in self.terms])
-
-    def _check_rank(self, other: "CoulombElement") -> None:
-        if self.rank != other.rank:
-            raise DimensionError("elements live in different theories")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for lam, poly in self.terms:
-            r = "" if not any(lam) else f"*r^{list(lam)}"
-            parts.append(f"({poly}){r}")
-        return " + ".join(parts)
+def _linear_form(th: AbelianTheory, rho: CharacterVector) -> PolyElement:
+    """<rho, w> in poly_ring(rank)."""
+    R = poly_ring(th.rank)
+    return sum((c * w for c, w in zip(rho, R.gens)), R.zero)
 
 
-def classical_product(th: AbelianTheory, a: CoulombElement, b: CoulombElement) -> CoulombElement:
+def classical_product(
+    th: AbelianTheory,
+    a: CoulombElement,
+    b: CoulombElement,
+    token: CancellationToken | None = None,
+) -> CoulombElement:
     """Bilinear extension of the monopole product rule
 
         r^lam * r^mu = prod_i <rho_i, w>^{d_i} r^{lam+mu},
@@ -117,81 +95,80 @@ def classical_product(th: AbelianTheory, a: CoulombElement, b: CoulombElement) -
     if th.rank != a.rank or th.rank != b.rank:
         raise DimensionError("element rank does not match theory rank")
     acc = []
-    for lam, f in a.terms:
-        for mu, g in b.terms:
+    for lam, f in a.polys:
+        for mu, g in b.polys:
+            check(token)
             key = tuple(x + y for x, y in zip(lam, mu))
-            factor = sympy.Integer(1)
+            prod = f * g
             for rho in th.characters:
                 p, q = pairing(lam, rho), pairing(mu, rho)
                 d2 = abs(p) + abs(q) - abs(p + q)
                 assert d2 % 2 == 0
                 if d2:
-                    factor *= th.linear_form(rho) ** (d2 // 2)
-            acc.append((key, sympy.expand(f * g * factor)))
+                    prod *= _linear_form(th, rho) ** (d2 // 2)
+            acc.append((key, prod))
     return CoulombElement.from_terms(th.rank, acc)
 
 
-def _quantized_shift(th: AbelianTheory, lam: Coweight) -> DifferenceOperator:
-    """u_lam: descending-factor dressing of e^lam by the positive pairings."""
-    poly = sympy.Integer(1)
+def _quantized_shift(th: AbelianTheory, lam: Coweight) -> PolyElement:
+    """The coefficient of u_lam: descending-factor dressing of e^lam by the
+    positive pairings."""
+    R = poly_ring(th.rank)
+    hbar = R.gens[-1]
+    poly = R.one
     for rho in th.characters:
-        p = pairing(lam, rho)
-        for j in range(p):
-            poly *= th.linear_form(rho) - j * HBAR
-    return DifferenceOperator.from_terms(th.rank, {tuple(lam): sympy.expand(poly)})
+        form = _linear_form(th, rho)
+        for j in range(pairing(lam, rho)):
+            poly *= form - j * hbar
+    return poly
 
 
-def quantize(th: AbelianTheory, a: CoulombElement) -> DifferenceOperator:
+def quantize(
+    th: AbelianTheory, a: CoulombElement, token: CancellationToken | None = None
+) -> DifferenceOperator:
     """Linear map f(w) r^lam -> f(w) u_lam into the difference-operator algebra."""
     if th.rank != a.rank:
         raise DimensionError("element rank does not match theory rank")
-    out = DifferenceOperator.zero(th.rank)
-    for lam, f in a.terms:
-        out = out + _quantized_shift(th, lam).scale(f)
-    return out
+    out = []
+    for lam, f in a.polys:
+        check(token)
+        out.append((lam, f * _quantized_shift(th, lam)))
+    return DifferenceOperator.from_terms(th.rank, out)
 
 
 def quantum_relation(th: AbelianTheory, lam) -> tuple[DifferenceOperator, DifferenceOperator]:
     """(u_lam u_{-lam}, u_{-lam} u_lam), both supported on e^0."""
     lam = tuple(int(x) for x in lam)
     neg = tuple(-x for x in lam)
-    up, down = _quantized_shift(th, lam), _quantized_shift(th, neg)
+    up = DifferenceOperator.from_terms(th.rank, {lam: _quantized_shift(th, lam)})
+    down = DifferenceOperator.from_terms(th.rank, {neg: _quantized_shift(th, neg)})
     return dops.multiply(up, down), dops.multiply(down, up)
-
-
-def _classical_dressing(th: AbelianTheory, lam: Coweight) -> sympy.Expr:
-    """u_lam at hbar = 0: prod over positive pairings of <rho_i, w>^{<rho_i,lam>}."""
-    poly = sympy.Integer(1)
-    for rho in th.characters:
-        p = pairing(lam, rho)
-        if p > 0:
-            poly *= th.linear_form(rho) ** p
-    return sympy.expand(poly)
 
 
 def element_from_operator(th: AbelianTheory, op: DifferenceOperator) -> CoulombElement:
     """Pull an hbar-free operator back along the hbar = 0 basis identification
     r^lam <-> u_lam|_{hbar=0}."""
-    ws = w_vars(th.rank)
+    hbar = poly_ring(th.rank).gens[-1]
     out = []
-    for lam, poly in op.terms:
-        if poly.has(HBAR):
+    for lam, poly in op.polys:
+        if poly.degree(hbar) > 0:
             raise LiftError("operator still involves hbar")
-        dressing = _classical_dressing(th, lam)
-        if dressing == 1:
-            out.append((lam, poly))
-            continue
-        quo, rem = sympy.div(poly, dressing, *ws) if ws else (poly / dressing, 0)
-        if sympy.expand(rem) != 0:
+        quo, rem = poly.div(_quantized_shift(th, lam).compose(hbar, 0))
+        if rem:
             raise LiftError(f"coefficient at {lam} is not divisible by the monopole dressing")
-        out.append((lam, sympy.expand(quo)))
+        out.append((lam, quo))
     return CoulombElement.from_terms(th.rank, out)
 
 
-def poisson(th: AbelianTheory, a: CoulombElement, b: CoulombElement) -> CoulombElement:
+def poisson(
+    th: AbelianTheory,
+    a: CoulombElement,
+    b: CoulombElement,
+    token: CancellationToken | None = None,
+) -> CoulombElement:
     """Poisson bracket extracted from the quantization: commutator over hbar at
     hbar = 0, pulled back to the monopole basis."""
-    bracket = dops.poisson_from_lifts(quantize(th, a), quantize(th, b))
+    bracket = dops.poisson_from_lifts(quantize(th, a, token), quantize(th, b, token), token)
     return element_from_operator(th, bracket)
 
 
@@ -201,14 +178,11 @@ def _degree_of_coweight(th: AbelianTheory, lam: Coweight) -> Fraction:
 
 def grading_degree(th: AbelianTheory, a: CoulombElement) -> Fraction:
     """Cohomological degree of a monomial term: deg(w^m r^lam) = m + (1/2) sum |<rho_i,lam>|."""
-    if len(a.terms) != 1:
+    if len(a.polys) != 1 or len(a.polys[0][1]) != 1:
         raise DomainError("grading degree is defined for single monomial terms")
-    lam, poly = a.terms[0]
-    p = sympy.Poly(poly, *w_vars(th.rank)) if th.rank else None
-    if th.rank and len(p.terms()) != 1:
-        raise DomainError("grading degree is defined for single monomial terms")
-    mono_deg = sum(p.terms()[0][0]) if th.rank else 0
-    return Fraction(mono_deg) + _degree_of_coweight(th, lam)
+    lam, poly = a.polys[0]
+    (monom,) = poly.itermonoms()
+    return Fraction(sum(monom)) + _degree_of_coweight(th, lam)
 
 
 def _coweights_up_to_degree(th: AbelianTheory, max_deg: Fraction, token=None):
@@ -265,9 +239,9 @@ def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:
     """r^lam * r^{-lam} = prod_i <rho_i, w>^{|<rho_i, lam>|}, a nonzero
     polynomial: every monopole class is invertible after inverting the w's."""
     lam = tuple(int(x) for x in lam)
-    poly = sympy.Integer(1)
+    poly = poly_ring(th.rank).one
     for rho in th.characters:
         p = abs(pairing(lam, rho))
         if p:
-            poly *= th.linear_form(rho) ** p
-    return sympy.expand(poly)
+            poly *= _linear_form(th, rho) ** p
+    return poly.as_expr()

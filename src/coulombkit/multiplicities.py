@@ -23,8 +23,8 @@ def _height(beta: RootVector) -> int:
     return sum(beta)
 
 
-def _cone_vectors(rank: int, height: int):
-    """All non-negative integer vectors with 1 <= sum <= height, by height."""
+def _cone_vectors(rank: int, height: int, start: int = 1):
+    """All non-negative integer vectors with start <= sum <= height, by height."""
     def rec(prefix, remaining, slots):
         if slots == 1:
             yield prefix + (remaining,)
@@ -32,7 +32,7 @@ def _cone_vectors(rank: int, height: int):
         for x in range(remaining + 1):
             yield from rec(prefix + (x,), remaining - x, slots - 1)
 
-    for h in range(1, height + 1):
+    for h in range(start, height + 1):
         yield from rec((), h, rank)
 
 
@@ -52,6 +52,47 @@ class RootTable:
     def roots(self):
         return sorted(self.multiplicities, key=lambda b: (_height(b), b))
 
+    def extend(self, height: int, token: CancellationToken | None = None) -> None:
+        """Continue Peterson's recursion from the current height bound up to
+        ``height``; c_beta depends only on vectors of smaller height."""
+        gcm, c, mults = self.gcm, self.c_values, self.multiplicities
+        for beta in _cone_vectors(gcm.size, height, self.height + 1):
+            check(token)
+            if _height(beta) == 1:
+                c[beta] = Fraction(1)
+                mults[beta] = 1
+                continue
+            num = Fraction(0)
+            for bp in _proper_subvectors(beta):
+                cp = c.get(bp)
+                if not cp:
+                    continue
+                bpp = tuple(b - p for b, p in zip(beta, bp))
+                cpp = c.get(bpp)
+                if cpp:
+                    num += _form(gcm, bp, bpp) * cp * cpp
+            divisor_part = Fraction(0)
+            for k in range(2, _height(beta) + 1):
+                if all(b % k == 0 for b in beta):
+                    sub = tuple(b // k for b in beta)
+                    divisor_part += Fraction(mults.get(sub, 0), k)
+            den = _form(gcm, beta, beta) - 2 * _form_with_rho(gcm, beta)
+            if den == 0:
+                # the denominator vanishes only off the root system (a real root of
+                # height >= 2 has (rho, beta^vee) >= 2 and an imaginary root has
+                # (beta, beta) <= 0 < (rho, beta)), so mult(beta) = 0 and c_beta is
+                # carried by the proper divisors alone
+                if num != 0:
+                    raise UnsupportedError("Peterson recursion degenerate at " + repr(beta))
+                c[beta] = divisor_part
+                continue
+            c[beta] = num / den
+            mult = c[beta] - divisor_part
+            assert mult.denominator == 1 and mult >= 0
+            if mult:
+                mults[beta] = int(mult)
+        self.height = max(self.height, height)
+
 
 def _form(gcm: GeneralizedCartanMatrix, beta: RootVector, gamma: RootVector) -> int:
     n = gcm.size
@@ -69,44 +110,8 @@ def root_multiplicities(
     """Peterson's recursion up to the given height bound."""
     if height < 1:
         raise DomainError("height bound must be at least 1")
-    n = gcm.size
-    table = RootTable(gcm, height)
-    c = table.c_values
-    for beta in _cone_vectors(n, height):
-        check(token)
-        if _height(beta) == 1:
-            c[beta] = Fraction(1)
-            table.multiplicities[beta] = 1
-            continue
-        num = Fraction(0)
-        for bp in _proper_subvectors(beta):
-            cp = c.get(bp)
-            if not cp:
-                continue
-            bpp = tuple(b - p for b, p in zip(beta, bp))
-            cpp = c.get(bpp)
-            if cpp:
-                num += _form(gcm, bp, bpp) * cp * cpp
-        divisor_part = Fraction(0)
-        for k in range(2, _height(beta) + 1):
-            if all(b % k == 0 for b in beta):
-                sub = tuple(b // k for b in beta)
-                divisor_part += Fraction(table.multiplicities.get(sub, 0), k)
-        den = _form(gcm, beta, beta) - 2 * _form_with_rho(gcm, beta)
-        if den == 0:
-            # the denominator vanishes only off the root system (a real root of
-            # height >= 2 has (rho, beta^vee) >= 2 and an imaginary root has
-            # (beta, beta) <= 0 < (rho, beta)), so mult(beta) = 0 and c_beta is
-            # carried by the proper divisors alone
-            if num != 0:
-                raise UnsupportedError("Peterson recursion degenerate at " + repr(beta))
-            c[beta] = divisor_part
-            continue
-        c[beta] = num / den
-        mult = c[beta] - divisor_part
-        assert mult.denominator == 1 and mult >= 0
-        if mult:
-            table.multiplicities[beta] = int(mult)
+    table = RootTable(gcm, 0)
+    table.extend(height, token)
     return table
 
 
@@ -127,11 +132,11 @@ class FreudenthalTable:
         self.gcm = gcm
         self.lam = lam
         self._mult: dict[RootVector, int] = {(0,) * gcm.size: 1}
-        self._roots: RootTable | None = None
+        self._roots = RootTable(gcm, 0)
 
     def _root_table(self, height: int) -> RootTable:
-        if self._roots is None or self._roots.height < height:
-            self._roots = root_multiplicities(self.gcm, height)
+        if self._roots.height < height:
+            self._roots.extend(height)
         return self._roots
 
     def multiplicity_at_depth(self, beta: RootVector) -> int:

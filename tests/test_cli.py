@@ -182,6 +182,23 @@ def test_timeout_zero_is_a_deadline(capsys, tmp_path):
     assert code == 3 and "cancelled" in err
 
 
+@pytest.mark.parametrize("command", ["ring", "quantize", "poisson"])
+def test_abelian_products_honour_timeout(capsys, tmp_path, command):
+    two_terms = {
+        "rank": 1,
+        "terms": [
+            {"coweight": [1], "poly": [{"coeff": "1", "powers": [1]}]},
+            {"coweight": [-1], "poly": [{"coeff": "1/2", "powers": [0]}]},
+        ],
+    }
+    keys = ("element",) if command == "quantize" else ("a", "b")
+    doc = {"theory": {"rank": 1, "characters": [[1], [1]]}, **{k: two_terms for k in keys}}
+    code, out, err = run(capsys, ["abelian", command, "--timeout", "0"], doc, tmp_path=tmp_path)
+    assert code == 3 and out == "" and "cancelled" in err
+    code, _, _ = run(capsys, ["abelian", command], doc, tmp_path=tmp_path)
+    assert code == 0
+
+
 def _ring_doc(a_poly):
     one = [{"coeff": "1", "powers": [0]}]
     return {

@@ -4,7 +4,10 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coulombkit import difference_ops
 from coulombkit.difference_ops import (
     HBAR,
     DifferenceOperator,
@@ -15,7 +18,7 @@ from coulombkit.difference_ops import (
     specialize_hbar,
     w_vars,
 )
-from coulombkit.errors import DimensionError
+from coulombkit.errors import DimensionError, DomainError, LiftError
 
 W = w_vars(1)[0]
 
@@ -162,3 +165,91 @@ def test_rank_mismatch():
     e1 = DifferenceOperator.shift(1, (1,))
     with pytest.raises(DimensionError):
         multiply(e1, DifferenceOperator.shift(2, (1, 0)))
+
+
+# ---------------------------------------------------------------- reference oracle
+# The formulas below work on sympy expressions, as the library did before its
+# coefficients became ring elements: simultaneous substitution for the shift
+# and sympy.expand for every product and sum.
+
+def oracle_shift(rank, expr, lam):
+    subs = {w: w + HBAR * l for w, l in zip(w_vars(rank), lam) if l}
+    return sympy.expand(sympy.sympify(expr).subs(subs, simultaneous=True))
+
+
+def oracle_terms(acc):
+    return tuple((lam, p) for lam, p in sorted(acc.items()) if p != 0)
+
+
+def oracle_multiply(rank, a_terms, b_terms):
+    acc = {}
+    for lam, f in a_terms:
+        for mu, g in b_terms:
+            key = tuple(x + y for x, y in zip(lam, mu))
+            acc[key] = sympy.expand(acc.get(key, 0) + f * oracle_shift(rank, g, lam))
+    return oracle_terms(acc)
+
+
+def oracle_sub(x_terms, y_terms):
+    acc = dict(x_terms)
+    for lam, p in y_terms:
+        acc[lam] = sympy.expand(acc.get(lam, 0) - p)
+    return oracle_terms(acc)
+
+
+def oracle_at_hbar_zero(terms):
+    return oracle_terms({lam: sympy.expand(p.subs(HBAR, 0)) for lam, p in terms})
+
+
+@st.composite
+def polys(draw, rank):
+    gens = w_vars(rank) + (HBAR,)
+    poly = sympy.Integer(0)
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = draw(st.fractions(-3, 3, max_denominator=3))
+        powers = [draw(st.integers(0, 2)) for _ in w_vars(rank)] + [draw(st.integers(0, 1))]
+        poly += sympy.Rational(coeff.numerator, coeff.denominator) * sympy.Mul(
+            *[g**e for g, e in zip(gens, powers)]
+        )
+    return poly
+
+
+@st.composite
+def operator_pairs(draw):
+    rank = draw(st.integers(1, 3))
+
+    def operator():
+        lams = st.tuples(*[st.integers(-2, 2)] * rank)
+        return draw(st.lists(st.tuples(lams, polys(rank)), min_size=1, max_size=2))
+
+    return rank, operator(), operator(), draw(st.tuples(*[st.integers(-2, 2)] * rank))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(operator_pairs())
+def test_ring_kernel_matches_expr_oracle(case):
+    rank, a_terms, b_terms, lam = case
+    a = DifferenceOperator.from_terms(rank, a_terms)
+    b = DifferenceOperator.from_terms(rank, b_terms)
+    # the oracle starts from the merged Expr terms, so merging is checked too
+    ab = oracle_multiply(rank, a.terms, b.terms)
+    assert multiply(a, b).terms == ab
+    assert commutator(a, b).terms == oracle_sub(ab, oracle_multiply(rank, b.terms, a.terms))
+    assert specialize_hbar(a, 0).terms == oracle_at_hbar_zero(a.terms)
+    for _, p in a.terms:
+        assert shift_polynomial(rank, p, lam) == oracle_shift(rank, p, lam)
+
+
+def test_hbar_inverse_is_not_a_coefficient():
+    # a 1/hbar coefficient once made the commutator's hbar^0 part nonzero;
+    # coefficients are now polynomials, so it is refused on entry
+    with pytest.raises(DomainError):
+        op({(1,): 1 / HBAR})
+
+
+def test_poisson_from_lifts_rejects_hbar_free_commutator_part(monkeypatch):
+    # hbar is central and the algebra is commutative modulo hbar, so no pair of
+    # polynomial operators has such a commutator; the guard is fed one directly
+    monkeypatch.setattr(difference_ops, "commutator", lambda a, b, token=None: op({(1,): W + HBAR}))
+    with pytest.raises(LiftError):
+        poisson_from_lifts(DifferenceOperator.one(1), DifferenceOperator.one(1))

@@ -3,11 +3,13 @@
 import json
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from coulombkit import jsonio
 from coulombkit.cartan import KMWeight, named_gcm
 from coulombkit.difference_ops import HBAR, DifferenceOperator, w_vars
+from coulombkit.errors import DomainError
 from coulombkit.monopole import CoulombElement
 
 
@@ -47,6 +49,12 @@ def test_operator_roundtrip():
     op = DifferenceOperator.from_terms(1, {(2,): (w - HBAR) ** 2, (0,): HBAR})
     doc = jsonio.operator_to_json(op)
     assert jsonio.operator_from_json(doc) == op
+
+
+def test_negative_power_is_rejected():
+    doc = {"rank": 1, "terms": [{"coweight": [0], "poly": [{"coeff": "1", "powers": [-1]}]}]}
+    with pytest.raises(DomainError, match="/terms/0/poly/0/powers"):
+        jsonio.element_from_json(doc)
 
 
 def test_theory_roundtrip():

@@ -104,6 +104,18 @@ def test_root_table_finite_counts():
         assert len(table.multiplicities) == count
 
 
+def test_root_table_extends_in_place():
+    # continuing Peterson's recursion from height 3 gives the fresh height-7 table
+    for name in ("A2~", "A3~"):
+        gcm = named_gcm(name)
+        table = root_multiplicities(gcm, 3)
+        table.extend(7)
+        fresh = root_multiplicities(gcm, 7)
+        assert table.height == fresh.height == 7
+        assert table.c_values == fresh.c_values
+        assert table.multiplicities == fresh.multiplicities
+
+
 def test_affine_a1_imaginary_root_multiplicities():
     aff = named_gcm("A1~")
     table = root_multiplicities(aff, 6)
