@@ -140,14 +140,14 @@ def _cmd_km_mult(doc, args):
     _require(doc, "cartan", "lambda", "mu")
     gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
-    return {"multiplicity": weight_multiplicity(gcm, lam, mu)}
+    return {"multiplicity": weight_multiplicity(gcm, lam, mu, _token(args))}
 
 
 def _cmd_km_tensor(doc, args):
     _require(doc, "cartan", "lambda1", "lambda2")
     gcm = _get_gcm(doc)
     lam1, lam2 = _get_weight(doc, "lambda1"), _get_weight(doc, "lambda2")
-    comps = tensor_decompose(gcm, lam1, lam2)
+    comps = tensor_decompose(gcm, lam1, lam2, _token(args))
     return {
         "components": [
             [jsonio.weight_to_json(w), m]
@@ -191,8 +191,9 @@ def _cmd_quiver_satake(doc, args):
     _require(doc, "cartan", "lambda", "mu")
     gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
-    mult = weight_multiplicity(langlands_dual(gcm), lam, mu)
-    return {"nonempty": fixed_point_nonempty(gcm, lam, mu), "dual_multiplicity": mult}
+    token = _token(args)
+    mult = weight_multiplicity(langlands_dual(gcm), lam, mu, token)
+    return {"nonempty": fixed_point_nonempty(gcm, lam, mu, token), "dual_multiplicity": mult}
 
 
 def _theory_and_elements(doc, *keys):

@@ -1,39 +1,32 @@
 """Root and weight multiplicities for symmetrizable Kac-Moody algebras.
 
 Root multiplicities come from Peterson's recursion on the positive root cone,
-weight multiplicities from Freudenthal's recursion; both run in exact rational
-arithmetic and work uniformly for finite, affine and indefinite symmetrizable
-Cartan data.  Height bounds make affine enumerations finite.
+weight multiplicities from Freudenthal's formula filled in height order; both
+run in exact arithmetic and work uniformly for finite, affine and indefinite
+symmetrizable Cartan data.  Finite-type tensor products come from the
+Brauer-Klimyk formula.  Height bounds make affine enumerations finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 from .cancel import CancellationToken, check
 from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
-from .errors import DomainError, UnsupportedError
+from .errors import DimensionError, DomainError, UnsupportedError
 
 RootVector = tuple[int, ...]  # coordinates over the simple roots
 
 
-def _height(beta: RootVector) -> int:
-    return sum(beta)
-
-
 def _cone_vectors(rank: int, height: int, start: int = 1):
-    """All non-negative integer vectors with start <= sum <= height, by height."""
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for x in range(remaining + 1):
-            yield from rec(prefix + (x,), remaining - x, slots - 1)
-
+    """All non-negative integer vectors with start <= sum <= height, by height
+    and then lexicographically (the cuts of a stars-and-bars word)."""
     for h in range(start, height + 1):
-        yield from rec((), h, rank)
+        for cuts in combinations_with_replacement(range(h + 1), rank - 1):
+            yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (h,)))
 
 
 @dataclass
@@ -41,7 +34,8 @@ class RootTable:
     """Positive roots up to a height bound, with multiplicities.
 
     ``multiplicities`` maps root-lattice vectors to positive integers;
-    ``c_values`` holds the Peterson auxiliary c_beta for every cone vector.
+    ``c_values`` holds the Peterson auxiliary c_beta for every cone vector up
+    to ``height``, which stops one layer above the highest root in finite type.
     """
 
     gcm: GeneralizedCartanMatrix
@@ -50,48 +44,53 @@ class RootTable:
     c_values: dict[RootVector, Fraction] = field(default_factory=dict)
 
     def roots(self):
-        return sorted(self.multiplicities, key=lambda b: (_height(b), b))
+        return sorted(self.multiplicities, key=lambda b: (sum(b), b))
 
     def extend(self, height: int, token: CancellationToken | None = None) -> None:
         """Continue Peterson's recursion from the current height bound up to
-        ``height``; c_beta depends only on vectors of smaller height."""
+        ``height``; c_beta depends only on vectors of smaller height.  Every
+        non-simple positive root is a positive root plus a simple root (Kac,
+        Lemma 1.3), so once a layer holds no root, no higher layer does."""
         gcm, c, mults = self.gcm, self.c_values, self.multiplicities
-        for beta in _cone_vectors(gcm.size, height, self.height + 1):
-            check(token)
-            if _height(beta) == 1:
-                c[beta] = Fraction(1)
-                mults[beta] = 1
-                continue
-            num = Fraction(0)
-            for bp in _proper_subvectors(beta):
-                cp = c.get(bp)
-                if not cp:
+        for h in range(self.height + 1, height + 1):
+            if h > 1 + max(map(sum, mults), default=0):
+                return
+            for beta in _cone_vectors(gcm.size, h, h):
+                check(token)
+                if h == 1:
+                    c[beta] = Fraction(1)
+                    mults[beta] = 1
                     continue
-                bpp = tuple(b - p for b, p in zip(beta, bp))
-                cpp = c.get(bpp)
-                if cpp:
-                    num += _form(gcm, bp, bpp) * cp * cpp
-            divisor_part = Fraction(0)
-            for k in range(2, _height(beta) + 1):
-                if all(b % k == 0 for b in beta):
-                    sub = tuple(b // k for b in beta)
-                    divisor_part += Fraction(mults.get(sub, 0), k)
-            den = _form(gcm, beta, beta) - 2 * _form_with_rho(gcm, beta)
-            if den == 0:
-                # the denominator vanishes only off the root system (a real root of
-                # height >= 2 has (rho, beta^vee) >= 2 and an imaginary root has
-                # (beta, beta) <= 0 < (rho, beta)), so mult(beta) = 0 and c_beta is
-                # carried by the proper divisors alone
-                if num != 0:
-                    raise UnsupportedError("Peterson recursion degenerate at " + repr(beta))
-                c[beta] = divisor_part
-                continue
-            c[beta] = num / den
-            mult = c[beta] - divisor_part
-            assert mult.denominator == 1 and mult >= 0
-            if mult:
-                mults[beta] = int(mult)
-        self.height = max(self.height, height)
+                num = Fraction(0)
+                for bp in _box(beta):
+                    cp = c.get(bp)
+                    if not cp:
+                        continue
+                    bpp = tuple(b - p for b, p in zip(beta, bp))
+                    cpp = c.get(bpp)
+                    if cpp:
+                        num += _form(gcm, bp, bpp) * cp * cpp
+                divisor_part = Fraction(0)
+                for k in range(2, h + 1):
+                    if all(b % k == 0 for b in beta):
+                        sub = tuple(b // k for b in beta)
+                        divisor_part += Fraction(mults.get(sub, 0), k)
+                den = _form(gcm, beta, beta) - 2 * _pair(gcm, (1,) * gcm.size, beta)
+                if den == 0:
+                    # the denominator vanishes only off the root system (a real root of
+                    # height >= 2 has (rho, beta^vee) >= 2 and an imaginary root has
+                    # (beta, beta) <= 0 < (rho, beta)), so mult(beta) = 0 and c_beta is
+                    # carried by the proper divisors alone
+                    if num != 0:
+                        raise UnsupportedError("Peterson recursion degenerate at " + repr(beta))
+                    c[beta] = divisor_part
+                    continue
+                c[beta] = num / den
+                mult = c[beta] - divisor_part
+                assert mult.denominator == 1 and mult >= 0
+                if mult:
+                    mults[beta] = int(mult)
+            self.height = h
 
 
 def _form(gcm: GeneralizedCartanMatrix, beta: RootVector, gamma: RootVector) -> int:
@@ -99,9 +98,10 @@ def _form(gcm: GeneralizedCartanMatrix, beta: RootVector, gamma: RootVector) -> 
     return sum(gcm.gram(i, j) * beta[i] * gamma[j] for i in range(n) for j in range(n))
 
 
-def _form_with_rho(gcm: GeneralizedCartanMatrix, beta: RootVector) -> int:
-    # (rho, alpha_i) = d_i with the (alpha_i, alpha_i) = 2 d_i normalization
-    return sum(gcm.d[i] * beta[i] for i in range(gcm.size))
+def _pair(gcm: GeneralizedCartanMatrix, fund, beta: RootVector) -> int:
+    # (lam, beta) for lam = sum fund_i varpi_i: (varpi_i, alpha_j) = d_i delta_ij
+    # with the (alpha_i, alpha_i) = 2 d_i normalization
+    return sum(d * f * b for d, f, b in zip(gcm.d, fund, beta))
 
 
 def root_multiplicities(
@@ -115,11 +115,26 @@ def root_multiplicities(
     return table
 
 
-def _proper_subvectors(beta: RootVector):
-    ranges = [range(b + 1) for b in beta]
-    for bp in product(*ranges):
-        if any(bp) and bp != beta:
-            yield bp
+@lru_cache(maxsize=16)
+def _root_table(gcm: GeneralizedCartanMatrix) -> RootTable:
+    """The Peterson table that every Freudenthal table of ``gcm`` extends."""
+    return RootTable(gcm, 0)
+
+
+def _box(beta: RootVector):
+    """All vectors between zero and beta, coordinatewise."""
+    return product(*(range(b + 1) for b in beta))
+
+
+def _dominant(gcm: GeneralizedCartanMatrix, mu: KMWeight) -> tuple[KMWeight, int]:
+    """The dominant Weyl conjugate of ``mu`` (finite type) and the sign det(w)
+    of a Weyl group element w that takes ``mu`` there."""
+    if len(mu.fund) != gcm.size:
+        raise DimensionError("weight length does not match Cartan matrix size")
+    sign = 1
+    while (i := next((i for i, c in enumerate(mu.fund) if c < 0), None)) is not None:
+        mu, sign = gcm.reflect(i, mu), -sign
+    return mu, sign
 
 
 class FreudenthalTable:
@@ -132,85 +147,78 @@ class FreudenthalTable:
         self.gcm = gcm
         self.lam = lam
         self._mult: dict[RootVector, int] = {(0,) * gcm.size: 1}
-        self._roots = RootTable(gcm, 0)
 
-    def _root_table(self, height: int) -> RootTable:
-        if self._roots.height < height:
-            self._roots.extend(height)
-        return self._roots
+    def _fill(self, betas, height: int, token: CancellationToken | None = None) -> None:
+        """Freudenthal's formula at each beta of ``betas`` not yet known, in the
+        given order, which must put every beta - k alpha of the cone first
+        (height order does); ``height`` bounds the heights of ``betas``."""
+        gcm, lam, mult = self.gcm, self.lam.fund, self._mult
+        if len(lam) != gcm.size:
+            raise DimensionError("weight length does not match Cartan matrix size")
+        table = _root_table(gcm)
+        table.extend(height, token)
+        roots = [(alpha, m, _form(gcm, alpha, alpha))
+                 for alpha, m in table.multiplicities.items() if sum(alpha) <= height]
+        for beta in betas:
+            if beta in mult:
+                continue
+            check(token)
+            mu = [x - y for x, y in zip(lam, gcm.root_combination(beta).fund)]
+            num = 0
+            for alpha, m_alpha, norm in roots:
+                pairing = _pair(gcm, mu, alpha)  # (mu + k alpha, alpha) = pairing + k norm
+                shifted, k = beta, 1
+                while min(shifted := tuple(b - a for b, a in zip(shifted, alpha))) >= 0:
+                    num += m_alpha * (pairing + k * norm) * mult[shifted]
+                    k += 1
+            # (lam + rho, lam + rho) - (mu + rho, mu + rho) = (lam + mu + 2 rho, lam - mu)
+            den = _pair(gcm, [x + y + 2 for x, y in zip(lam, mu)], beta)
+            if den == 0:
+                if num != 0:
+                    raise UnsupportedError("Freudenthal recursion degenerate at " + repr(beta))
+                mult[beta] = 0
+            else:
+                q, r = divmod(2 * num, den)
+                assert r == 0 and q >= 0
+                mult[beta] = q
 
-    def multiplicity_at_depth(self, beta: RootVector) -> int:
+    def multiplicity_at_depth(self, beta: RootVector, token: CancellationToken | None = None) -> int:
         """dim of the weight space at lam - sum beta_i alpha_i."""
-        if beta in self._mult:
-            return self._mult[beta]
-        if any(b < 0 for b in beta):
-            return 0
-        gcm = self.gcm
-        roots = self._root_table(_height(beta)).multiplicities
-        lam_d = [gcm.d[i] * (self.lam.fund[i] + 1) for i in range(gcm.size)]
-        den = 2 * sum(lam_d[i] * beta[i] for i in range(gcm.size)) - _form(gcm, beta, beta)
-        num = Fraction(0)
-        for alpha, m_alpha in roots.items():
-            k = 1
-            while True:
-                shifted = tuple(b - k * a for b, a in zip(beta, alpha))
-                if any(x < 0 for x in shifted):
-                    break
-                inner = self.multiplicity_at_depth(shifted)
-                if inner:
-                    # (mu + k alpha, alpha) with mu = lam - beta
-                    lam_a = sum(gcm.d[i] * self.lam.fund[i] * alpha[i] for i in range(gcm.size))
-                    pairing = lam_a - _form(gcm, beta, alpha) + k * _form(gcm, alpha, alpha)
-                    num += 2 * m_alpha * pairing * inner
-                k += 1
-        if den == 0:
-            if num != 0:
-                raise UnsupportedError("Freudenthal recursion degenerate at " + repr(beta))
-            result = 0
-        else:
-            q = num / den
-            assert q.denominator == 1 and q >= 0
-            result = int(q)
-        self._mult[beta] = result
-        return result
+        if beta not in self._mult:
+            if any(b < 0 for b in beta):
+                return 0
+            self._fill(sorted(_box(beta), key=sum), sum(beta), token)
+        return self._mult[beta]
 
-    def multiplicity(self, mu: KMWeight) -> int:
-        beta = in_positive_root_cone(self.gcm, self.lam - mu)
+    def multiplicity(self, mu: KMWeight, token: CancellationToken | None = None) -> int:
+        diff = self.lam - mu  # raises DimensionError unless lam and mu have one length
+        if self.gcm.tag == "finite":  # multiplicities are Weyl-invariant (Kac, Prop. 10.1)
+            diff = self.lam - _dominant(self.gcm, mu)[0]
+        beta = in_positive_root_cone(self.gcm, diff)
         if beta is None:
             return 0
-        return self.multiplicity_at_depth(beta)
+        return self.multiplicity_at_depth(beta, token)
 
 
-_FREUDENTHAL_CACHE: dict[tuple, FreudenthalTable] = {}
+_freudenthal = lru_cache(maxsize=128)(FreudenthalTable)
 
 
-def _freudenthal(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> FreudenthalTable:
-    key = (gcm.entries, lam.fund, lam.delta)
-    if key not in _FREUDENTHAL_CACHE:
-        _FREUDENTHAL_CACHE[key] = FreudenthalTable(gcm, lam)
-    return _FREUDENTHAL_CACHE[key]
-
-
-def weight_multiplicity(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> int:
+def weight_multiplicity(
+    gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight, token: CancellationToken | None = None
+) -> int:
     """dim V_mu(lam) for the integrable highest-weight module V(lam)."""
-    return _freudenthal(gcm, lam).multiplicity(mu)
+    return _freudenthal(gcm, lam).multiplicity(mu, token)
 
 
 def antidominant_conjugate(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> KMWeight:
-    """Repeated simple reflections until antidominant (finite type only)."""
+    """The antidominant Weyl conjugate of lam (finite type only)."""
     if gcm.tag != "finite":
         raise UnsupportedError("antidominant conjugate requires finite type")
-    mu = lam
-    while True:
-        i = next((i for i, c in enumerate(mu.fund) if c > 0), None)
-        if i is None:
-            return mu
-        mu = gcm.reflect(i, mu)
+    return -_dominant(gcm, -lam)[0]
 
 
 def default_support_depth(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> int:
-    beta = in_positive_root_cone(gcm, lam - antidominant_conjugate(gcm, lam))
-    return _height(beta)
+    return sum(in_positive_root_cone(gcm, lam - antidominant_conjugate(gcm, lam)))
 
 
 def weight_support(
@@ -229,13 +237,9 @@ def weight_support(
             raise DomainError("an explicit depth is required outside finite type")
         depth = default_support_depth(gcm, lam)
     table = _freudenthal(gcm, lam)
-    out = [(lam, 1)]
-    for beta in _cone_vectors(gcm.size, depth):
-        check(token)
-        m = table.multiplicity_at_depth(beta)
-        if m:
-            out.append((lam - gcm.root_combination(beta), m))
-    return out
+    betas = list(_cone_vectors(gcm.size, depth))
+    table._fill(betas, depth, token)
+    return [(lam, 1)] + [(lam - gcm.root_combination(b), table._mult[b]) for b in betas if table._mult[b]]
 
 
 def tensor_weight_mult(
@@ -250,7 +254,7 @@ def tensor_weight_mult(
     sum over decompositions mu = mu1 + mu2 of the two weight supports."""
     total = 0
     for mu1, m1 in weight_support(gcm, lam1, depth, token):
-        m2 = weight_multiplicity(gcm, lam2, mu - mu1)
+        m2 = weight_multiplicity(gcm, lam2, mu - mu1, token)
         total += m1 * m2
     return total
 
@@ -269,36 +273,31 @@ def tensor_fixed_components(
     out = []
     for mu1, _ in weight_support(dual, lam1, depth, token):
         mu2 = mu - mu1
-        if weight_multiplicity(dual, lam2, mu2) > 0:
+        if weight_multiplicity(dual, lam2, mu2, token) > 0:
             out.append((mu1, mu2))
     out.sort(key=lambda p: (p[0].fund, p[0].delta))
     return out
 
 
 def tensor_decompose(
-    gcm: GeneralizedCartanMatrix, lam1: KMWeight, lam2: KMWeight
+    gcm: GeneralizedCartanMatrix, lam1: KMWeight, lam2: KMWeight, token: CancellationToken | None = None
 ) -> dict[KMWeight, int]:
     """Decomposition of V(lam1) (x) V(lam2) into irreducibles, finite type only,
-    by iterated highest-weight subtraction."""
+    by the Brauer-Klimyk formula: each weight mu of V(lam1) contributes
+    mult(mu) det(w) to V(w(lam2 + mu + rho) - rho) when w(lam2 + mu + rho) is
+    dominant and regular, and nothing when it lies on a wall."""
     if gcm.tag != "finite":
         raise UnsupportedError("tensor decomposition requires finite type")
     if not (gcm.is_dominant(lam1) and gcm.is_dominant(lam2)):
         raise DomainError("tensor factors must have dominant highest weights")
-    top = lam1 + lam2
-    candidates = []
-    depth = default_support_depth(gcm, lam1) + default_support_depth(gcm, lam2)
-    zero = (0,) * gcm.size
-    for beta in [zero] + list(_cone_vectors(gcm.size, depth)):
-        kappa = top - gcm.root_combination(beta)
-        if gcm.is_dominant(kappa):
-            candidates.append((_height(beta), beta, kappa))
-    candidates.sort(key=lambda t: (t[0], t[1]))
+    if len(lam1.fund) != len(lam2.fund):
+        raise DimensionError("weights live on different Cartan data")
+    rho = KMWeight((1,) * gcm.size)
     result: dict[KMWeight, int] = {}
-    for _, _, kappa in candidates:
-        m = tensor_weight_mult(gcm, lam1, lam2, kappa)
-        for nu, mult in result.items():
-            m -= mult * weight_multiplicity(gcm, nu, kappa)
-        assert m >= 0
-        if m:
-            result[kappa] = m
-    return result
+    for mu, m in weight_support(gcm, lam1, token=token):
+        nu, sign = _dominant(gcm, lam2 + mu + rho)
+        if all(c > 0 for c in nu.fund):
+            kappa = nu - rho
+            result[kappa] = result.get(kappa, 0) + sign * m
+    assert all(m >= 0 for m in result.values())
+    return {kappa: m for kappa, m in result.items() if m}

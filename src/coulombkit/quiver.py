@@ -25,7 +25,7 @@ from .cartan import (
 )
 from .errors import DimensionError, DomainError, UnsupportedError
 from .lattices import Coweight, pairing
-from .multiplicities import weight_multiplicity, weight_support
+from .multiplicities import weight_multiplicity
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,12 @@ def mv_dimension(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> i
     return sum(v)
 
 
-def fixed_point_nonempty(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> bool:
+def fixed_point_nonempty(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight, token=None) -> bool:
     """Combinatorial shadow of the fixed-point conjecture: the fixed point
     exists iff the dual-side weight multiplicity V_mu(lam) is nonzero."""
     if not gcm.is_dominant(lam):
         raise DomainError("lam must be dominant")
-    return weight_multiplicity(langlands_dual(gcm), lam, mu) > 0
+    return weight_multiplicity(langlands_dual(gcm), lam, mu, token) > 0
 
 
 def _dominant_interval(

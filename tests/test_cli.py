@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coulombkit import multiplicities
 from coulombkit.cli import main, validate_schema
 
 
@@ -197,6 +198,51 @@ def test_abelian_products_honour_timeout(capsys, tmp_path, command):
     assert code == 3 and out == "" and "cancelled" in err
     code, _, _ = run(capsys, ["abelian", command], doc, tmp_path=tmp_path)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["km", "mult"], {"cartan": "A2", "lambda": {"fund": [2, 2]}, "mu": {"fund": [0, 0]}}),
+        (["km", "tensor"], {"cartan": "A2", "lambda1": {"fund": [2, 1]}, "lambda2": {"fund": [1, 1]}}),
+        (["quiver", "satake"], {"cartan": "B2", "lambda": {"fund": [2, 1]}, "mu": {"fund": [0, 1]}}),
+    ],
+)
+def test_km_queries_honour_timeout(capsys, tmp_path, command, doc):
+    # Freudenthal tables are shared by the whole process: start from empty ones
+    multiplicities._freudenthal.cache_clear()
+    multiplicities._root_table.cache_clear()
+    code, out, err = run(capsys, command + ["--timeout", "0"], doc, tmp_path=tmp_path)
+    assert code == 3 and out == "" and "cancelled" in err
+    code, _, _ = run(capsys, command, doc, tmp_path=tmp_path)
+    assert code == 0
+
+
+def test_km_mult_deep_weight_space(capsys, tmp_path):
+    # the lowest weight of V(3000 varpi): 3000 simple roots below the highest one
+    doc = {"cartan": "A1", "lambda": {"fund": [3000]}, "mu": {"fund": [-3000]}}
+    code, out, _ = run(capsys, ["km", "mult"], doc, tmp_path=tmp_path)
+    assert code == 0 and json.loads(out) == {"multiplicity": 1}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (["km", "mult"], {"cartan": "A1", "lambda": {"fund": [1]}, "mu": {"fund": [0, -5]}},
+         "weights live on different Cartan data"),
+        (["quiver", "satake"], {"cartan": "A1", "lambda": {"fund": [1]}, "mu": {"fund": [0, -5]}},
+         "weights live on different Cartan data"),
+        (["km", "mult"], {"cartan": "A1", "lambda": {"fund": [0, 5]}, "mu": {"fund": [0, 5]}},
+         "weight length does not match Cartan matrix size"),
+        (["quiver", "satake"], {"cartan": "A1", "lambda": {"fund": [0, 5]}, "mu": {"fund": [0, 5]}},
+         "weight length does not match Cartan matrix size"),
+        (["km", "tensor"], {"cartan": "A1", "lambda1": {"fund": [0, 5]}, "lambda2": {"fund": [1]}},
+         "weights live on different Cartan data"),
+    ],
+)
+def test_wrong_length_weights_are_input_errors(capsys, tmp_path, command, doc, message):
+    code, out, err = run(capsys, command, doc, tmp_path=tmp_path)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def _ring_doc(a_poly):

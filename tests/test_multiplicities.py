@@ -6,6 +6,7 @@ where K is the Kostant partition function over the positive roots.  It shares
 no code with the Freudenthal recursion under test.
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -13,8 +14,9 @@ from itertools import product
 import pytest
 
 from coulombkit.cartan import KMWeight, langlands_dual, named_gcm, root_coordinates
-from coulombkit.errors import DomainError, UnsupportedError
+from coulombkit.errors import DimensionError, DomainError, UnsupportedError
 from coulombkit.multiplicities import (
+    FreudenthalTable,
     antidominant_conjugate,
     root_multiplicities,
     tensor_decompose,
@@ -104,6 +106,13 @@ def test_root_table_finite_counts():
         assert len(table.multiplicities) == count
 
 
+def test_root_table_stops_after_the_highest_root():
+    # G2's highest root has height 5: the first empty layer, 6, ends the table
+    table = root_multiplicities(named_gcm("G2"), 40)
+    assert len(table.multiplicities) == 6
+    assert max(map(sum, table.c_values)) == 6
+
+
 def test_root_table_extends_in_place():
     # continuing Peterson's recursion from height 3 gives the fresh height-7 table
     for name in ("A2~", "A3~"):
@@ -137,6 +146,24 @@ def test_weight_multiplicity_highest_weight():
 def test_weight_multiplicity_adjoint_zero_weight():
     gcm = named_gcm("A2")
     assert weight_multiplicity(gcm, KMWeight.of((1, 1)), KMWeight.of((0, 0))) == 2
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_freudenthal_depth_is_not_bounded_by_the_recursion_limit():
+    # the fill runs in height order, so a depth of 300 needs no deep stack
+    table = FreudenthalTable(named_gcm("A1"), KMWeight.of((300,)))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        assert table.multiplicity_at_depth((300,)) == 1
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_weight_multiplicity_requires_dominant():
@@ -176,6 +203,12 @@ def test_weight_support_depth_required_for_affine():
         weight_support(aff, KMWeight.of((1, 0)))
 
 
+def test_freudenthal_rejects_a_highest_weight_of_another_rank():
+    table = FreudenthalTable(named_gcm("A1~"), KMWeight.of((1, 0, 0)))
+    with pytest.raises(DimensionError):
+        table.multiplicity_at_depth((1, 1))
+
+
 def test_antidominant_conjugate():
     gcm = named_gcm("A2")
     anti = antidominant_conjugate(gcm, KMWeight.of((1, 1)))
@@ -212,9 +245,21 @@ def test_tensor_decompose_examples():
     }
 
 
-def test_tensor_decompose_consistent_with_weight_mult():
-    gcm = named_gcm("B2")
-    lam1, lam2 = KMWeight.of((1, 0)), KMWeight.of((0, 1))
+@pytest.mark.parametrize(
+    "name, fund1, fund2",
+    [
+        ("B2", (1, 0), (0, 1)),
+        ("G2", (1, 0), (0, 1)),
+        ("B3", (1, 0, 0), (0, 0, 1)),
+        ("C3", (0, 1, 0), (1, 0, 0)),
+        ("A3", (1, 0, 1), (0, 1, 0)),
+    ],
+    ids=["B2", "G2", "B3", "C3", "A3"],
+)
+def test_tensor_decompose_consistent_with_weight_mult(name, fund1, fund2):
+    # Brauer-Klimyk against the convolution of the two weight supports
+    gcm = named_gcm(name)
+    lam1, lam2 = KMWeight.of(fund1), KMWeight.of(fund2)
     comps = tensor_decompose(gcm, lam1, lam2)
     for mu, _ in weight_support(gcm, lam1 + lam2):
         expected = sum(m * weight_multiplicity(gcm, nu, mu) for nu, m in comps.items())
