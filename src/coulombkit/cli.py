@@ -115,6 +115,9 @@ def _max_deg(args) -> Fraction:
         raise InputError([f"--max-deg: {exc}"]) from exc
     if q < 0 or q.denominator > 2:
         raise InputError(["--max-deg must be a non-negative half-integer"])
+    if 2 * q + 1 > sys.maxsize:
+        # every degree table holds 2 * max_deg + 1 slots
+        raise InputError([f"--max-deg: too large, 2 * max_deg + 1 must not exceed {sys.maxsize}"])
     return q
 
 
@@ -249,7 +252,7 @@ def _cmd_hypertoric_compare(doc, args):
 
 def _cmd_jordan_hilbert(doc, args):
     _require(doc, "n", "ell")
-    if not (isinstance(doc["n"], int) and isinstance(doc["ell"], int)):
+    if not (type(doc["n"]) is int and type(doc["ell"]) is int):  # JSON true is not an integer
         raise InputError(["/n, /ell: must be integers"])
     dims = jordan_coulomb_hilbert(doc["n"], doc["ell"], _max_deg(args), _token(args))
     return {"dimensions": _table_from_dims(dims)}

@@ -2,10 +2,11 @@
 
 Smith normal form with unimodular transforms (which also gives the rank),
 column-style Hermite normal form used to canonicalize sublattices, the
-dual-torus kernel construction, and Gauss-Jordan solving over Q.  Integer work
-is plain arbitrary-precision arithmetic and rational work uses ``Fraction``.
-Coweights and character vectors are plain integer tuples; ``pairing`` is their
-dot product.
+dual-torus kernel construction, Gauss-Jordan solving over Q, and the count of
+weight-zero monomials that gives the graded dimensions on both sides of
+hypertoric duality.  Integer work is plain arbitrary-precision arithmetic and
+rational work uses ``Fraction``.  Coweights and character vectors are plain
+integer tuples; ``pairing`` is their dot product.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .cancel import CancellationToken, check
 from .errors import DimensionError, LatticeError
 
 Coweight = tuple[int, ...]
@@ -38,10 +40,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     @property
     def nrows(self) -> int:
@@ -234,6 +232,33 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def smith_diagonal(mat: IntMatrix) -> tuple[int, ...]:
     _, d, _ = smith_normal_form(mat)
     return tuple(d.entries[i][i] for i in range(min(d.nrows, d.ncols)))
+
+
+def koszul_counts(
+    weights, moduli, top: int, power: int, token: CancellationToken | None = None
+) -> list[int]:
+    """Weight-zero monomials in x_i, y_i of each half-degree 0..top, times
+    (1 - s^2)^power, where s steps one half-degree.
+
+    x_i carries ``weights[i]`` and y_i its negative, in the group
+    Z/moduli[0] + Z/moduli[1] + ..., where a modulus of 0 stands for Z.
+    """
+    zero = (0,) * len(moduli)
+    # counts[t] maps a class to the number of monomials of half-degree t in it
+    counts = [{zero: 1} if t == 0 else {} for t in range(top + 1)]
+    for w in list(weights) + [tuple(-c for c in w) for w in weights]:
+        # ascending t lets each variable appear to any power
+        for t in range(1, top + 1):
+            check(token)
+            layer = counts[t]
+            for wt, c in counts[t - 1].items():
+                key = tuple((a + b) % m if m else a + b for a, b, m in zip(wt, w, moduli))
+                layer[key] = layer.get(key, 0) + c
+    dims = [layer.get(zero, 0) for layer in counts]
+    for _ in range(power):
+        for t in range(top, 1, -1):
+            dims[t] -= dims[t - 2]
+    return dims
 
 
 def hermite_column_form(mat: IntMatrix) -> IntMatrix:

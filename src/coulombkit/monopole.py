@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from math import comb, floor
 
 import sympy
 from sympy.polys.rings import PolyElement
@@ -21,7 +19,7 @@ from . import difference_ops as dops
 from .cancel import CancellationToken, check
 from .difference_ops import DifferenceOperator, _GradedSum, _merge, poly_ring, to_poly
 from .errors import DimensionError, DomainError, LiftError
-from .lattices import CharacterVector, Coweight, IntMatrix, pairing, solve_rational
+from .lattices import CharacterVector, Coweight, IntMatrix, koszul_counts, pairing, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -43,9 +41,6 @@ class AbelianTheory:
     def a_type(ell: int) -> "AbelianTheory":
         """Rank-1 theory with ell weight-1 characters: the A_{ell-1} surface."""
         return AbelianTheory.of(1, [(1,)] * ell)
-
-    def linear_form(self, rho: CharacterVector) -> sympy.Expr:
-        return _linear_form(self, rho).as_expr()
 
 
 class CoulombElement(_GradedSum):
@@ -172,44 +167,13 @@ def poisson(
     return element_from_operator(th, bracket)
 
 
-def _degree_of_coweight(th: AbelianTheory, lam: Coweight) -> Fraction:
-    return Fraction(sum(abs(pairing(lam, rho)) for rho in th.characters), 2)
-
-
 def grading_degree(th: AbelianTheory, a: CoulombElement) -> Fraction:
     """Cohomological degree of a monomial term: deg(w^m r^lam) = m + (1/2) sum |<rho_i,lam>|."""
     if len(a.polys) != 1 or len(a.polys[0][1]) != 1:
         raise DomainError("grading degree is defined for single monomial terms")
     lam, poly = a.polys[0]
     (monom,) = poly.itermonoms()
-    return Fraction(sum(monom)) + _degree_of_coweight(th, lam)
-
-
-def _coweights_up_to_degree(th: AbelianTheory, max_deg: Fraction, token=None):
-    """All coweights with degree <= max_deg; requires a proper degree map."""
-    k = th.rank
-    if k == 0:
-        return [()]
-    if IntMatrix.from_rows(th.characters).rank() < k:
-        raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
-    # pick k independent characters M; |lam|_inf <= |M^-1|_inf * |M lam|_1
-    # and |M lam|_1 <= 2 * deg(lam), which bounds the search box exactly
-    rows = []
-    for rho in th.characters:
-        if IntMatrix.from_rows(rows + [rho]).rank() == len(rows) + 1:
-            rows.append(rho)
-        if len(rows) == k:
-            break
-    # column j of M^-1 solves M v = e_j
-    minv_cols = [solve_rational(rows, [int(i == j) for i in range(k)])[0] for j in range(k)]
-    opnorm = max(sum(abs(col[i]) for col in minv_cols) for i in range(k))
-    radius = floor(opnorm * 2 * max_deg)
-    out = []
-    for lam in iproduct(range(-radius, radius + 1), repeat=k):
-        check(token)
-        if _degree_of_coweight(th, lam) <= max_deg:
-            out.append(lam)
-    return sorted(out)
+    return Fraction(sum(monom)) + Fraction(sum(abs(pairing(lam, rho)) for rho in th.characters), 2)
 
 
 def hilbert_series(
@@ -217,22 +181,28 @@ def hilbert_series(
 ) -> list[int]:
     """Graded dimensions of the Coulomb branch ring in half-integer steps.
 
-    Entry i of the result is the dimension in degree i/2.  Each coweight lam
-    contributes its dressing polynomials in the w's on top of the base degree
-    (1/2) sum |<rho_i, lam>|.
+    Entry i is the dimension in degree i/2.  With s one half-degree and A the
+    n x k character matrix, the monopole formula sums s^{|A lam|_1} over the
+    coweights lam, times 1 / (1 - s^2)^k for the dressings by the w's.  When A
+    has rank k, lam -> y = A lam is a bijection onto the y in Z^n whose class
+    U y vanishes in Z/d_1 + ... + Z/d_k + Z^{n-k} (Smith form U A V = D).
+    Give x_i the class of U e_i and y_i that of -U e_i; the monomials x^a y^b
+    over one y = a - b number s^{|y|_1} / (1 - s^2)^n, so the series is
+    (1 - s^2)^{n-k} times the count of class-zero monomials.
     """
     max_deg = Fraction(max_deg)
     if max_deg < 0:
         raise DomainError("max_deg must be non-negative")
-    slots = int(2 * max_deg) + 1
-    dims = [0] * slots
-    k = th.rank
-    for lam in _coweights_up_to_degree(th, max_deg, token):
-        base = _degree_of_coweight(th, lam)
-        b2 = int(2 * base)
-        for m in range(0, (slots - b2 - 1) // 2 + 1):
-            dims[b2 + 2 * m] += comb(m + k - 1, k - 1) if k else (1 if m == 0 else 0)
-    return dims
+    n, k = len(th.characters), th.rank
+    u, d, _ = smith_normal_form(IntMatrix.from_rows(th.characters))
+    diag = [d.entries[j][j] for j in range(min(n, k))]
+    if n < k or 0 in diag:
+        raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
+    # (U y)_j must vanish mod d_j for j < k and in Z for j >= k; d_j = 1 asks nothing
+    rows = [j for j in range(n) if j >= k or diag[j] != 1]
+    weights = [tuple(u.entries[j][i] for j in rows) for i in range(n)]
+    moduli = [diag[j] if j < k else 0 for j in rows]
+    return koszul_counts(weights, moduli, int(2 * max_deg), n - k, token)
 
 
 def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:

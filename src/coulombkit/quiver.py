@@ -272,7 +272,9 @@ def jordan_coulomb_hilbert(
     Entry i is the dimension in degree i/2, counting size-n multisets of
     normal-form monomials x^a z^c and y^b z^c (b > 0).
     """
-    if ell < 1:
+    if ell < 0:
+        raise DomainError(f"ell must be positive, got {ell}")
+    if ell == 0:
         raise UnsupportedError("the grading degenerates for ell = 0")
     if n < 0:
         raise DomainError("n must be non-negative")

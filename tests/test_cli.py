@@ -128,6 +128,40 @@ def test_jordan_hilbert(capsys, tmp_path):
     assert [d for _, d in parsed["dimensions"]] == [1, 0, 3, 0, 5, 0, 7]
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["abelian", "hilbert"], {"rank": 1, "characters": [[1], [1]]}),
+        (["hypertoric", "compare"], [[1], [1]]),
+        (["jordan", "hilbert"], {"n": 1, "ell": 2}),
+    ],
+)
+@pytest.mark.parametrize("max_deg", ["1e400", "4611686018427387903.5"])
+def test_max_deg_beyond_an_index_is_an_input_error(capsys, tmp_path, command, doc, max_deg):
+    # 2 * max_deg + 1 table slots must fit sys.maxsize; the smaller value is
+    # the first half-integer past it on a 64-bit build
+    code, out, err = run(capsys, command + ["--max-deg", max_deg], doc, tmp_path=tmp_path)
+    assert code == 1 and out == ""
+    assert err.startswith("--max-deg: too large")
+
+
+@pytest.mark.parametrize("doc", [{"n": True, "ell": 2}, {"n": 1, "ell": True}])
+def test_jordan_hilbert_rejects_bools(capsys, tmp_path, doc):
+    code, out, err = run(capsys, ["jordan", "hilbert", "--max-deg", "2"], doc, tmp_path=tmp_path)
+    assert (code, out, err) == (1, "", "/n, /ell: must be integers\n")
+
+
+def test_jordan_hilbert_negative_ell(capsys, tmp_path):
+    code, out, err = run(
+        capsys, ["jordan", "hilbert", "--max-deg", "2"], {"n": 1, "ell": -3}, tmp_path=tmp_path
+    )
+    assert (code, out, err) == (1, "", "error: ell must be positive, got -3\n")
+    _, _, err = run(
+        capsys, ["jordan", "hilbert", "--max-deg", "2"], {"n": 1, "ell": 0}, tmp_path=tmp_path
+    )
+    assert err == "error: the grading degenerates for ell = 0\n"
+
+
 def test_validate_ok_and_violations(capsys, tmp_path):
     good = {"vertices": 2, "edges": [[0, 1]], "v": [1, 1], "w": [0, 0]}
     code, out, _ = run(capsys, ["validate", "--schema", "quiver"], good, tmp_path=tmp_path)

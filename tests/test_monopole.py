@@ -1,13 +1,17 @@
 """Abelian Coulomb branch algebras: products, quantization, grading, series."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import product
+from math import comb, floor
 
 import pytest
 import sympy
 
 from coulombkit.difference_ops import HBAR, DifferenceOperator, multiply, specialize_hbar, w_vars
 from coulombkit.errors import DomainError, LiftError
+from coulombkit.lattices import IntMatrix, pairing, smith_diagonal, solve_rational
 from coulombkit.monopole import (
     AbelianTheory,
     CoulombElement,
@@ -197,6 +201,8 @@ def test_pi1_grading_additivity():
 def test_hilbert_series_examples():
     assert hilbert_series(AbelianTheory.a_type(2), 3) == [1, 0, 3, 0, 5, 0, 7]
     assert hilbert_series(AbelianTheory.a_type(1), 1) == [1, 2, 3]
+    # characters (2), (2): cokernel Z/2 + Z, and lam has degree 2|lam|
+    assert hilbert_series(AbelianTheory.of(1, [(2,), (2,)]), 3) == [1, 0, 1, 0, 3, 0, 3]
     with pytest.raises(DomainError, match="unbounded degree-0"):
         hilbert_series(AbelianTheory.of(1, []), 1)
 
@@ -209,6 +215,85 @@ def test_hilbert_series_rank_two_free_case():
 
     dims = hilbert_series(th, 2)
     assert dims == [comb(t + 3, 3) for t in range(5)]
+
+
+def _box_scan(th, max_deg):
+    """Reference oracle: every coweight in a box that bounds the degree, each
+    with its comb(m + k - 1, k - 1) dressing monomials of degree m."""
+    max_deg = Fraction(max_deg)
+    k = th.rank
+    dims = [0] * (int(2 * max_deg) + 1)
+    if k == 0:
+        dims[0] = 1
+        return dims
+    if IntMatrix.from_rows(th.characters).rank() < k:
+        raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
+    # pick k independent characters M; |lam|_inf <= |M^-1|_inf * |M lam|_1
+    # and |M lam|_1 <= 2 * deg(lam), which bounds the search box
+    rows = []
+    for rho in th.characters:
+        if IntMatrix.from_rows(rows + [rho]).rank() == len(rows) + 1:
+            rows.append(rho)
+        if len(rows) == k:
+            break
+    # column j of M^-1 solves M v = e_j
+    minv_cols = [solve_rational(rows, [int(i == j) for i in range(k)])[0] for j in range(k)]
+    radius = floor(max(sum(abs(col[i]) for col in minv_cols) for i in range(k)) * 2 * max_deg)
+    for lam in product(range(-radius, radius + 1), repeat=k):
+        b2 = sum(abs(pairing(lam, rho)) for rho in th.characters)
+        for t in range(b2, len(dims), 2):
+            dims[t] += comb((t - b2) // 2 + k - 1, k - 1)
+    return dims
+
+
+def _seeded_theories(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        n = rng.randint(k, k + 3)
+        out.append(AbelianTheory.of(k, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]))
+    return out
+
+
+def test_hilbert_series_matches_box_scan():
+    torsion = compared = 0
+    for th in _seeded_theories(80, seed=5):
+        deg = {1: 3, 2: 2, 3: 1}[th.rank]
+        try:
+            want = _box_scan(th, deg)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=str(exc)):
+                hilbert_series(th, deg)
+            continue
+        assert hilbert_series(th, deg) == want, th.characters
+        compared += 1
+        torsion += any(d > 1 for d in smith_diagonal(IntMatrix.from_rows(th.characters)))
+    assert compared >= 50 and torsion >= 20
+
+
+def test_hilbert_series_rank_zero():
+    # no coweights but 0 and no dressings: only the constants
+    for n in (0, 1, 3):
+        assert hilbert_series(AbelianTheory.of(0, [()] * n), 2) == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "rank, characters",
+    [(1, []), (1, [(0,)]), (2, [(1, 1), (2, 2)]), (2, [(1, 0)]), (3, [(1, 0, 0), (0, 1, 0)])],
+)
+def test_hilbert_series_rank_deficient(rank, characters):
+    with pytest.raises(DomainError) as exc:
+        hilbert_series(AbelianTheory.of(rank, characters), 2)
+    assert str(exc.value) == "unbounded degree-0 piece: characters do not span the dual lattice"
+
+
+def test_hilbert_series_slow_box_case():
+    # the box scan needs 73^3 points for the 51 coweights of degree <= 3
+    th = AbelianTheory.of(3, [(-1, -1, 0), (0, -1, 2), (-1, -1, -1), (1, 0, -2)])
+    start = time.perf_counter()
+    assert hilbert_series(th, 3) == [1, 0, 5, 4, 14, 26, 56]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_birationality_witness():

@@ -154,6 +154,11 @@ def test_jordan_hilbert_examples():
         jordan_coulomb_hilbert(1, 0, 1)
 
 
+def test_jordan_hilbert_negative_ell():
+    with pytest.raises(DomainError, match="ell must be positive, got -3"):
+        jordan_coulomb_hilbert(1, -3, 1)
+
+
 def test_jordan_hilbert_matches_abelian_series():
     for ell in (1, 2, 3):
         th = AbelianTheory.a_type(ell)
