@@ -109,8 +109,5 @@ def coulomb_higgs_compare(
     b = dual_sequence(a)
     higgs_th = HiggsTheory.of(b.entries)
     higgs_table = invariant_hilbert(higgs_th, max_deg, token)
-    verdict = all(
-        coulomb_table.get(deg, 0) == higgs_table.get(deg, 0)
-        for deg in set(coulomb_table) | set(higgs_table)
-    )
-    return ComparisonReport(coulomb_table, higgs_table, max_deg, verdict)
+    # both tables cover the half-degrees 0 .. max_deg
+    return ComparisonReport(coulomb_table, higgs_table, max_deg, coulomb_table == higgs_table)

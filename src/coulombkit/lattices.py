@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .cancel import CancellationToken, check
@@ -242,18 +243,32 @@ def koszul_counts(
 
     x_i carries ``weights[i]`` and y_i its negative, in the group
     Z/moduli[0] + Z/moduli[1] + ..., where a modulus of 0 stands for Z.
+    After the pair x_i, y_i only classes in the span of the later weights and
+    the moduli are kept: no others can return to zero.  They lie in a subgroup
+    of rank at most min(R, len(weights) - R), R the rank of the weights, so a
+    layer of half-degree t holds O(t^min(R, len(weights) - R)) of them, not O(t^R).
     """
-    zero = (0,) * len(moduli)
+    r = len(moduli)
+    zero = (0,) * r
+    torsion = [tuple(m if j == i else 0 for j in range(r)) for i, m in enumerate(moduli) if m]
     # counts[t] maps a class to the number of monomials of half-degree t in it
     counts = [{zero: 1} if t == 0 else {} for t in range(top + 1)]
-    for w in list(weights) + [tuple(-c for c in w) for w in weights]:
-        # ascending t lets each variable appear to any power
-        for t in range(1, top + 1):
-            check(token)
-            layer = counts[t]
-            for wt, c in counts[t - 1].items():
-                key = tuple((a + b) % m if m else a + b for a, b, m in zip(wt, w, moduli))
-                layer[key] = layer.get(key, 0) + c
+    for i, w in enumerate(weights):
+        for v in (w, tuple(-c for c in w)):
+            # ascending t lets each variable appear to any power
+            for t in range(1, top + 1):
+                check(token)
+                layer = counts[t]
+                for wt, c in counts[t - 1].items():
+                    key = tuple((a + b) % m if m else a + b for a, b, m in zip(wt, v, moduli))
+                    layer[key] = layer.get(key, 0) + c
+        # c is in the column span of B iff e_p divides (S c)_p for each p, where S B T = E
+        s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r))
+        tests = [(s.entries[p], e.entries[p][p] if p < e.ncols else 0) for p in range(r)]
+        tests = [(row, ep) for row, ep in tests if ep != 1]
+        keep = {wt for wt in set().union(*counts)
+                if all(gcd(sum(a * b for a, b in zip(row, wt)), ep) == ep for row, ep in tests)}
+        counts = [{wt: c for wt, c in layer.items() if wt in keep} for layer in counts]
     dims = [layer.get(zero, 0) for layer in counts]
     for _ in range(power):
         for t in range(top, 1, -1):

@@ -188,7 +188,8 @@ def hilbert_series(
     U y vanishes in Z/d_1 + ... + Z/d_k + Z^{n-k} (Smith form U A V = D).
     Give x_i the class of U e_i and y_i that of -U e_i; the monomials x^a y^b
     over one y = a - b number s^{|y|_1} / (1 - s^2)^n, so the series is
-    (1 - s^2)^{n-k} times the count of class-zero monomials.
+    (1 - s^2)^{n-k} times the count of class-zero monomials.  The DP keeps
+    only classes the later characters can cancel: O(t^min(k, n-k)) in degree t.
     """
     max_deg = Fraction(max_deg)
     if max_deg < 0:

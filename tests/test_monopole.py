@@ -9,6 +9,7 @@ from math import comb, floor
 import pytest
 import sympy
 
+from coulombkit.cancel import CancellationToken
 from coulombkit.difference_ops import HBAR, DifferenceOperator, multiply, specialize_hbar, w_vars
 from coulombkit.errors import DomainError, LiftError
 from coulombkit.lattices import IntMatrix, pairing, smith_diagonal, solve_rational
@@ -270,6 +271,20 @@ def test_hilbert_series_matches_box_scan():
         compared += 1
         torsion += any(d > 1 for d in smith_diagonal(IntMatrix.from_rows(th.characters)))
     assert compared >= 50 and torsion >= 20
+
+
+def test_hilbert_series_many_characters():
+    # small rank k, large n - k: the box scan is cheap here, and the DP stays
+    # cheap only because it drops the classes the later characters cannot cancel
+    token = CancellationToken(timeout=2.0)
+    cases = [
+        (AbelianTheory.a_type(12), 6),
+        (AbelianTheory.a_type(24), 4),
+        (AbelianTheory.of(1, [(1,), (2,), (1,), (3,), (1,), (2,), (1,), (1,)]), 4),
+        (AbelianTheory.of(2, [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 0), (0, 1)]), 4),
+    ]
+    for th, deg in cases:
+        assert hilbert_series(th, deg, token) == _box_scan(th, deg), th.characters
 
 
 def test_hilbert_series_rank_zero():
