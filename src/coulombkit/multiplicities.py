@@ -1,10 +1,10 @@
 """Root and weight multiplicities for symmetrizable Kac-Moody algebras.
 
-Root multiplicities come from Peterson's recursion on the positive root cone,
-weight multiplicities from Freudenthal's formula filled in height order; both
-run in exact arithmetic and work uniformly for finite, affine and indefinite
-symmetrizable Cartan data.  Finite-type tensor products come from the
-Brauer-Klimyk formula.  Height bounds make affine enumerations finite.
+Root multiplicities come from Peterson's recursion, weight multiplicities from
+Freudenthal's formula; both build one layer of height at a time from the layers
+below and store only nonzero entries, in exact arithmetic, uniformly for finite,
+affine and indefinite symmetrizable Cartan data.  Finite-type tensor products
+come from the Brauer-Klimyk formula.  Height bounds make affine tables finite.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from math import gcd
+from operator import mul
 
 from .cancel import CancellationToken, check
 from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
@@ -21,21 +22,13 @@ from .errors import DimensionError, DomainError, UnsupportedError
 RootVector = tuple[int, ...]  # coordinates over the simple roots
 
 
-def _cone_vectors(rank: int, height: int, start: int = 1):
-    """All non-negative integer vectors with start <= sum <= height, by height
-    and then lexicographically (the cuts of a stars-and-bars word)."""
-    for h in range(start, height + 1):
-        for cuts in combinations_with_replacement(range(h + 1), rank - 1):
-            yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (h,)))
-
-
 @dataclass
 class RootTable:
     """Positive roots up to a height bound, with multiplicities.
 
     ``multiplicities`` maps root-lattice vectors to positive integers;
-    ``c_values`` holds the Peterson auxiliary c_beta for every cone vector up
-    to ``height``, which stops one layer above the highest root in finite type.
+    ``c_values`` holds the nonzero Peterson auxiliaries c_beta up to
+    ``height``, which stops one layer above the highest root in finite type.
     """
 
     gcm: GeneralizedCartanMatrix
@@ -48,48 +41,55 @@ class RootTable:
 
     def extend(self, height: int, token: CancellationToken | None = None) -> None:
         """Continue Peterson's recursion from the current height bound up to
-        ``height``; c_beta depends only on vectors of smaller height.  Every
-        non-simple positive root is a positive root plus a simple root (Kac,
-        Lemma 1.3), so once a layer holds no root, no higher layer does."""
-        gcm, c, mults = self.gcm, self.c_values, self.multiplicities
+        ``height``.  (beta, beta - 2 rho) c_beta sums c_beta' c_beta'' over beta' +
+        beta'' = beta, and c_beta vanishes off the multiples of roots (Kac, Ex. 11.11),
+        which those sums reach as k gamma = gamma + (k-1) gamma; so layer h is evaluated
+        only at sums of stored c-values.  Every non-simple positive root is a positive
+        root plus a simple root (Kac, Lemma 1.3): after a layer with no root, none has."""
+        gcm, c, mults, n = self.gcm, self.c_values, self.multiplicities, self.gcm.size
+        layers: dict[int, list[tuple[RootVector, Fraction]]] = {}
+        for beta, cb in c.items():
+            layers.setdefault(sum(beta), []).append((beta, cb))
+        roots = {b: m for b, m in mults.items() if sum(b) == self.height}  # the top layer's roots
         for h in range(self.height + 1, height + 1):
-            if h > 1 + max(map(sum, mults), default=0):
+            if h > 1 and not roots:
                 return
-            for beta in _cone_vectors(gcm.size, h, h):
+            num: dict[RootVector, Fraction] = {}
+            for h1 in range(1, h // 2 + 1):
+                twice = 2 if 2 * h1 < h else 1  # the pair sum is symmetric in beta', beta''
+                for bp, cp in layers.get(h1, ()):
+                    check(token)
+                    gp = [sum(gcm.gram(i, j) * bp[i] for i in range(n)) for j in range(n)]  # (bp, alpha_j)
+                    for bpp, cpp in layers.get(h - h1, ()):
+                        beta = tuple(p + q for p, q in zip(bp, bpp))
+                        num[beta] = num.get(beta, 0) + twice * sum(map(mul, gp, bpp)) * cp * cpp
+            roots = {tuple(int(i == j) for j in range(n)): 1 for i in range(n)} if h == 1 else {}
+            layer = dict.fromkeys(roots, Fraction(1))
+            for beta, s in num.items():
                 check(token)
-                if h == 1:
-                    c[beta] = Fraction(1)
-                    mults[beta] = 1
-                    continue
-                num = Fraction(0)
-                for bp in _box(beta):
-                    cp = c.get(bp)
-                    if not cp:
-                        continue
-                    bpp = tuple(b - p for b, p in zip(beta, bp))
-                    cpp = c.get(bpp)
-                    if cpp:
-                        num += _form(gcm, bp, bpp) * cp * cpp
                 divisor_part = Fraction(0)
-                for k in range(2, h + 1):
+                for k in range(2, gcd(*beta) + 1):
                     if all(b % k == 0 for b in beta):
-                        sub = tuple(b // k for b in beta)
-                        divisor_part += Fraction(mults.get(sub, 0), k)
-                den = _form(gcm, beta, beta) - 2 * _pair(gcm, (1,) * gcm.size, beta)
+                        divisor_part += Fraction(mults.get(tuple(b // k for b in beta), 0), k)
+                den = _form(gcm, beta, beta) - 2 * _pair(gcm, (1,) * n, beta)
                 if den == 0:
-                    # the denominator vanishes only off the root system (a real root of
-                    # height >= 2 has (rho, beta^vee) >= 2 and an imaginary root has
-                    # (beta, beta) <= 0 < (rho, beta)), so mult(beta) = 0 and c_beta is
-                    # carried by the proper divisors alone
-                    if num != 0:
+                    # the denominator vanishes only off the root system (a real root of height >= 2
+                    # has (rho, beta^vee) >= 2 and an imaginary root has (beta, beta) <= 0 < (rho, beta)),
+                    # so mult(beta) = 0 and c_beta is carried by the proper divisors alone
+                    if s != 0:
                         raise UnsupportedError("Peterson recursion degenerate at " + repr(beta))
-                    c[beta] = divisor_part
-                    continue
-                c[beta] = num / den
-                mult = c[beta] - divisor_part
-                assert mult.denominator == 1 and mult >= 0
-                if mult:
-                    mults[beta] = int(mult)
+                    cb = divisor_part
+                else:
+                    cb = s / den
+                    mult = cb - divisor_part
+                    assert mult.denominator == 1 and mult >= 0
+                    if mult:
+                        roots[beta] = int(mult)
+                if cb:
+                    layer[beta] = cb
+            layers[h] = list(layer.items())
+            c.update(layer)
+            mults.update(roots)
             self.height = h
 
 
@@ -121,11 +121,6 @@ def _root_table(gcm: GeneralizedCartanMatrix) -> RootTable:
     return RootTable(gcm, 0)
 
 
-def _box(beta: RootVector):
-    """All vectors between zero and beta, coordinatewise."""
-    return product(*(range(b + 1) for b in beta))
-
-
 def _dominant(gcm: GeneralizedCartanMatrix, mu: KMWeight) -> tuple[KMWeight, int]:
     """The dominant Weyl conjugate of ``mu`` (finite type) and the sign det(w)
     of a Weyl group element w that takes ``mu`` there."""
@@ -138,57 +133,59 @@ def _dominant(gcm: GeneralizedCartanMatrix, mu: KMWeight) -> tuple[KMWeight, int
 
 
 class FreudenthalTable:
-    """Weight multiplicities of the integrable module V(lam), memoized by the
-    root-lattice distance from the highest weight."""
+    """Weight multiplicities of the integrable module V(lam), keyed by the
+    root-lattice distance beta from the highest weight and built in layers of
+    equal height of beta; only nonzero multiplicities are stored."""
 
     def __init__(self, gcm: GeneralizedCartanMatrix, lam: KMWeight):
         if not gcm.is_dominant(lam):
             raise DomainError("highest weight must be dominant")
-        self.gcm = gcm
-        self.lam = lam
-        self._mult: dict[RootVector, int] = {(0,) * gcm.size: 1}
+        self.gcm, self.lam = gcm, lam
+        self.height, self._top = 0, [(0,) * gcm.size]  # _top: the weights of the layer at height
+        self._mult: dict[RootVector, int] = {self._top[0]: 1}
 
-    def _fill(self, betas, height: int, token: CancellationToken | None = None) -> None:
-        """Freudenthal's formula at each beta of ``betas`` not yet known, in the
-        given order, which must put every beta - k alpha of the cone first
-        (height order does); ``height`` bounds the heights of ``betas``."""
+    def extend(self, height: int, token: CancellationToken | None = None) -> None:
+        """Freudenthal's formula on every layer up to ``height``.  V(lam) =
+        U(n^-) v_lam, so a weight of layer h lies one simple root below a
+        weight of layer h - 1; only those vectors are evaluated, and the first
+        empty layer ends the module."""
         gcm, lam, mult = self.gcm, self.lam.fund, self._mult
         if len(lam) != gcm.size:
             raise DimensionError("weight length does not match Cartan matrix size")
+        if height <= self.height or not self._top:
+            return
         table = _root_table(gcm)
         table.extend(height, token)
         roots = [(alpha, m, _form(gcm, alpha, alpha))
                  for alpha, m in table.multiplicities.items() if sum(alpha) <= height]
-        for beta in betas:
-            if beta in mult:
-                continue
-            check(token)
-            mu = [x - y for x, y in zip(lam, gcm.root_combination(beta).fund)]
-            num = 0
-            for alpha, m_alpha, norm in roots:
-                pairing = _pair(gcm, mu, alpha)  # (mu + k alpha, alpha) = pairing + k norm
-                shifted, k = beta, 1
-                while min(shifted := tuple(b - a for b, a in zip(shifted, alpha))) >= 0:
-                    num += m_alpha * (pairing + k * norm) * mult[shifted]
-                    k += 1
-            # (lam + rho, lam + rho) - (mu + rho, mu + rho) = (lam + mu + 2 rho, lam - mu)
-            den = _pair(gcm, [x + y + 2 for x, y in zip(lam, mu)], beta)
-            if den == 0:
-                if num != 0:
+        while self._top and self.height < height:
+            below = dict.fromkeys(b[:i] + (b[i] + 1,) + b[i + 1:] for b in self._top for i in range(len(b)))
+            layer = {}
+            for beta in below:
+                check(token)
+                mu = [x - y for x, y in zip(lam, gcm.root_combination(beta).fund)]
+                num = 0
+                for alpha, m_alpha, norm in roots:
+                    pairing = _pair(gcm, mu, alpha)  # (mu + k alpha, alpha) = pairing + k norm
+                    shifted, k = beta, 1
+                    while min(shifted := tuple(b - a for b, a in zip(shifted, alpha))) >= 0:
+                        num += m_alpha * (pairing + k * norm) * mult.get(shifted, 0)
+                        k += 1
+                # (lam + rho, lam + rho) - (mu + rho, mu + rho) = (lam + mu + 2 rho, lam - mu)
+                den = _pair(gcm, [x + y + 2 for x, y in zip(lam, mu)], beta)
+                if den == 0 and num != 0:
                     raise UnsupportedError("Freudenthal recursion degenerate at " + repr(beta))
-                mult[beta] = 0
-            else:
-                q, r = divmod(2 * num, den)
+                q, r = divmod(2 * num, den) if den else (0, 0)
                 assert r == 0 and q >= 0
-                mult[beta] = q
+                if q:
+                    layer[beta] = q
+            mult.update(layer)
+            self._top, self.height = list(layer), self.height + 1
 
     def multiplicity_at_depth(self, beta: RootVector, token: CancellationToken | None = None) -> int:
         """dim of the weight space at lam - sum beta_i alpha_i."""
-        if beta not in self._mult:
-            if any(b < 0 for b in beta):
-                return 0
-            self._fill(sorted(_box(beta), key=sum), sum(beta), token)
-        return self._mult[beta]
+        self.extend(sum(beta), token)
+        return self._mult.get(beta, 0)
 
     def multiplicity(self, mu: KMWeight, token: CancellationToken | None = None) -> int:
         diff = self.lam - mu  # raises DimensionError unless lam and mu have one length
@@ -236,10 +233,12 @@ def weight_support(
         if gcm.tag != "finite":
             raise DomainError("an explicit depth is required outside finite type")
         depth = default_support_depth(gcm, lam)
+    if depth < 0:
+        raise DomainError("depth must be non-negative")
     table = _freudenthal(gcm, lam)
-    betas = list(_cone_vectors(gcm.size, depth))
-    table._fill(betas, depth, token)
-    return [(lam, 1)] + [(lam - gcm.root_combination(b), table._mult[b]) for b in betas if table._mult[b]]
+    table.extend(depth, token)
+    betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
+    return [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
 
 
 def tensor_weight_mult(

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, determinism, schema diagnostics."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -250,6 +251,22 @@ def test_km_queries_honour_timeout(capsys, tmp_path, command, doc):
     assert code == 3 and out == "" and "cancelled" in err
     code, _, _ = run(capsys, command, doc, tmp_path=tmp_path)
     assert code == 0
+
+
+def test_km_mult_deep_affine_query_times_out_before_allocating(capsys, tmp_path):
+    # lam - 500 delta on the A1~ basic module: the token is checked before the
+    # tables grow, not after the query has allocated its whole search region
+    multiplicities._freudenthal.cache_clear()
+    multiplicities._root_table.cache_clear()
+    doc = {"cartan": "A1~", "lambda": {"fund": [1, 0]}, "mu": {"fund": [1, 0], "delta": -500}}
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["km", "mult", "--timeout", "0"], doc, tmp_path=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and "cancelled" in err
+    assert peak < 2 * 2**20
 
 
 def test_km_mult_deep_weight_space(capsys, tmp_path):

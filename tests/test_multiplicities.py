@@ -125,6 +125,45 @@ def test_root_table_extends_in_place():
         assert table.multiplicities == fresh.multiplicities
 
 
+def kac_affine_roots(l, height):
+    """Positive roots of A_l~ up to ``height`` by Kac, Prop. 6.3: alpha + k delta
+    (alpha a root of A_l, k >= 0 for positive alpha and k >= 1 for negative)
+    has multiplicity 1, and k delta (k >= 1) has multiplicity l.  Coordinates
+    put alpha_0 first, and delta = alpha_0 + ... + alpha_l."""
+    finite = [tuple(int(i <= j < k) for j in range(l)) for i in range(l) for k in range(i + 1, l + 1)]
+    out = {}
+    for k in range(height + 1):
+        delta = (k,) * (l + 1)
+        if 0 < k * (l + 1) <= height:
+            out[delta] = l
+        for alpha in finite:
+            for sign in (1, -1):
+                beta = (k,) + tuple(k + sign * a for a in alpha)
+                if (sign > 0 or k > 0) and sum(beta) <= height:
+                    out[beta] = 1
+    return out
+
+
+@pytest.mark.parametrize("l, height, count", [(1, 14, 21), (2, 12, 28), (3, 10, 34)])
+def test_affine_root_tables_match_kac_description(l, height, count):
+    table = root_multiplicities(named_gcm(f"A{l}~"), height)
+    want = kac_affine_roots(l, height)
+    assert len(want) == count
+    assert table.multiplicities == want
+
+
+def test_tables_store_only_nonzero_entries():
+    for name, height in (("G2", 40), ("A1~", 30), ("A2~", 12), ("A3~", 9)):
+        table = root_multiplicities(named_gcm(name), height)
+        assert all(table.c_values.values()) and all(table.multiplicities.values())
+    gcm, lam = named_gcm("A4"), KMWeight.of((1, 1, 1, 1))
+    table = FreudenthalTable(gcm, lam)
+    support = weight_support(gcm, lam)
+    table.extend(30)  # the lowest weight has height 20, and layer 21 is empty
+    assert table.height == 21
+    assert len(table._mult) == len(support) == 291 and all(table._mult.values())
+
+
 def test_affine_a1_imaginary_root_multiplicities():
     aff = named_gcm("A1~")
     table = root_multiplicities(aff, 6)
@@ -201,6 +240,12 @@ def test_weight_support_depth_required_for_affine():
     aff = named_gcm("A1~")
     with pytest.raises(DomainError):
         weight_support(aff, KMWeight.of((1, 0)))
+
+
+def test_weight_support_rejects_a_negative_depth():
+    with pytest.raises(DomainError):
+        weight_support(named_gcm("A2"), KMWeight.of((1, 0)), -1)
+    assert weight_support(named_gcm("A2"), KMWeight.of((1, 0)), 0) == [(KMWeight.of((1, 0)), 1)]
 
 
 def test_freudenthal_rejects_a_highest_weight_of_another_rank():
