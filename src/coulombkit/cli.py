@@ -2,8 +2,9 @@
 
 Reads a JSON document describing the inputs of one library operation,
 validates it against the shipped schemas, runs the operation and prints a
-JSON (or plain table) result.  Exit codes: 0 success, 1 malformed input,
-2 a verification subcommand found a mismatch, 3 bound exceeded / cancelled.
+JSON (or plain table) result.  Exit codes: 0 success, 1 malformed input
+(usage errors included), 2 a verification subcommand found a mismatch,
+3 bound exceeded / cancelled.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .cancel import CancellationToken
 from .cartan import langlands_dual
 from .errors import Cancelled, CoulombKitError
 from .multiplicities import tensor_decompose, weight_multiplicity
-from .quiver import fixed_point_nonempty, jordan_coulomb_hilbert, strata_affine, strata_finite
+from .quiver import jordan_coulomb_hilbert, strata_affine, strata_finite
 
 
 class InputError(Exception):
@@ -194,9 +195,9 @@ def _cmd_quiver_satake(doc, args):
     _require(doc, "cartan", "lambda", "mu")
     gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
-    token = _token(args)
-    mult = weight_multiplicity(langlands_dual(gcm), lam, mu, token)
-    return {"nonempty": fixed_point_nonempty(gcm, lam, mu, token), "dual_multiplicity": mult}
+    mult = weight_multiplicity(langlands_dual(gcm), lam, mu, _token(args))
+    # as in quiver.fixed_point_nonempty: the fixed point exists iff the dual multiplicity is nonzero
+    return {"nonempty": mult > 0, "dual_multiplicity": mult}
 
 
 def _theory_and_elements(doc, *keys):
@@ -332,7 +333,10 @@ def _render(result: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error: malformed input
+        return 1 if exc.code else 0
     handler = _COMMANDS[(args.group, args.command)]
     try:
         doc = _read_document(args)

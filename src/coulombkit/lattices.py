@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from .cancel import CancellationToken, check
@@ -247,33 +247,40 @@ def koszul_counts(
     the moduli are kept: no others can return to zero.  They lie in a subgroup
     of rank at most min(R, len(weights) - R), R the rank of the weights, so a
     layer of half-degree t holds O(t^min(R, len(weights) - R)) of them, not O(t^R).
+    The count runs one half-degree at a time and checks ``token`` before each, and it
+    keeps only one layer per variable, so a huge ``top`` grows under the token.
     """
     r = len(moduli)
     zero = (0,) * r
     torsion = [tuple(m if j == i else 0 for j in range(r)) for i, m in enumerate(moduli) if m]
-    # counts[t] maps a class to the number of monomials of half-degree t in it
-    counts = [{zero: 1} if t == 0 else {} for t in range(top + 1)]
+    pairs = []  # (weight of x_i, weight of y_i, the tests a kept class passes, their memo)
     for i, w in enumerate(weights):
-        for v in (w, tuple(-c for c in w)):
-            # ascending t lets each variable appear to any power
-            for t in range(1, top + 1):
-                check(token)
-                layer = counts[t]
-                for wt, c in counts[t - 1].items():
-                    key = tuple((a + b) % m if m else a + b for a, b, m in zip(wt, v, moduli))
-                    layer[key] = layer.get(key, 0) + c
         # c is in the column span of B iff e_p divides (S c)_p for each p, where S B T = E
         s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r))
         tests = [(s.entries[p], e.entries[p][p] if p < e.ncols else 0) for p in range(r)]
-        tests = [(row, ep) for row, ep in tests if ep != 1]
-        keep = {wt for wt in set().union(*counts)
-                if all(gcd(sum(a * b for a, b in zip(row, wt)), ep) == ep for row, ep in tests)}
-        counts = [{wt: c for wt, c in layer.items() if wt in keep} for layer in counts]
-    dims = [layer.get(zero, 0) for layer in counts]
-    for _ in range(power):
-        for t in range(top, 1, -1):
-            dims[t] -= dims[t - 2]
-    return dims
+        pairs.append((w, tuple(-c for c in w), [(row, ep) for row, ep in tests if ep != 1], {}))
+    # one half-degree at a time: below[j] maps a class to the number of monomials in the
+    # first j + 1 variables of half-degree t - 1, before the pruning after their pair
+    below = [{} for _ in range(2 * len(weights))]
+    dims, out = [], []
+    for t in range(top + 1):
+        check(token)
+        layer = {zero: 1} if t == 0 else {}
+        for i, (x, y, tests, kept) in enumerate(pairs):
+            for j, v in ((2 * i, x), (2 * i + 1, y)):
+                # without variable j, plus variable j times a monomial of half-degree t - 1
+                if j % 2:  # below[j - 1] keeps x_i's layer for half-degree t + 1
+                    layer = dict(layer)
+                for wt, c in below[j].items():
+                    key = tuple((a + b) % m if m else a + b for a, b, m in zip(wt, v, moduli))
+                    layer[key] = layer.get(key, 0) + c
+                below[j] = layer
+            for wt in layer.keys() - kept.keys():
+                kept[wt] = all(gcd(sum(a * b for a, b in zip(row, wt)), ep) == ep for row, ep in tests)
+            layer = {wt: c for wt, c in layer.items() if kept[wt]}
+        dims.append(layer.get(zero, 0))
+        out.append(sum((-1) ** q * comb(power, q) * dims[t - 2 * q] for q in range(min(power, t // 2) + 1)))
+    return out
 
 
 def hermite_column_form(mat: IntMatrix) -> IntMatrix:

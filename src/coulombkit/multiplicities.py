@@ -47,13 +47,13 @@ class RootTable:
         only at sums of stored c-values.  Every non-simple positive root is a positive
         root plus a simple root (Kac, Lemma 1.3): after a layer with no root, none has."""
         gcm, c, mults, n = self.gcm, self.c_values, self.multiplicities, self.gcm.size
+        # reached, or stopped: mults is filled in height order, so its last root tops them all
+        if height <= self.height or self.height and sum(next(reversed(mults), ())) < self.height:
+            return
         layers: dict[int, list[tuple[RootVector, Fraction]]] = {}
         for beta, cb in c.items():
             layers.setdefault(sum(beta), []).append((beta, cb))
-        roots = {b: m for b, m in mults.items() if sum(b) == self.height}  # the top layer's roots
         for h in range(self.height + 1, height + 1):
-            if h > 1 and not roots:
-                return
             num: dict[RootVector, Fraction] = {}
             for h1 in range(1, h // 2 + 1):
                 twice = 2 if 2 * h1 < h else 1  # the pair sum is symmetric in beta', beta''
@@ -91,6 +91,8 @@ class RootTable:
             c.update(layer)
             mults.update(roots)
             self.height = h
+            if not roots:
+                return
 
 
 def _form(gcm: GeneralizedCartanMatrix, beta: RootVector, gamma: RootVector) -> int:
@@ -107,12 +109,15 @@ def _pair(gcm: GeneralizedCartanMatrix, fund, beta: RootVector) -> int:
 def root_multiplicities(
     gcm: GeneralizedCartanMatrix, height: int, token: CancellationToken | None = None
 ) -> RootTable:
-    """Peterson's recursion up to the given height bound."""
+    """Peterson's recursion up to ``height``: a copy of the table that every Freudenthal
+    table of ``gcm`` extends, grown under ``token``.  A cancelled call leaves that table
+    valid, since a layer is committed only when it is complete."""
     if height < 1:
         raise DomainError("height bound must be at least 1")
-    table = RootTable(gcm, 0)
-    table.extend(height, token)
-    return table
+    (shared := _root_table(gcm)).extend(height, token)
+    h = min(height, shared.height)
+    return RootTable(gcm, h, *({b: v for b, v in d.items() if sum(b) <= h}
+                              for d in (shared.multiplicities, shared.c_values)))
 
 
 @lru_cache(maxsize=16)

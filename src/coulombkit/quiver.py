@@ -270,7 +270,8 @@ def jordan_coulomb_hilbert(
     xy = z^ell, with deg z = 1 and deg x = deg y = ell/2, in half-integer steps.
 
     Entry i is the dimension in degree i/2, counting size-n multisets of
-    normal-form monomials x^a z^c and y^b z^c (b > 0).
+    normal-form monomials x^a z^c and y^b z^c (b > 0), one degree at a time
+    with a ``token`` check before each.
     """
     if ell < 0:
         raise DomainError(f"ell must be positive, got {ell}")
@@ -278,29 +279,20 @@ def jordan_coulomb_hilbert(
         raise UnsupportedError("the grading degenerates for ell = 0")
     if n < 0:
         raise DomainError("n must be non-negative")
-    max_deg = Fraction(max_deg)
-    slots = int(2 * max_deg) + 1
-    # basis monomial degrees doubled: x^a z^c -> a*ell + 2c, y^b z^c -> b*ell + 2c
-    mono_degrees = []
-    for a in range(0, 2 * int(max_deg) // ell + 2):
-        for c in range(slots):
-            d2 = a * ell + 2 * c
-            if d2 < slots:
-                mono_degrees.append(d2)
-    for b in range(1, 2 * int(max_deg) // ell + 2):
-        for c in range(slots):
-            d2 = b * ell + 2 * c
-            if d2 < slots:
-                mono_degrees.append(d2)
-    mono_degrees.sort()
-    # multisets of exactly n monomials: bounded knapsack over degree counts
-    # dp[j][t] = number of multisets of size j and doubled degree t
-    dp = [[0] * slots for _ in range(n + 1)]
-    dp[0][0] = 1
-    for d2 in mono_degrees:
+    top = int(2 * Fraction(max_deg))
+    h: list[int] = []  # h[t]: normal-form monomials of doubled degree t
+    # sym[j][t]: multisets of j of them; one of doubled degree t <= top has at most top
+    # members other than 1, so Sym^n agrees with Sym^top there when n > top
+    sym: list[list[int]] = [[] for _ in range(min(n, top) + 1)]
+    for t in range(top + 1):
         check(token)
-        # allow unbounded repetition of this monomial (multiset choose)
-        for j in range(1, n + 1):
-            for t in range(d2, slots):
-                dp[j][t] += dp[j - 1][t - d2]
-    return dp[n]
+        # x^a z^c and y^b z^c of doubled degree a * ell + 2c = t: one of each for every
+        # a <= t // ell of the parity that makes t - a * ell even, except y^0 = x^0
+        xs = (t // ell + 2 - t % 2) // 2 if ell % 2 else (t // ell + 1) * (1 - t % 2)
+        h.append(2 * xs - (1 - t % 2))
+        sym[0].append(int(t == 0))
+        for j in range(1, len(sym)):
+            # Newton's identity: j Sym^j(s) = sum over k = 1..j of h(s^k) Sym^(j - k)(s)
+            total = sum(h[d] * sym[j - k][t - d * k] for k in range(1, j + 1) for d in range(t // k + 1))
+            sym[j].append(total // j)
+    return sym[-1]

@@ -146,6 +146,54 @@ def test_max_deg_beyond_an_index_is_an_input_error(capsys, tmp_path, command, do
     assert err.startswith("--max-deg: too large")
 
 
+@pytest.mark.parametrize(
+    "command, doc, max_deg",
+    [
+        (["abelian", "hilbert"], {"rank": 1, "characters": [[1], [1]]}, "100000"),
+        (["hypertoric", "compare"], [[1], [1]], "100000"),
+        (["jordan", "hilbert"], {"n": 2, "ell": 1}, "300"),
+    ],
+)
+def test_huge_max_deg_times_out_before_allocating(capsys, tmp_path, command, doc, max_deg):
+    # degree tables grow one half-degree at a time under the token
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command + ["--max-deg", max_deg, "--timeout", "0"], doc, tmp_path=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and "cancelled" in err
+    assert peak < 2 * 2**20
+
+
+def test_jordan_hilbert_huge_n(capsys, tmp_path):
+    # in degree d a multiset holds at most 2d monomials other than 1
+    outs = [run(capsys, ["jordan", "hilbert", "--max-deg", "2"], {"n": n, "ell": 1}, tmp_path=tmp_path)
+            for n in (4, 10**12)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["km", "mult", "--bogus"], 1),
+        ([], 1),
+        (["km"], 1),
+        (["km", "mult", "--depth", "x"], 1),
+        (["--help"], 0),
+        (["km", "mult", "--help"], 0),
+    ],
+)
+def test_usage_errors_are_malformed_input(capsys, argv, code):
+    # exit 2 means a verification mismatch, so argparse's own 2 becomes 1
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "error:" in err
+    else:
+        assert out.startswith("usage:") and err == ""
+
+
 @pytest.mark.parametrize("doc", [{"n": True, "ell": 2}, {"n": 1, "ell": True}])
 def test_jordan_hilbert_rejects_bools(capsys, tmp_path, doc):
     code, out, err = run(capsys, ["jordan", "hilbert", "--max-deg", "2"], doc, tmp_path=tmp_path)

@@ -13,10 +13,20 @@ from itertools import product
 
 import pytest
 
-from coulombkit.cartan import KMWeight, langlands_dual, named_gcm, root_coordinates
-from coulombkit.errors import DimensionError, DomainError, UnsupportedError
+from coulombkit import multiplicities
+from coulombkit.cancel import CancellationToken
+from coulombkit.cartan import (
+    NAMED_CARTAN_MATRICES,
+    KMWeight,
+    langlands_dual,
+    named_gcm,
+    root_coordinates,
+    validate_and_symmetrize,
+)
+from coulombkit.errors import Cancelled, DimensionError, DomainError, UnsupportedError
 from coulombkit.multiplicities import (
     FreudenthalTable,
+    RootTable,
     antidominant_conjugate,
     root_multiplicities,
     tensor_decompose,
@@ -123,6 +133,68 @@ def test_root_table_extends_in_place():
         assert table.height == fresh.height == 7
         assert table.c_values == fresh.c_values
         assert table.multiplicities == fresh.multiplicities
+
+
+# hyperbolic, the twisted affine A2^(2), and an indefinite rank-3 datum
+EXPLICIT_CARTAN = ([[2, -3], [-3, 2]], [[2, -1], [-4, 2]], [[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
+CARTAN_DATA = {name: named_gcm(name) for name in sorted(NAMED_CARTAN_MATRICES)}
+CARTAN_DATA.update((str(a), validate_and_symmetrize(a)) for a in EXPLICIT_CARTAN)
+
+
+def fresh_root_table(gcm, height):
+    table = RootTable(gcm, 0)
+    table.extend(height)
+    return table
+
+
+def same_table(a, b):
+    return (a.height, a.multiplicities, a.c_values) == (b.height, b.multiplicities, b.c_values)
+
+
+@pytest.mark.parametrize("deeper", [False, True])
+def test_root_multiplicities_read_the_shared_table(deeper):
+    multiplicities._root_table.cache_clear()
+    if deeper:
+        # lam - 10 delta on the A1~ basic module grows A1~'s shared table to height 20
+        lam = KMWeight.of((1, 0))
+        assert weight_multiplicity(named_gcm("A1~"), lam, KMWeight.of((1, 0), -10)) == 42
+    for name, gcm in CARTAN_DATA.items():
+        if deeper:
+            root_multiplicities(gcm, 12)
+        for height in range(1, 9):
+            assert same_table(root_multiplicities(gcm, height), fresh_root_table(gcm, height)), (name, height)
+
+
+def test_returned_root_tables_are_copies():
+    gcm = named_gcm("A2~")
+    table = root_multiplicities(gcm, 4)
+    table.extend(9)
+    table.multiplicities[(1, 1, 1)] = 99
+    table.c_values.clear()
+    assert same_table(root_multiplicities(gcm, 4), fresh_root_table(gcm, 4))
+    assert same_table(root_multiplicities(gcm, 9), fresh_root_table(gcm, 9))
+
+
+class CountdownToken(CancellationToken):
+    """Cancels at its n-th check, which lands inside a layer of the recursion."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.left = n
+
+    def check(self):
+        self.left -= 1
+        if self.left < 0:
+            raise Cancelled("operation cancelled")
+
+
+@pytest.mark.parametrize("token", [CancellationToken(0), CountdownToken(7), CountdownToken(60), CountdownToken(400)])
+def test_cancelled_root_multiplicities_leave_the_shared_table_valid(token):
+    gcm = named_gcm("A3~")
+    multiplicities._root_table.cache_clear()
+    with pytest.raises(Cancelled):
+        root_multiplicities(gcm, 9, token)
+    assert same_table(root_multiplicities(gcm, 9), fresh_root_table(gcm, 9))
 
 
 def kac_affine_roots(l, height):
