@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 
-from . import higgs, jsonio, monopole, quiver
+# monopole and higgs load sympy, so the handlers that need them import them
+from . import jsonio, quiver
 from .cancel import CancellationToken
 from .cartan import langlands_dual
 from .errors import Cancelled, CoulombKitError
@@ -37,8 +39,17 @@ class MismatchError(Exception):
     """A verification subcommand found a mismatch (exit code 2)."""
 
 
+_SCHEMA_SUFFIX = ".schema.json"
+
+
+def _schema_names() -> set[str]:
+    """The names of the shipped schemas, as ``validate --schema`` takes them."""
+    files = resources.files("coulombkit.schemas").iterdir()
+    return {f.name.removesuffix(_SCHEMA_SUFFIX) for f in files if f.name.endswith(_SCHEMA_SUFFIX)}
+
+
 def _load_schema(name: str) -> dict:
-    text = resources.files("coulombkit.schemas").joinpath(f"{name}.schema.json").read_text()
+    text = resources.files("coulombkit.schemas").joinpath(name + _SCHEMA_SUFFIX).read_text()
     return json.loads(text)
 
 
@@ -81,7 +92,7 @@ def _read_document(args) -> dict:
         raise InputError([f"cannot read input: {exc}"]) from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the limit
         raise InputError([f"invalid JSON: {exc}"]) from exc
     return doc
 
@@ -212,24 +223,32 @@ def _theory_and_elements(doc, *keys):
 
 
 def _cmd_abelian_ring(doc, args):
+    from . import monopole
+
     th, (a, b) = _theory_and_elements(doc, "a", "b")
     prod = monopole.classical_product(th, a, b, _token(args))
     return {"result": str(prod), "element": jsonio.element_to_json(prod)}
 
 
 def _cmd_abelian_quantize(doc, args):
+    from . import monopole
+
     th, (a,) = _theory_and_elements(doc, "element")
     op = monopole.quantize(th, a, _token(args))
     return {"result": str(op), "operator": jsonio.operator_to_json(op)}
 
 
 def _cmd_abelian_poisson(doc, args):
+    from . import monopole
+
     th, (a, b) = _theory_and_elements(doc, "a", "b")
     br = monopole.poisson(th, a, b, _token(args))
     return {"result": str(br), "element": jsonio.element_to_json(br)}
 
 
 def _cmd_abelian_hilbert(doc, args):
+    from . import monopole
+
     _check(doc, "theory")
     th = jsonio.theory_from_json(doc)
     dims = monopole.hilbert_series(th, _max_deg(args), _token(args))
@@ -237,6 +256,8 @@ def _cmd_abelian_hilbert(doc, args):
 
 
 def _cmd_hypertoric_compare(doc, args):
+    from . import higgs
+
     _check(doc, "matrix")
     a = jsonio.matrix_from_json(doc)
     report = higgs.coulomb_higgs_compare(a, _max_deg(args), _token(args))
@@ -262,10 +283,9 @@ def _cmd_jordan_hilbert(doc, args):
 def _cmd_validate(doc, args):
     if args.schema is None:
         raise InputError(["--schema NAME is required for validate"])
-    try:
-        diags = validate_schema(doc, args.schema)
-    except FileNotFoundError:
-        raise InputError([f"unknown schema: {args.schema!r}"]) from None
+    if args.schema not in _schema_names():
+        raise InputError([f"unknown schema: {args.schema!r}"])
+    diags = validate_schema(doc, args.schema)
     if diags:
         raise MismatchError(json.dumps({"diagnostics": diags}, sort_keys=True))
     return {"diagnostics": []}
@@ -339,6 +359,8 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     handler = _COMMANDS[(args.group, args.command)]
     try:
+        if args.timeout is not None and math.isnan(args.timeout):  # a NaN deadline never expires
+            raise InputError(["--timeout must be a number of seconds, not nan"])
         doc = _read_document(args)
         result = handler(doc, args)
     except InputError as exc:
@@ -353,6 +375,9 @@ def main(argv=None) -> int:
         return 3
     except CoulombKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError as exc:  # parsed just under the limit, then nested too deep to check
+        print(f"input nested too deeply: {exc}", file=sys.stderr)
         return 1
     print(_render(result, args.format))
     return 0

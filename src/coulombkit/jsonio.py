@@ -7,14 +7,17 @@ strings like "3/2" so round-trips stay exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .cartan import GeneralizedCartanMatrix, KMWeight, NAMED_CARTAN_MATRICES, named_gcm, validate_and_symmetrize
-from .difference_ops import DifferenceOperator, poly_ring
+from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
 from .errors import DimensionError, DomainError
-from .higgs import GradedDimensionTable
 from .lattices import IntMatrix
-from .monopole import AbelianTheory, CoulombElement
 from .quiver import DimVectors, Quiver
+
+if TYPE_CHECKING:  # these modules load sympy; the functions below import them on use
+    from .difference_ops import DifferenceOperator
+    from .higgs import GradedDimensionTable
+    from .monopole import AbelianTheory, CoulombElement
 
 
 def fraction_str(q) -> str:
@@ -71,6 +74,8 @@ def _poly_to_json(poly, nvars: int) -> list:
 
 
 def _poly_from_json(terms, rank: int, nvars: int, path):
+    from .difference_ops import poly_ring
+
     ring = poly_ring(rank)
     coeffs: dict[tuple, Fraction] = {}
     for i, t in enumerate(terms):
@@ -115,6 +120,8 @@ def element_to_json(a: CoulombElement) -> dict:
 
 
 def element_from_json(doc) -> CoulombElement:
+    from .monopole import CoulombElement
+
     return CoulombElement.from_terms(int(doc["rank"]), _terms_from_json(doc, with_hbar=False))
 
 
@@ -123,12 +130,16 @@ def operator_to_json(op: DifferenceOperator) -> dict:
 
 
 def operator_from_json(doc) -> DifferenceOperator:
+    from .difference_ops import DifferenceOperator
+
     return DifferenceOperator.from_terms(int(doc["rank"]), _terms_from_json(doc, with_hbar=True))
 
 
 # ---------------------------------------------------------------- theories
 
 def theory_from_json(doc) -> AbelianTheory:
+    from .monopole import AbelianTheory
+
     return AbelianTheory.of(int(doc["rank"]), doc.get("characters", []))
 
 

@@ -1,6 +1,8 @@
 """End-to-end CLI checks: exit codes, determinism, schema diagnostics."""
 
+import io
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -238,6 +240,65 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     code = main(["km", "mult", "--input", str(missing)])
     _, err = capsys.readouterr()
     assert code == 1 and "cannot read" in err
+
+
+NESTED = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["validate", "--schema", "matrix"], NESTED),
+        (["km", "mult"], '{"cartan": %s, "lambda": [1, 1], "mu": [0, 0]}' % NESTED),
+    ],
+    ids=["validate", "km-mult"],
+)
+def test_json_nested_past_the_recursion_limit_is_invalid_json(capsys, tmp_path, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code = main(argv + ["--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid JSON: maximum recursion depth exceeded")
+
+
+def test_json_nested_just_under_the_recursion_limit_is_an_input_error(capsys, monkeypatch):
+    # the deepest documents that parse can still recurse too deep in the schema check or its message
+    for argv, wrap in [
+        (["validate", "--schema", "matrix"], "%s"),
+        (["km", "mult"], '{"cartan": %s, "lambda": [1, 1], "mu": [0, 0]}'),
+        (["hypertoric", "compare", "--max-deg", "1"], "%s"),
+    ]:
+        depth, parsed, first_words = sys.getrecursionlimit(), 0, set()
+        while parsed < 10:
+            monkeypatch.setattr("sys.stdin", io.StringIO(wrap % ("[" * depth + "]" * depth)))
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (1, 2) and (err if code == 1 else out), (argv, depth)
+            parsed += not err.startswith("invalid JSON")
+            first_words.add(err.split(":")[0])
+            depth -= 1
+        assert "input nested too deeply" in first_words, argv
+
+
+@pytest.mark.parametrize(
+    "name", ["element.schema.json/x", "../schemas/element", "element.schema.json", "", "nope"]
+)
+def test_validate_takes_only_shipped_schema_names(capsys, tmp_path, name):
+    # a name is not a path: these used to escape as NotADirectoryError or read ../ files
+    code, out, err = run(capsys, ["validate", "--schema", name], {}, tmp_path=tmp_path)
+    assert (code, out, err) == (1, "", f"unknown schema: {name!r}\n")
+
+
+@pytest.mark.parametrize(
+    "timeout", [["--timeout", "nan"], ["--timeout", "NaN"], ["--timeout=-nan"]], ids=["nan", "NaN", "-nan"]
+)
+def test_nan_timeout_is_rejected(capsys, tmp_path, timeout):
+    doc = {"cartan": "A2", "lambda": {"fund": [1, 1]}, "mu": {"fund": [0, 0]}}
+    code, out, err = run(capsys, ["km", "mult", *timeout], doc, tmp_path=tmp_path)
+    assert (code, out, err) == (1, "", "--timeout must be a number of seconds, not nan\n")
+    code, out, _ = run(capsys, ["km", "mult", "--timeout", "inf"], doc, tmp_path=tmp_path)
+    assert code == 0 and json.loads(out) == {"multiplicity": 2}
 
 
 def test_timeout_exit_code(capsys, tmp_path):

@@ -1,0 +1,106 @@
+"""The package namespace is lazy, and only the algebra that needs sympy loads it."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import coulombkit
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs in a fresh interpreter: prints, after each step, whether sympy is loaded.
+FRESH_INTERPRETER = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+
+    steps = []
+
+    def record(step, code=None):
+        steps.append([step, code, "sympy" in sys.modules])
+
+    import coulombkit
+    record("import coulombkit")
+    from coulombkit import cartan, lattices, multiplicities, quiver
+    record("from coulombkit import multiplicities")
+    import coulombkit.cli
+    record("import coulombkit.cli")
+
+    calls = [
+        (["km", "mult"], {"cartan": "A2", "lambda": {"fund": [1, 1]}, "mu": {"fund": [0, 0]}}),
+        (["km", "tensor"], {"cartan": "A2", "lambda1": {"fund": [1, 0]}, "lambda2": {"fund": [0, 1]}}),
+        (["quiver", "satake"], {"cartan": "B2", "lambda": {"fund": [2, 1]}, "mu": {"fund": [0, 1]}}),
+        (["jordan", "hilbert", "--max-deg", "2"], {"n": 2, "ell": 1}),
+        (["validate", "--schema", "element"], {"rank": 1, "terms": []}),
+        (["abelian", "ring"], {
+            "theory": {"rank": 1, "characters": [[1], [1]]},
+            "a": {"rank": 1, "terms": [{"coweight": [1], "poly": [{"coeff": "1", "powers": [0]}]}]},
+            "b": {"rank": 1, "terms": [{"coweight": [-1], "poly": [{"coeff": "1", "powers": [0]}]}]},
+        }),
+    ]
+    for argv, doc in calls:
+        sys.stdin = io.StringIO(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = coulombkit.cli.main(argv)
+        record(" ".join(argv[:2]), code)
+    print(json.dumps(steps))
+    """
+)
+
+
+def test_only_the_abelian_commands_load_sympy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    steps = json.loads(proc.stdout)
+    assert steps == [
+        ["import coulombkit", None, False],
+        ["from coulombkit import multiplicities", None, False],
+        ["import coulombkit.cli", None, False],
+        ["km mult", 0, False],
+        ["km tensor", 0, False],
+        ["quiver satake", 0, False],
+        ["jordan hilbert", 0, False],
+        ["validate --schema", 0, False],
+        ["abelian ring", 0, True],
+    ]
+
+
+def test_every_public_name_is_its_submodule_attribute():
+    for name in coulombkit.__all__:
+        owner = importlib.import_module(f"coulombkit.{coulombkit._MODULE_OF[name]}")
+        assert getattr(coulombkit, name) is getattr(owner, name), name
+    assert len(coulombkit.__all__) == len(set(coulombkit.__all__)) == 68
+    assert coulombkit.__version__ == "0.1.0"
+
+
+def test_dir_lists_the_public_names():
+    listed = dir(coulombkit)
+    assert set(coulombkit.__all__) <= set(listed)
+    assert {"monopole", "multiplicities", "__version__"} <= set(listed)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from coulombkit import *", namespace)
+    for name in coulombkit.__all__:
+        assert namespace[name] is getattr(coulombkit, name)
+
+
+def test_submodules_are_package_attributes():
+    assert coulombkit.multiplicities is importlib.import_module("coulombkit.multiplicities")
+    assert coulombkit.errors.CartanError is coulombkit.CartanError
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        coulombkit.no_such_name
+    with pytest.raises(ImportError):
+        exec("from coulombkit import no_such_name", {})
