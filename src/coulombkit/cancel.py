@@ -2,20 +2,23 @@
 
 Library operations that loop over unbounded-looking search regions accept an
 optional token and call ``check()`` inside the loop.  A ``None`` token never
-cancels.
+cancels, and neither does a timeout of ``inf``; a timeout of 0 expires at once.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
-from .errors import Cancelled
+from .errors import Cancelled, DomainError
 
 
 class CancellationToken:
     """Deadline-based token; ``check()`` raises ``Cancelled`` once expired."""
 
     def __init__(self, timeout: float | None = None):
+        if timeout is not None and math.isnan(timeout):  # now > nan is never true
+            raise DomainError("timeout must be a number of seconds, not nan")
         self._deadline = None if timeout is None else time.monotonic() + timeout
         self._cancelled = False
 

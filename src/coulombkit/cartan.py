@@ -7,6 +7,11 @@ roots acquire delta components through the convention fixed in
 ``_delta_splitter`` (an integer covector s with s . a = 1 against the
 primitive null vector a, solved greedily in index order; for untwisted
 affine types this gives the usual alpha_0 = delta - theta).
+
+Root coordinates come from the Smith form U A V = D of the Cartan matrix,
+the one exact-linear-algebra path: it is computed once per Cartan datum and
+cached, and each query is a few integer matrix-vector products over one
+common denominator (``in_positive_root_cone`` builds no ``Fraction``).
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
-from .lattices import IntMatrix, integer_kernel, solve_rational
+from .lattices import IntMatrix, integer_kernel, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -244,39 +249,60 @@ def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     return validate_and_symmetrize([[gcm.entries[j][i] for j in range(n)] for i in range(n)])
 
 
+@lru_cache(maxsize=16)
+def _smith_form(gcm: GeneralizedCartanMatrix):
+    """(U, diagonal of D, V) with U A V = D, computed once per Cartan datum."""
+    u, d, v = smith_normal_form(IntMatrix(gcm.entries))
+    return u.entries, tuple(d.entries[i][i] for i in range(gcm.size)), v.entries
+
+
+def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
+    """(num, den) with num / den the simple-root coordinates of ``mu``, or None.
+
+    A c = mu becomes D y = U mu with c = V y.  A zero d_j meeting a nonzero
+    (U mu)_j makes the system inconsistent; otherwise y_j = (U mu)_j / d_j,
+    held over den, the largest d_j, which every nonzero d_j divides.
+    """
+    if len(mu.fund) != gcm.size:
+        raise DimensionError("weight length does not match Cartan matrix size")
+    u, diag, v = _smith_form(gcm)
+    umu = [sum(a * b for a, b in zip(row, mu.fund)) for row in u]
+    if any(x and not d for x, d in zip(umu, diag)):
+        return None
+    den = max(diag)
+    y = [x * (den // d) if d else 0 for x, d in zip(umu, diag)]
+    num = [sum(a * b for a, b in zip(row, y)) for row in v]
+    if 0 not in diag:
+        return (num, den) if mu.delta == 0 else None
+    if gcm.tag != "affine" or diag.count(0) != 1:
+        raise UnsupportedError("singular non-affine Cartan matrices are not supported")
+    # the free coordinate moves along the null vector a, and s . c = delta pins it (s . a = 1)
+    t = den * mu.delta - sum(s * x for s, x in zip(gcm.delta_split, num))
+    return [x + t * a for x, a in zip(num, gcm.null_vector)], den
+
+
 def root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     """Express ``mu`` in simple roots; returns a tuple of Fractions or None.
 
     For nonsingular Cartan matrices the delta coordinate must vanish; for
     affine type the delta coordinate pins down the null-vector direction.
     """
-    n = gcm.size
-    if len(mu.fund) != n:
-        raise DimensionError("weight length does not match Cartan matrix size")
-    sol = solve_rational(gcm.entries, mu.fund)
+    sol = _scaled_root_coordinates(gcm, mu)
     if sol is None:
         return None
-    v0, kernel_dim = sol
-    if kernel_dim == 0:
-        if mu.delta != 0:
-            return None
-        return tuple(v0)
-    if gcm.tag != "affine" or kernel_dim != 1:
-        raise UnsupportedError("singular non-affine Cartan matrices are not supported")
-    s = gcm.delta_split
-    a = gcm.null_vector
-    t = Fraction(mu.delta) - sum(Fraction(s[j]) * v0[j] for j in range(n))
-    return tuple(v0[j] + t * a[j] for j in range(n))
+    num, den = sol
+    return tuple(Fraction(x, den) for x in num)
 
 
 def in_positive_root_cone(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     """Integer non-negative root coordinates of ``mu``, or None."""
-    rc = root_coordinates(gcm, mu)
-    if rc is None:
+    sol = _scaled_root_coordinates(gcm, mu)
+    if sol is None:
         return None
-    if any(x.denominator != 1 or x < 0 for x in rc):
+    num, den = sol
+    if any(x < 0 or x % den for x in num):
         return None
-    return tuple(int(x) for x in rc)
+    return tuple(x // den for x in num)
 
 
 def dominance_leq(mu: KMWeight, lam: KMWeight, gcm: GeneralizedCartanMatrix) -> bool:

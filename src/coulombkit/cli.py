@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 import jsonschema
@@ -48,9 +49,10 @@ def _schema_names() -> set[str]:
     return {f.name.removesuffix(_SCHEMA_SUFFIX) for f in files if f.name.endswith(_SCHEMA_SUFFIX)}
 
 
-def _load_schema(name: str) -> dict:
+@cache
+def _validator(name: str) -> jsonschema.Draft202012Validator:
     text = resources.files("coulombkit.schemas").joinpath(name + _SCHEMA_SUFFIX).read_text()
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def _pointer(path) -> str:
@@ -59,9 +61,8 @@ def _pointer(path) -> str:
 
 def validate_schema(doc, schema_name: str, prefix: str = "") -> list[str]:
     """Schema diagnostics with JSON-pointer paths; empty means valid."""
-    validator = jsonschema.Draft202012Validator(_load_schema(schema_name))
     out = []
-    for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path)):
+    for err in sorted(_validator(schema_name).iter_errors(doc), key=lambda e: list(e.absolute_path)):
         out.append(f"{prefix}{_pointer(err.absolute_path)}: {err.message}")
     if not out and schema_name == "quiver":
         n = doc["vertices"]
@@ -308,6 +309,7 @@ _COMMANDS = {
 }
 
 
+@cache  # parse_args leaves the parser as it was, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coulombkit",

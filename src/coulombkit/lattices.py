@@ -1,18 +1,18 @@
 """Exact linear algebra for character and cocharacter lattices.
 
-Smith normal form with unimodular transforms (which also gives the rank),
-column-style Hermite normal form used to canonicalize sublattices, the
-dual-torus kernel construction, Gauss-Jordan solving over Q, and the count of
-weight-zero monomials that gives the graded dimensions on both sides of
-hypertoric duality.  Integer work is plain arbitrary-precision arithmetic and
-rational work uses ``Fraction``.  Coweights and character vectors are plain
-integer tuples; ``pairing`` is their dot product.
+Smith normal form with unimodular transforms, column-style Hermite normal
+form used to canonicalize sublattices, the dual-torus kernel construction,
+and the count of weight-zero monomials that gives the graded dimensions on
+both sides of hypertoric duality.  The Smith form is the one path for rank,
+kernels and solving: ``cartan`` solves for root coordinates through it, and
+there is no Gauss-Jordan elimination over Q.  All work is plain
+arbitrary-precision integer arithmetic.  Coweights and character vectors are
+plain integer tuples; ``pairing`` is their dot product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Sequence
 
@@ -92,36 +92,6 @@ class IntMatrix:
 
     def rank(self) -> int:
         return sum(1 for d in smith_diagonal(self) if d != 0)
-
-
-def solve_rational(a_rows, rhs):
-    """Solve the square system A v = rhs over Q by Gauss-Jordan elimination.
-
-    Returns (particular solution, kernel dimension), or None when inconsistent.
-    """
-    n = len(a_rows)
-    aug = [[Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][n] != 0:
-            return None
-    v = [Fraction(0)] * n
-    for row, c in zip(aug, pivots):
-        v[c] = row[n]
-    return v, n - r
 
 
 def pairing(lam: Sequence[int], rho: Sequence[int]) -> int:

@@ -1,8 +1,13 @@
 """Cartan data: axioms, symmetrizers, classification, duality, dominance."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulombkit.cartan import (
+    NAMED_CARTAN_MATRICES,
     KMWeight,
     central_element_as_root_sum,
     dominance_leq,
@@ -13,7 +18,8 @@ from coulombkit.cartan import (
     root_coordinates,
     validate_and_symmetrize,
 )
-from coulombkit.errors import CartanError, DomainError, SymmetrizabilityError, UnsupportedError
+from coulombkit.errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
+from test_lattices import solve_rational
 
 
 def test_a2_symmetric():
@@ -140,3 +146,87 @@ def test_reflect_preserves_affine_delta_pairing():
 def test_named_registry_errors():
     with pytest.raises(DomainError):
         named_gcm("E11")
+
+
+TWISTED = [[2, -1], [-4, 2]]  # affine, null vector (1, 2)
+# affine G2 with its nodes relabeled, null vector (2, 1, 1): the Smith form's particular
+# solution has a nonzero delta_split component here, so the sign of the delta pin shows
+RELABELED_G2_AFFINE = [[2, -3, -1], [-1, 2, 0], [-1, 0, 2]]
+HYPERBOLIC = [[2, -3], [-3, 2]]
+SINGULAR_INDEFINITE = [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]]
+SOLVER_CASES = [named_gcm(name) for name in NAMED_CARTAN_MATRICES] + [
+    validate_and_symmetrize(m) for m in (TWISTED, RELABELED_G2_AFFINE, HYPERBOLIC, SINGULAR_INDEFINITE)
+]
+
+
+def oracle_root_coordinates(gcm, mu):
+    """Root coordinates by a Gauss-Jordan solve over Q, the null-vector
+    direction pinned by s . c = delta in affine type."""
+    sol = solve_rational(gcm.entries, mu.fund)
+    if sol is None:
+        return None
+    v0, kernel_dim = sol
+    if kernel_dim == 0:
+        return tuple(v0) if mu.delta == 0 else None
+    if gcm.tag != "affine" or kernel_dim != 1:
+        raise UnsupportedError("singular non-affine Cartan matrices are not supported")
+    t = mu.delta - sum(s * x for s, x in zip(gcm.delta_split, v0))
+    return tuple(x + t * a for x, a in zip(v0, gcm.null_vector))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedError as exc:
+        return type(exc)
+
+
+@st.composite
+def solver_queries(draw):
+    gcm = draw(st.sampled_from(SOLVER_CASES))
+    coords = st.lists(st.integers(-6, 6), min_size=gcm.size, max_size=gcm.size)
+    if draw(st.booleans()):  # on the root lattice
+        fund = gcm.root_combination(draw(coords)).fund
+    else:
+        fund = tuple(draw(coords))
+    return gcm, KMWeight(fund, draw(st.sampled_from((-1, 0, 1, 3))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(solver_queries())
+def test_root_coordinates_match_gauss_jordan_oracle(query):
+    gcm, mu = query
+    want = _outcome(oracle_root_coordinates, gcm, mu)
+    assert _outcome(root_coordinates, gcm, mu) == want
+    if isinstance(want, tuple):
+        assert all(type(x) is Fraction for x in root_coordinates(gcm, mu))
+        cone = tuple(int(x) for x in want) if all(x.denominator == 1 and x >= 0 for x in want) else None
+        assert in_positive_root_cone(gcm, mu) == cone
+    else:
+        assert _outcome(in_positive_root_cone, gcm, mu) == want
+
+
+def test_root_coordinates_twisted_affine_pin():
+    gcm = validate_and_symmetrize(TWISTED)
+    assert gcm.null_vector == (1, 2) and gcm.dual_labels == (2, 1)
+    delta = gcm.root_combination(gcm.null_vector)
+    for k in (-1, 1, 3):
+        assert root_coordinates(gcm, delta.scaled(k)) == (k, 2 * k)
+    assert in_positive_root_cone(gcm, delta.scaled(-1)) is None
+    assert in_positive_root_cone(gcm, gcm.simple_root(1) + delta) == (1, 3)
+
+
+def test_root_coordinates_singular_indefinite():
+    gcm = validate_and_symmetrize(SINGULAR_INDEFINITE)
+    assert gcm.tag == "indefinite"
+    for fn in (root_coordinates, in_positive_root_cone):
+        assert fn(gcm, KMWeight.of((1, 0, 0, 0))) is None  # inconsistent
+        with pytest.raises(UnsupportedError):
+            fn(gcm, gcm.root_combination((1, 2, 0, 1)))
+
+
+def test_root_coordinates_wrong_length():
+    for gcm in SOLVER_CASES:
+        for fn in (root_coordinates, in_positive_root_cone):
+            with pytest.raises(DimensionError):
+                fn(gcm, KMWeight.of((0,) * (gcm.size + 1)))

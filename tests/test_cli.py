@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -444,3 +447,27 @@ def test_outputs_reparse_under_schema(capsys, tmp_path):
     assert code == 0
     parsed = json.loads(out)
     assert validate_schema(parsed["operator"], "operator") == []
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path, monkeypatch):
+    # the parser and the schema validators are built once per process and reused
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    calls = [
+        (["km", "mult", "--bogus"], None),
+        (["km", "mult"], {"cartan": "B2", "lambda": {"fund": [2, 1]}, "mu": {"fund": [0, 1]}}),
+        (["km", "mult", "--help"], None),
+        (["validate", "--schema", "quiver"], {"vertices": 2, "edges": [[0, 2]]}),
+    ]
+    for i, (argv, doc) in enumerate(calls):
+        if doc is not None:
+            path = tmp_path / f"input{i}.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + ["--input", str(path)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "coulombkit.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -1,6 +1,7 @@
 """Integer lattice linear algebra: Smith/Hermite forms and the dual torus."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,37 @@ from coulombkit.lattices import (
     smith_diagonal,
     smith_normal_form,
 )
+
+
+def solve_rational(a_rows, rhs):
+    """Reference oracle: solve the square system A v = rhs over Q by
+    Gauss-Jordan elimination in ``Fraction``s.
+
+    Returns (particular solution, kernel dimension), or None when inconsistent.
+    """
+    n = len(a_rows)
+    aug = [[Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][n] != 0:
+            return None
+    v = [Fraction(0)] * n
+    for row, c in zip(aug, pivots):
+        v[c] = row[n]
+    return v, n - r
 
 
 def test_pairing_values():

@@ -12,7 +12,7 @@ import sympy
 from coulombkit.cancel import CancellationToken
 from coulombkit.difference_ops import HBAR, DifferenceOperator, multiply, specialize_hbar, w_vars
 from coulombkit.errors import DomainError, LiftError
-from coulombkit.lattices import IntMatrix, pairing, smith_diagonal, solve_rational
+from coulombkit.lattices import IntMatrix, pairing, smith_diagonal
 from coulombkit.monopole import (
     AbelianTheory,
     CoulombElement,
@@ -25,6 +25,7 @@ from coulombkit.monopole import (
     quantize,
     quantum_relation,
 )
+from test_lattices import solve_rational
 
 W = w_vars(1)[0]
 
