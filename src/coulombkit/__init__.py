@@ -2,9 +2,10 @@
 duality checks, and Kac-Moody weight combinatorics.
 
 The public names are resolved lazily (PEP 562): a name is imported from its
-defining submodule on first access.  Only ``difference_ops``, ``monopole``
-and ``higgs`` load sympy, so the Kac-Moody, quiver and lattice code runs
-without it.
+defining submodule on first access.  Only ``difference_ops`` and
+``monopole`` load sympy (``higgs`` on a call to its two symbolic helpers), so
+the Kac-Moody, quiver and lattice code and the integer Hilbert series of
+``abelian`` and ``higgs`` run without it.
 """
 
 from importlib import import_module
@@ -13,6 +14,7 @@ __version__ = "0.1.0"
 
 # defining submodule -> the public names it exports at package level
 _EXPORTS = {
+    "abelian": ("AbelianTheory", "hilbert_series"),
     "cancel": ("CancellationToken",),
     "cartan": (
         "GeneralizedCartanMatrix",
@@ -57,13 +59,11 @@ _EXPORTS = {
         "smith_normal_form",
     ),
     "monopole": (
-        "AbelianTheory",
         "CoulombElement",
         "birationality_witness",
         "classical_product",
         "element_from_operator",
         "grading_degree",
-        "hilbert_series",
         "poisson",
         "quantize",
         "quantum_relation",

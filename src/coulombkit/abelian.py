@@ -1,0 +1,73 @@
+"""Abelian gauge theories and the Hilbert series of their Coulomb branches.
+
+A theory is a torus rank together with the character vectors of the matter
+representation.  Its Coulomb branch's Hilbert series is a lattice count (the
+monopole formula), so this module needs only integer linear algebra; the
+element algebra on the monopole basis lives in ``monopole``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .cancel import CancellationToken
+from .errors import DimensionError, DomainError
+from .lattices import CharacterVector, IntMatrix, koszul_counts, smith_normal_form
+
+
+@dataclass(frozen=True)
+class AbelianTheory:
+    """Abelian gauge theory (T, N): torus rank and matter characters."""
+
+    rank: int
+    characters: tuple[CharacterVector, ...]
+    names: tuple[str, ...] = ()
+
+    @staticmethod
+    def of(rank: int, characters, names=()) -> "AbelianTheory":
+        chars = tuple(tuple(int(x) for x in c) for c in characters)
+        if any(len(c) != rank for c in chars):
+            raise DimensionError("character length does not match torus rank")
+        return AbelianTheory(rank, chars, tuple(names))
+
+    @staticmethod
+    def a_type(ell: int) -> "AbelianTheory":
+        """Rank-1 theory with ell weight-1 characters: the A_{ell-1} surface."""
+        return AbelianTheory.of(1, [(1,)] * ell)
+
+
+def top_half_degree(max_deg) -> int:
+    """2 * max_deg, the last half-degree a graded dimension table covers."""
+    top = 2 * Fraction(max_deg)
+    if top < 0 or top.denominator != 1:
+        raise DomainError(f"max_deg must be a non-negative half-integer, not {max_deg}")
+    return int(top)
+
+
+def hilbert_series(
+    th: AbelianTheory, max_deg, token: CancellationToken | None = None
+) -> list[int]:
+    """Graded dimensions of the Coulomb branch ring in half-integer steps.
+
+    Entry i is the dimension in degree i/2.  With s one half-degree and A the
+    n x k character matrix, the monopole formula sums s^{|A lam|_1} over the
+    coweights lam, times 1 / (1 - s^2)^k for the dressings by the w's.  When A
+    has rank k, lam -> y = A lam is a bijection onto the y in Z^n whose class
+    U y vanishes in Z/d_1 + ... + Z/d_k + Z^{n-k} (Smith form U A V = D).
+    Give x_i the class of U e_i and y_i that of -U e_i; the monomials x^a y^b
+    over one y = a - b number s^{|y|_1} / (1 - s^2)^n, so the series is
+    (1 - s^2)^{n-k} times the count of class-zero monomials.  The DP keeps
+    only classes the later characters can cancel: O(t^min(k, n-k)) in degree t.
+    """
+    top = top_half_degree(max_deg)
+    n, k = len(th.characters), th.rank
+    u, d, _ = smith_normal_form(IntMatrix.from_rows(th.characters))
+    diag = [d.entries[j][j] for j in range(min(n, k))]
+    if n < k or 0 in diag:
+        raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
+    # (U y)_j must vanish mod d_j for j < k and in Z for j >= k; d_j = 1 asks nothing
+    rows = [j for j in range(n) if j >= k or diag[j] != 1]
+    weights = [tuple(u.entries[j][i] for j in rows) for i in range(n)]
+    moduli = [diag[j] if j < k else 0 for j in rows]
+    return koszul_counts(weights, moduli, top, n - k, token)

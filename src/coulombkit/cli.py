@@ -19,11 +19,13 @@ from importlib import resources
 
 import jsonschema
 
-# monopole and higgs load sympy, so the handlers that need them import them
+# monopole loads sympy, so only the abelian ring|quantize|poisson handlers import it
 from . import jsonio, quiver
+from .abelian import hilbert_series
 from .cancel import CancellationToken
 from .cartan import langlands_dual
 from .errors import Cancelled, CoulombKitError
+from .higgs import coulomb_higgs_compare
 from .multiplicities import tensor_decompose, weight_multiplicity
 from .quiver import jordan_coulomb_hilbert, strata_affine, strata_finite
 
@@ -248,20 +250,16 @@ def _cmd_abelian_poisson(doc, args):
 
 
 def _cmd_abelian_hilbert(doc, args):
-    from . import monopole
-
     _check(doc, "theory")
     th = jsonio.theory_from_json(doc)
-    dims = monopole.hilbert_series(th, _max_deg(args), _token(args))
+    dims = hilbert_series(th, _max_deg(args), _token(args))
     return {"dimensions": _table_from_dims(dims)}
 
 
 def _cmd_hypertoric_compare(doc, args):
-    from . import higgs
-
     _check(doc, "matrix")
     a = jsonio.matrix_from_json(doc)
-    report = higgs.coulomb_higgs_compare(a, _max_deg(args), _token(args))
+    report = coulomb_higgs_compare(a, _max_deg(args), _token(args))
     out = {
         "coulomb": jsonio.table_to_json(report.coulomb),
         "higgs": jsonio.table_to_json(report.higgs),

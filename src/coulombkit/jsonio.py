@@ -9,15 +9,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .abelian import AbelianTheory
 from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
 from .errors import DimensionError, DomainError
 from .lattices import IntMatrix
 from .quiver import DimVectors, Quiver
 
-if TYPE_CHECKING:  # these modules load sympy; the functions below import them on use
+if TYPE_CHECKING:  # type-only; difference_ops and monopole load sympy, so the functions import them on use
     from .difference_ops import DifferenceOperator
     from .higgs import GradedDimensionTable
-    from .monopole import AbelianTheory, CoulombElement
+    from .monopole import CoulombElement
 
 
 def fraction_str(q) -> str:
@@ -138,8 +139,6 @@ def operator_from_json(doc) -> DifferenceOperator:
 # ---------------------------------------------------------------- theories
 
 def theory_from_json(doc) -> AbelianTheory:
-    from .monopole import AbelianTheory
-
     return AbelianTheory.of(int(doc["rank"]), doc.get("characters", []))
 
 

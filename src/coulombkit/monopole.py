@@ -1,46 +1,26 @@
 """Abelian Coulomb branch algebras on the monopole basis.
 
-A theory is a torus rank together with the character vectors of the matter
-representation.  Elements are finite sums f_lam(w) * r^lam over coweights lam;
-the lam-component is the pi_1 grading of the term.  The classical product, the
-quantization into difference operators, the Poisson bracket, the cohomological
-grading, the Hilbert series and the birationality witness all live here.
+Elements of the Coulomb branch of an ``AbelianTheory`` are finite sums
+f_lam(w) * r^lam over coweights lam; the lam-component is the pi_1 grading of
+the term.  The classical product, the quantization into difference operators,
+the Poisson bracket, the cohomological grading and the birationality witness
+live here.  The theory itself and the Hilbert series need no polynomial ring;
+they live in ``abelian`` and are re-exported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 from sympy.polys.rings import PolyElement
 
 from . import difference_ops as dops
+from .abelian import AbelianTheory, hilbert_series  # noqa: F401 (re-exported)
 from .cancel import CancellationToken, check
 from .difference_ops import DifferenceOperator, _GradedSum, _merge, poly_ring, to_poly
 from .errors import DimensionError, DomainError, LiftError
-from .lattices import CharacterVector, Coweight, IntMatrix, koszul_counts, pairing, smith_normal_form
-
-
-@dataclass(frozen=True)
-class AbelianTheory:
-    """Abelian gauge theory (T, N): torus rank and matter characters."""
-
-    rank: int
-    characters: tuple[CharacterVector, ...]
-    names: tuple[str, ...] = ()
-
-    @staticmethod
-    def of(rank: int, characters, names=()) -> "AbelianTheory":
-        chars = tuple(tuple(int(x) for x in c) for c in characters)
-        if any(len(c) != rank for c in chars):
-            raise DimensionError("character length does not match torus rank")
-        return AbelianTheory(rank, chars, tuple(names))
-
-    @staticmethod
-    def a_type(ell: int) -> "AbelianTheory":
-        """Rank-1 theory with ell weight-1 characters: the A_{ell-1} surface."""
-        return AbelianTheory.of(1, [(1,)] * ell)
+from .lattices import CharacterVector, Coweight, pairing
 
 
 class CoulombElement(_GradedSum):
@@ -174,36 +154,6 @@ def grading_degree(th: AbelianTheory, a: CoulombElement) -> Fraction:
     lam, poly = a.polys[0]
     (monom,) = poly.itermonoms()
     return Fraction(sum(monom)) + Fraction(sum(abs(pairing(lam, rho)) for rho in th.characters), 2)
-
-
-def hilbert_series(
-    th: AbelianTheory, max_deg, token: CancellationToken | None = None
-) -> list[int]:
-    """Graded dimensions of the Coulomb branch ring in half-integer steps.
-
-    Entry i is the dimension in degree i/2.  With s one half-degree and A the
-    n x k character matrix, the monopole formula sums s^{|A lam|_1} over the
-    coweights lam, times 1 / (1 - s^2)^k for the dressings by the w's.  When A
-    has rank k, lam -> y = A lam is a bijection onto the y in Z^n whose class
-    U y vanishes in Z/d_1 + ... + Z/d_k + Z^{n-k} (Smith form U A V = D).
-    Give x_i the class of U e_i and y_i that of -U e_i; the monomials x^a y^b
-    over one y = a - b number s^{|y|_1} / (1 - s^2)^n, so the series is
-    (1 - s^2)^{n-k} times the count of class-zero monomials.  The DP keeps
-    only classes the later characters can cancel: O(t^min(k, n-k)) in degree t.
-    """
-    max_deg = Fraction(max_deg)
-    if max_deg < 0:
-        raise DomainError("max_deg must be non-negative")
-    n, k = len(th.characters), th.rank
-    u, d, _ = smith_normal_form(IntMatrix.from_rows(th.characters))
-    diag = [d.entries[j][j] for j in range(min(n, k))]
-    if n < k or 0 in diag:
-        raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
-    # (U y)_j must vanish mod d_j for j < k and in Z for j >= k; d_j = 1 asks nothing
-    rows = [j for j in range(n) if j >= k or diag[j] != 1]
-    weights = [tuple(u.entries[j][i] for j in rows) for i in range(n)]
-    moduli = [diag[j] if j < k else 0 for j in rows]
-    return koszul_counts(weights, moduli, int(2 * max_deg), n - k, token)
 
 
 def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:

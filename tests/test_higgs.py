@@ -8,7 +8,7 @@ from math import comb
 import pytest
 import sympy
 
-from coulombkit.errors import DimensionError
+from coulombkit.errors import DimensionError, DomainError
 from coulombkit.higgs import (
     HiggsTheory,
     coulomb_higgs_compare,
@@ -146,6 +146,25 @@ def test_koszul_count_matches_rank_method():
     for rows in _saturated_charge_matrices(20, seed=3):
         th = HiggsTheory.of(rows)
         assert invariant_hilbert(th, 3) == _rank_method(th, 3), rows
+
+
+@pytest.mark.parametrize("max_deg", [-1, Fraction(1, 3)], ids=["negative", "one_third"])
+def test_invariant_hilbert_rejects_a_degree_that_is_not_a_non_negative_half_integer(max_deg):
+    with pytest.raises(DomainError, match="non-negative half-integer"):
+        invariant_hilbert(HiggsTheory.of([[1], [-1]]), max_deg)
+
+
+@pytest.mark.parametrize("max_deg", [-1, Fraction(1, 3)], ids=["negative", "one_third"])
+def test_compare_rejects_a_degree_that_is_not_a_non_negative_half_integer(max_deg):
+    # at 1/3 the report covered degree 0 only and still read max_deg 1/3, verdict true
+    with pytest.raises(DomainError, match="non-negative half-integer"):
+        coulomb_higgs_compare(IntMatrix.from_rows([[1], [1]]), max_deg)
+
+
+def test_half_integer_degrees_are_accepted_in_any_exact_form():
+    th = HiggsTheory.of([[1], [-1]])
+    assert invariant_hilbert(th, "3/2") == invariant_hilbert(th, Fraction(3, 2)) == invariant_hilbert(th, 1.5)
+    assert list(invariant_hilbert(th, 1)) == [0, Fraction(1, 2), 1]
 
 
 def test_compare_rank_three():

@@ -30,6 +30,10 @@ FRESH_INTERPRETER = textwrap.dedent(
     record("from coulombkit import multiplicities")
     import coulombkit.cli
     record("import coulombkit.cli")
+    from coulombkit import higgs
+    record("from coulombkit import higgs")
+    coulombkit.hilbert_series
+    record("coulombkit.hilbert_series")
 
     calls = [
         (["km", "mult"], {"cartan": "A2", "lambda": {"fund": [1, 1]}, "mu": {"fund": [0, 0]}}),
@@ -37,6 +41,8 @@ FRESH_INTERPRETER = textwrap.dedent(
         (["quiver", "satake"], {"cartan": "B2", "lambda": {"fund": [2, 1]}, "mu": {"fund": [0, 1]}}),
         (["jordan", "hilbert", "--max-deg", "2"], {"n": 2, "ell": 1}),
         (["validate", "--schema", "element"], {"rank": 1, "terms": []}),
+        (["abelian", "hilbert", "--max-deg", "2"], {"rank": 1, "characters": [[1], [1]]}),
+        (["hypertoric", "compare", "--max-deg", "2"], {"matrix": [[1], [1]]}),
         (["abelian", "ring"], {
             "theory": {"rank": 1, "characters": [[1], [1]]},
             "a": {"rank": 1, "terms": [{"coweight": [1], "poly": [{"coeff": "1", "powers": [0]}]}]},
@@ -64,11 +70,15 @@ def test_only_the_abelian_commands_load_sympy():
         ["import coulombkit", None, False],
         ["from coulombkit import multiplicities", None, False],
         ["import coulombkit.cli", None, False],
+        ["from coulombkit import higgs", None, False],
+        ["coulombkit.hilbert_series", None, False],
         ["km mult", 0, False],
         ["km tensor", 0, False],
         ["quiver satake", 0, False],
         ["jordan hilbert", 0, False],
         ["validate --schema", 0, False],
+        ["abelian hilbert", 0, False],
+        ["hypertoric compare", 0, False],
         ["abelian ring", 0, True],
     ]
 
@@ -79,6 +89,13 @@ def test_every_public_name_is_its_submodule_attribute():
         assert getattr(coulombkit, name) is getattr(owner, name), name
     assert len(coulombkit.__all__) == len(set(coulombkit.__all__)) == 68
     assert coulombkit.__version__ == "0.1.0"
+
+
+def test_monopole_re_exports_the_abelian_names():
+    from coulombkit import abelian, monopole
+
+    assert monopole.AbelianTheory is abelian.AbelianTheory is coulombkit.AbelianTheory
+    assert monopole.hilbert_series is abelian.hilbert_series is coulombkit.hilbert_series
 
 
 def test_dir_lists_the_public_names():

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -11,6 +13,7 @@ from coulombkit.lattices import (
     dual_sequence,
     hermite_column_form,
     integer_kernel,
+    koszul_counts,
     pairing,
     saturation,
     smith_diagonal,
@@ -148,3 +151,39 @@ def test_integer_kernel_is_saturated():
     import math
 
     assert math.gcd(*[abs(x) for x in col]) == 1
+
+
+def _enumerated_koszul_counts(weights, moduli, top, power):
+    """Reference oracle: every monomial in x_i, y_i of half-degree <= top,
+    kept when its weight vanishes in Z/moduli[0] + ..., then times (1 - s^2)^power."""
+    n = len(weights)
+    dims = []
+    for t in range(top + 1):
+        count = 0
+        for combo in combinations_with_replacement(range(2 * n), t):
+            total = [0] * len(moduli)
+            for v in combo:
+                sign = 1 if v < n else -1
+                total = [a + sign * b for a, b in zip(total, weights[v % n])]
+            count += all(a % m == 0 if m else a == 0 for a, m in zip(total, moduli))
+        dims.append(count)
+    return [
+        sum((-1) ** q * comb(power, q) * dims[t - 2 * q] for q in range(min(power, t // 2) + 1))
+        for t in range(top + 1)
+    ]
+
+
+def test_koszul_counts_match_enumeration():
+    # groups with and without torsion, zero and repeated weights, weights of any rank
+    rng = random.Random(11)
+    torsion = 0
+    for _ in range(150):
+        moduli = [rng.choice((0, 0, 0, 2, 3)) for _ in range(rng.randint(0, 3))]
+        weights = [tuple(rng.randint(-2, 2) for _ in moduli) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.3 and weights:
+            weights.append(weights[0])
+        top, power = rng.randint(0, 4), rng.randint(0, 2)
+        want = _enumerated_koszul_counts(weights, moduli, top, power)
+        assert koszul_counts(weights, moduli, top, power) == want, (weights, moduli)
+        torsion += any(moduli)
+    assert torsion >= 40

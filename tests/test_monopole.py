@@ -209,6 +209,12 @@ def test_hilbert_series_examples():
         hilbert_series(AbelianTheory.of(1, []), 1)
 
 
+@pytest.mark.parametrize("max_deg", [-1, Fraction(1, 3)], ids=["negative", "one_third"])
+def test_hilbert_series_rejects_a_degree_that_is_not_a_non_negative_half_integer(max_deg):
+    with pytest.raises(DomainError, match="non-negative half-integer"):
+        hilbert_series(AbelianTheory.a_type(2), max_deg)
+
+
 def test_hilbert_series_rank_two_free_case():
     # identity characters: Coulomb branch of two independent rank-1 factors,
     # free on 4 generators of degree 1/2

@@ -160,9 +160,10 @@ def test_jordan_hilbert_negative_ell():
 
 
 def test_jordan_hilbert_matches_abelian_series():
-    for ell in (1, 2, 3):
+    # the last three have many characters: the Coulomb side's DP keeps its classes in rank-1 coordinates
+    for ell, max_deg in ((1, 3), (2, 3), (3, 3), (8, 8), (16, 8), (24, 8)):
         th = AbelianTheory.a_type(ell)
-        assert jordan_coulomb_hilbert(1, ell, 3) == hilbert_series(th, 3)
+        assert jordan_coulomb_hilbert(1, ell, max_deg) == hilbert_series(th, max_deg)
 
 
 def test_jordan_symmetric_square():
