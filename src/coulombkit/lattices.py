@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
-from operator import add, mod
 from typing import Iterable, Sequence
 
 from .cancel import CancellationToken, check
@@ -198,7 +197,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if m[i + 1][i + 1] < 0:
                     negate_row(i + 1)
                 changed = True
-    return tuple(IntMatrix(tuple(map(tuple, x))) for x in (u, m, v))
+    return IntMatrix.from_rows(u), IntMatrix.from_rows(m), IntMatrix.from_rows(v)
 
 
 def smith_diagonal(mat: IntMatrix) -> tuple[int, ...]:
@@ -215,104 +214,43 @@ def koszul_counts(
     x_i carries ``weights[i]`` and y_i its negative, in the group
     Z/moduli[0] + Z/moduli[1] + ..., where a modulus of 0 stands for Z.
     After the pair x_i, y_i only classes in the span of the later weights and
-    the moduli are kept: no others can return to zero.  So while the DP works
-    on pair i, the free part of a class lies in M_i, the span of the free parts
-    of weights 0..i intersected with the span of those of weights i.., of rank
-    at most min(R, len(weights) - R + 1), R the rank of the weights.  A class
-    is stored by its coordinates in M_i followed by its torsion coordinates,
-    and a layer of half-degree t holds O(t^min(R, len(weights) - R)) of them.
-    Without torsion a class is kept iff its free part lies in M_{i+1}, which
-    reading off its coordinates there checks.
+    the moduli are kept: no others can return to zero.  They lie in a subgroup
+    of rank at most min(R, len(weights) - R), R the rank of the weights, so a
+    layer of half-degree t holds O(t^min(R, len(weights) - R)) of them, not O(t^R).
     The count runs one half-degree at a time and checks ``token`` before each, and it
     keeps only one layer per variable, so a huge ``top`` grows under the token.
     """
     r = len(moduli)
-    free = [j for j, m in enumerate(moduli) if not m]
+    zero = (0,) * r
     torsion = [tuple(m if j == i else 0 for j in range(r)) for i, m in enumerate(moduli) if m]
-    tmod = tuple(m for m in moduli if m)
-    spans = [_lattice(g, len(free)) for g in _middle_spans([tuple(w[j] for j in free) for w in weights])]
-    spans.append(_lattice((), len(free)))
-    pairs = []  # (key of x_i, key of y_i, free coordinates, tests a kept key passes, next-key rows, memo)
-    for i, (w, (basis, rows)) in enumerate(zip(weights, spans)):
-        # x_i's key: the coordinates of its free part in M_i, then its torsion part
-        x = tuple(sum(a * w[j] for a, j in zip(row, free)) // d for row, d in rows if d)
-        x += tuple(c for c, m in zip(w, moduli) if m)
-        # the class of a key (y, tau) is (basis y, tau); M_{i+1}'s rows applied to basis y
-        # give its next key and, without torsion, the test that it is kept
-        step = [(tuple(sum(a * b for a, b in zip(row, col)) for col in basis), d) for row, d in spans[i + 1][1]]
-        coords = step[: len(spans[i + 1][0])]
-        if torsion:  # c is in the column span of B iff e_p divides (S c)_p for each p, where S B T = E
-            s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion))))
-            for p, row in enumerate(s.entries):
-                row = tuple(sum(row[j] * b[q] for q, j in enumerate(free)) for b in basis) + tuple(
-                    c for c, m in zip(row, moduli) if m
-                )
-                step.append((row, e.entries[p][p] if p < e.ncols else 0))
-        tests = list(dict.fromkeys((row, d) for row, d in step if d != 1 and any(row)))
-        if not tests and basis == spans[i + 1][0]:
-            coords = None  # every class is kept, under the same key
-        pairs.append((x, tuple(-c for c in x), len(basis), tests, coords, {}))
-    # one half-degree at a time: below[j] maps a key to the number of monomials in the
+    pairs = []  # (weight of x_i, weight of y_i, the tests a kept class passes, their memo)
+    for i, w in enumerate(weights):
+        # c is in the column span of B iff e_p divides (S c)_p for each p, where S B T = E
+        s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r))
+        tests = [(s.entries[p], e.entries[p][p] if p < e.ncols else 0) for p in range(r)]
+        pairs.append((w, tuple(-c for c in w), [(row, ep) for row, ep in tests if ep != 1], {}))
+    # one half-degree at a time: below[j] maps a class to the number of monomials in the
     # first j + 1 variables of half-degree t - 1, before the pruning after their pair
     below = [{} for _ in range(2 * len(weights))]
     dims, out = [], []
     for t in range(top + 1):
         check(token)
-        layer = {(0,) * (len(spans[0][0]) + len(tmod)): 1} if t == 0 else {}
-        for i, (x, y, nf, tests, coords, kept) in enumerate(pairs):
-            for j, u in ((2 * i, x), (2 * i + 1, y)):
+        layer = {zero: 1} if t == 0 else {}
+        for i, (x, y, tests, kept) in enumerate(pairs):
+            for j, v in ((2 * i, x), (2 * i + 1, y)):
                 # without variable j, plus variable j times a monomial of half-degree t - 1
                 if j % 2:  # below[j - 1] keeps x_i's layer for half-degree t + 1
                     layer = dict(layer)
                 for wt, c in below[j].items():
-                    key = tuple(map(add, wt, u))
-                    if tmod:
-                        key = key[:nf] + tuple(map(mod, key[nf:], tmod))
+                    key = tuple((a + b) % m if m else a + b for a, b, m in zip(wt, v, moduli))
                     layer[key] = layer.get(key, 0) + c
                 below[j] = layer
-            if coords is None:  # a copy: below[j] keeps this layer
-                layer = dict(layer)
-                continue
             for wt in layer.keys() - kept.keys():
-                if all(gcd(sum(a * b for a, b in zip(row, wt)), d) == d for row, d in tests):
-                    kept[wt] = tuple(sum(a * b for a, b in zip(row, wt)) // d for row, d in coords) + wt[nf:]
-                else:
-                    kept[wt] = None
-            layer = {kept[wt]: c for wt, c in layer.items() if kept[wt] is not None}
-        dims.append(sum(layer.values()))  # after the last pair only the class zero is kept
+                kept[wt] = all(gcd(sum(a * b for a, b in zip(row, wt)), ep) == ep for row, ep in tests)
+            layer = {wt: c for wt, c in layer.items() if kept[wt]}
+        dims.append(layer.get(zero, 0))
         out.append(sum((-1) ** q * comb(power, q) * dims[t - 2 * q] for q in range(min(power, t // 2) + 1)))
     return out
-
-
-def _middle_spans(vectors) -> list[list[tuple[int, ...]]]:
-    """For each i, generators of span(v_0..v_i) intersected with span(v_i..):
-    v_i and the truncations sum_{j<i} g_j v_j of the integer relations g among
-    the v_j."""
-    if not vectors or not vectors[0]:
-        return [[] for _ in vectors]
-    # row j holds the g_j of each relation; Hermite's basis of them keeps their entries small
-    relations = integer_kernel(IntMatrix(tuple(zip(*vectors)))).entries
-    sums = [(0,) * len(vectors[0])] * len(relations[0])
-    spans = []
-    for vec, g in zip(vectors, relations):
-        spans.append(sums + [vec])
-        sums = [tuple(a + c * b for a, b in zip(acc, vec)) for acc, c in zip(sums, g)]
-    return spans
-
-
-def _lattice(gens, dim: int):
-    """(basis, rows) for the lattice L spanned by ``gens`` (vectors in Z^dim).
-
-    With U H V = D the Smith form of L's Hermite basis H, the columns of H V
-    are a basis (they are d_p U^{-1} e_p), and ``rows`` pairs each row of U
-    with d_p (0 past the rank): c lies in L iff d_p divides (U c)_p for each p,
-    and (U c)_p / d_p are its coordinates.  Going through H keeps the entries
-    small however large ``gens`` are; when L is Z^dim, H is the identity.
-    """
-    h = hermite_column_form(IntMatrix(tuple(zip(*gens)) or ((),) * dim))
-    u, d, v = smith_normal_form(h)
-    ds = [d.entries[p][p] if p < d.ncols else 0 for p in range(dim)]
-    return tuple(zip(*(h @ v).entries)), list(zip(u.entries, ds))
 
 
 def hermite_column_form(mat: IntMatrix) -> IntMatrix:

@@ -160,7 +160,7 @@ def test_jordan_hilbert_negative_ell():
 
 
 def test_jordan_hilbert_matches_abelian_series():
-    # the last three have many characters: the Coulomb side's DP keeps its classes in rank-1 coordinates
+    # the last three have many characters, so the Coulomb side's DP runs over a large cokernel
     for ell, max_deg in ((1, 3), (2, 3), (3, 3), (8, 8), (16, 8), (24, 8)):
         th = AbelianTheory.a_type(ell)
         assert jordan_coulomb_hilbert(1, ell, max_deg) == hilbert_series(th, max_deg)
