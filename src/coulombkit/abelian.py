@@ -62,7 +62,7 @@ def hilbert_series(
     """
     top = top_half_degree(max_deg)
     n, k = len(th.characters), th.rank
-    u, d, _ = smith_normal_form(IntMatrix.from_rows(th.characters))
+    u, d, _ = smith_normal_form(IntMatrix.from_rows(th.characters), token)
     diag = [d.entries[j][j] for j in range(min(n, k))]
     if n < k or 0 in diag:
         raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")

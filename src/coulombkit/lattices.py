@@ -101,12 +101,16 @@ def pairing(lam: Sequence[int], rho: Sequence[int]) -> int:
     return sum(int(a) * int(b) for a, b in zip(lam, rho))
 
 
-def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(
+    mat: IntMatrix, token: CancellationToken | None = None
+) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*mat*V = D, U and V unimodular, D diagonal
     with each diagonal entry dividing the next.
 
     Pivoting always picks the smallest-magnitude nonzero entry of the working
     submatrix (first by rows, then columns on ties), so output is deterministic.
+    ``token`` is checked at each pivot and before each row or column operation
+    of the clearing passes, whose entries can grow without bound.
     """
     rows, cols = mat.nrows, mat.ncols
     m = [list(r) for r in mat.entries]
@@ -142,6 +146,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     t = 0
     while t < min(rows, cols):
+        check(token)
         # locate smallest nonzero pivot in the remaining block
         pivot = None
         for i in range(t, rows):
@@ -157,6 +162,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             dirty = False
             for i in range(t + 1, rows):
                 if m[i][t] != 0:
+                    check(token)
                     q = m[i][t] // m[t][t]
                     add_row(t, i, -q)
                     if m[i][t] != 0:
@@ -164,6 +170,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         dirty = True
             for j in range(t + 1, cols):
                 if m[t][j] != 0:
+                    check(token)
                     q = m[t][j] // m[t][t]
                     add_col(t, j, -q)
                     if m[t][j] != 0:
@@ -178,6 +185,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     # enforce the divisibility chain d_i | d_{i+1}
     changed = True
     while changed:
+        check(token)
         changed = False
         for i in range(t - 1):
             a, b = m[i][i], m[i + 1][i + 1]
@@ -226,7 +234,7 @@ def koszul_counts(
     pairs = []  # (weight of x_i, weight of y_i, the tests a kept class passes, their memo)
     for i, w in enumerate(weights):
         # c is in the column span of B iff e_p divides (S c)_p for each p, where S B T = E
-        s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r))
+        s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r), token)
         tests = [(s.entries[p], e.entries[p][p] if p < e.ncols else 0) for p in range(r)]
         pairs.append((w, tuple(-c for c in w), [(row, ep) for row, ep in tests if ep != 1], {}))
     # one half-degree at a time: below[j] maps a class to the number of monomials in the

@@ -3,8 +3,12 @@
 Root multiplicities come from Peterson's recursion, weight multiplicities from
 Freudenthal's formula; both build one layer of height at a time from the layers
 below and store only nonzero entries, in exact arithmetic, uniformly for finite,
-affine and indefinite symmetrizable Cartan data.  Finite-type tensor products
-come from the Brauer-Klimyk formula.  Height bounds make affine tables finite.
+affine and indefinite symmetrizable Cartan data.  Freudenthal's formula is
+summed only at dominant weights: any other weight takes the multiplicity of a
+Weyl conjugate in a lower layer, and a query is read at its dominant conjugate,
+so the table grows only to that conjugate's height.  Peterson's pair sums run
+in integers, layer h over lcm(1, ..., h)^2.  Finite-type tensor products come
+from the Brauer-Klimyk formula.  Height bounds make affine tables finite.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import mul
+from itertools import accumulate
+from math import gcd, lcm
+from operator import add, mul
 
 from .cancel import CancellationToken, check
 from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
@@ -45,32 +50,45 @@ class RootTable:
         beta'' = beta, and c_beta vanishes off the multiples of roots (Kac, Ex. 11.11),
         which those sums reach as k gamma = gamma + (k-1) gamma; so layer h is evaluated
         only at sums of stored c-values.  Every non-simple positive root is a positive
-        root plus a simple root (Kac, Lemma 1.3): after a layer with no root, none has."""
+        root plus a simple root (Kac, Lemma 1.3): after a layer with no root, none has.
+
+        c_beta sums mult(beta/k) / k over the k dividing beta, so for beta of height h
+        c_beta L(h) is an integer, L(h) = lcm(1, ..., h): layer h is computed in integers
+        over L(h)^2, and a ``Fraction`` is built only when the layer is committed."""
         gcm, c, mults, n = self.gcm, self.c_values, self.multiplicities, self.gcm.size
         # reached, or stopped: mults is filled in height order, so its last root tops them all
         if height <= self.height or self.height and sum(next(reversed(mults), ())) < self.height:
             return
-        layers: dict[int, list[tuple[RootVector, Fraction]]] = {}
+        lcms = list(accumulate(range(1, height + 1), lcm, initial=1))  # lcms[h] = L(h)
+        layers: dict[int, list[tuple[RootVector, int]]] = {}  # c_beta L(h), by height h
         for beta, cb in c.items():
-            layers.setdefault(sum(beta), []).append((beta, cb))
+            h = sum(beta)
+            layers.setdefault(h, []).append((beta, cb.numerator * (lcms[h] // cb.denominator)))
+        gram = [[gcm.gram(i, j) for i in range(n)] for j in range(n)]  # row j: (alpha_i, alpha_j)
+        pairings: dict[RootVector, list[int]] = {}  # beta' -> ((beta', alpha_j))_j
         for h in range(self.height + 1, height + 1):
-            num: dict[RootVector, Fraction] = {}
+            scale = lcms[h]
+            num: dict[RootVector, int] = {}  # the pair sums times L(h)^2
             for h1 in range(1, h // 2 + 1):
                 twice = 2 if 2 * h1 < h else 1  # the pair sum is symmetric in beta', beta''
+                outer, inner = scale // lcms[h1] * twice, scale // lcms[h - h1]
+                upper = [(bpp, cpp * inner) for bpp, cpp in layers.get(h - h1, ())]
                 for bp, cp in layers.get(h1, ()):
                     check(token)
-                    gp = [sum(gcm.gram(i, j) * bp[i] for i in range(n)) for j in range(n)]  # (bp, alpha_j)
-                    for bpp, cpp in layers.get(h - h1, ()):
-                        beta = tuple(p + q for p, q in zip(bp, bpp))
-                        num[beta] = num.get(beta, 0) + twice * sum(map(mul, gp, bpp)) * cp * cpp
+                    if (gp := pairings.get(bp)) is None:
+                        gp = pairings[bp] = [sum(map(mul, row, bp)) for row in gram]
+                    cp *= outer
+                    for bpp, cpp in upper:
+                        beta = tuple(map(add, bp, bpp))
+                        num[beta] = num.get(beta, 0) + sum(map(mul, gp, bpp)) * cp * cpp
             roots = {tuple(int(i == j) for j in range(n)): 1 for i in range(n)} if h == 1 else {}
-            layer = dict.fromkeys(roots, Fraction(1))
+            layer = dict.fromkeys(roots, scale)
             for beta, s in num.items():
                 check(token)
-                divisor_part = Fraction(0)
+                divisor_part = 0  # sum of mult(beta/k) / k over k >= 2, times L(h)
                 for k in range(2, gcd(*beta) + 1):
                     if all(b % k == 0 for b in beta):
-                        divisor_part += Fraction(mults.get(tuple(b // k for b in beta), 0), k)
+                        divisor_part += mults.get(tuple(b // k for b in beta), 0) * (scale // k)
                 den = _form(gcm, beta, beta) - 2 * _pair(gcm, (1,) * n, beta)
                 if den == 0:
                     # the denominator vanishes only off the root system (a real root of height >= 2
@@ -80,15 +98,15 @@ class RootTable:
                         raise UnsupportedError("Peterson recursion degenerate at " + repr(beta))
                     cb = divisor_part
                 else:
-                    cb = s / den
-                    mult = cb - divisor_part
-                    assert mult.denominator == 1 and mult >= 0
+                    cb, r = divmod(s, den * scale)
+                    mult, r_mult = divmod(cb - divisor_part, scale)
+                    assert r == r_mult == 0 and mult >= 0
                     if mult:
-                        roots[beta] = int(mult)
+                        roots[beta] = mult
                 if cb:
                     layer[beta] = cb
             layers[h] = list(layer.items())
-            c.update(layer)
+            c.update((beta, Fraction(cb, scale)) for beta, cb in layer.items())
             mults.update(roots)
             self.height = h
             if not roots:
@@ -140,7 +158,9 @@ def _dominant(gcm: GeneralizedCartanMatrix, mu: KMWeight) -> tuple[KMWeight, int
 class FreudenthalTable:
     """Weight multiplicities of the integrable module V(lam), keyed by the
     root-lattice distance beta from the highest weight and built in layers of
-    equal height of beta; only nonzero multiplicities are stored."""
+    equal height of beta; only nonzero multiplicities are stored.  ``evaluated``
+    counts the weights whose multiplicity the table computed rather than read
+    off a conjugate: lam, and each dominant weight summed by Freudenthal's formula."""
 
     def __init__(self, gcm: GeneralizedCartanMatrix, lam: KMWeight):
         if not gcm.is_dominant(lam):
@@ -148,12 +168,33 @@ class FreudenthalTable:
         self.gcm, self.lam = gcm, lam
         self.height, self._top = 0, [(0,) * gcm.size]  # _top: the weights of the layer at height
         self._mult: dict[RootVector, int] = {self._top[0]: 1}
+        self.evaluated = 1
+
+    def _dominant_depth(self, beta: RootVector) -> RootVector | None:
+        """The depth of the dominant Weyl conjugate of lam - beta, or None when
+        lam - beta is not a weight of V(lam).  With c = lam - A beta the
+        fundamental coordinates of lam - beta, s_i adds c_i to beta_i; a
+        negative c_i lowers the height, and a negative beta_i leaves the
+        weights, which the Weyl group permutes (Kac, Prop. 10.1)."""
+        a, beta = self.gcm.entries, list(beta)
+        c = [x - sum(map(mul, row, beta)) for x, row in zip(self.lam.fund, a)]
+        while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
+            step = c[i]
+            beta[i] += step
+            if beta[i] < 0:
+                return None
+            for j, row in enumerate(a):
+                c[j] -= row[i] * step
+        return tuple(beta)
 
     def extend(self, height: int, token: CancellationToken | None = None) -> None:
-        """Freudenthal's formula on every layer up to ``height``.  V(lam) =
-        U(n^-) v_lam, so a weight of layer h lies one simple root below a
-        weight of layer h - 1; only those vectors are evaluated, and the first
-        empty layer ends the module."""
+        """Every layer up to ``height``.  V(lam) = U(n^-) v_lam, so a weight of
+        layer h lies one simple root below a weight of layer h - 1; only those
+        vectors are candidates, and the first empty layer ends the module.
+        Freudenthal's formula is summed only at dominant candidates.  Any other
+        has a negative coordinate mu_i, and s_i moves it up -mu_i layers to a
+        complete one; multiplicities are Weyl-invariant (Kac, Prop. 10.1), so it
+        takes the multiplicity stored there, or 0 off the positive cone."""
         gcm, lam, mult = self.gcm, self.lam.fund, self._mult
         if len(lam) != gcm.size:
             raise DimensionError("weight length does not match Cartan matrix size")
@@ -163,29 +204,42 @@ class FreudenthalTable:
         table.extend(height, token)
         roots = [(alpha, m, _form(gcm, alpha, alpha))
                  for alpha, m in table.multiplicities.items() if sum(alpha) <= height]
+        a = gcm.entries
         while self._top and self.height < height:
             below = dict.fromkeys(b[:i] + (b[i] + 1,) + b[i + 1:] for b in self._top for i in range(len(b)))
             layer = {}
             for beta in below:
                 check(token)
-                mu = [x - y for x, y in zip(lam, gcm.root_combination(beta).fund)]
-                num = 0
-                for alpha, m_alpha, norm in roots:
-                    pairing = _pair(gcm, mu, alpha)  # (mu + k alpha, alpha) = pairing + k norm
-                    shifted, k = beta, 1
-                    while min(shifted := tuple(b - a for b, a in zip(shifted, alpha))) >= 0:
-                        num += m_alpha * (pairing + k * norm) * mult.get(shifted, 0)
-                        k += 1
-                # (lam + rho, lam + rho) - (mu + rho, mu + rho) = (lam + mu + 2 rho, lam - mu)
-                den = _pair(gcm, [x + y + 2 for x, y in zip(lam, mu)], beta)
-                if den == 0 and num != 0:
-                    raise UnsupportedError("Freudenthal recursion degenerate at " + repr(beta))
-                q, r = divmod(2 * num, den) if den else (0, 0)
-                assert r == 0 and q >= 0
+                mu = [x - sum(map(mul, row, beta)) for x, row in zip(lam, a)]  # lam - beta
+                i = next((i for i, x in enumerate(mu) if x < 0), None)
+                if i is None:
+                    q = self._freudenthal_sum(beta, mu, roots)
+                else:
+                    q = mult.get(beta[:i] + (beta[i] + mu[i],) + beta[i + 1:], 0)
                 if q:
                     layer[beta] = q
             mult.update(layer)
             self._top, self.height = list(layer), self.height + 1
+
+    def _freudenthal_sum(self, beta: RootVector, mu: list[int], roots) -> int:
+        """Freudenthal's formula at lam - beta, whose fundamental coordinates are
+        ``mu``, from the complete layers below it."""
+        gcm, lam, mult = self.gcm, self.lam.fund, self._mult
+        self.evaluated += 1
+        num = 0
+        for alpha, m_alpha, norm in roots:
+            pairing = _pair(gcm, mu, alpha)  # (mu + k alpha, alpha) = pairing + k norm
+            shifted, k = beta, 1
+            while min(shifted := tuple(b - a for b, a in zip(shifted, alpha))) >= 0:
+                num += m_alpha * (pairing + k * norm) * mult.get(shifted, 0)
+                k += 1
+        # (lam + rho, lam + rho) - (mu + rho, mu + rho) = (lam + mu + 2 rho, lam - mu)
+        den = _pair(gcm, [x + y + 2 for x, y in zip(lam, mu)], beta)
+        if den == 0 and num != 0:
+            raise UnsupportedError("Freudenthal recursion degenerate at " + repr(beta))
+        q, r = divmod(2 * num, den) if den else (0, 0)
+        assert r == 0 and q >= 0
+        return q
 
     def multiplicity_at_depth(self, beta: RootVector, token: CancellationToken | None = None) -> int:
         """dim of the weight space at lam - sum beta_i alpha_i."""
@@ -193,11 +247,10 @@ class FreudenthalTable:
         return self._mult.get(beta, 0)
 
     def multiplicity(self, mu: KMWeight, token: CancellationToken | None = None) -> int:
-        diff = self.lam - mu  # raises DimensionError unless lam and mu have one length
-        if self.gcm.tag == "finite":  # multiplicities are Weyl-invariant (Kac, Prop. 10.1)
-            diff = self.lam - _dominant(self.gcm, mu)[0]
-        beta = in_positive_root_cone(self.gcm, diff)
-        if beta is None:
+        """dim of the weight space at mu, read at its dominant conjugate, so the
+        table grows only to that conjugate's height."""
+        beta = in_positive_root_cone(self.gcm, self.lam - mu)
+        if beta is None or (beta := self._dominant_depth(beta)) is None:
             return 0
         return self.multiplicity_at_depth(beta, token)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -379,6 +380,21 @@ def test_km_mult_deep_affine_query_times_out_before_allocating(capsys, tmp_path)
         tracemalloc.stop()
     assert code == 3 and out == "" and "cancelled" in err
     assert peak < 2 * 2**20
+
+
+def test_abelian_hilbert_smith_form_honours_timeout():
+    # the Smith forms of this theory's later weights grow their entries without bound;
+    # the token is checked inside them, so the deadline ends the run
+    doc = {"rank": 4, "characters": [[0, -2, 0, 2], [2, -1, -2, 0], [-2, 2, 1, 2], [-2, 2, -1, -2],
+                                     [1, 2, 0, -1], [1, -2, -1, -1], [0, 1, 0, 1], [0, -2, -2, -1]]}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", "abelian", "hilbert", "--max-deg", "1", "--timeout", "2"],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "") and "cancelled" in proc.stderr
+    assert time.monotonic() - start < 10
 
 
 def test_km_mult_deep_weight_space(capsys, tmp_path):

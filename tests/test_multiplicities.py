@@ -6,6 +6,8 @@ where K is the Kostant partition function over the positive roots.  It shares
 no code with the Freudenthal recursion under test.
 """
 
+import hashlib
+import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -216,12 +218,65 @@ def kac_affine_roots(l, height):
     return out
 
 
-@pytest.mark.parametrize("l, height, count", [(1, 14, 21), (2, 12, 28), (3, 10, 34)])
+@pytest.mark.parametrize("l, height, count", [(1, 14, 21), (1, 120, 180), (2, 12, 28), (3, 10, 34)])
 def test_affine_root_tables_match_kac_description(l, height, count):
     table = root_multiplicities(named_gcm(f"A{l}~"), height)
     want = kac_affine_roots(l, height)
     assert len(want) == count
     assert table.multiplicities == want
+
+
+def exact_values(gcm):
+    """Root multiplicities and c-values to height 14 (8 above rank 4), and the
+    weight support of V(lam) for each lam with coordinate sum <= 3, to depth 6
+    (2 above rank 4); below rank 5 each weight's simple reflections are queried
+    too.  One line per weight or root."""
+    small = gcm.size <= 4
+    table = root_multiplicities(gcm, 14 if small else 8)
+    lines = [f"{b} {table.multiplicities.get(b, 0)} {table.c_values[b]}"
+             for b in sorted(table.c_values, key=lambda b: (sum(b), b))]
+    for fund in product(range(4), repeat=gcm.size):
+        if sum(fund) > 3:
+            continue
+        lam = KMWeight(fund)
+        for mu, m in weight_support(gcm, lam, 6 if small else 2):
+            reflected = [weight_multiplicity(gcm, lam, gcm.reflect(i, mu)) for i in range(gcm.size)] if small else []
+            lines.append(f"{fund} {mu.fund} {mu.delta} {m} {reflected}")
+    return "\n".join(lines)
+
+
+# sha256 of exact_values, recorded before Freudenthal's formula was restricted to dominant
+# weights and Peterson's pair sums moved to integers; keyed by matrix, not by registry name
+EXACT_VALUE_DIGESTS = {
+    "[[2]]": "936348bf06a90ca9fd2bba9ea28a41129d4f1134273ec9367cb418f89534ceba",
+    "[[2, -1], [-1, 2]]": "75971a02e1ebcb9be36bf34fda7f3e8bc8b94661aafbc6973a82d63d49804f9c",
+    "[[2, -1], [-2, 2]]": "4dbce6f9fce4ecca458e2b4a22c14f4e9dd0eb809b50704239f15c350055b86a",
+    "[[2, -1], [-3, 2]]": "b0c82a363770aafd59c62636157270c2711e50bc0816e862c5fdc09c91a6ea44",
+    "[[2, -1], [-4, 2]]": "808359043772a86a581d8ce88ac6041867696d74bc3d6b8b4bd726a3fb725da6",
+    "[[2, -2], [-1, 2]]": "f9a8f5aad29e911084825588d3e6d1cefdeeaebb786b2b4556414adcf14f75a1",
+    "[[2, -2], [-2, 2]]": "32074abe2161aa607bb10f18ad53463b10936b114d1a9e7e07d9a0b591d5c8df",
+    "[[2, -3], [-3, 2]]": "9d6fe1710c8c3239ef08bfbfc2208a2fcbbb49a7766b8eca055b3aa141800eae",
+    "[[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]": "0927831332dc051294f89e47f8099a92d1996f5bcbb09e16e6fe660b704fc636",
+    "[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]": "8a12217c2078612be7f1bd78b6e82bf9c2f6e5b510d6e5c2143780e11c9ab4ff",
+    "[[2, -1, 0], [-1, 2, -1], [0, -2, 2]]": "a92541f595ef7b1a48a7b9f59092c9d9e03e1f00bf878cab66ed5f3a8c3d44fa",
+    "[[2, -1, 0], [-1, 2, -2], [0, -1, 2]]": "8be80b2938df32b2073f54cb302bbcc12a64df75fbcead8e198056459a7974f3",
+    "[[2, -2, 0], [-2, 2, -1], [0, -1, 2]]": "67fcc55960af77078bb8e47664ec7e36334c1c8d9e67a048bb4ed2128a71cea9",
+    "[[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]": "e490bf5ec9ad5fdb4bd66e0c8eb36b15fbcef156aa0152b8edcb113dcba3af42",
+    "[[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]": "c865b9658df850cbe7c9f4ebbc2ebffa9df1486d348f1daa15b4c8b74e6a3a4d",
+    "[[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0], [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]]": "3d867e11ecd7aeed0975a33f0ebe6606d6653c78f12b3e883178883466fd8714",
+    "[[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, 0], [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]": "ba7f26f7d83b36e15ca083e5f281683a516b903b4b95b855912750d4cb6f0b2a",
+    "[[2, -1, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0], [0, 0, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, -1, 2]]": "8d581ac5cc16aa2ab82772186334ac58ef66db97ea4f0eb4777cfad3fd1f6e51",
+    "[[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0, 0], [0, 0, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, 0, -1, 2]]": "0bc04c393e912908e8cd8b2f531fc784e496f0967c87f32f30a96b3e29f67feb",
+    "[[2, -1, 0, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0, 0, 0], [0, 0, -1, 2, -1, 0, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, 0, 0, -1, 2]]": "2d61f939e7eb614aed7708390781d21d52637dc56a2fb1a2cd1fd9994060b18c",
+}
+
+
+def test_exact_values_match_recorded_digests():
+    computed = {}
+    for key in EXACT_VALUE_DIGESTS:
+        gcm = validate_and_symmetrize(json.loads(key))
+        computed[key] = hashlib.sha256(exact_values(gcm).encode()).hexdigest()
+    assert computed == EXACT_VALUE_DIGESTS
 
 
 def test_tables_store_only_nonzero_entries():
@@ -275,6 +330,27 @@ def test_freudenthal_depth_is_not_bounded_by_the_recursion_limit():
         assert table.multiplicity_at_depth((300,)) == 1
     finally:
         sys.setrecursionlimit(old)
+
+
+def test_freudenthal_sums_only_at_dominant_weights():
+    # A4 (3,3,3,3) at mu = 0 fills 6968 weights, of which 198 are dominant (lam included);
+    # every other weight reads its dominant conjugate's multiplicity
+    multiplicities._root_table.cache_clear()
+    multiplicities._freudenthal.cache_clear()
+    gcm, lam = named_gcm("A4"), KMWeight.of((3, 3, 3, 3))
+    assert weight_multiplicity(gcm, lam, KMWeight.of((0, 0, 0, 0))) == 1136
+    table = multiplicities._freudenthal(gcm, lam)
+    assert table.evaluated == 198
+    assert len(table._mult) == 6968
+
+
+def test_affine_queries_reduce_before_filling():
+    # s_0 s_1 s_0 (Lambda_0 - 10 delta) lies at beta = (14, 12); the table grows only to the
+    # height 20 of its dominant conjugate, whose multiplicity is p(10) = 42
+    multiplicities._freudenthal.cache_clear()
+    gcm, lam = named_gcm("A1~"), KMWeight.of((1, 0))
+    assert weight_multiplicity(gcm, lam, KMWeight((-3, 4), -12)) == 42
+    assert multiplicities._freudenthal(gcm, lam).height == 20
 
 
 def test_weight_multiplicity_requires_dominant():
