@@ -59,7 +59,8 @@ class RootTable:
         # reached, or stopped: mults is filled in height order, so its last root tops them all
         if height <= self.height or self.height and sum(next(reversed(mults), ())) < self.height:
             return
-        lcms = list(accumulate(range(1, height + 1), lcm, initial=1))  # lcms[h] = L(h)
+        # lcms[h] = L(h), grown one entry per layer once the token has been checked
+        lcms = list(accumulate(range(1, self.height + 1), lcm, initial=1))
         layers: dict[int, list[tuple[RootVector, int]]] = {}  # c_beta L(h), by height h
         for beta, cb in c.items():
             h = sum(beta)
@@ -67,7 +68,8 @@ class RootTable:
         gram = [[gcm.gram(i, j) for i in range(n)] for j in range(n)]  # row j: (alpha_i, alpha_j)
         pairings: dict[RootVector, list[int]] = {}  # beta' -> ((beta', alpha_j))_j
         for h in range(self.height + 1, height + 1):
-            scale = lcms[h]
+            check(token)
+            lcms.append(scale := lcm(lcms[-1], h))
             num: dict[RootVector, int] = {}  # the pair sums times L(h)^2
             for h1 in range(1, h // 2 + 1):
                 twice = 2 if 2 * h1 < h else 1  # the pair sum is symmetric in beta', beta''
@@ -170,14 +172,17 @@ class FreudenthalTable:
         self._mult: dict[RootVector, int] = {self._top[0]: 1}
         self.evaluated = 1
 
+    def _coordinates(self, beta: RootVector) -> list[int]:
+        """The fundamental coordinates of lam - beta: lam - A beta."""
+        return [x - sum(map(mul, row, beta)) for x, row in zip(self.lam.fund, self.gcm.entries)]
+
     def _dominant_depth(self, beta: RootVector) -> RootVector | None:
         """The depth of the dominant Weyl conjugate of lam - beta, or None when
         lam - beta is not a weight of V(lam).  With c = lam - A beta the
         fundamental coordinates of lam - beta, s_i adds c_i to beta_i; a
         negative c_i lowers the height, and a negative beta_i leaves the
         weights, which the Weyl group permutes (Kac, Prop. 10.1)."""
-        a, beta = self.gcm.entries, list(beta)
-        c = [x - sum(map(mul, row, beta)) for x, row in zip(self.lam.fund, a)]
+        a, c, beta = self.gcm.entries, self._coordinates(beta), list(beta)
         while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
             step = c[i]
             beta[i] += step
@@ -204,13 +209,12 @@ class FreudenthalTable:
         table.extend(height, token)
         roots = [(alpha, m, _form(gcm, alpha, alpha))
                  for alpha, m in table.multiplicities.items() if sum(alpha) <= height]
-        a = gcm.entries
         while self._top and self.height < height:
             below = dict.fromkeys(b[:i] + (b[i] + 1,) + b[i + 1:] for b in self._top for i in range(len(b)))
             layer = {}
             for beta in below:
                 check(token)
-                mu = [x - sum(map(mul, row, beta)) for x, row in zip(lam, a)]  # lam - beta
+                mu = self._coordinates(beta)
                 i = next((i for i, x in enumerate(mu) if x < 0), None)
                 if i is None:
                     q = self._freudenthal_sum(beta, mu, roots)

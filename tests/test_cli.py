@@ -366,12 +366,12 @@ def test_km_queries_honour_timeout(capsys, tmp_path, command, doc):
     assert code == 0
 
 
-def test_km_mult_deep_affine_query_times_out_before_allocating(capsys, tmp_path):
-    # lam - 500 delta on the A1~ basic module: the token is checked before the
+def _assert_deep_affine_query_times_out_before_allocating(capsys, tmp_path, depth):
+    # lam - depth delta on the A1~ basic module: the token is checked before the
     # tables grow, not after the query has allocated its whole search region
     multiplicities._freudenthal.cache_clear()
     multiplicities._root_table.cache_clear()
-    doc = {"cartan": "A1~", "lambda": {"fund": [1, 0]}, "mu": {"fund": [1, 0], "delta": -500}}
+    doc = {"cartan": "A1~", "lambda": {"fund": [1, 0]}, "mu": {"fund": [1, 0], "delta": -depth}}
     tracemalloc.start()
     try:
         code, out, err = run(capsys, ["km", "mult", "--timeout", "0"], doc, tmp_path=tmp_path)
@@ -380,6 +380,16 @@ def test_km_mult_deep_affine_query_times_out_before_allocating(capsys, tmp_path)
         tracemalloc.stop()
     assert code == 3 and out == "" and "cancelled" in err
     assert peak < 2 * 2**20
+
+
+def test_km_mult_deep_affine_query_times_out_before_allocating(capsys, tmp_path):
+    _assert_deep_affine_query_times_out_before_allocating(capsys, tmp_path, 500)
+
+
+def test_km_mult_deeper_affine_query_times_out_before_allocating(capsys, tmp_path):
+    # Peterson's lcm(1, ..., h) for every h up to 2 * 5000 would take ~9 MB:
+    # they are built one layer at a time, after the token is checked
+    _assert_deep_affine_query_times_out_before_allocating(capsys, tmp_path, 5000)
 
 
 def test_abelian_hilbert_smith_form_honours_timeout():
