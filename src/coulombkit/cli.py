@@ -42,6 +42,10 @@ class MismatchError(Exception):
     """A verification subcommand found a mismatch (exit code 2)."""
 
 
+class BoundExceeded(Exception):
+    """A result is too large to print (exit code 3)."""
+
+
 _SCHEMA_SUFFIX = ".schema.json"
 
 
@@ -95,7 +99,8 @@ def _read_document(args) -> dict:
         raise InputError([f"cannot read input: {exc}"]) from exc
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the limit
+    # RecursionError: nested past the limit; a bare ValueError: an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise InputError([f"invalid JSON: {exc}"]) from exc
     return doc
 
@@ -225,28 +230,35 @@ def _theory_and_elements(doc, *keys):
     return th, elems
 
 
+def _printed(value, key, to_json) -> dict:
+    """``value`` as its printed ``"result"`` and as JSON under ``key``.  Printing
+    stops with a ValueError at an integer past the interpreter's digit limit."""
+    try:
+        return {"result": str(value), key: to_json(value)}
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise BoundExceeded(f"a coefficient of the result has more than {limit} digits") from None
+
+
 def _cmd_abelian_ring(doc, args):
     from . import monopole
 
     th, (a, b) = _theory_and_elements(doc, "a", "b")
-    prod = monopole.classical_product(th, a, b, _token(args))
-    return {"result": str(prod), "element": jsonio.element_to_json(prod)}
+    return _printed(monopole.classical_product(th, a, b, _token(args)), "element", jsonio.element_to_json)
 
 
 def _cmd_abelian_quantize(doc, args):
     from . import monopole
 
     th, (a,) = _theory_and_elements(doc, "element")
-    op = monopole.quantize(th, a, _token(args))
-    return {"result": str(op), "operator": jsonio.operator_to_json(op)}
+    return _printed(monopole.quantize(th, a, _token(args)), "operator", jsonio.operator_to_json)
 
 
 def _cmd_abelian_poisson(doc, args):
     from . import monopole
 
     th, (a, b) = _theory_and_elements(doc, "a", "b")
-    br = monopole.poisson(th, a, b, _token(args))
-    return {"result": str(br), "element": jsonio.element_to_json(br)}
+    return _printed(monopole.poisson(th, a, b, _token(args)), "element", jsonio.element_to_json)
 
 
 def _cmd_abelian_hilbert(doc, args):
@@ -372,6 +384,9 @@ def main(argv=None) -> int:
         return 2
     except Cancelled as exc:
         print(f"cancelled: {exc}", file=sys.stderr)
+        return 3
+    except BoundExceeded as exc:
+        print(f"bound exceeded: {exc}", file=sys.stderr)
         return 3
     except CoulombKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,19 @@ polynomial.  Multiplication normal-orders coefficients to the left of shifts:
 
 Coefficients are elements of one sparse polynomial ring per rank,
 QQ[w_1 .. w_rank, hbar] (``poly_ring``); sympy expressions appear only where
-values enter (``from_terms``) and leave (``terms``, ``str``).
+values enter (``from_terms``) and leave (``terms``, ``str``).  The ring's
+generic substitution is not used: the shift expands each monomial by the
+binomial theorem, (w_j + lam_j hbar)^a = sum_k C(a, k) lam_j^k w_j^(a-k) hbar^k,
+into one dict of exponent tuples, and the hbar specialization evaluates the
+hbar-degree pieces of a coefficient at the value by Horner's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import comb
 
 import sympy
 from sympy.polys.domains import QQ
@@ -87,7 +93,7 @@ class _GradedSum:
 
     def __sub__(self, other):
         self._check_rank(other)
-        return self + other.scale(-1)
+        return self.from_terms(self.rank, self.polys + tuple((lam, -p) for lam, p in other.polys))
 
     def scale(self, c):
         c = to_poly(self.rank, c)
@@ -137,11 +143,26 @@ class DifferenceOperator(_GradedSum):
         return multiply(self, other)
 
 
-def _shift(p: PolyElement, lam: Coweight) -> PolyElement:
-    """p(w + hbar * lam, hbar)."""
-    gens = p.ring.gens
-    subs = [(w, w + l * gens[-1]) for w, l in zip(gens, lam) if l]
-    return p.compose(subs) if subs else p
+def _shift(p: PolyElement, lam: Coweight, token: CancellationToken | None = None) -> PolyElement:
+    """p(w + hbar * lam, hbar), monomial by monomial by the binomial theorem:
+    w_j^a -> sum_k C(a, k) lam_j^k w_j^(a - k) hbar^k."""
+    moved = [(j, l) for j, l in enumerate(lam) if l]
+    if not moved:
+        return p
+    zero = p.ring.domain.zero
+    out: dict = {}
+    for monom, coeff in p.items():
+        check(token)
+        expansions = [[(j, k, comb(a, k) * l**k) for k in range(a + 1)] for j, l in moved if (a := monom[j])]
+        for choice in product(*expansions):
+            m, factor = list(monom), 1
+            for j, k, b in choice:
+                m[j] -= k
+                m[-1] += k
+                factor *= b
+            m = tuple(m)
+            out[m] = out.get(m, zero) + coeff * factor
+    return p.new({m: c for m, c in out.items() if c})
 
 
 def shift_polynomial(rank: int, poly, lam: Coweight) -> sympy.Expr:
@@ -158,7 +179,7 @@ def multiply(
         for mu, g in b.polys:
             check(token)
             key = tuple(x + y for x, y in zip(lam, mu))
-            acc.append((key, f * _shift(g, lam)))
+            acc.append((key, f * _shift(g, lam, token)))
     return DifferenceOperator.from_terms(a.rank, acc)
 
 
@@ -169,9 +190,20 @@ def commutator(
 
 
 def specialize_hbar(a: DifferenceOperator, value) -> DifferenceOperator:
+    """hbar -> ``value`` (a rational or a polynomial) in every coefficient."""
     v = to_poly(a.rank, value)
-    hbar = v.ring.gens[-1]
-    return DifferenceOperator.from_terms(a.rank, [(lam, p.compose(hbar, v)) for lam, p in a.polys])
+    return DifferenceOperator.from_terms(a.rank, [(lam, _at_hbar(p, v)) for lam, p in a.polys])
+
+
+def _at_hbar(p: PolyElement, v: PolyElement) -> PolyElement:
+    """p(w, v) by Horner's rule over the hbar-degree pieces p_d(w) of p."""
+    pieces: dict[int, dict] = {}
+    for monom, coeff in p.items():
+        pieces.setdefault(monom[-1], {})[monom[:-1] + (0,)] = coeff
+    acc = p.ring.zero
+    for d in range(max(pieces, default=0), -1, -1):
+        acc = acc * v + p.new(pieces.get(d, ()))
+    return acc
 
 
 def poisson_from_lifts(

@@ -6,6 +6,7 @@ strings like "3/2" so round-trips stay exact.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -88,6 +89,11 @@ def _poly_from_json(terms, rank: int, nvars: int, path):
             q = Fraction(t["coeff"])
         except ZeroDivisionError:
             raise DomainError(f"{path}/{i}/coeff: zero denominator in {t['coeff']!r}") from None
+        except ValueError:  # also raised past the interpreter's limit on int <-> str digits
+            raise DomainError(
+                f"{path}/{i}/coeff: not a fraction of integers of at most "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         monom = tuple(int(p) for p in t["powers"]) + (0,) * (ring.ngens - nvars)
         if min(monom, default=0) < 0:
             raise DomainError(f"{path}/{i}/powers: negative exponent in {t['powers']}")

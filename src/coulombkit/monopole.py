@@ -53,7 +53,7 @@ class CoulombElement(_GradedSum):
 def _linear_form(th: AbelianTheory, rho: CharacterVector) -> PolyElement:
     """<rho, w> in poly_ring(rank)."""
     R = poly_ring(th.rank)
-    return sum((c * w for c, w in zip(rho, R.gens)), R.zero)
+    return R.dtype({R.gens[j].LM: R.domain(c) for j, c in enumerate(rho) if c})
 
 
 def classical_product(
@@ -80,21 +80,38 @@ def classical_product(
                 d2 = abs(p) + abs(q) - abs(p + q)
                 assert d2 % 2 == 0
                 if d2:
-                    prod *= _linear_form(th, rho) ** (d2 // 2)
+                    form = _linear_form(th, rho)
+                    for _ in range(d2 // 2):
+                        check(token)
+                        prod *= form
             acc.append((key, prod))
     return CoulombElement.from_terms(th.rank, acc)
 
 
-def _quantized_shift(th: AbelianTheory, lam: Coweight) -> PolyElement:
+def _quantized_shift(
+    th: AbelianTheory, lam: Coweight, token: CancellationToken | None = None
+) -> PolyElement:
     """The coefficient of u_lam: descending-factor dressing of e^lam by the
-    positive pairings."""
+    positive pairings, prod_i prod_{0 <= j < <rho_i, lam>} (<rho_i, w> - j hbar)."""
     R = poly_ring(th.rank)
     hbar = R.gens[-1]
     poly = R.one
     for rho in th.characters:
-        form = _linear_form(th, rho)
-        for j in range(pairing(lam, rho)):
-            poly *= form - j * hbar
+        factor = _linear_form(th, rho)
+        for _ in range(pairing(lam, rho)):
+            check(token)
+            poly *= factor
+            factor = factor - hbar
+    return poly
+
+
+def _classical_dressing(th: AbelianTheory, lam: Coweight) -> PolyElement:
+    """The quantized dressing at hbar = 0: prod_i <rho_i, w>^max(0, <rho_i, lam>)."""
+    poly = poly_ring(th.rank).one
+    for rho in th.characters:
+        p = pairing(lam, rho)
+        if p > 0:
+            poly *= _linear_form(th, rho) ** p
     return poly
 
 
@@ -107,7 +124,7 @@ def quantize(
     out = []
     for lam, f in a.polys:
         check(token)
-        out.append((lam, f * _quantized_shift(th, lam)))
+        out.append((lam, f * _quantized_shift(th, lam, token)))
     return DifferenceOperator.from_terms(th.rank, out)
 
 
@@ -128,7 +145,7 @@ def element_from_operator(th: AbelianTheory, op: DifferenceOperator) -> CoulombE
     for lam, poly in op.polys:
         if poly.degree(hbar) > 0:
             raise LiftError("operator still involves hbar")
-        quo, rem = poly.div(_quantized_shift(th, lam).compose(hbar, 0))
+        quo, rem = poly.div(_classical_dressing(th, lam))
         if rem:
             raise LiftError(f"coefficient at {lam} is not divisible by the monopole dressing")
         out.append((lam, quo))
@@ -160,9 +177,4 @@ def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:
     """r^lam * r^{-lam} = prod_i <rho_i, w>^{|<rho_i, lam>|}, a nonzero
     polynomial: every monopole class is invertible after inverting the w's."""
     lam = tuple(int(x) for x in lam)
-    poly = poly_ring(th.rank).one
-    for rho in th.characters:
-        p = abs(pairing(lam, rho))
-        if p:
-            poly *= _linear_form(th, rho) ** p
-    return poly.as_expr()
+    return (_classical_dressing(th, lam) * _classical_dressing(th, tuple(-x for x in lam))).as_expr()

@@ -31,15 +31,17 @@ RootVector = tuple[int, ...]  # coordinates over the simple roots
 class RootTable:
     """Positive roots up to a height bound, with multiplicities.
 
-    ``multiplicities`` maps root-lattice vectors to positive integers;
-    ``c_values`` holds the nonzero Peterson auxiliaries c_beta up to
-    ``height``, which stops one layer above the highest root in finite type.
+    ``multiplicities`` maps root-lattice vectors to positive integers and
+    ``norms`` each of those roots to (beta, beta); ``c_values`` holds the
+    nonzero Peterson auxiliaries c_beta up to ``height``, which stops one
+    layer above the highest root in finite type.
     """
 
     gcm: GeneralizedCartanMatrix
     height: int
     multiplicities: dict[RootVector, int] = field(default_factory=dict)
     c_values: dict[RootVector, Fraction] = field(default_factory=dict)
+    norms: dict[RootVector, int] = field(default_factory=dict)
 
     def roots(self):
         return sorted(self.multiplicities, key=lambda b: (sum(b), b))
@@ -84,6 +86,7 @@ class RootTable:
                         beta = tuple(map(add, bp, bpp))
                         num[beta] = num.get(beta, 0) + sum(map(mul, gp, bpp)) * cp * cpp
             roots = {tuple(int(i == j) for j in range(n)): 1 for i in range(n)} if h == 1 else {}
+            norms = {beta: _form(gcm, beta, beta) for beta in roots}
             layer = dict.fromkeys(roots, scale)
             for beta, s in num.items():
                 check(token)
@@ -91,7 +94,8 @@ class RootTable:
                 for k in range(2, gcd(*beta) + 1):
                     if all(b % k == 0 for b in beta):
                         divisor_part += mults.get(tuple(b // k for b in beta), 0) * (scale // k)
-                den = _form(gcm, beta, beta) - 2 * _pair(gcm, (1,) * n, beta)
+                norm = _form(gcm, beta, beta)
+                den = norm - 2 * _pair(gcm, (1,) * n, beta)
                 if den == 0:
                     # the denominator vanishes only off the root system (a real root of height >= 2
                     # has (rho, beta^vee) >= 2 and an imaginary root has (beta, beta) <= 0 < (rho, beta)),
@@ -104,12 +108,13 @@ class RootTable:
                     mult, r_mult = divmod(cb - divisor_part, scale)
                     assert r == r_mult == 0 and mult >= 0
                     if mult:
-                        roots[beta] = mult
+                        roots[beta], norms[beta] = mult, norm
                 if cb:
                     layer[beta] = cb
             layers[h] = list(layer.items())
             c.update((beta, Fraction(cb, scale)) for beta, cb in layer.items())
             mults.update(roots)
+            self.norms.update(norms)
             self.height = h
             if not roots:
                 return
@@ -137,7 +142,7 @@ def root_multiplicities(
     (shared := _root_table(gcm)).extend(height, token)
     h = min(height, shared.height)
     return RootTable(gcm, h, *({b: v for b, v in d.items() if sum(b) <= h}
-                              for d in (shared.multiplicities, shared.c_values)))
+                              for d in (shared.multiplicities, shared.c_values, shared.norms)))
 
 
 @lru_cache(maxsize=16)
@@ -207,7 +212,7 @@ class FreudenthalTable:
             return
         table = _root_table(gcm)
         table.extend(height, token)
-        roots = [(alpha, m, _form(gcm, alpha, alpha))
+        roots = [(alpha, m, table.norms[alpha])
                  for alpha, m in table.multiplicities.items() if sum(alpha) <= height]
         while self._top and self.height < height:
             below = dict.fromkeys(b[:i] + (b[i] + 1,) + b[i + 1:] for b in self._top for i in range(len(b)))

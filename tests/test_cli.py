@@ -407,6 +407,33 @@ def test_abelian_hilbert_smith_form_honours_timeout():
     assert time.monotonic() - start < 10
 
 
+def _one_term(lam):
+    return {"rank": len(lam), "terms": [{"coweight": lam, "poly": [{"coeff": "1", "powers": [0] * len(lam)}]}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("quantize", {"theory": {"rank": 1, "characters": [[1]]}, "element": _one_term([100000])}),
+        ("poisson", {"theory": {"rank": 1, "characters": [[1]]}, "a": _one_term([3000]), "b": _one_term([-1])}),
+        ("ring", {"theory": {"rank": 2, "characters": [[1, 1]]},
+                  "a": _one_term([20000, 0]), "b": _one_term([-20000, 0])}),
+    ],
+    ids=["quantize_dressing", "poisson_shift", "ring_dressing_power"],
+)
+def test_abelian_timeout_reaches_inside_one_term(command, doc):
+    # one term pair whose dressing has tens of thousands of linear factors: the
+    # token is checked per factor and per shifted monomial, not per term pair
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", "abelian", command, "--timeout", "1"],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "") and "cancelled" in proc.stderr
+    assert time.monotonic() - start < 10
+
+
 def test_km_mult_deep_weight_space(capsys, tmp_path):
     # the lowest weight of V(3000 varpi): 3000 simple roots below the highest one
     doc = {"cartan": "A1", "lambda": {"fund": [3000]}, "mu": {"fund": [-3000]}}
@@ -448,6 +475,33 @@ def test_zero_denominator_coefficient_is_rejected(capsys, tmp_path):
     code, out, err = run(capsys, ["abelian", "ring"], doc, tmp_path=tmp_path)
     assert code == 1 and out == ""
     assert "/terms/0/poly/1/coeff" in err
+
+
+def test_coefficient_past_the_digit_limit_is_a_domain_error(capsys, tmp_path):
+    # the schema's pattern admits any number of digits; Fraction() stops at the
+    # interpreter's int <-> str limit (4300 digits by default)
+    doc = _ring_doc([{"coeff": "7" * 5000, "powers": [0]}])
+    code, out, _ = run(capsys, ["validate", "--schema", "element"], doc["a"], tmp_path=tmp_path)
+    assert code == 0
+    code, out, err = run(capsys, ["abelian", "ring"], doc, tmp_path=tmp_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: /terms/0/poly/0/coeff: ")
+
+
+def test_result_past_the_digit_limit_is_a_bound_exceeded(capsys, tmp_path):
+    # two 3000-digit coefficients read fine; their 6000-digit product cannot be printed
+    doc = _ring_doc([{"coeff": "7" * 3000, "powers": [0]}])
+    doc["b"]["terms"][0]["poly"][0]["coeff"] = "9" * 3000
+    code, out, err = run(capsys, ["abelian", "ring"], doc, tmp_path=tmp_path)
+    assert (code, out) == (3, "") and err.startswith("bound exceeded: ")
+
+
+def test_json_integer_past_the_digit_limit_is_invalid_json(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text('{"cartan": "A1", "lambda": {"fund": [%s]}, "mu": {"fund": [0]}}' % ("1" * 5000))
+    code = main(["km", "mult", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "") and err.startswith("invalid JSON: ")
 
 
 def test_powers_length_must_match_generators(capsys, tmp_path):

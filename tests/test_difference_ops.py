@@ -253,3 +253,102 @@ def test_poisson_from_lifts_rejects_hbar_free_commutator_part(monkeypatch):
     monkeypatch.setattr(difference_ops, "commutator", lambda a, b, token=None: op({(1,): W + HBAR}))
     with pytest.raises(LiftError):
         poisson_from_lifts(DifferenceOperator.one(1), DifferenceOperator.one(1))
+
+
+# ---------------------------------------------------------------- ring kernels against sympy
+# The shift, the hbar specialization, the classical dressing and the difference
+# are computed term by term in the ring; sympy's generic PolyElement.compose
+# and Expr.subs are the oracles.
+
+def random_ring_poly(rng, rank, max_deg=6, terms=6):
+    R = difference_ops.poly_ring(rank)
+    poly = R.zero
+    for _ in range(rng.randint(1, terms)):
+        exps = [0] * (rank + 1)
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(rank + 1)] += 1
+        coeff = sympy.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+        poly += R.from_expr(coeff * sympy.Mul(*[g**e for g, e in zip(R.symbols, exps)]))
+    return poly
+
+
+def assert_canonical(p):
+    p._check()  # QQ coefficients, exponent tuples of the ring's length
+    assert all(p.values())
+
+
+def test_shift_matches_compose():
+    rng = random.Random(61)
+    for _ in range(150):
+        rank = rng.randint(1, 3)
+        p = random_ring_poly(rng, rank)
+        lam = tuple(rng.randint(-3, 3) for _ in range(rank))
+        hbar = p.ring.gens[-1]
+        want = p.compose([(w, w + l * hbar) for w, l in zip(p.ring.gens, lam) if l]) if any(lam) else p
+        got = difference_ops._shift(p, lam)
+        assert got == want
+        assert_canonical(got)
+        assert shift_polynomial(rank, p.as_expr(), lam) == want.as_expr()
+
+
+def test_shift_cancels_to_zero_coefficients():
+    # w^2 - (w + hbar)^2 shifted by -1 is (w - hbar)^2 - w^2: the w^2 terms cancel
+    R = difference_ops.poly_ring(1)
+    w, hbar = R.gens
+    got = difference_ops._shift(w**2 - (w + hbar) ** 2, (-1,))
+    assert got == -2 * w * hbar + hbar**2
+    assert_canonical(got)
+
+
+def test_specialize_hbar_matches_compose_and_subs():
+    rng = random.Random(67)
+    w1 = w_vars(1)[0]
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        R = difference_ops.poly_ring(rank)
+        a = DifferenceOperator.from_terms(
+            rank, [(tuple(rng.randint(-2, 2) for _ in range(rank)), random_ring_poly(rng, rank)) for _ in range(2)]
+        )
+        for value in (0, sympy.Rational(rng.randint(-4, 4) or 1, rng.randint(1, 3)), w1 + HBAR, w1**2 - 3 * HBAR):
+            v = R.from_expr(sympy.sympify(value))
+            got = specialize_hbar(a, value)
+            want = DifferenceOperator.from_terms(rank, [(lam, p.compose(R.gens[-1], v)) for lam, p in a.polys])
+            assert got == want
+            assert got.terms == oracle_terms(
+                {lam: sympy.expand(p.subs(HBAR, value)) for lam, p in a.terms}
+            )
+            for _, p in got.polys:
+                assert_canonical(p)
+
+
+def test_classical_dressing_is_the_quantized_dressing_at_hbar_zero():
+    from coulombkit import monopole
+
+    rng = random.Random(71)
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        th = monopole.AbelianTheory.of(
+            rank, [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(0, 4))]
+        )
+        lam = tuple(rng.randint(-3, 3) for _ in range(rank))
+        hbar = difference_ops.poly_ring(rank).gens[-1]
+        got = monopole._classical_dressing(th, lam)
+        assert got == monopole._quantized_shift(th, lam).compose(hbar, 0)
+        assert_canonical(got)
+
+
+def test_difference_is_the_sum_with_the_negation():
+    rng = random.Random(73)
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+
+        def operator():
+            lams = [tuple(rng.randint(-1, 1) for _ in range(rank)) for _ in range(rng.randint(1, 3))]
+            return DifferenceOperator.from_terms(rank, [(lam, random_ring_poly(rng, rank, 3, 3)) for lam in lams])
+
+        a, b = operator(), operator()
+        got = a - b
+        assert got == a + b.scale(-1)
+        assert (a - a).is_zero()
+        for _, p in got.polys:
+            assert_canonical(p)

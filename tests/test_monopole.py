@@ -1,5 +1,7 @@
 """Abelian Coulomb branch algebras: products, quantization, grading, series."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -10,8 +12,16 @@ import pytest
 import sympy
 
 from coulombkit.cancel import CancellationToken
-from coulombkit.difference_ops import HBAR, DifferenceOperator, multiply, specialize_hbar, w_vars
+from coulombkit.difference_ops import (
+    HBAR,
+    DifferenceOperator,
+    commutator,
+    multiply,
+    specialize_hbar,
+    w_vars,
+)
 from coulombkit.errors import DomainError, LiftError
+from coulombkit.jsonio import element_to_json, operator_to_json
 from coulombkit.lattices import IntMatrix, pairing, smith_diagonal
 from coulombkit.monopole import (
     AbelianTheory,
@@ -328,3 +338,98 @@ def test_birationality_witness():
     # witness equals the classical product r^lam * r^{-lam}
     prod = classical_product(th2, mono((1, -1), rank=2), mono((-1, 1), rank=2))
     assert prod.terms == (((0, 0), birationality_witness(th2, (1, -1))),)
+
+
+# ---------------------------------------------------------------- exact-value digests
+
+def _digest_case(rng):
+    """A theory of rank 1-3 and two elements with rational coefficients of
+    degree up to 2 at coweights in [-1, 1]^rank."""
+    k = rng.randint(1, 3)
+    th = AbelianTheory.of(k, [[rng.randint(-1, 1) for _ in range(k)] for _ in range(rng.randint(1, 4))])
+    ws = w_vars(k)
+
+    def element():
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            lam = tuple(rng.randint(-1, 1) for _ in range(k))
+            poly = sympy.Rational(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(0, 2)):
+                poly += sympy.Rational(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) * rng.choice(ws) ** rng.randint(1, 2)
+            terms.append((lam, poly))
+        elem = CoulombElement.from_terms(k, terms)
+        return elem if not elem.is_zero() else CoulombElement.polynomial(k, 1)
+
+    return th, element(), element()
+
+
+def monopole_values(th, a, b) -> str:
+    """str() and JSON of every monopole-algebra operation on (a, b), one line each."""
+    qa, qb = quantize(th, a), quantize(th, b)
+    ab = classical_product(th, a, b)
+    q = multiply(qa, qb)
+    lim = specialize_hbar(q, 0)
+    values = [
+        (ab, element_to_json),
+        (qa, operator_to_json),
+        (q, operator_to_json),
+        (commutator(qa, qb), operator_to_json),
+        (lim, operator_to_json),
+        (poisson(th, a, b), element_to_json),
+        (element_from_operator(th, lim), element_to_json),
+    ]
+    return "\n".join(f"{v}\t{json.dumps(enc(v), sort_keys=True)}" for v, enc in values)
+
+
+# sha256 of monopole_values on the 40 seeded theories, recorded before the shift,
+# the dressing and the hbar specialization were computed term by term in the ring
+MONOPOLE_DIGESTS = [
+    "798e9de7d045a4d9d5ccd9194c8a15129f2976126c0ed75fea347a8b308d0c8f",
+    "07de8b1ab74ab4f5a0ce2ad4dc9f6b800d68611eb67b1874ef77a5b9472bbe1d",
+    "c7750c3321c2cc56d7ace2824844b6c9fbb92c8e82d77fac07545d8b4ec3e597",
+    "f708638326b69c09f6b3be5d723e4b9f6f34ccb2c9f24830f9f94114565314cf",
+    "1f66e8d4175277a1cb8c3b6ba76f75555a1d7a40ea52440fed5f21204aa2f9d2",
+    "85a17e14a8236a99bfcb7a4150a3f52ec74c4daa0f1076a20b337879b21a32c9",
+    "71273a2547ee7d7cda4a588878f60f948cdef3b49ec5b12f869837259f6e0cbc",
+    "a767d4dee622847cd70a078cbcef3f8815157ff6829349d4eaadcbf89ffd9df9",
+    "6f5d9d05b99fc7529821c98d34ae41d6f9ce9da4382cc6eb5557a3a09de5dd90",
+    "06f27e70848f676920bdef401664c5e9d73ed30b515ce3baeb92797c0bfad953",
+    "66cbe121d3a580dec4117bddaf1467225614905883083cbee50d09be136e6bd8",
+    "8f2e2c1906ac77e1029fb25ba5d6ecb2ae2941833c18e2d6274889a6fde89574",
+    "765c05a55a8f63d97cb3843751ad828eb65c7d9d5ebf78b6cd7c3e2e55df6b32",
+    "5467fbb2667567ce7ccf7cca33df5449923444c69887b6c2fac4f50b0c972b5e",
+    "9fb88ad05b1f808602f46a5708d4b0a13d11bddb9ed5dd806f49bfe3fb4f83c0",
+    "6f7752c802b23cb60dbedee65a05b46c71deb731485adfb76187925b95c2eaf1",
+    "6aba1d24108f415cee402bbfff36479d685a0100cf900a9b4c0deeb8a7b2759b",
+    "1a7656c8b433fdab171ef60e22bbc7991b4912f675cd5dcaba052931eb36e398",
+    "f5aeb1b61cd8f121844176113729bfb0ca5e69cc121f708df0f4fdd5de85d83b",
+    "de411417af7c248fa59ea611911801f6b76a36dd7dbd7941f12054766a1e6a4f",
+    "60dc6326b9c5226609851ff99eb7f686cc68cf4b019491a493da81444f90e9ee",
+    "284565c975aab7b9b04295500f16426ddc718ca6dc953c0751d8f70420a5d5cd",
+    "6dd8521011de37fd2cb634f5c9b241688d326a02ea9355d35c8c6df258cd8a52",
+    "1f53757d378b45285031ad924d429365756fa071c51ec47f629c8bd61e0c0c5a",
+    "0490c81b717b61045ba93dfdaa1650aedfbc5fc67de15a34e6e7ec60f17baffe",
+    "a70455868d143050a79d79b84d999a4a043d14060eec96e04af1356567a2a936",
+    "4eecce035dd37f2070da20cbb1dc230a84ab0efcbabf3bea8c12c815ce0739ad",
+    "523cfb3a4e89fb4b2df6e261e6b75fba88c71ec689d907b361be9cdecc10ea12",
+    "c8b6a3b0ad8f12473614c63e19ebde53b701b6e56b51e5b9c0e8fd48af639dae",
+    "af88a8f99de3ec69a7d356e08429f1611dab9801ef2622be8de888e53dabc649",
+    "062ae7169942c695c584ec66c2d3886751c03a78d5d97acc02b58ab2d59b57bc",
+    "b522c9942b85183939ddba3fc91dc1bf647fc1c5bb982e0bd45efd427e9317c2",
+    "4d42fa560b7f90251289da92cad57c046689f514dcd0e87556a1ddfd094e48a5",
+    "b0c1dff83c91bb3e80b537285e730b77c658cd72e9cb0586337e34a06d360526",
+    "d3a6581c61c367c00c9df2e7a0affed5e4c364e5981dff7cea2b57a1ef3de121",
+    "132c68e801e47eb1baa3e947c1c0971af165fc60b05084794bdfe7bb70a35bf1",
+    "91cd138c7a8cb1e421e4b4c72f0c5bc81c521d2f154f8552466135fc16ef18c8",
+    "84997b3069a23c795aca5810fb81f8dfb62ad147cae34182bc00e2283a6f9229",
+    "c00b465a01058a163b036b08222ec7ae1a60c2b1251dc0c887e0a762aaca2d4c",
+    "299567a4209505b26d6024d3cd39b52fd239cb65fe6cde59f92e1956edfce6ab",
+]
+
+
+def test_monopole_values_match_recorded_digests():
+    rng = random.Random(2201)
+    computed = [
+        hashlib.sha256(monopole_values(*_digest_case(rng)).encode()).hexdigest() for _ in range(40)
+    ]
+    assert computed == MONOPOLE_DIGESTS

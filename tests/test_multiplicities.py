@@ -125,6 +125,20 @@ def test_root_table_stops_after_the_highest_root():
     assert max(map(sum, table.c_values)) == 6
 
 
+def test_root_table_norms_are_the_forms_of_its_roots():
+    # kept beside the multiplicities, so Freudenthal's sums do not recompute them;
+    # real roots have (beta, beta) = 2 d_i > 0, imaginary ones (beta, beta) <= 0
+    for name in ("A3", "B2", "G2", "C3", "A1~", "A2~", "A3~"):
+        gcm = named_gcm(name)
+        table = root_multiplicities(gcm, 8)
+        n = gcm.size
+        assert table.norms == {
+            b: sum(gcm.gram(i, j) * b[i] * b[j] for i in range(n) for j in range(n))
+            for b in table.multiplicities
+        }
+        assert list(table.norms) == list(table.multiplicities)
+
+
 def test_root_table_extends_in_place():
     # continuing Peterson's recursion from height 3 gives the fresh height-7 table
     for name in ("A2~", "A3~"):
