@@ -1,13 +1,16 @@
 """Exact linear algebra for character and cocharacter lattices.
 
-Smith normal form with unimodular transforms, column-style Hermite normal
-form used to canonicalize sublattices, the dual-torus kernel construction,
-and the count of weight-zero monomials that gives the graded dimensions on
-both sides of hypertoric duality.  The Smith form is the one path for rank,
-kernels and solving: ``cartan`` solves for root coordinates through it, and
-there is no Gauss-Jordan elimination over Q.  All work is plain
-arbitrary-precision integer arithmetic.  Coweights and character vectors are
-plain integer tuples; ``pairing`` is their dot product.
+One row-Hermite elimination, which reduces the entries above each pivot as it
+goes, runs under every lattice computation: the Smith normal form with
+unimodular transforms alternates it on rows and columns, the column-style
+Hermite form that canonicalizes sublattices is one pass, and so are rank and
+the saturated integer kernel.  On top of these sit the dual-torus kernel
+construction and the count of weight-zero monomials that gives the graded
+dimensions on both sides of hypertoric duality.  ``cartan`` solves for root
+coordinates through the Smith form, and there is no Gauss-Jordan elimination
+over Q.  All work is plain arbitrary-precision integer arithmetic.  Coweights
+and character vectors are plain integer tuples; ``pairing`` is their dot
+product.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def rank(self) -> int:
-        return sum(1 for d in smith_diagonal(self) if d != 0)
+        return _hermite([list(r) for r in self.entries], self.ncols)
 
 
 def pairing(lam: Sequence[int], rho: Sequence[int]) -> int:
@@ -101,111 +104,86 @@ def pairing(lam: Sequence[int], rho: Sequence[int]) -> int:
     return sum(int(a) * int(b) for a, b in zip(lam, rho))
 
 
+def _hermite(rows: list[list[int]], ncols: int, token: CancellationToken | None = None) -> int:
+    """Row-Hermite-reduce the first ``ncols`` columns of ``rows`` in place; return the rank.
+
+    Column by column, Euclid's algorithm on the smallest nonzero entry at or
+    below the current row leaves one pivot, made positive, and the entries
+    above it are reduced into [0, pivot).  Entries past ``ncols`` take the same
+    row operations, so a row that carries an identity block carries the
+    transform.  ``token`` is checked at each Euclid step.
+    """
+    n, r = len(rows), 0
+    for c in range(ncols):
+        if r == n:
+            break
+        while True:
+            check(token)
+            nz = [i for i in range(r, n) if rows[i][c]]
+            if len(nz) < 2:
+                break
+            p = min(nz, key=lambda i: abs(rows[i][c]))
+            a = rows[p]
+            for i in nz:
+                if i != p:
+                    q = rows[i][c] // a[c]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], a)]
+        if not nz:
+            continue
+        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        a = rows[r]
+        for i in range(r):
+            if q := rows[i][c] // a[c]:
+                rows[i] = [x - q * y for x, y in zip(rows[i], a)]
+        r += 1
+    return r
+
+
 def smith_normal_form(
     mat: IntMatrix, token: CancellationToken | None = None
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*mat*V = D, U and V unimodular, D diagonal
     with each diagonal entry dividing the next.
 
-    Pivoting always picks the smallest-magnitude nonzero entry of the working
-    submatrix (first by rows, then columns on ties), so output is deterministic.
-    ``token`` is checked at each pivot and before each row or column operation
-    of the clearing passes, whose entries can grow without bound.
+    Row Hermite passes on the matrix and on its transpose alternate until it is
+    diagonal; where d_i does not divide d_{i+1}, column i + 1 is added to
+    column i and the passes go round again.  Every pass reduces its entries
+    above the pivots, so the entries of U and V stay small (Kannan-Bachem).
+    ``token`` is checked at each Euclid step.
     """
     rows, cols = mat.nrows, mat.ncols
-    m = [list(r) for r in mat.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    wide = 0 < rows < cols  # then work on the transpose: its first row pass leaves less to clear
+    m = [list(r) for r in (zip(*mat.entries) if wide else mat.entries)]
+    if wide:
+        rows, cols = cols, rows
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]  # V transposed
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+    def diagonal():
+        return all(not x or i == j for i, row in enumerate(m) for j, x in enumerate(row))
 
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k):
-        # row[dst] += k * row[src]
-        for j in range(cols):
-            m[dst][j] += k * m[src][j]
-        for j in range(rows):
-            u[dst][j] += k * u[src][j]
-
-    def add_col(src, dst, k):
-        for row in m:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        check(token)
-        # locate smallest nonzero pivot in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    while True:
+        a = [r + t for r, t in zip(m, u)]
+        _hermite(a, cols, token)
+        m, u = [r[:cols] for r in a], [r[cols:] for r in a]
+        if not diagonal():
+            a = [list(c) + t for c, t in zip(zip(*m), vt)]
+            _hermite(a, rows, token)
+            m, vt = [list(r) for r in zip(*(c[:rows] for c in a))], [c[rows:] for c in a]
+            if not diagonal():
+                continue
+        d = [m[i][i] for i in range(min(rows, cols))]
+        i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        if i is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t; repeat until clean (pivot may shrink)
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    check(token)
-                    q = m[i][t] // m[t][t]
-                    add_row(t, i, -q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    check(token)
-                    q = m[t][j] // m[t][t]
-                    add_col(t, j, -q)
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        check(token)
-        changed = False
-        for i in range(t - 1):
-            a, b = m[i][i], m[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # fold b into position i via one column add, then re-clean 2x2
-                add_col(i + 1, i, 1)
-                while True:
-                    q = m[i + 1][i] // m[i][i]
-                    add_row(i, i + 1, -q)
-                    if m[i + 1][i] == 0:
-                        break
-                    swap_rows(i, i + 1)
-                q = m[i][i + 1] // m[i][i]
-                add_col(i, i + 1, -q)
-                if m[i][i] < 0:
-                    negate_row(i)
-                if m[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(m), IntMatrix.from_rows(v)
+        for row in m:
+            row[i] += row[i + 1]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[i + 1])]
+    if wide:  # U mat^T V = D gives V^T mat U^T = D^T
+        return IntMatrix(tuple(map(tuple, vt))), IntMatrix(tuple(zip(*m))), IntMatrix(tuple(zip(*u)))
+    return IntMatrix(tuple(map(tuple, u))), IntMatrix(tuple(map(tuple, m))), IntMatrix(tuple(zip(*vt)))
 
 
 def smith_diagonal(mat: IntMatrix) -> tuple[int, ...]:
@@ -268,51 +246,24 @@ def hermite_column_form(mat: IntMatrix) -> IntMatrix:
     reduced into [0, pivot).  Two matrices span the same sublattice iff their
     Hermite forms are equal, which is how sublattice equality is decided.
     """
-    rows, cols = mat.nrows, mat.ncols
-    colv = [list(mat.column(j)) for j in range(cols)]
-
-    def col_addmul(dst, src, k):
-        colv[dst] = [a + k * b for a, b in zip(colv[dst], colv[src])]
-
-    pivot_col = 0
-    for r in range(rows):
-        if pivot_col >= len(colv):
-            break
-        # euclidean elimination within row r over columns >= pivot_col
-        while True:
-            nz = [j for j in range(pivot_col, len(colv)) if colv[j][r] != 0]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: (abs(colv[j][r]), j))
-            for j in nz:
-                if j != j0:
-                    col_addmul(j, j0, -(colv[j][r] // colv[j0][r]))
-        nz = [j for j in range(pivot_col, len(colv)) if colv[j][r] != 0]
-        if not nz:
-            continue
-        j0 = nz[0]
-        colv[pivot_col], colv[j0] = colv[j0], colv[pivot_col]
-        if colv[pivot_col][r] < 0:
-            colv[pivot_col] = [-x for x in colv[pivot_col]]
-        p = colv[pivot_col][r]
-        for j in range(pivot_col):
-            col_addmul(j, pivot_col, -(colv[j][r] // p))
-        pivot_col += 1
-
-    kept = [c for c in colv[:pivot_col]]
-    return IntMatrix(tuple(zip(*kept)) if kept else tuple(() for _ in range(rows)))
+    cols = [list(c) for c in zip(*mat.entries)]
+    kept = cols[: _hermite(cols, mat.nrows)]
+    return IntMatrix(tuple(zip(*kept)) if kept else tuple(() for _ in range(mat.nrows)))
 
 
 def integer_kernel(mat: IntMatrix) -> IntMatrix:
     """A basis of the saturated integer kernel of ``mat``, as columns,
-    canonicalized by Hermite column form."""
-    _, d, v = smith_normal_form(mat)
-    r = sum(1 for i in range(min(d.nrows, d.ncols)) if d.entries[i][i] != 0)
-    cols = [v.column(j) for j in range(r, mat.ncols)]
-    if not cols:
-        return IntMatrix(tuple(() for _ in range(mat.ncols)))
-    basis = IntMatrix(tuple(zip(*cols)))
-    return hermite_column_form(basis)
+    canonicalized by Hermite column form.
+
+    One Hermite pass over mat^T, carrying an identity block, leaves the
+    kernel's basis in the transform's rows past the rank.
+    """
+    n = mat.ncols
+    a = [list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(zip(*mat.entries))]
+    basis = [row[mat.nrows :] for row in a[_hermite(a, mat.nrows) :]]
+    if not basis:
+        return IntMatrix(tuple(() for _ in range(n)))
+    return hermite_column_form(IntMatrix(tuple(zip(*basis))))
 
 
 def dual_sequence(a: IntMatrix) -> IntMatrix:

@@ -9,7 +9,6 @@ Jordan-quiver symmetric-product Hilbert series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .cancel import CancellationToken, check
@@ -279,7 +278,9 @@ def jordan_coulomb_hilbert(
         raise UnsupportedError("the grading degenerates for ell = 0")
     if n < 0:
         raise DomainError("n must be non-negative")
-    top = int(2 * Fraction(max_deg))
+    from .abelian import top_half_degree  # here, so that the Kac-Moody commands do not load it
+
+    top = top_half_degree(max_deg)
     h: list[int] = []  # h[t]: normal-form monomials of doubled degree t
     # sym[j][t]: multisets of j of them; one of doubled degree t <= top has at most top
     # members other than 1, so Sym^n agrees with Sym^top there when n > top

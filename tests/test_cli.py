@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from coulombkit import multiplicities
+from coulombkit.abelian import AbelianTheory
 from coulombkit.cli import main, validate_schema
+from test_monopole import _box_scan
 
 
 def run(capsys, argv, stdin_doc=None, monkeypatch=None, tmp_path=None):
@@ -392,19 +394,34 @@ def test_km_mult_deeper_affine_query_times_out_before_allocating(capsys, tmp_pat
     _assert_deep_affine_query_times_out_before_allocating(capsys, tmp_path, 5000)
 
 
-def test_abelian_hilbert_smith_form_honours_timeout():
-    # the Smith forms of this theory's later weights grow their entries without bound;
-    # the token is checked inside them, so the deadline ends the run
-    doc = {"rank": 4, "characters": [[0, -2, 0, 2], [2, -1, -2, 0], [-2, 2, 1, 2], [-2, 2, -1, -2],
-                                     [1, 2, 0, -1], [1, -2, -1, -1], [0, 1, 0, 1], [0, -2, -2, -1]]}
+# a smallest-pivot Smith loop with no Hermite reduction grows the entries of this theory's
+# transforms past six digits and never finishes
+SMITH_GROWTH_DOC = {"rank": 4, "characters": [[0, -2, 0, 2], [2, -1, -2, 0], [-2, 2, 1, 2], [-2, 2, -1, -2],
+                                              [1, 2, 0, -1], [1, -2, -1, -1], [0, 1, 0, 1], [0, -2, -2, -1]]}
+
+
+def _abelian_hilbert_subprocess(*flags):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "coulombkit.cli", "abelian", "hilbert", "--max-deg", "1", "--timeout", "2"],
-        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=30,
+    return subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", "abelian", "hilbert", *flags],
+        input=json.dumps(SMITH_GROWTH_DOC), env=env, capture_output=True, text=True, timeout=30,
     )
+
+
+def test_abelian_hilbert_finishes_where_smith_entries_grew():
+    start = time.monotonic()
+    proc = _abelian_hilbert_subprocess("--max-deg", "2", "--timeout", "20")
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    dims = [d for _, d in json.loads(proc.stdout)["dimensions"]]
+    assert dims == [1, 0, 4, 0, 10]
+    assert dims == _box_scan(AbelianTheory.of(SMITH_GROWTH_DOC["rank"], SMITH_GROWTH_DOC["characters"]), 2)
+    assert elapsed < 2
+
+
+def test_abelian_hilbert_smith_form_honours_timeout():
+    proc = _abelian_hilbert_subprocess("--max-deg", "2", "--timeout", "0")
     assert (proc.returncode, proc.stdout) == (3, "") and "cancelled" in proc.stderr
-    assert time.monotonic() - start < 10
 
 
 def _one_term(lam):

@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from coulombkit.errors import DimensionError, LatticeError
+from coulombkit.cancel import CancellationToken
+from coulombkit.errors import Cancelled, DimensionError, LatticeError
 from coulombkit.lattices import (
     IntMatrix,
     dual_sequence,
@@ -52,6 +53,44 @@ def solve_rational(a_rows, rhs):
     return v, n - r
 
 
+def euclid_hermite_column_form(mat):
+    """Reference oracle: column-style Hermite normal form by Euclid's algorithm
+    on the columns, row by row, with zero columns dropped."""
+    rows, cols = mat.nrows, mat.ncols
+    colv = [list(mat.column(j)) for j in range(cols)]
+
+    def col_addmul(dst, src, k):
+        colv[dst] = [a + k * b for a, b in zip(colv[dst], colv[src])]
+
+    pivot_col = 0
+    for r in range(rows):
+        if pivot_col >= len(colv):
+            break
+        # euclidean elimination within row r over columns >= pivot_col
+        while True:
+            nz = [j for j in range(pivot_col, len(colv)) if colv[j][r] != 0]
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: (abs(colv[j][r]), j))
+            for j in nz:
+                if j != j0:
+                    col_addmul(j, j0, -(colv[j][r] // colv[j0][r]))
+        nz = [j for j in range(pivot_col, len(colv)) if colv[j][r] != 0]
+        if not nz:
+            continue
+        j0 = nz[0]
+        colv[pivot_col], colv[j0] = colv[j0], colv[pivot_col]
+        if colv[pivot_col][r] < 0:
+            colv[pivot_col] = [-x for x in colv[pivot_col]]
+        p = colv[pivot_col][r]
+        for j in range(pivot_col):
+            col_addmul(j, pivot_col, -(colv[j][r] // p))
+        pivot_col += 1
+
+    kept = [c for c in colv[:pivot_col]]
+    return IntMatrix(tuple(zip(*kept)) if kept else tuple(() for _ in range(rows)))
+
+
 def test_pairing_values():
     assert pairing((0, 0), (3, 5)) == 0
     assert pairing((1,), (1,)) == 1
@@ -76,9 +115,9 @@ def test_smith_trivial_cases():
 
 def test_smith_randomized_identity_and_divisibility():
     rng = random.Random(7)
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
+    for _ in range(120):
+        rows = rng.randint(1, 8)
+        cols = rng.randint(1, 5)
         m = IntMatrix.from_rows(
             [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         )
@@ -95,11 +134,50 @@ def test_smith_randomized_identity_and_divisibility():
                     assert d.entries[i][j] == 0
 
 
+def test_smith_transform_entries_stay_small():
+    # a smallest-pivot loop with no Hermite reduction reaches entries past 10^7 on these
+    rng = random.Random(3)
+    for _ in range(300):
+        m = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(4)] for _ in range(8)])
+        u, d, v = smith_normal_form(m)
+        assert (u @ m) @ v == d
+        assert max(abs(x) for t in (u, v) for row in t.entries for x in row) < 10**4
+
+
+def test_smith_normal_form_honours_an_expired_token():
+    token = CancellationToken(0)
+    with pytest.raises(Cancelled):
+        smith_normal_form(IntMatrix.from_rows([[2, 3], [5, 7]]), token)
+
+
 def test_hermite_canonicalizes_column_span():
     a = IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
     # column operations do not change the Hermite form
     b = IntMatrix.from_rows([[1, 1], [2, 3], [3, 4]])
     assert hermite_column_form(a) == hermite_column_form(b)
+
+
+def test_hermite_matches_euclid_oracle():
+    rng = random.Random(13)
+    shapes = dict.fromkeys(("plain", "zero_columns", "rank_deficient", "zero_rows"), 0)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        kind = rng.choice(tuple(shapes))
+        if kind == "zero_columns" and cols:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        elif kind == "rank_deficient" and rows > 1:
+            m[-1] = [a - 2 * b for a, b in zip(m[0], m[1])]
+        elif kind == "zero_rows" and rows:
+            m[rng.randrange(rows)] = [0] * cols
+        else:
+            kind = "plain"
+        mat = IntMatrix.from_rows(m)
+        assert hermite_column_form(mat) == euclid_hermite_column_form(mat), m
+        shapes[kind] += 1
+    assert min(shapes.values()) >= 50
 
 
 def test_dual_sequence_examples():

@@ -304,6 +304,21 @@ def test_hilbert_series_many_characters():
         assert hilbert_series(th, deg, token) == _box_scan(th, deg), th.characters
 
 
+def test_hilbert_series_rank_five_many_characters_finish():
+    # a smallest-pivot Smith loop with no Hermite reduction ran 6 of these past the token, the
+    # slowest for 3 s; the digest holds the answers of the other 54, recorded on that loop
+    rng = random.Random(5)
+    theories = []
+    while len(theories) < 60:
+        chars = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(10)]
+        if IntMatrix.from_rows(chars).rank() == 5:
+            theories.append(AbelianTheory.of(5, chars))
+    answers = {i: hilbert_series(th, 1, CancellationToken(timeout=2.0)) for i, th in enumerate(theories)}
+    recorded = {i: dims for i, dims in answers.items() if i not in (15, 17, 19, 20, 33, 37)}
+    digest = hashlib.sha256(json.dumps(recorded, sort_keys=True).encode()).hexdigest()
+    assert digest == "a901b7a7dff20b9c24c79adefe72225c2e29f75e4470accf261963387236616c"
+
+
 def test_hilbert_series_rank_zero():
     # no coweights but 0 and no dressings: only the constants
     for n in (0, 1, 3):

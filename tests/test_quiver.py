@@ -1,6 +1,7 @@
 """Quiver bookkeeping, slice parameters, strata, and fixed-point shadows."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +158,12 @@ def test_jordan_hilbert_examples():
 def test_jordan_hilbert_negative_ell():
     with pytest.raises(DomainError, match="ell must be positive, got -3"):
         jordan_coulomb_hilbert(1, -3, 1)
+
+
+@pytest.mark.parametrize("max_deg", [-1, Fraction(1, 3), "1.4"], ids=["negative", "one_third", "decimal"])
+def test_jordan_hilbert_rejects_a_degree_that_is_not_a_non_negative_half_integer(max_deg):
+    with pytest.raises(DomainError, match="non-negative half-integer"):
+        jordan_coulomb_hilbert(1, 2, max_deg)
 
 
 def test_jordan_hilbert_matches_abelian_series():
