@@ -99,32 +99,19 @@ class GeneralizedCartanMatrix:
         return all(c >= 0 for c in mu.fund)
 
 
-def _connected_components(a: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    n = len(a)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and a[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
+def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Minimal positive symmetrizers and the connected components, each sorted.
 
-
-def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    One walk per component from its first vertex fixes every ratio d_j / d_i.
+    """
     n = len(a)
     ratio: list[Fraction | None] = [None] * n
-    for comp in _connected_components(a):
-        ratio[comp[0]] = Fraction(1)
-        queue = [comp[0]]
+    comps = []
+    for start in range(n):
+        if ratio[start] is not None:
+            continue
+        ratio[start] = Fraction(1)
+        comp, queue = [start], [start]
         while queue:
             i = queue.pop()
             for j in range(n):
@@ -134,37 +121,40 @@ def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                 val = ratio[i] * Fraction(a[i][j], a[j][i])
                 if ratio[j] is None:
                     ratio[j] = val
+                    comp.append(j)
                     queue.append(j)
                 elif ratio[j] != val:
                     raise SymmetrizabilityError(
                         "matrix is not symmetrizable (cycle products disagree)"
                     )
+        comp.sort()
         lcm = reduce(math.lcm, (ratio[i].denominator for i in comp), 1)
         scaled = [ratio[i] * lcm for i in comp]
         g = reduce(math.gcd, (int(x) for x in scaled), 0)
         for i, x in zip(comp, scaled):
             ratio[i] = Fraction(int(x) // g)
-    return tuple(int(r) for r in ratio)
-
-
-def _leading_minors_positive(sym: list[list[int]], upto: int) -> bool:
-    for k in range(1, upto + 1):
-        sub = IntMatrix.from_rows([row[:k] for row in sym[:k]])
-        if sub.det() <= 0:
-            return False
-    return True
+        comps.append(comp)
+    return tuple(int(r) for r in ratio), comps
 
 
 def _classify_component(a, d, comp) -> str:
-    # symmetrized restriction D*A is symmetric; Sylvester on leading minors
-    sym = [[d[i] * a[i][j] for j in comp] for i in comp]
-    n = len(comp)
-    if _leading_minors_positive(sym, n):
-        return "finite"
-    full = IntMatrix.from_rows(sym)
-    if full.det() == 0 and _leading_minors_positive(sym, n - 1):
-        return "affine"
-    return "indefinite"
+    """Sylvester's criterion on the symmetric block D*A of one component.
+
+    One fraction-free (Bareiss) elimination with no row swaps: each step keeps
+    the trailing block, whose corner is the next leading principal minor, and
+    every division is exact.  It stops at the first minor that is not positive.
+    """
+    m = [[d[i] * a[i][j] for j in comp] for i in comp]
+    n, prev = len(m), 1
+    for k in range(n):
+        piv = m[0][0]
+        if piv <= 0:
+            # zero only in the last minor: a positive semidefinite corank-1 block
+            return "affine" if piv == 0 and k == n - 1 else "indefinite"
+        top = m[0]
+        m = [[(x * piv - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in m[1:]]
+        prev = piv
+    return "finite"
 
 
 def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
@@ -189,14 +179,9 @@ def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
                 if (a[i][j] == 0) != (a[j][i] == 0):
                     raise CartanError(f"a[{i}][{j}] = 0 requires a[{j}][{i}] = 0")
 
-    d = _minimal_symmetrizers(a)
-    comps = [_classify_component(a, d, c) for c in _connected_components(a)]
-    if any(t == "indefinite" for t in comps):
-        tag = "indefinite"
-    elif any(t == "affine" for t in comps):
-        tag = "affine"
-    else:
-        tag = "finite"
+    d, comps = _minimal_symmetrizers(a)
+    tags = {_classify_component(a, d, c) for c in comps}
+    tag = next((t for t in ("indefinite", "affine") if t in tags), "finite")
 
     null_vector = dual_labels = delta_split = None
     if tag == "affine":
@@ -261,7 +246,8 @@ def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
 
     A c = mu becomes D y = U mu with c = V y.  A zero d_j meeting a nonzero
     (U mu)_j makes the system inconsistent; otherwise y_j = (U mu)_j / d_j,
-    held over den, the largest d_j, which every nonzero d_j divides.
+    held over den, the largest d_j (1 for the rank-0 datum), which every
+    nonzero d_j divides.
     """
     if len(mu.fund) != gcm.size:
         raise DimensionError("weight length does not match Cartan matrix size")
@@ -269,7 +255,7 @@ def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     umu = [sum(a * b for a, b in zip(row, mu.fund)) for row in u]
     if any(x and not d for x, d in zip(umu, diag)):
         return None
-    den = max(diag)
+    den = max(diag, default=1)
     y = [x * (den // d) if d else 0 for x, d in zip(umu, diag)]
     num = [sum(a * b for a, b in zip(row, y)) for row in v]
     if 0 not in diag:

@@ -302,20 +302,21 @@ def _cmd_validate(doc, args):
     return {"diagnostics": []}
 
 
+# each leaf takes --input, --format and --timeout, and the flags its handler reads, by type
 _COMMANDS = {
-    ("km", "mult"): _cmd_km_mult,
-    ("km", "tensor"): _cmd_km_tensor,
-    ("km", "dual"): _cmd_km_dual,
-    ("quiver", "slice"): _cmd_quiver_slice,
-    ("quiver", "strata"): _cmd_quiver_strata,
-    ("quiver", "satake"): _cmd_quiver_satake,
-    ("abelian", "ring"): _cmd_abelian_ring,
-    ("abelian", "quantize"): _cmd_abelian_quantize,
-    ("abelian", "poisson"): _cmd_abelian_poisson,
-    ("abelian", "hilbert"): _cmd_abelian_hilbert,
-    ("hypertoric", "compare"): _cmd_hypertoric_compare,
-    ("jordan", "hilbert"): _cmd_jordan_hilbert,
-    ("validate", None): _cmd_validate,
+    ("km", "mult"): (_cmd_km_mult, {}),
+    ("km", "tensor"): (_cmd_km_tensor, {}),
+    ("km", "dual"): (_cmd_km_dual, {}),
+    ("quiver", "slice"): (_cmd_quiver_slice, {}),
+    ("quiver", "strata"): (_cmd_quiver_strata, {"--depth": int}),
+    ("quiver", "satake"): (_cmd_quiver_satake, {}),
+    ("abelian", "ring"): (_cmd_abelian_ring, {}),
+    ("abelian", "quantize"): (_cmd_abelian_quantize, {}),
+    ("abelian", "poisson"): (_cmd_abelian_poisson, {}),
+    ("abelian", "hilbert"): (_cmd_abelian_hilbert, {"--max-deg": str}),
+    ("hypertoric", "compare"): (_cmd_hypertoric_compare, {"--max-deg": str}),
+    ("jordan", "hilbert"): (_cmd_jordan_hilbert, {"--max-deg": str}),
+    ("validate", None): (_cmd_validate, {"--schema": str}),
 }
 
 
@@ -327,23 +328,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(sub, name):
+    def leaf(sub, name, flags):
         p = sub.add_parser(name)
         p.add_argument("--input", default="-", help="input JSON path, or - for stdin")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--max-deg", dest="max_deg", default=None)
-        p.add_argument("--depth", type=int, default=None)
         p.add_argument("--timeout", type=float, default=None)
-        p.add_argument("--schema", default=None)
+        for flag, kind in flags.items():
+            p.add_argument(flag, type=kind)
         return p
 
     for group in ("km", "quiver", "abelian", "hypertoric", "jordan"):
         g = top.add_parser(group)
         sub = g.add_subparsers(dest="command", required=True)
-        for grp, cmd in _COMMANDS:
+        for (grp, cmd), (_, flags) in _COMMANDS.items():
             if grp == group:
-                leaf(sub, cmd)
-    leaf(top, "validate").set_defaults(command=None)
+                leaf(sub, cmd, flags)
+    leaf(top, "validate", _COMMANDS["validate", None][1]).set_defaults(command=None)
     return parser
 
 
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error: malformed input
         return 1 if exc.code else 0
-    handler = _COMMANDS[(args.group, args.command)]
+    handler = _COMMANDS[(args.group, args.command)][0]
     try:
         if args.timeout is not None and math.isnan(args.timeout):  # a NaN deadline never expires
             raise InputError(["--timeout must be a number of seconds, not nan"])

@@ -114,10 +114,13 @@ def _to_json(value, with_hbar: bool) -> dict:
 def _terms_from_json(doc, with_hbar: bool) -> list:
     rank = int(doc["rank"])
     nvars = rank + with_hbar
-    return [
-        (tuple(t["coweight"]), _poly_from_json(t["poly"], rank, nvars, f"/terms/{j}/poly"))
-        for j, t in enumerate(doc["terms"])
-    ]
+    terms = []
+    for j, t in enumerate(doc["terms"]):
+        # checked before poly_ring(rank) makes one generator per unit of an unbounded rank
+        if len(t["coweight"]) != rank:
+            raise DimensionError(f"/terms/{j}/coweight: {len(t['coweight'])} entries for rank {rank}")
+        terms.append((tuple(t["coweight"]), _poly_from_json(t["poly"], rank, nvars, f"/terms/{j}/poly")))
+    return terms
 
 
 # ---------------------------------------------------------------- elements

@@ -7,10 +7,10 @@ Hermite form that canonicalizes sublattices is one pass, and so are rank and
 the saturated integer kernel.  On top of these sit the dual-torus kernel
 construction and the count of weight-zero monomials that gives the graded
 dimensions on both sides of hypertoric duality.  ``cartan`` solves for root
-coordinates through the Smith form, and there is no Gauss-Jordan elimination
-over Q.  All work is plain arbitrary-precision integer arithmetic.  Coweights
-and character vectors are plain integer tuples; ``pairing`` is their dot
-product.
+coordinates through the Smith form; there is no Gauss-Jordan elimination
+over Q and no determinant.  All work is plain arbitrary-precision integer
+arithmetic.  Coweights and character vectors are plain integer tuples;
+``pairing`` is their dot product.
 """
 
 from __future__ import annotations
@@ -66,32 +66,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
-        n = self.nrows
-        if n != self.ncols:
-            raise DimensionError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     def rank(self) -> int:
         return _hermite([list(r) for r in self.entries], self.ncols)

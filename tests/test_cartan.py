@@ -1,5 +1,8 @@
 """Cartan data: axioms, symmetrizers, classification, duality, dominance."""
 
+import hashlib
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,8 +21,15 @@ from coulombkit.cartan import (
     root_coordinates,
     validate_and_symmetrize,
 )
-from coulombkit.errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
-from test_lattices import solve_rational
+from coulombkit.errors import (
+    CartanError,
+    CoulombKitError,
+    DimensionError,
+    DomainError,
+    SymmetrizabilityError,
+    UnsupportedError,
+)
+from test_lattices import bareiss_det, solve_rational
 
 
 def test_a2_symmetric():
@@ -58,6 +68,128 @@ def test_classification_tags():
     assert named_gcm("A1~").tag == "affine"
     assert named_gcm("A2~").tag == "affine"
     assert validate_and_symmetrize([[2, -3], [-3, 2]]).tag == "indefinite"
+
+
+EDGE_PAIRS = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-1, -4), (-4, -1), (-2, -2)]
+BLOCKS = [m for m in NAMED_CARTAN_MATRICES.values() if len(m) <= 3] + [[[2, -1], [-4, 2]], [[2, -3], [-3, 2]]]
+
+
+def _random_cartan_input(rng):
+    """A square matrix of size 0-7: sparse edges carrying pairs such as (-1, -2)
+    (cycles are rare), a symmetric graph, free entries on a random graph, or named
+    blocks in a permuted block sum; about one in ten then has one entry broken,
+    and one in fifty a ragged row."""
+    n = rng.randint(0, 7)
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    kind = rng.choice(("tree", "symmetric", "free", "blocks"))
+    if kind == "blocks":
+        a, n = [], 0
+        while n < 7 and rng.random() < 0.8:
+            b = rng.choice(BLOCKS)
+            if n + len(b) > 7:
+                break
+            a = [row + [0] * len(b) for row in a] + [[0] * n + list(r) for r in b]
+            n += len(b)
+        perm = rng.sample(range(n), n)
+        a = [[a[p][q] for q in perm] for p in perm]
+    for j in range(1, n):
+        for i in range(j):
+            if kind == "tree" and i == rng.randrange(j):
+                a[i][j], a[j][i] = rng.choice(EDGE_PAIRS)
+            elif kind == "symmetric" and rng.random() < 0.4:
+                a[i][j] = a[j][i] = rng.choice((-1, -1, -2))
+            elif kind == "free" and rng.random() < 0.3:
+                a[i][j], a[j][i] = rng.randint(-3, -1), rng.randint(-3, -1)
+    if n and rng.random() < 0.1:
+        i, j = rng.randrange(n), rng.randrange(n)
+        a[i][j] = rng.choice((1, 3, 0, -1))
+    if n and rng.random() < 0.02:
+        a[rng.randrange(n)].append(0)
+    return a
+
+
+def _validation_outcome(a):
+    try:
+        g = validate_and_symmetrize(a)
+    except CoulombKitError as exc:
+        return type(exc).__name__, str(exc)
+    return g.entries, g.d, g.tag, g.null_vector, g.dual_labels, g.delta_split
+
+
+def test_validation_outcomes_match_recorded_digest():
+    # recorded on the tree that classified with one Bareiss determinant per leading minor;
+    # 2545 finite, 1595 indefinite, 175 affine, 929 CartanError, 651 SymmetrizabilityError,
+    # 105 UnsupportedError
+    rng = random.Random(2201)
+    digest = hashlib.sha256()
+    for _ in range(6000):
+        digest.update(repr(_validation_outcome(_random_cartan_input(rng))).encode())
+    assert digest.hexdigest() == "48387c0f4270858cc84a4b33162111e597db729423258704d91793d3b2c761c9"
+
+
+def _sylvester_tag(gcm):
+    """(tag, number of components) by Sylvester's rule on the leading blocks of
+    D*A on each component, every minor a separate Bareiss determinant."""
+    n, seen, tags, ncomps = gcm.size, set(), set(), 0
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            row = gcm.entries[frontier.pop()]
+            new = {j for j in range(n) if row[j] and j not in comp}
+            comp |= new
+            frontier += new
+        seen |= comp
+        ncomps += 1
+        comp = sorted(comp)
+        sym = [[gcm.d[i] * gcm.entries[i][j] for j in comp] for i in comp]
+        minors = [bareiss_det([row[:k] for row in sym[:k]]) for k in range(1, len(comp) + 1)]
+        if all(m > 0 for m in minors):
+            tags.add("finite")
+        elif minors[-1] == 0 and all(m > 0 for m in minors[:-1]):
+            tags.add("affine")
+        else:
+            tags.add("indefinite")
+    return next((t for t in ("indefinite", "affine") if t in tags), "finite"), ncomps
+
+
+def test_tags_follow_sylvester_on_leading_blocks():
+    rng = random.Random(5)
+    seen = {}
+    for _ in range(3000):
+        try:
+            gcm = validate_and_symmetrize(_random_cartan_input(rng))
+        except CoulombKitError:
+            continue
+        tag, ncomps = _sylvester_tag(gcm)
+        assert gcm.tag == tag, gcm.entries
+        key = (tag, ncomps > 1)
+        seen[key] = seen.get(key, 0) + 1
+    # a decomposable affine datum is rejected (a finite summand leaves the null vector
+    # non-positive, two affine summands a 2-dimensional radical); the digest covers those
+    assert set(seen) == {(t, d) for t in ("finite", "affine", "indefinite") for d in (False, True)} - {
+        ("affine", True)
+    }
+    assert min(seen.values()) >= 20, seen
+
+
+def test_type_a_200_validates_in_one_elimination():
+    # one Bareiss determinant per leading minor took about 20 s here
+    a = [[2 if i == j else -(abs(i - j) == 1) for j in range(200)] for i in range(200)]
+    start = time.perf_counter()
+    gcm = validate_and_symmetrize(a)
+    assert time.perf_counter() - start < 2
+    assert gcm.tag == "finite" and gcm.d == (1,) * 200
+
+
+def test_rank_zero_datum():
+    gcm = validate_and_symmetrize([])
+    assert (gcm.tag, gcm.d) == ("finite", ())
+    empty = KMWeight.of(())
+    assert root_coordinates(gcm, empty) == ()
+    assert in_positive_root_cone(gcm, empty) == ()
+    assert in_positive_root_cone(gcm, KMWeight.of((), delta=1)) is None
 
 
 def test_langlands_dual_transpose_and_involution():

@@ -181,6 +181,56 @@ def test_jordan_hilbert_huge_n(capsys, tmp_path):
     assert outs[0] == outs[1] and outs[0][0] == 0
 
 
+RANK_ZERO = {"lambda": {"fund": []}, "mu": {"fund": []}, "lambda1": {"fund": []}, "lambda2": {"fund": []}}
+
+
+@pytest.mark.parametrize("cartan", [[], {"matrix": []}], ids=["list", "matrix"])
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["km", "mult"], {"multiplicity": 1}),
+        (["km", "tensor"], {"components": [[{"fund": []}, 1]]}),
+        (["km", "dual"], {"cartan": {"matrix": [], "symmetrizers": [], "tag": "finite"}}),
+        (["quiver", "satake"], {"nonempty": True, "dual_multiplicity": 1}),
+        (["quiver", "strata"], {"strata": [{"fund": []}]}),
+    ],
+    ids=["km-mult", "km-tensor", "km-dual", "quiver-satake", "quiver-strata"],
+)
+def test_rank_zero_cartan_datum(capsys, tmp_path, argv, want, cartan):
+    # the empty diagonal of the Smith form used to end in "max() arg is an empty sequence"
+    code, out, err = run(capsys, argv, {"cartan": cartan, **RANK_ZERO}, tmp_path=tmp_path)
+    assert (code, err) == (0, "") and json.loads(out) == want
+
+
+LEAF_FLAGS = {
+    ("km", "mult"): (),
+    ("km", "tensor"): (),
+    ("km", "dual"): (),
+    ("quiver", "slice"): (),
+    ("quiver", "strata"): ("--depth",),
+    ("quiver", "satake"): (),
+    ("abelian", "ring"): (),
+    ("abelian", "quantize"): (),
+    ("abelian", "poisson"): (),
+    ("abelian", "hilbert"): ("--max-deg",),
+    ("hypertoric", "compare"): ("--max-deg",),
+    ("jordan", "hilbert"): ("--max-deg",),
+    ("validate",): ("--schema",),
+}
+
+
+@pytest.mark.parametrize(
+    "leaf, flag",
+    [(leaf, flag) for leaf, read in LEAF_FLAGS.items() for flag in ("--max-deg", "--depth", "--schema") if flag not in read],
+    ids=lambda v: "-".join(v).replace("--", "") if isinstance(v, tuple) else v.lstrip("-"),
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, leaf, flag):
+    # these flags used to be accepted by every subcommand and silently ignored
+    assert main([*leaf, flag, "1", "--timeout", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag} 1" in err
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -519,6 +569,25 @@ def test_json_integer_past_the_digit_limit_is_invalid_json(capsys, tmp_path):
     code = main(["km", "mult", "--input", str(path)])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "") and err.startswith("invalid JSON: ")
+
+
+def test_element_rank_past_its_coweights_is_a_dimension_error(capsys, tmp_path, monkeypatch):
+    # found by the CLI fuzz: the polynomial ring of a rank-10^30 element, whose generators
+    # sympy builds one at a time, was made before the coweight length was compared with the rank
+    from coulombkit import difference_ops
+
+    real = difference_ops.poly_ring
+
+    def small_rings_only(rank):
+        assert rank <= 2, f"poly_ring({rank}) was built"
+        return real(rank)
+
+    monkeypatch.setattr(difference_ops, "poly_ring", small_rings_only)
+    rank = 10**30 + 7
+    term = {"coweight": [0, 2], "poly": [{"coeff": "1", "powers": [0, 0]}]}
+    doc = {"theory": {"rank": 2}, "a": {"rank": rank, "terms": [term]}, "b": {"rank": 2, "terms": []}}
+    code, out, err = run(capsys, ["abelian", "poisson"], doc, tmp_path=tmp_path)
+    assert (code, out, err) == (1, "", f"error: /terms/0/coweight: 2 entries for rank {rank}\n")
 
 
 def test_powers_length_must_match_generators(capsys, tmp_path):
