@@ -5,33 +5,35 @@ polynomial arguments by hbar * lam and f is an exact rational-coefficient
 polynomial.  Multiplication normal-orders coefficients to the left of shifts:
 (f e^lam)(g e^mu) = f * g(w + hbar lam) * e^(lam + mu).
 
-Coefficients are elements of one sparse polynomial ring per rank,
-QQ[w_1 .. w_rank, hbar] (``poly_ring``); sympy expressions appear only where
-values enter (``from_terms``) and leave (``terms``, ``str``).  The ring's
-generic substitution is not used: the shift expands each monomial by the
-binomial theorem, (w_j + lam_j hbar)^a = sum_k C(a, k) lam_j^k w_j^(a-k) hbar^k,
-into one dict of exponent tuples, and the hbar specialization evaluates the
-hbar-degree pieces of a coefficient at the value by Horner's rule.
+Coefficients are ``polynomial.Polynomial`` values in w_1 .. w_rank, hbar:
+integer numerators over one common denominator, so integer coefficients never
+pay for a gcd.  The shift expands each monomial by the binomial theorem,
+(w_j + lam_j hbar)^a = sum_k C(a, k) lam_j^k w_j^(a-k) hbar^k, and the hbar
+specialization evaluates the hbar-degree pieces of a coefficient at the value
+by Horner's rule.  sympy expressions appear only where values enter
+(``from_terms``) and leave (``terms``, ``str``, ``shift_polynomial``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-from math import comb
+from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import add, mul
 
 import sympy
 from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyElement, PolyRing, ring
+from sympy.polys.polyerrors import CoercionFailed
 
 from .cancel import CancellationToken, check
 from .errors import DimensionError, DomainError, LiftError
 from .lattices import Coweight
+from .polynomial import Polynomial
 
 HBAR = sympy.Symbol("hbar")
 
 
+@lru_cache(maxsize=32)
 def w_vars(rank: int) -> tuple[sympy.Symbol, ...]:
     """Equivariant parameters w_1 .. w_rank."""
     if rank == 0:
@@ -40,30 +42,62 @@ def w_vars(rank: int) -> tuple[sympy.Symbol, ...]:
 
 
 @lru_cache(maxsize=32)
-def poly_ring(rank: int) -> PolyRing:
-    """QQ[w_1 .. w_rank, hbar] in lex order; hbar is the last generator."""
-    return ring(w_vars(rank) + (HBAR,), QQ)[0]
+def _generators(rank: int) -> dict[sympy.Symbol, Polynomial]:
+    """w_1 .. w_rank and hbar, each as a sympy symbol and as a polynomial."""
+    gens = w_vars(rank) + (HBAR,)
+    return {g: Polynomial.variable(rank + 1, j) for j, g in enumerate(gens)}
 
 
-def to_poly(rank: int, value) -> PolyElement:
-    """``value`` (a ring element, a rational or a polynomial sympy expression)
-    as an element of ``poly_ring(rank)``."""
-    R = poly_ring(rank)
-    if isinstance(value, PolyElement) and value.ring == R:
+def to_poly(rank: int, value) -> Polynomial:
+    """``value`` (a polynomial, an int, a Fraction or a polynomial sympy
+    expression) as a polynomial in w_1 .. w_rank, hbar.
+
+    A sympy expression is rebuilt from its sums, products and integer powers
+    of the generators, with every other leaf a rational constant, as sympy's
+    ``PolyRing.from_expr`` reads it."""
+    if isinstance(value, Polynomial):
         return value
+    if type(value) is int or isinstance(value, Fraction):
+        return Polynomial.constant(rank + 1, value)
+    mapping = _generators(rank)
+
+    def rebuild(expr) -> Polynomial:
+        generator = mapping.get(expr)
+        if generator is not None:
+            return generator
+        if expr.is_Add:
+            return reduce(add, map(rebuild, expr.args))
+        if expr.is_Mul:
+            return reduce(mul, map(rebuild, expr.args))
+        base, exp = expr.as_base_exp()
+        if exp.is_Integer and exp > 1:
+            return rebuild(base) ** int(exp)
+        q = QQ.convert(expr)
+        return Polynomial.constant(rank + 1, Fraction(int(q.numerator), int(q.denominator)))
+
     try:
-        return R.from_expr(sympy.sympify(value))
-    except (ValueError, TypeError, sympy.SympifyError):
-        gens = ", ".join(map(str, R.symbols))
+        return rebuild(sympy.sympify(value))
+    except (ValueError, TypeError, sympy.SympifyError, CoercionFailed):
+        gens = ", ".join(map(str, mapping))
         raise DomainError(f"{value} is not a polynomial in {gens}") from None
 
 
-def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, PolyElement], ...]:
+def as_expr(rank: int, p: Polynomial) -> sympy.Expr:
+    """``p`` as a sympy expression in w_1 .. w_rank, hbar: the Add of one Mul
+    per term that sympy's ``PolyElement.as_expr`` builds."""
+    gens = w_vars(rank) + (HBAR,)
+    return sympy.Add(*[
+        sympy.Mul(sympy.Rational(c, p.den), *[sympy.Pow(g, e) for g, e in zip(gens, m) if e])
+        for m, c in p.num.items()
+    ])
+
+
+def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, Polynomial], ...]:
     """Convert each coefficient, sum equal coweights, drop zero coefficients,
     sort by coweight."""
-    merged: dict[Coweight, PolyElement] = {}
+    merged: dict[Coweight, Polynomial] = {}
     for lam, p in terms.items() if isinstance(terms, dict) else terms:
-        lam = tuple(int(x) for x in lam)
+        lam = tuple(map(int, lam))
         if len(lam) != rank:
             raise DimensionError(f"coweight length does not match {owner} rank")
         p = convert(p)
@@ -73,15 +107,15 @@ def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, PolyE
 
 @dataclass(frozen=True)
 class _GradedSum:
-    """Finite sum over coweights lam of a coefficient in ``poly_ring(rank)``
-    times the basis element ``_basis``^lam of degree lam."""
+    """Finite sum over coweights lam of a polynomial coefficient in
+    w_1 .. w_rank, hbar times the basis element ``_basis``^lam of degree lam."""
 
     rank: int
-    polys: tuple[tuple[Coweight, PolyElement], ...]
+    polys: tuple[tuple[Coweight, Polynomial], ...]
 
     @property
     def terms(self) -> tuple[tuple[Coweight, sympy.Expr], ...]:
-        return tuple((lam, p.as_expr()) for lam, p in self.polys)
+        return tuple((lam, as_expr(self.rank, p)) for lam, p in self.polys)
 
     def _check_rank(self, other) -> None:
         if self.rank != other.rank:
@@ -106,7 +140,7 @@ class _GradedSum:
         if not self.polys:
             return "0"
         return " + ".join(
-            f"({p.as_expr()})" + (f"*{self._basis}^{list(lam)}" if any(lam) else "")
+            f"({as_expr(self.rank, p)})" + (f"*{self._basis}^{list(lam)}" if any(lam) else "")
             for lam, p in self.polys
         )
 
@@ -143,43 +177,21 @@ class DifferenceOperator(_GradedSum):
         return multiply(self, other)
 
 
-def _shift(p: PolyElement, lam: Coweight, token: CancellationToken | None = None) -> PolyElement:
-    """p(w + hbar * lam, hbar), monomial by monomial by the binomial theorem:
-    w_j^a -> sum_k C(a, k) lam_j^k w_j^(a - k) hbar^k."""
-    moved = [(j, l) for j, l in enumerate(lam) if l]
-    if not moved:
-        return p
-    zero = p.ring.domain.zero
-    out: dict = {}
-    for monom, coeff in p.items():
-        check(token)
-        expansions = [[(j, k, comb(a, k) * l**k) for k in range(a + 1)] for j, l in moved if (a := monom[j])]
-        for choice in product(*expansions):
-            m, factor = list(monom), 1
-            for j, k, b in choice:
-                m[j] -= k
-                m[-1] += k
-                factor *= b
-            m = tuple(m)
-            out[m] = out.get(m, zero) + coeff * factor
-    return p.new({m: c for m, c in out.items() if c})
-
-
 def shift_polynomial(rank: int, poly, lam: Coweight) -> sympy.Expr:
     """Substitute w_j -> w_j + hbar * lam_j, the action of e^lam."""
-    return _shift(to_poly(rank, poly), lam).as_expr()
+    return as_expr(rank, to_poly(rank, poly).shift(lam))
 
 
 def multiply(
     a: DifferenceOperator, b: DifferenceOperator, token: CancellationToken | None = None
 ) -> DifferenceOperator:
     a._check_rank(b)
-    acc: list[tuple[Coweight, PolyElement]] = []
+    acc: list[tuple[Coweight, Polynomial]] = []
     for lam, f in a.polys:
         for mu, g in b.polys:
             check(token)
             key = tuple(x + y for x, y in zip(lam, mu))
-            acc.append((key, f * _shift(g, lam, token)))
+            acc.append((key, f * g.shift(lam, token)))
     return DifferenceOperator.from_terms(a.rank, acc)
 
 
@@ -192,18 +204,7 @@ def commutator(
 def specialize_hbar(a: DifferenceOperator, value) -> DifferenceOperator:
     """hbar -> ``value`` (a rational or a polynomial) in every coefficient."""
     v = to_poly(a.rank, value)
-    return DifferenceOperator.from_terms(a.rank, [(lam, _at_hbar(p, v)) for lam, p in a.polys])
-
-
-def _at_hbar(p: PolyElement, v: PolyElement) -> PolyElement:
-    """p(w, v) by Horner's rule over the hbar-degree pieces p_d(w) of p."""
-    pieces: dict[int, dict] = {}
-    for monom, coeff in p.items():
-        pieces.setdefault(monom[-1], {})[monom[:-1] + (0,)] = coeff
-    acc = p.ring.zero
-    for d in range(max(pieces, default=0), -1, -1):
-        acc = acc * v + p.new(pieces.get(d, ()))
-    return acc
+    return DifferenceOperator.from_terms(a.rank, [(lam, p.at_hbar(v)) for lam, p in a.polys])
 
 
 def poisson_from_lifts(
@@ -215,10 +216,9 @@ def poisson_from_lifts(
     and the algebra is commutative modulo hbar; LiftError guards that.
     """
     comm = commutator(a_lift, b_lift, token)
-    hbar = poly_ring(comm.rank).gens[-1]
     out = []
     for lam, p in comm.polys:
-        if p.coeff_wrt(hbar, 0):
+        if p.hbar_coefficient(0):
             raise LiftError(f"commutator coefficient at {lam} is not divisible by hbar")
-        out.append((lam, p.coeff_wrt(hbar, 1)))
+        out.append((lam, p.hbar_coefficient(1)))
     return DifferenceOperator.from_terms(comm.rank, out)

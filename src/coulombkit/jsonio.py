@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .abelian import AbelianTheory
 from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
 from .errors import DimensionError, DomainError
 from .lattices import IntMatrix
+from .polynomial import Polynomial
 from .quiver import DimVectors, Quiver
 
 if TYPE_CHECKING:  # type-only; difference_ops and monopole load sympy, so the functions import them on use
@@ -23,7 +25,7 @@ if TYPE_CHECKING:  # type-only; difference_ops and monopole load sympy, so the f
 
 
 def fraction_str(q) -> str:
-    """An int, a Fraction or a ring coefficient as "n" or "n/d"."""
+    """An int or a Fraction as "n" or "n/d"."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -66,19 +68,19 @@ def gcm_to_json(gcm: GeneralizedCartanMatrix) -> dict:
 
 # ---------------------------------------------------------------- polynomials
 
-def _poly_to_json(poly, nvars: int) -> list:
-    """Terms of a ring element sorted by exponents; only the first ``nvars``
-    exponents are written, so elements leave out hbar, the last generator."""
-    return [
-        {"coeff": fraction_str(c), "powers": list(monom[:nvars])}
-        for monom, c in sorted(poly.items())
-    ]
+def _poly_to_json(poly: Polynomial, nvars: int) -> list:
+    """Terms of a polynomial sorted by exponents; only the first ``nvars``
+    exponents are written, so elements leave out hbar, the last variable."""
+    den = poly.den
+    out = []
+    for monom, c in sorted(poly.num.items()):
+        g = gcd(c, den)
+        coeff = str(c // den) if g == den else f"{c // g}/{den // g}"
+        out.append({"coeff": coeff, "powers": list(monom[:nvars])})
+    return out
 
 
-def _poly_from_json(terms, rank: int, nvars: int, path):
-    from .difference_ops import poly_ring
-
-    ring = poly_ring(rank)
+def _poly_from_json(terms, rank: int, nvars: int, path) -> Polynomial:
     coeffs: dict[tuple, Fraction] = {}
     for i, t in enumerate(terms):
         if len(t["powers"]) != nvars:
@@ -94,11 +96,11 @@ def _poly_from_json(terms, rank: int, nvars: int, path):
                 f"{path}/{i}/coeff: not a fraction of integers of at most "
                 f"{sys.get_int_max_str_digits()} digits"
             ) from None
-        monom = tuple(int(p) for p in t["powers"]) + (0,) * (ring.ngens - nvars)
+        monom = tuple(int(p) for p in t["powers"]) + (0,) * (rank + 1 - nvars)
         if min(monom, default=0) < 0:
             raise DomainError(f"{path}/{i}/powers: negative exponent in {t['powers']}")
         coeffs[monom] = coeffs.get(monom, 0) + q
-    return ring.from_dict({m: ring.domain(q.numerator, q.denominator) for m, q in coeffs.items()})
+    return Polynomial.from_fractions(coeffs)
 
 
 def _to_json(value, with_hbar: bool) -> dict:
@@ -116,7 +118,7 @@ def _terms_from_json(doc, with_hbar: bool) -> list:
     nvars = rank + with_hbar
     terms = []
     for j, t in enumerate(doc["terms"]):
-        # checked before poly_ring(rank) makes one generator per unit of an unbounded rank
+        # checked before any exponent tuple of an unbounded rank is built
         if len(t["coweight"]) != rank:
             raise DimensionError(f"/terms/{j}/coweight: {len(t['coweight'])} entries for rank {rank}")
         terms.append((tuple(t["coweight"]), _poly_from_json(t["poly"], rank, nvars, f"/terms/{j}/poly")))
@@ -156,7 +158,10 @@ def theory_to_json(th: AbelianTheory) -> dict:
 
 
 def quiver_from_json(doc) -> tuple[Quiver, DimVectors]:
-    q = Quiver.of(int(doc["vertices"]), doc.get("edges", []))
+    n = int(doc["vertices"])
+    if n > sys.maxsize:  # the default dimension vectors are lists of n zeros
+        raise DomainError(f"/vertices: {n} vertices are more than a list can index")
+    q = Quiver.of(n, doc.get("edges", []))
     d = DimVectors.of(doc.get("v", [0] * q.vertices), doc.get("w", [0] * q.vertices))
     return q, d
 

@@ -4,28 +4,34 @@ Elements of the Coulomb branch of an ``AbelianTheory`` are finite sums
 f_lam(w) * r^lam over coweights lam; the lam-component is the pi_1 grading of
 the term.  The classical product, the quantization into difference operators,
 the Poisson bracket, the cohomological grading and the birationality witness
-live here.  The theory itself and the Hilbert series need no polynomial ring;
-they live in ``abelian`` and are re-exported.
+live here.  Coefficients are ``polynomial.Polynomial`` values, as in
+``difference_ops``, with hbar's exponent always 0; a monopole dressing is a
+product of linear forms <rho_i, w>, so pulling an operator back divides by one
+linear form at a time.  The theory itself and the Hilbert series need no
+polynomials; they live in ``abelian`` and are re-exported.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import sympy
-from sympy.polys.rings import PolyElement
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import difference_ops as dops
 from .abelian import AbelianTheory, hilbert_series  # noqa: F401 (re-exported)
 from .cancel import CancellationToken, check
-from .difference_ops import DifferenceOperator, _GradedSum, _merge, poly_ring, to_poly
+from .difference_ops import DifferenceOperator, _GradedSum, _merge, as_expr, to_poly
 from .errors import DimensionError, DomainError, LiftError
 from .lattices import CharacterVector, Coweight, pairing
+from .polynomial import Polynomial
+
+if TYPE_CHECKING:
+    import sympy
 
 
 class CoulombElement(_GradedSum):
     """Finite sum of f_lam(w) * r^lam with exact rational coefficients, held
-    in ``poly_ring(rank)`` with no hbar."""
+    as polynomials in w_1 .. w_rank, hbar whose hbar exponents are all 0."""
 
     _basis = "r"
     _rank_mismatch = "elements live in different theories"
@@ -34,7 +40,7 @@ class CoulombElement(_GradedSum):
     def from_terms(rank: int, terms) -> "CoulombElement":
         def classical(p):
             p = to_poly(rank, p)
-            if p.degree(poly_ring(rank).gens[-1]) > 0:
+            if p.hbar_degree() > 0:
                 raise DomainError("classical elements may not involve hbar")
             return p
 
@@ -50,10 +56,10 @@ class CoulombElement(_GradedSum):
         return CoulombElement.from_terms(rank, {(0,) * rank: poly})
 
 
-def _linear_form(th: AbelianTheory, rho: CharacterVector) -> PolyElement:
-    """<rho, w> in poly_ring(rank)."""
-    R = poly_ring(th.rank)
-    return R.dtype({R.gens[j].LM: R.domain(c) for j, c in enumerate(rho) if c})
+@lru_cache(maxsize=256)
+def _linear_form(rank: int, rho: CharacterVector) -> Polynomial:
+    """<rho, w> as a polynomial in w_1 .. w_rank, hbar."""
+    return Polynomial({tuple(int(i == j) for i in range(rank + 1)): c for j, c in enumerate(rho) if c})
 
 
 def classical_product(
@@ -80,7 +86,7 @@ def classical_product(
                 d2 = abs(p) + abs(q) - abs(p + q)
                 assert d2 % 2 == 0
                 if d2:
-                    form = _linear_form(th, rho)
+                    form = _linear_form(th.rank, rho)
                     for _ in range(d2 // 2):
                         check(token)
                         prod *= form
@@ -90,28 +96,30 @@ def classical_product(
 
 def _quantized_shift(
     th: AbelianTheory, lam: Coweight, token: CancellationToken | None = None
-) -> PolyElement:
+) -> Polynomial:
     """The coefficient of u_lam: descending-factor dressing of e^lam by the
     positive pairings, prod_i prod_{0 <= j < <rho_i, lam>} (<rho_i, w> - j hbar)."""
-    R = poly_ring(th.rank)
-    hbar = R.gens[-1]
-    poly = R.one
+    hbar = (0,) * th.rank + (1,)
+    poly = Polynomial.constant(th.rank + 1, 1)
     for rho in th.characters:
-        factor = _linear_form(th, rho)
-        for _ in range(pairing(lam, rho)):
+        form = _linear_form(th.rank, rho)
+        for j in range(pairing(lam, rho)):
             check(token)
-            poly *= factor
-            factor = factor - hbar
+            poly *= Polynomial({**form.num, hbar: -j}) if j else form
     return poly
 
 
-def _classical_dressing(th: AbelianTheory, lam: Coweight) -> PolyElement:
+def _dressing_factors(th: AbelianTheory, lam: Coweight) -> list[Polynomial]:
+    """The linear factors of the quantized dressing at hbar = 0, each
+    <rho_i, w> repeated max(0, <rho_i, lam>) times."""
+    return [_linear_form(th.rank, rho) for rho in th.characters for _ in range(pairing(lam, rho))]
+
+
+def _classical_dressing(th: AbelianTheory, lam: Coweight) -> Polynomial:
     """The quantized dressing at hbar = 0: prod_i <rho_i, w>^max(0, <rho_i, lam>)."""
-    poly = poly_ring(th.rank).one
-    for rho in th.characters:
-        p = pairing(lam, rho)
-        if p > 0:
-            poly *= _linear_form(th, rho) ** p
+    poly = Polynomial.constant(th.rank + 1, 1)
+    for form in _dressing_factors(th, lam):
+        poly *= form
     return poly
 
 
@@ -139,16 +147,18 @@ def quantum_relation(th: AbelianTheory, lam) -> tuple[DifferenceOperator, Differ
 
 def element_from_operator(th: AbelianTheory, op: DifferenceOperator) -> CoulombElement:
     """Pull an hbar-free operator back along the hbar = 0 basis identification
-    r^lam <-> u_lam|_{hbar=0}."""
-    hbar = poly_ring(th.rank).gens[-1]
+    r^lam <-> u_lam|_{hbar=0}, dividing each coefficient by the linear factors
+    of its dressing one at a time."""
     out = []
     for lam, poly in op.polys:
-        if poly.degree(hbar) > 0:
+        if poly.hbar_degree() > 0:
             raise LiftError("operator still involves hbar")
-        quo, rem = poly.div(_classical_dressing(th, lam))
-        if rem:
-            raise LiftError(f"coefficient at {lam} is not divisible by the monopole dressing")
-        out.append((lam, quo))
+        try:
+            for form in _dressing_factors(th, lam):
+                poly = poly.divide_linear(form)
+        except LiftError:
+            raise LiftError(f"coefficient at {lam} is not divisible by the monopole dressing") from None
+        out.append((lam, poly))
     return CoulombElement.from_terms(th.rank, out)
 
 
@@ -169,7 +179,7 @@ def grading_degree(th: AbelianTheory, a: CoulombElement) -> Fraction:
     if len(a.polys) != 1 or len(a.polys[0][1]) != 1:
         raise DomainError("grading degree is defined for single monomial terms")
     lam, poly = a.polys[0]
-    (monom,) = poly.itermonoms()
+    (monom,) = poly.num
     return Fraction(sum(monom)) + Fraction(sum(abs(pairing(lam, rho)) for rho in th.characters), 2)
 
 
@@ -177,4 +187,4 @@ def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:
     """r^lam * r^{-lam} = prod_i <rho_i, w>^{|<rho_i, lam>|}, a nonzero
     polynomial: every monopole class is invertible after inverting the w's."""
     lam = tuple(int(x) for x in lam)
-    return (_classical_dressing(th, lam) * _classical_dressing(th, tuple(-x for x in lam))).as_expr()
+    return as_expr(th.rank, _classical_dressing(th, lam) * _classical_dressing(th, tuple(-x for x in lam)))

@@ -58,6 +58,14 @@ def test_quiver_slice_trivial_v(capsys, tmp_path):
     assert parsed["lambda"] == parsed["mu"] == {"fund": [2]}
 
 
+def test_quiver_slice_vertex_count_past_a_list_index_is_a_domain_error(capsys, tmp_path):
+    # the default dimension vectors [0] * vertices once raised OverflowError out of main
+    doc = {"vertices": 10**30 + 7}
+    code, out, err = run(capsys, ["quiver", "slice", "--timeout", "1"], doc, tmp_path=tmp_path)
+    assert (code, out) == (1, "")
+    assert err == f"error: /vertices: {10**30 + 7} vertices are more than a list can index\n"
+
+
 def test_quiver_strata_finite(capsys, tmp_path):
     doc = {"cartan": "A1", "lambda": {"fund": [2]}, "mu": {"fund": [0]}}
     code, out, _ = run(capsys, ["quiver", "strata"], doc, tmp_path=tmp_path)
@@ -571,23 +579,24 @@ def test_json_integer_past_the_digit_limit_is_invalid_json(capsys, tmp_path):
     assert (code, out) == (1, "") and err.startswith("invalid JSON: ")
 
 
-def test_element_rank_past_its_coweights_is_a_dimension_error(capsys, tmp_path, monkeypatch):
-    # found by the CLI fuzz: the polynomial ring of a rank-10^30 element, whose generators
-    # sympy builds one at a time, was made before the coweight length was compared with the rank
-    from coulombkit import difference_ops
+def test_element_rank_past_its_coweights_is_a_dimension_error(capsys, tmp_path):
+    # found by the CLI fuzz: the polynomial ring of a rank-10^30 element, one generator
+    # at a time, was made before the coweight length was compared with the rank; a
+    # tuple of 10^6 exponents alone would take 8 MB
+    from coulombkit import monopole  # noqa: F401 (loaded before the memory is traced)
 
-    real = difference_ops.poly_ring
-
-    def small_rings_only(rank):
-        assert rank <= 2, f"poly_ring({rank}) was built"
-        return real(rank)
-
-    monkeypatch.setattr(difference_ops, "poly_ring", small_rings_only)
-    rank = 10**30 + 7
     term = {"coweight": [0, 2], "poly": [{"coeff": "1", "powers": [0, 0]}]}
-    doc = {"theory": {"rank": 2}, "a": {"rank": rank, "terms": [term]}, "b": {"rank": 2, "terms": []}}
-    code, out, err = run(capsys, ["abelian", "poisson"], doc, tmp_path=tmp_path)
-    assert (code, out, err) == (1, "", f"error: /terms/0/coweight: 2 entries for rank {rank}\n")
+    for rank in (10**6 + 7, 10**30 + 7):
+        doc = {"theory": {"rank": 2}, "a": {"rank": rank, "terms": [term]}, "b": {"rank": 2, "terms": []}}
+        run(capsys, ["abelian", "poisson"], doc, tmp_path=tmp_path)  # fills the schema caches
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["abelian", "poisson"], doc, tmp_path=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (1, "", f"error: /terms/0/coweight: 2 entries for rank {rank}\n")
+        assert peak < 2**20
 
 
 def test_powers_length_must_match_generators(capsys, tmp_path):

@@ -7,7 +7,7 @@ import json
 import math
 import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coulombkit.cartan import NAMED_CARTAN_MATRICES
@@ -191,6 +191,8 @@ def invocations(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(invocations())
+# a vertex count that cannot index a list once escaped as an OverflowError
+@example((["quiver", "slice", "--timeout", "1"], {"vertices": 10**30 + 7}))
 def test_cli_main_keeps_its_exit_code_contract(invocation):
     argv, doc = invocation
     stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))

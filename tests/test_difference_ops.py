@@ -1,11 +1,15 @@
 """Shift-operator algebra: normal ordering, commutators, bracket extraction."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 from coulombkit import difference_ops
 from coulombkit.difference_ops import (
@@ -19,6 +23,7 @@ from coulombkit.difference_ops import (
     w_vars,
 )
 from coulombkit.errors import DimensionError, DomainError, LiftError
+from coulombkit.polynomial import Polynomial
 
 W = w_vars(1)[0]
 
@@ -255,13 +260,27 @@ def test_poisson_from_lifts_rejects_hbar_free_commutator_part(monkeypatch):
         poisson_from_lifts(DifferenceOperator.one(1), DifferenceOperator.one(1))
 
 
-# ---------------------------------------------------------------- ring kernels against sympy
+# ---------------------------------------------------------------- polynomial kernels against sympy
 # The shift, the hbar specialization, the classical dressing and the difference
-# are computed term by term in the ring; sympy's generic PolyElement.compose
-# and Expr.subs are the oracles.
+# are computed term by term on ``Polynomial`` values; sympy's PolyRing over QQ,
+# with its generic PolyElement.compose and Expr.subs, is the oracle.
+
+def oracle_ring(rank):
+    return ring(w_vars(rank) + (HBAR,), QQ)[0]
+
+
+def native(p):
+    """A sympy ring element as a Polynomial."""
+    return Polynomial.from_fractions({m: Fraction(int(c.numerator), int(c.denominator)) for m, c in p.items()})
+
+
+def in_ring(R, p):
+    """A Polynomial as an element of the sympy ring R."""
+    return R.from_dict({m: QQ(c, p.den) for m, c in p.num.items()})
+
 
 def random_ring_poly(rng, rank, max_deg=6, terms=6):
-    R = difference_ops.poly_ring(rank)
+    R = oracle_ring(rank)
     poly = R.zero
     for _ in range(rng.randint(1, terms)):
         exps = [0] * (rank + 1)
@@ -272,9 +291,12 @@ def random_ring_poly(rng, rank, max_deg=6, terms=6):
     return poly
 
 
-def assert_canonical(p):
-    p._check()  # QQ coefficients, exponent tuples of the ring's length
-    assert all(p.values())
+def assert_canonical(p, rank):
+    # integer numerators, none zero, over a positive denominator sharing no factor with them
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    assert all(len(m) == rank + 1 and min(m) >= 0 for m in p.num)
 
 
 def test_shift_matches_compose():
@@ -285,19 +307,19 @@ def test_shift_matches_compose():
         lam = tuple(rng.randint(-3, 3) for _ in range(rank))
         hbar = p.ring.gens[-1]
         want = p.compose([(w, w + l * hbar) for w, l in zip(p.ring.gens, lam) if l]) if any(lam) else p
-        got = difference_ops._shift(p, lam)
-        assert got == want
-        assert_canonical(got)
+        got = native(p).shift(lam)
+        assert got == native(want)
+        assert_canonical(got, rank)
         assert shift_polynomial(rank, p.as_expr(), lam) == want.as_expr()
 
 
 def test_shift_cancels_to_zero_coefficients():
     # w^2 - (w + hbar)^2 shifted by -1 is (w - hbar)^2 - w^2: the w^2 terms cancel
-    R = difference_ops.poly_ring(1)
+    R = oracle_ring(1)
     w, hbar = R.gens
-    got = difference_ops._shift(w**2 - (w + hbar) ** 2, (-1,))
-    assert got == -2 * w * hbar + hbar**2
-    assert_canonical(got)
+    got = native(w**2 - (w + hbar) ** 2).shift((-1,))
+    assert got == native(-2 * w * hbar + hbar**2)
+    assert_canonical(got, 1)
 
 
 def test_specialize_hbar_matches_compose_and_subs():
@@ -305,20 +327,23 @@ def test_specialize_hbar_matches_compose_and_subs():
     w1 = w_vars(1)[0]
     for _ in range(40):
         rank = rng.randint(1, 3)
-        R = difference_ops.poly_ring(rank)
+        R = oracle_ring(rank)
         a = DifferenceOperator.from_terms(
-            rank, [(tuple(rng.randint(-2, 2) for _ in range(rank)), random_ring_poly(rng, rank)) for _ in range(2)]
+            rank,
+            [(tuple(rng.randint(-2, 2) for _ in range(rank)), native(random_ring_poly(rng, rank))) for _ in range(2)],
         )
         for value in (0, sympy.Rational(rng.randint(-4, 4) or 1, rng.randint(1, 3)), w1 + HBAR, w1**2 - 3 * HBAR):
             v = R.from_expr(sympy.sympify(value))
             got = specialize_hbar(a, value)
-            want = DifferenceOperator.from_terms(rank, [(lam, p.compose(R.gens[-1], v)) for lam, p in a.polys])
+            want = DifferenceOperator.from_terms(
+                rank, [(lam, native(in_ring(R, p).compose(R.gens[-1], v))) for lam, p in a.polys]
+            )
             assert got == want
             assert got.terms == oracle_terms(
                 {lam: sympy.expand(p.subs(HBAR, value)) for lam, p in a.terms}
             )
             for _, p in got.polys:
-                assert_canonical(p)
+                assert_canonical(p, rank)
 
 
 def test_classical_dressing_is_the_quantized_dressing_at_hbar_zero():
@@ -331,10 +356,10 @@ def test_classical_dressing_is_the_quantized_dressing_at_hbar_zero():
             rank, [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(0, 4))]
         )
         lam = tuple(rng.randint(-3, 3) for _ in range(rank))
-        hbar = difference_ops.poly_ring(rank).gens[-1]
+        R = oracle_ring(rank)
         got = monopole._classical_dressing(th, lam)
-        assert got == monopole._quantized_shift(th, lam).compose(hbar, 0)
-        assert_canonical(got)
+        assert in_ring(R, got) == in_ring(R, monopole._quantized_shift(th, lam)).compose(R.gens[-1], 0)
+        assert_canonical(got, rank)
 
 
 def test_difference_is_the_sum_with_the_negation():
@@ -344,11 +369,13 @@ def test_difference_is_the_sum_with_the_negation():
 
         def operator():
             lams = [tuple(rng.randint(-1, 1) for _ in range(rank)) for _ in range(rng.randint(1, 3))]
-            return DifferenceOperator.from_terms(rank, [(lam, random_ring_poly(rng, rank, 3, 3)) for lam in lams])
+            return DifferenceOperator.from_terms(
+                rank, [(lam, native(random_ring_poly(rng, rank, 3, 3))) for lam in lams]
+            )
 
         a, b = operator(), operator()
         got = a - b
         assert got == a + b.scale(-1)
         assert (a - a).is_zero()
         for _, p in got.polys:
-            assert_canonical(p)
+            assert_canonical(p, rank)

@@ -1,0 +1,191 @@
+"""Differential tests of ``Polynomial`` against sympy's PolyRing over QQ.
+
+Each case draws a rank 0-4 and polynomials in w_1 .. w_rank, hbar whose
+coefficients include halves and integers of forty digits, and builds every
+value twice: as a ``Polynomial`` and as an element of sympy's ring, which is
+the oracle.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
+
+from coulombkit.difference_ops import HBAR, DifferenceOperator, as_expr, to_poly, w_vars
+from coulombkit.errors import DomainError, LiftError
+from coulombkit.monopole import AbelianTheory, CoulombElement, _classical_dressing, element_from_operator
+from coulombkit.polynomial import Polynomial
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-5, 6)]),
+    st.integers(-(10**40), 10**40),
+)
+
+
+def oracle_ring(rank):
+    return ring(w_vars(rank) + (HBAR,), QQ)[0]
+
+
+def in_ring(R, p):
+    return R.from_dict({m: QQ(c, p.den) for m, c in p.num.items()})
+
+
+def assert_canonical(p, rank):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    assert all(len(m) == rank + 1 and min(m) >= 0 for m in p.num)
+
+
+@st.composite
+def coefficient_dicts(draw, rank, hbar=True, max_terms=4):
+    monoms = st.tuples(*[st.integers(0, 3)] * rank, st.integers(0, 2 if hbar else 0))
+    return draw(st.dictionaries(monoms, COEFFS, max_size=max_terms))
+
+
+@st.composite
+def pairs(draw, hbar=True):
+    """A rank, and two polynomials each as a Polynomial and in sympy's ring."""
+    rank = draw(st.integers(0, 4))
+    R = oracle_ring(rank)
+    out = []
+    for _ in range(2):
+        coeffs = draw(coefficient_dicts(rank, hbar))
+        out.append((
+            Polynomial.from_fractions({m: Fraction(q) for m, q in coeffs.items()}),
+            R.from_dict({m: QQ(Fraction(q).numerator, Fraction(q).denominator) for m, q in coeffs.items()}),
+        ))
+    return rank, R, out
+
+
+@SETTINGS
+@given(pairs())
+def test_ring_operations(case):
+    rank, R, ((a, A), (b, B)) = case
+    assert in_ring(R, a) == A
+    for got, want in ((a + b, A + B), (a - b, A - B), (a * b, A * B), (-a, -A), (a**3, A**3)):
+        assert in_ring(R, got) == want
+        assert_canonical(got, rank)
+    assert (a + b == b + a) and hash(a + b) == hash(b + a)
+    assert bool(a) == bool(A) and len(a) == len(A)
+
+
+@SETTINGS
+@given(pairs(), st.data())
+def test_shift_matches_compose(case, data):
+    rank, R, ((a, A), _) = case
+    lam = data.draw(st.tuples(*[st.integers(-3, 3)] * rank))
+    hbar = R.gens[-1]
+    want = A.compose([(w, w + l * hbar) for w, l in zip(R.gens, lam) if l]) if any(lam) else A
+    got = a.shift(lam)
+    assert in_ring(R, got) == want
+    assert_canonical(got, rank)
+
+
+@SETTINGS
+@given(pairs(), st.sampled_from(["zero", "rational", "polynomial"]))
+def test_hbar_specialization_matches_compose_and_subs(case, kind):
+    rank, R, ((a, A), (b, B)) = case
+    if kind == "zero":
+        v, V = Polynomial({}), R.zero
+    elif kind == "rational":
+        v, V = Polynomial.constant(rank + 1, Fraction(-3, 2)), R(QQ(-3, 2))
+    else:
+        v, V = b, B
+    got = a.at_hbar(v)
+    assert in_ring(R, got) == A.compose(R.gens[-1], V)
+    assert as_expr(rank, got) == sympy.expand(A.as_expr().subs(HBAR, V.as_expr()))
+    assert_canonical(got, rank)
+
+
+@SETTINGS
+@given(pairs())
+def test_hbar_coefficient_and_degree(case):
+    rank, R, ((a, A), _) = case
+    hbar = R.gens[-1]
+    assert a.hbar_degree() == (A.degree(hbar) if A else -1)
+    for k in range(4):
+        got = a.hbar_coefficient(k)
+        assert in_ring(R, got) == A.coeff_wrt(hbar, k)
+        assert_canonical(got, rank)
+
+
+@st.composite
+def dressed(draw):
+    """A theory, a coweight, an hbar-free quotient and an hbar-free addend."""
+    rank = draw(st.integers(0, 4))
+    chars = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), max_size=4))
+    lam = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+    quotient, addend = (draw(coefficient_dicts(rank, hbar=False, max_terms=3)) for _ in range(2))
+    return rank, chars, lam, quotient, addend
+
+
+@SETTINGS
+@given(dressed(), st.booleans())
+def test_division_by_the_dressing_matches_div(case, exact):
+    rank, chars, lam, quotient, addend = case
+    R = oracle_ring(rank)
+    th = AbelianTheory.of(rank, chars)
+    dressing = _classical_dressing(th, lam)
+    coeff = Polynomial.from_fractions({m: Fraction(q) for m, q in quotient.items()}) * dressing
+    if not exact:
+        coeff += Polynomial.from_fractions({m: Fraction(q) for m, q in addend.items()})
+    op = DifferenceOperator.from_terms(rank, {lam: coeff})
+    want, rem = in_ring(R, coeff).div(in_ring(R, dressing))
+    if rem:
+        with pytest.raises(LiftError) as err:
+            element_from_operator(th, op)
+        assert str(err.value) == f"coefficient at {lam} is not divisible by the monopole dressing"
+    else:
+        got = element_from_operator(th, op)
+        assert got == CoulombElement.from_terms(rank, {lam: want.as_expr()})
+
+
+@SETTINGS
+@given(pairs(), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_division_by_one_linear_form(case, form_coeffs):
+    rank, R, ((a, A), (b, B)) = case
+    coeffs = form_coeffs[:rank] + form_coeffs[-1:]  # the last one multiplies hbar
+    form = Polynomial.make({tuple(int(i == j) for i in range(rank + 1)): c for j, c in enumerate(coeffs)})
+    if not form:
+        return
+    L = in_ring(R, form)
+    assert in_ring(R, (a * form).divide_linear(form)) == A
+    quo, rem = (A * L + B).div(L)
+    if rem:
+        with pytest.raises(LiftError):
+            (a * form + b).divide_linear(form)
+    else:
+        got = (a * form + b).divide_linear(form)
+        assert in_ring(R, got) == quo
+        assert_canonical(got, rank)
+
+
+@SETTINGS
+@given(pairs(), st.data())
+def test_printed_forms_match_sympy(case, data):
+    rank, R, ((a, A), (b, B)) = case
+    lams = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=2, unique=True))
+    op = DifferenceOperator.from_terms(rank, list(zip(lams, (a, b))))
+    ring_terms = [(lam, P) for lam, P in sorted(zip(lams, (A, B))) if P]
+    assert op.terms == tuple((lam, P.as_expr()) for lam, P in ring_terms)
+    assert str(op) == (" + ".join(
+        f"({P.as_expr()})" + (f"*e^{list(lam)}" if any(lam) else "") for lam, P in ring_terms
+    ) or "0")
+    # sums, products and integer powers of the generators, as PolyRing.from_expr reads them
+    for expr in (A.as_expr(), (A.as_expr() + 1) * (B.as_expr() - HBAR) ** 2, sympy.Rational(1, 2) * HBAR**3):
+        assert in_ring(R, to_poly(rank, expr)) == R.from_expr(expr)
+
+
+@pytest.mark.parametrize("expr", ["1/w1", "sqrt(2)", "x", "w1**(1/2)", "hbar**-2", "w3"])
+def test_non_polynomials_are_domain_errors(expr):
+    with pytest.raises(DomainError, match="is not a polynomial in w1, w2, hbar"):
+        to_poly(2, sympy.sympify(expr))
