@@ -2,10 +2,7 @@
 duality checks, and Kac-Moody weight combinatorics.
 
 The public names are resolved lazily (PEP 562): a name is imported from its
-defining submodule on first access.  Only ``difference_ops`` and
-``monopole`` load sympy (``higgs`` on a call to its two symbolic helpers), so
-the Kac-Moody, quiver and lattice code and the integer Hilbert series of
-``abelian`` and ``higgs`` run without it.
+defining submodule on first access.
 """
 
 from importlib import import_module

@@ -19,8 +19,7 @@ from importlib import resources
 
 import jsonschema
 
-# monopole loads sympy, so only the abelian ring|quantize|poisson handlers import it
-from . import jsonio, quiver
+from . import jsonio, monopole, quiver
 from .abelian import hilbert_series
 from .cancel import CancellationToken
 from .cartan import langlands_dual
@@ -241,22 +240,16 @@ def _printed(value, key, to_json) -> dict:
 
 
 def _cmd_abelian_ring(doc, args):
-    from . import monopole
-
     th, (a, b) = _theory_and_elements(doc, "a", "b")
     return _printed(monopole.classical_product(th, a, b, _token(args)), "element", jsonio.element_to_json)
 
 
 def _cmd_abelian_quantize(doc, args):
-    from . import monopole
-
     th, (a,) = _theory_and_elements(doc, "element")
     return _printed(monopole.quantize(th, a, _token(args)), "operator", jsonio.operator_to_json)
 
 
 def _cmd_abelian_poisson(doc, args):
-    from . import monopole
-
     th, (a, b) = _theory_and_elements(doc, "a", "b")
     return _printed(monopole.poisson(th, a, b, _token(args)), "element", jsonio.element_to_json)
 

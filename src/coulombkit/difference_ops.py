@@ -10,8 +10,12 @@ integer numerators over one common denominator, so integer coefficients never
 pay for a gcd.  The shift expands each monomial by the binomial theorem,
 (w_j + lam_j hbar)^a = sum_k C(a, k) lam_j^k w_j^(a-k) hbar^k, and the hbar
 specialization evaluates the hbar-degree pieces of a coefficient at the value
-by Horner's rule.  sympy expressions appear only where values enter
-(``from_terms``) and leave (``terms``, ``str``, ``shift_polynomial``).
+by Horner's rule.  ``str`` prints through ``Polynomial`` itself.
+
+sympy is the symbolic API's boundary, imported only on use: ``from_terms``
+accepts sympy expressions (``to_poly``), and ``terms``, ``shift_polynomial``,
+``w_vars`` and ``HBAR`` return sympy values.  Importing this module, and the
+whole CLI, leaves sympy unloaded.
 """
 
 from __future__ import annotations
@@ -20,22 +24,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, mul
-
-import sympy
-from sympy.polys.domains import QQ
-from sympy.polys.polyerrors import CoercionFailed
+from typing import TYPE_CHECKING
 
 from .cancel import CancellationToken, check
 from .errors import DimensionError, DomainError, LiftError
 from .lattices import Coweight
 from .polynomial import Polynomial
 
-HBAR = sympy.Symbol("hbar")
+if TYPE_CHECKING:
+    import sympy
 
 
 @lru_cache(maxsize=32)
 def w_vars(rank: int) -> tuple[sympy.Symbol, ...]:
     """Equivariant parameters w_1 .. w_rank."""
+    import sympy
+
     if rank == 0:
         return ()
     return sympy.symbols(f"w1:{rank + 1}")
@@ -44,8 +48,20 @@ def w_vars(rank: int) -> tuple[sympy.Symbol, ...]:
 @lru_cache(maxsize=32)
 def _generators(rank: int) -> dict[sympy.Symbol, Polynomial]:
     """w_1 .. w_rank and hbar, each as a sympy symbol and as a polynomial."""
-    gens = w_vars(rank) + (HBAR,)
+    import sympy
+
+    gens = w_vars(rank) + (sympy.Symbol("hbar"),)
     return {g: Polynomial.variable(rank + 1, j) for j, g in enumerate(gens)}
+
+
+def __getattr__(name):
+    """``HBAR``, the sympy symbol hbar, bound on first use so that importing
+    the module does not load sympy."""
+    if name == "HBAR":
+        (hbar,) = _generators(0)  # rank 0 has the one generator hbar
+        globals()["HBAR"] = hbar
+        return hbar
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def to_poly(rank: int, value) -> Polynomial:
@@ -59,6 +75,10 @@ def to_poly(rank: int, value) -> Polynomial:
         return value
     if type(value) is int or isinstance(value, Fraction):
         return Polynomial.constant(rank + 1, value)
+    import sympy
+    from sympy.polys.domains import QQ
+    from sympy.polys.polyerrors import CoercionFailed
+
     mapping = _generators(rank)
 
     def rebuild(expr) -> Polynomial:
@@ -85,7 +105,9 @@ def to_poly(rank: int, value) -> Polynomial:
 def as_expr(rank: int, p: Polynomial) -> sympy.Expr:
     """``p`` as a sympy expression in w_1 .. w_rank, hbar: the Add of one Mul
     per term that sympy's ``PolyElement.as_expr`` builds."""
-    gens = w_vars(rank) + (HBAR,)
+    import sympy
+
+    gens = tuple(_generators(rank))
     return sympy.Add(*[
         sympy.Mul(sympy.Rational(c, p.den), *[sympy.Pow(g, e) for g, e in zip(gens, m) if e])
         for m, c in p.num.items()
@@ -140,8 +162,7 @@ class _GradedSum:
         if not self.polys:
             return "0"
         return " + ".join(
-            f"({as_expr(self.rank, p)})" + (f"*{self._basis}^{list(lam)}" if any(lam) else "")
-            for lam, p in self.polys
+            f"({p})" + (f"*{self._basis}^{list(lam)}" if any(lam) else "") for lam, p in self.polys
         )
 
 

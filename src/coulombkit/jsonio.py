@@ -9,19 +9,16 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .abelian import AbelianTheory
 from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
+from .difference_ops import DifferenceOperator
 from .errors import DimensionError, DomainError
+from .higgs import GradedDimensionTable
 from .lattices import IntMatrix
+from .monopole import CoulombElement
 from .polynomial import Polynomial
 from .quiver import DimVectors, Quiver
-
-if TYPE_CHECKING:  # type-only; difference_ops and monopole load sympy, so the functions import them on use
-    from .difference_ops import DifferenceOperator
-    from .higgs import GradedDimensionTable
-    from .monopole import CoulombElement
 
 
 def fraction_str(q) -> str:
@@ -132,8 +129,6 @@ def element_to_json(a: CoulombElement) -> dict:
 
 
 def element_from_json(doc) -> CoulombElement:
-    from .monopole import CoulombElement
-
     return CoulombElement.from_terms(int(doc["rank"]), _terms_from_json(doc, with_hbar=False))
 
 
@@ -142,8 +137,6 @@ def operator_to_json(op: DifferenceOperator) -> dict:
 
 
 def operator_from_json(doc) -> DifferenceOperator:
-    from .difference_ops import DifferenceOperator
-
     return DifferenceOperator.from_terms(int(doc["rank"]), _terms_from_json(doc, with_hbar=True))
 
 

@@ -1,24 +1,28 @@
-"""Sparse polynomials with exact rational coefficients, without sympy.
+"""Sparse polynomials with exact rational coefficients, in pure Python.
 
 A polynomial in the variables w_1 .. w_rank, hbar is a dict from exponent
 tuples (one exponent per variable, hbar last) to integer numerators, over one
 positive common denominator.  It is kept canonical: no zero numerators, and
 gcd(denominator, numerators) = 1, so ``==`` and ``hash`` are structural.  An
 integer polynomial has denominator 1 and never computes a gcd.  Values are
-immutable: every operation returns a new polynomial.
+immutable: every operation returns a new polynomial.  ``str`` prints the
+polynomial in the variables w1 .. w_rank, hbar, as the CLI's ``"result"``
+strings show it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add
 
 from .cancel import CancellationToken, check
 from .errors import LiftError
 
 Monomial = tuple[int, ...]
+
+_CHECK_EVERY = 1024  # steps of one monomial's shift between two token checks
 
 
 class Polynomial:
@@ -76,6 +80,34 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self.num!r}, {self.den})"
 
+    def __str__(self) -> str:
+        """The text of the polynomial in w1 .. w_rank, hbar (names from the
+        exponent-tuple length), e.g. ``2*w1**2*w2**3/3 - w1/2 + 1/3``.
+
+        The generators are ordered by name (hbar, w1, w10, w11, w2, ...) and the
+        terms by their exponents in that order, descending lex, with one
+        exception: of two terms, a positive constant and a negative multiple of
+        one variable's power, the constant comes first (``4 - 2*w1``)."""
+        if not self.num:
+            return "0"
+        nvars = len(next(iter(self.num)))
+        names = [f"w{j}" for j in range(1, nvars)] + ["hbar"]
+        order = sorted(range(nvars), key=names.__getitem__)
+        terms = sorted(self.num.items(), key=lambda t: [t[0][j] for j in order], reverse=True)
+        if len(terms) == 2:
+            (m, c), (m0, c0) = terms
+            if not any(m0) and c0 > 0 > c and sum(map(bool, m)) == 1:
+                terms.reverse()
+        out = []
+        for m, c in terms:
+            g = gcd(c, self.den)
+            n, d = abs(c) // g, self.den // g
+            factors = [names[j] if m[j] == 1 else f"{names[j]}**{m[j]}" for j in order if m[j]]
+            text = "*".join(([] if n == 1 and factors else [str(n)]) + factors) + (f"/{d}" if d != 1 else "")
+            out.append(("- " if c < 0 else "+ ") + text)
+        joined = " ".join(out)  # "+ a - b ...": the leading sign is written only when it is "-"
+        return joined[2:] if joined[0] == "+" else "-" + joined[2:]
+
     # ------------------------------------------------------------ ring operations
 
     def __neg__(self) -> "Polynomial":
@@ -127,15 +159,19 @@ class Polynomial:
     def shift(self, lam, token: CancellationToken | None = None) -> "Polynomial":
         """p(w + hbar * lam, hbar), monomial by monomial by the binomial theorem:
         w_j^a -> sum_k C(a, k) lam_j^k w_j^(a - k) hbar^k.  The shift and its
-        inverse have integer matrices, so the numerators keep their gcd."""
+        inverse have integer matrices, so the numerators keep their gcd.  The
+        token is checked every ``_CHECK_EVERY`` steps inside a monomial too, so
+        one high power is cancellable."""
         moved = [(j, l) for j, l in enumerate(lam) if l]
         if not moved:
             return self
         out: dict[Monomial, int] = {}
         for monom, coeff in self.num.items():
             check(token)
-            expansions = [[(j, k, comb(a, k) * l**k) for k in range(a + 1)] for j, l in moved if (a := monom[j])]
-            for choice in product(*expansions):
+            rows = [_binomial_row(j, a, l, token) for j, l in moved if (a := monom[j])]
+            for i, choice in enumerate(product(*rows), 1):
+                if not i % _CHECK_EVERY:
+                    check(token)
                 m, factor = list(monom), coeff
                 for j, k, b in choice:
                     m[j] -= k
@@ -199,3 +235,15 @@ class Polynomial:
             for m, v in q.items():
                 quotient[m[:x] + (k - 1,) + m[x + 1:]] = v * f
         return Polynomial.make({m: v * form.den for m, v in quotient.items()}, self.den * c**top)
+
+
+def _binomial_row(j: int, a: int, l: int, token: CancellationToken | None) -> list[tuple[int, int, int]]:
+    """(j, k, C(a, k) l^k) for k = 0 .. a, each entry from the one before:
+    C(a, k + 1) l^(k + 1) = C(a, k) l^k (a - k) l / (k + 1), a division that is exact."""
+    row, b = [], 1
+    for k in range(a + 1):
+        if not (k + 1) % _CHECK_EVERY:
+            check(token)
+        row.append((j, k, b))
+        b = b * (a - k) * l // (k + 1)
+    return row

@@ -509,6 +509,40 @@ def test_abelian_timeout_reaches_inside_one_term(command, doc):
     assert time.monotonic() - start < 10
 
 
+def _high_power_bracket(powers):
+    """{r^(1, ..., 1), w^powers} on the theory with the one character (1, ..., 1):
+    the shift expands each w_j^a into a + 1 terms."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    rank = len(powers)
+    power = {"rank": rank, "terms": [{"coweight": [0] * rank, "poly": [{"coeff": "1", "powers": powers}]}]}
+    doc = {"theory": {"rank": rank, "characters": [[1] * rank]}, "a": _one_term([1] * rank), "b": power}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", "abelian", "poisson", "--timeout", "0.5", "--format", "table"],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc, time.monotonic() - start
+
+
+def test_one_high_power_is_cheap_to_shift():
+    # the binomial row of w^12000 is a running product, not 12001 calls of comb
+    proc, elapsed = _high_power_bracket([12000])
+    assert elapsed < 5
+    if proc.returncode == 0:  # a loaded machine may run out the half second instead
+        assert proc.stdout.endswith('result: "(12000*w1**11999)*r^[1]"\n')
+    else:
+        assert (proc.returncode, proc.stdout) == (3, "") and "timed out" in proc.stderr
+
+
+@pytest.mark.parametrize("powers", [[200000], [1500, 1500]], ids=["one_long_row", "many_choices"])
+def test_one_high_power_shift_is_cancellable(powers):
+    # the token is checked inside one monomial's expansion: while its binomial rows
+    # are built, and while the product of two rows is summed
+    proc, elapsed = _high_power_bracket(powers)
+    assert (proc.returncode, proc.stdout) == (3, "") and "timed out" in proc.stderr
+    assert elapsed < 5
+
+
 def test_km_mult_deep_weight_space(capsys, tmp_path):
     # the lowest weight of V(3000 varpi): 3000 simple roots below the highest one
     doc = {"cartan": "A1", "lambda": {"fund": [3000]}, "mu": {"fund": [-3000]}}

@@ -3,11 +3,12 @@
 Each case draws a rank 0-4 and polynomials in w_1 .. w_rank, hbar whose
 coefficients include halves and integers of forty digits, and builds every
 value twice: as a ``Polynomial`` and as an element of sympy's ring, which is
-the oracle.
+the oracle.  The printer's oracle is ``str`` of the same polynomial as a sympy
+expression, at ranks 0-4 and 10-12.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -189,3 +190,58 @@ def test_printed_forms_match_sympy(case, data):
 def test_non_polynomials_are_domain_errors(expr):
     with pytest.raises(DomainError, match="is not a polynomial in w1, w2, hbar"):
         to_poly(2, sympy.sympify(expr))
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 50, 2000])
+def test_shift_of_one_power_is_the_binomial_expansion(a):
+    # (w1 + lam hbar)^a = sum_k C(a, k) lam^k w1^(a - k) hbar^k, the row built as a running product
+    for lam, coeff, den in ((1, 1, 1), (-2, 3, 7)):
+        got = Polynomial.make({(a, 0): coeff}, den).shift((lam,))
+        assert got == Polynomial.make({(a - k, k): coeff * comb(a, k) * lam**k for k in range(a + 1)}, den)
+
+
+@st.composite
+def printable(draw):
+    """A rank in 0-4 or 10-12 and a polynomial of up to five sparse terms whose
+    coefficients have denominators 1-6 and numerators of up to 36 digits; half
+    of them a constant plus a multiple of one variable's power, the shape sympy
+    orders specially."""
+    rank = draw(st.sampled_from([0, 1, 2, 3, 4, 10, 11, 12]))
+    numerator = st.one_of(st.integers(-3, 3), st.integers(-(10**36), 10**36))
+    coeff = st.builds(Fraction, numerator, st.integers(1, 6))
+    if draw(st.booleans()):
+        j, e = draw(st.integers(0, rank)), draw(st.integers(1, 3))
+        power = tuple(e if i == j else 0 for i in range(rank + 1))
+        coeffs = {(0,) * (rank + 1): draw(coeff), power: draw(coeff)}
+    else:
+        exponent = st.sampled_from([0, 0, 0, 1, 2, 3])
+        coeffs = draw(st.dictionaries(st.tuples(*[exponent] * (rank + 1)), coeff, max_size=5))
+    return rank, Polynomial.from_fractions(coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(printable())
+def test_str_matches_the_printed_sympy_expression(case):
+    rank, p = case
+    assert str(p) == str(as_expr(rank, p))
+
+
+@pytest.mark.parametrize(
+    "coeffs, rank, text",
+    [
+        ({}, 1, "0"),
+        ({(1, 0): -2, (0, 0): 4}, 1, "4 - 2*w1"),
+        ({(1, 0): -1, (0, 0): Fraction(1, 3)}, 1, "1/3 - w1"),
+        ({(1, 1, 0): -1, (0, 0, 0): 4}, 2, "-w1*w2 + 4"),
+        ({(1, 0): -2, (0, 0): -3}, 1, "-2*w1 - 3"),
+        ({(2, 0): Fraction(-1, 2), (0, 0): 3}, 1, "3 - w1**2/2"),
+        ({(0, 0, 1): Fraction(-1, 2), (0, 0, 0): 3}, 2, "3 - hbar/2"),
+        ({(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 0): 3}, 2, "-w1 - w2 + 3"),
+        ({(0,) * 9 + (1, 0, 0): 2, (0, 1) + (0,) * 10: Fraction(-2, 3)}, 11, "2*w10 - 2*w2/3"),
+        ({(1,) * 12: 1}, 11, "hbar*w1*w10*w11*w2*w3*w4*w5*w6*w7*w8*w9"),
+        ({(3, 1): 10**40 + 1, (0, 0): Fraction(-1, 6)}, 1, f"{10**40 + 1}*hbar*w1**3 - 1/6"),
+    ],
+)
+def test_str_of_explicit_polynomials(coeffs, rank, text):
+    p = Polynomial.from_fractions({m: Fraction(q) for m, q in coeffs.items()})
+    assert str(p) == text == str(as_expr(rank, p))
