@@ -5,6 +5,12 @@ validates it against the shipped schemas, runs the operation and prints a
 JSON (or plain table) result.  Exit codes: 0 success, 1 malformed input
 (usage errors included), 2 a verification subcommand found a mismatch,
 3 bound exceeded / cancelled.
+
+A document is checked against its schema by a small interpreter of the
+Draft 2020-12 keywords that the shipped schemas use; any other keyword
+raises.  Only a rejected document imports ``jsonschema``, whose
+``Draft202012Validator`` words the diagnostics.  The ``--timeout`` deadline
+starts before the document is read and also covers printing the result.
 """
 
 from __future__ import annotations
@@ -12,16 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
+import re
 import sys
 from fractions import Fraction
 from functools import cache
 from importlib import resources
 
-import jsonschema
-
 from . import jsonio, monopole, quiver
 from .abelian import hilbert_series
-from .cancel import CancellationToken
+from .cancel import CancellationToken, check
 from .cartan import langlands_dual
 from .errors import Cancelled, CoulombKitError
 from .higgs import coulomb_higgs_compare
@@ -48,16 +54,53 @@ class BoundExceeded(Exception):
 _SCHEMA_SUFFIX = ".schema.json"
 
 
-def _schema_names() -> set[str]:
-    """The names of the shipped schemas, as ``validate --schema`` takes them."""
-    files = resources.files("coulombkit.schemas").iterdir()
-    return {f.name.removesuffix(_SCHEMA_SUFFIX) for f in files if f.name.endswith(_SCHEMA_SUFFIX)}
-
-
 @cache
-def _validator(name: str) -> jsonschema.Draft202012Validator:
-    text = resources.files("coulombkit.schemas").joinpath(name + _SCHEMA_SUFFIX).read_text()
-    return jsonschema.Draft202012Validator(json.loads(text))
+def _schemas() -> dict[str, dict]:
+    """The shipped schemas, each parsed once, by the names ``validate --schema`` takes."""
+    files = resources.files("coulombkit.schemas").iterdir()
+    return {
+        f.name.removesuffix(_SCHEMA_SUFFIX): json.loads(f.read_text())
+        for f in files if f.name.endswith(_SCHEMA_SUFFIX)
+    }
+
+
+def _is_integer(x) -> bool:
+    # Draft 2020-12: a float with no fractional part is an integer, and JSON true is not
+    return (isinstance(x, int) and not isinstance(x, bool)) or (isinstance(x, float) and x.is_integer())
+
+
+_TYPES = {"object": dict, "array": list, "string": str}
+
+# keyword -> check(instance, keyword value, enclosing schema); a keyword ignores instances of other types
+_KEYWORDS = {
+    "type": lambda x, t, s: _is_integer(x) if t == "integer" else isinstance(x, _TYPES[t]),
+    "properties": lambda x, props, s: not isinstance(x, dict)
+    or all(_valid(x[k], sub) for k, sub in props.items() if k in x),
+    "required": lambda x, keys, s: not isinstance(x, dict) or all(k in x for k in keys),
+    "additionalProperties": lambda x, sub, s: not isinstance(x, dict)
+    or all(_valid(v, sub) for k, v in x.items() if k not in s.get("properties", ())),
+    "items": lambda x, sub, s: not isinstance(x, list) or all(_valid(v, sub) for v in x),
+    # a bool is not a number, and NaN is not below any minimum
+    "minimum": lambda x, m, s: isinstance(x, bool) or not isinstance(x, numbers.Number) or not x < m,
+    "minItems": lambda x, n, s: not isinstance(x, list) or len(x) >= n,
+    "maxItems": lambda x, n, s: not isinstance(x, list) or len(x) <= n,
+    "oneOf": lambda x, subs, s: sum(_valid(x, sub) for sub in subs) == 1,
+    "pattern": lambda x, p, s: not isinstance(x, str) or re.search(p, x) is not None,
+    **dict.fromkeys(("$schema", "$id", "title"), lambda x, v, s: True),  # annotations
+}
+
+
+def _valid(x, schema) -> bool:
+    """Whether ``x`` satisfies ``schema`` under Draft 2020-12.  A keyword
+    outside ``_KEYWORDS`` raises, so no check is skipped silently."""
+    if isinstance(schema, bool):
+        return schema
+    if not _KEYWORDS.keys() >= schema.keys():
+        raise ValueError(f"unsupported schema keywords: {sorted(schema.keys() - _KEYWORDS.keys())}")
+    for key, value in schema.items():
+        if not _KEYWORDS[key](x, value, schema):
+            return False
+    return True
 
 
 def _pointer(path) -> str:
@@ -66,10 +109,18 @@ def _pointer(path) -> str:
 
 def validate_schema(doc, schema_name: str, prefix: str = "") -> list[str]:
     """Schema diagnostics with JSON-pointer paths; empty means valid."""
+    schema = _schemas()[schema_name]
+    if not _valid(doc, schema):
+        # jsonschema only words the diagnostics; importing it is most of a cold start
+        import jsonschema
+
+        errors = jsonschema.Draft202012Validator(schema).iter_errors(doc)
+        return [
+            f"{prefix}{_pointer(err.absolute_path)}: {err.message}"
+            for err in sorted(errors, key=lambda e: list(e.absolute_path))
+        ]
     out = []
-    for err in sorted(_validator(schema_name).iter_errors(doc), key=lambda e: list(e.absolute_path)):
-        out.append(f"{prefix}{_pointer(err.absolute_path)}: {err.message}")
-    if not out and schema_name == "quiver":
+    if schema_name == "quiver":
         n = doc["vertices"]
         for i, edge in enumerate(doc.get("edges", [])):
             for j, v in enumerate(edge):
@@ -148,10 +199,6 @@ def _depth(args) -> int:
     return args.depth
 
 
-def _token(args) -> CancellationToken | None:
-    return CancellationToken(args.timeout) if args.timeout is not None else None
-
-
 def _table_from_dims(dims: list[int]) -> list:
     return jsonio.table_to_json(jsonio.dims_to_table(dims))
 
@@ -162,14 +209,14 @@ def _cmd_km_mult(doc, args):
     _require(doc, "cartan", "lambda", "mu")
     gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
-    return {"multiplicity": weight_multiplicity(gcm, lam, mu, _token(args))}
+    return {"multiplicity": weight_multiplicity(gcm, lam, mu, args.token)}
 
 
 def _cmd_km_tensor(doc, args):
     _require(doc, "cartan", "lambda1", "lambda2")
     gcm = _get_gcm(doc)
     lam1, lam2 = _get_weight(doc, "lambda1"), _get_weight(doc, "lambda2")
-    comps = tensor_decompose(gcm, lam1, lam2, _token(args))
+    comps = tensor_decompose(gcm, lam1, lam2, args.token)
     return {
         "components": [
             [jsonio.weight_to_json(w), m]
@@ -199,13 +246,13 @@ def _cmd_quiver_strata(doc, args):
     gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
     if gcm.tag == "affine":
-        strata = strata_affine(gcm, lam, mu, _depth(args), _token(args))
+        strata = strata_affine(gcm, lam, mu, _depth(args), args.token)
         return {
             "strata": [
                 {"kappa": jsonio.weight_to_json(k), "partition": list(p)} for k, p in strata
             ]
         }
-    strata = strata_finite(gcm, lam, mu, _token(args))
+    strata = strata_finite(gcm, lam, mu, args.token)
     return {"strata": [jsonio.weight_to_json(k) for k in strata]}
 
 
@@ -213,7 +260,7 @@ def _cmd_quiver_satake(doc, args):
     _require(doc, "cartan", "lambda", "mu")
     gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
-    mult = weight_multiplicity(langlands_dual(gcm), lam, mu, _token(args))
+    mult = weight_multiplicity(langlands_dual(gcm), lam, mu, args.token)
     # as in quiver.fixed_point_nonempty: the fixed point exists iff the dual multiplicity is nonzero
     return {"nonempty": mult > 0, "dual_multiplicity": mult}
 
@@ -229,11 +276,16 @@ def _theory_and_elements(doc, *keys):
     return th, elems
 
 
-def _printed(value, key, to_json) -> dict:
+def _printed(value, key, to_json, token) -> dict:
     """``value`` as its printed ``"result"`` and as JSON under ``key``.  Printing
-    stops with a ValueError at an integer past the interpreter's digit limit."""
+    stops with a ValueError at an integer past the interpreter's digit limit.
+    The deadline is checked once the result is printed, unless it is zero: a
+    product with no term pair checks no deadline and answers 0 at once."""
     try:
-        return {"result": str(value), key: to_json(value)}
+        text = str(value)
+        if value.polys:
+            check(token)
+        return {"result": text, key: to_json(value)}
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise BoundExceeded(f"a coefficient of the result has more than {limit} digits") from None
@@ -241,30 +293,33 @@ def _printed(value, key, to_json) -> dict:
 
 def _cmd_abelian_ring(doc, args):
     th, (a, b) = _theory_and_elements(doc, "a", "b")
-    return _printed(monopole.classical_product(th, a, b, _token(args)), "element", jsonio.element_to_json)
+    product = monopole.classical_product(th, a, b, args.token)
+    return _printed(product, "element", jsonio.element_to_json, args.token)
 
 
 def _cmd_abelian_quantize(doc, args):
     th, (a,) = _theory_and_elements(doc, "element")
-    return _printed(monopole.quantize(th, a, _token(args)), "operator", jsonio.operator_to_json)
+    op = monopole.quantize(th, a, args.token)
+    return _printed(op, "operator", jsonio.operator_to_json, args.token)
 
 
 def _cmd_abelian_poisson(doc, args):
     th, (a, b) = _theory_and_elements(doc, "a", "b")
-    return _printed(monopole.poisson(th, a, b, _token(args)), "element", jsonio.element_to_json)
+    bracket = monopole.poisson(th, a, b, args.token)
+    return _printed(bracket, "element", jsonio.element_to_json, args.token)
 
 
 def _cmd_abelian_hilbert(doc, args):
     _check(doc, "theory")
     th = jsonio.theory_from_json(doc)
-    dims = hilbert_series(th, _max_deg(args), _token(args))
+    dims = hilbert_series(th, _max_deg(args), args.token)
     return {"dimensions": _table_from_dims(dims)}
 
 
 def _cmd_hypertoric_compare(doc, args):
     _check(doc, "matrix")
     a = jsonio.matrix_from_json(doc)
-    report = coulomb_higgs_compare(a, _max_deg(args), _token(args))
+    report = coulomb_higgs_compare(a, _max_deg(args), args.token)
     out = {
         "coulomb": jsonio.table_to_json(report.coulomb),
         "higgs": jsonio.table_to_json(report.higgs),
@@ -280,14 +335,14 @@ def _cmd_jordan_hilbert(doc, args):
     _require(doc, "n", "ell")
     if not (type(doc["n"]) is int and type(doc["ell"]) is int):  # JSON true is not an integer
         raise InputError(["/n, /ell: must be integers"])
-    dims = jordan_coulomb_hilbert(doc["n"], doc["ell"], _max_deg(args), _token(args))
+    dims = jordan_coulomb_hilbert(doc["n"], doc["ell"], _max_deg(args), args.token)
     return {"dimensions": _table_from_dims(dims)}
 
 
 def _cmd_validate(doc, args):
     if args.schema is None:
         raise InputError(["--schema NAME is required for validate"])
-    if args.schema not in _schema_names():
+    if args.schema not in _schemas():
         raise InputError([f"unknown schema: {args.schema!r}"])
     diags = validate_schema(doc, args.schema)
     if diags:
@@ -340,7 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(result: dict, fmt: str) -> str:
+_CHUNKS_PER_CHECK = 4096
+
+
+def _render(result: dict, fmt: str, token: CancellationToken | None) -> str:
     if fmt == "table":
         lines = []
         for key in sorted(result):
@@ -354,7 +412,13 @@ def _render(result: dict, fmt: str) -> str:
             else:
                 lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
         return "\n".join(lines)
-    return json.dumps(result, indent=2, sort_keys=True)
+    # the bytes of json.dumps(result, indent=2, sort_keys=True), which encodes in these chunks too
+    chunks = []
+    for i, chunk in enumerate(json.JSONEncoder(indent=2, sort_keys=True).iterencode(result), 1):
+        chunks.append(chunk)
+        if i % _CHUNKS_PER_CHECK == 0:
+            check(token)
+    return "".join(chunks)
 
 
 def main(argv=None) -> int:
@@ -366,8 +430,9 @@ def main(argv=None) -> int:
     try:
         if args.timeout is not None and math.isnan(args.timeout):  # a NaN deadline never expires
             raise InputError(["--timeout must be a number of seconds, not nan"])
+        args.token = CancellationToken(args.timeout) if args.timeout is not None else None
         doc = _read_document(args)
-        result = handler(doc, args)
+        text = _render(handler(doc, args), args.format, args.token)
     except InputError as exc:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)
@@ -387,7 +452,7 @@ def main(argv=None) -> int:
     except RecursionError as exc:  # parsed just under the limit, then nested too deep to check
         print(f"input nested too deeply: {exc}", file=sys.stderr)
         return 1
-    print(_render(result, args.format))
+    print(text)
     return 0
 
 

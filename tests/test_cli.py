@@ -13,7 +13,9 @@ import pytest
 
 from coulombkit import multiplicities
 from coulombkit.abelian import AbelianTheory
-from coulombkit.cli import main, validate_schema
+from coulombkit.cancel import CancellationToken
+from coulombkit.cli import _render, main, validate_schema
+from coulombkit.errors import Cancelled
 from test_monopole import _box_scan
 
 
@@ -486,6 +488,38 @@ def _one_term(lam):
     return {"rank": len(lam), "terms": [{"coweight": lam, "poly": [{"coeff": "1", "powers": [0] * len(lam)}]}]}
 
 
+def test_timeout_zero_still_answers_a_zero_product(capsys, tmp_path):
+    # no term pair, so no deadline is checked, and printing "0" is no work
+    doc = {"theory": {"rank": 1, "characters": [[1]]}, "a": {"rank": 1, "terms": []}, "b": _one_term([1])}
+    code, out, _ = run(capsys, ["abelian", "ring", "--timeout", "0"], doc, tmp_path=tmp_path)
+    assert code == 0 and json.loads(out)["result"] == "0"
+
+
+def test_timeout_covers_printing_a_large_result():
+    # one term pair whose product (w1 + ... + w12)^7 has 31,824 terms: a 10 MB result that
+    # took 1.7 s to compute and print, and once exited 0 past a 0.2 s deadline
+    rank = 12
+    doc = {"theory": {"rank": rank, "characters": [[1] * rank]},
+           "a": _one_term([7] + [0] * (rank - 1)), "b": _one_term([-14] + [0] * (rank - 1))}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", "abelian", "ring", "--timeout", "0.2"],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("cancelled: ")
+
+
+def test_printing_checks_the_deadline_only_past_4096_chunks():
+    expired = CancellationToken(0)
+    small = {"dimensions": [[str(d), d] for d in range(100)]}
+    assert _render(small, "json", expired) == json.dumps(small, indent=2, sort_keys=True)
+    large = {"dimensions": [[str(d), d] for d in range(2000)]}
+    assert _render(large, "json", None) == json.dumps(large, indent=2, sort_keys=True)
+    with pytest.raises(Cancelled):
+        _render(large, "json", expired)
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -659,7 +693,7 @@ def test_outputs_reparse_under_schema(capsys, tmp_path):
 
 
 def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path, monkeypatch):
-    # the parser and the schema validators are built once per process and reused
+    # the parser and the parsed schemas are built once per process and reused
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     calls = [

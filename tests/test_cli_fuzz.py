@@ -152,9 +152,9 @@ def _slots(doc):
 
 
 @st.composite
-def mutated(draw, doc):
-    """The document with up to three slots replaced by a bad leaf, emptied, or
-    made a wrong length (an entry dropped or repeated)."""
+def mutated(draw, doc, leaves=BAD_LEAVES):
+    """The document with up to three slots replaced by one of ``leaves``,
+    emptied, or made a wrong length (an entry dropped or repeated)."""
     root = [doc]
     for _ in range(draw(st.integers(0, 3))):
         slots = _slots(root[0])
@@ -162,7 +162,7 @@ def mutated(draw, doc):
         value = holder[key]
         kind = draw(st.sampled_from(("leaf", "empty", "drop", "repeat")))
         if kind == "leaf" or not isinstance(value, (list, dict)):
-            holder[key] = draw(BAD_LEAVES)
+            holder[key] = draw(leaves)
         elif kind == "empty":
             holder[key] = type(value)()
         elif isinstance(value, list) and value:

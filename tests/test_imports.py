@@ -1,4 +1,5 @@
-"""The package namespace is lazy, and only the symbolic API loads sympy."""
+"""The package namespace is lazy, only the symbolic API loads sympy, and only
+a rejected document loads jsonschema."""
 
 import importlib
 import json
@@ -14,7 +15,7 @@ import coulombkit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs in a fresh interpreter: prints, after each step, whether sympy is loaded.
+# Runs in a fresh interpreter: prints, after each step, whether sympy and jsonschema are loaded.
 FRESH_INTERPRETER = textwrap.dedent(
     """
     import contextlib, io, json, sys
@@ -22,7 +23,7 @@ FRESH_INTERPRETER = textwrap.dedent(
     steps = []
 
     def record(step, code=None):
-        steps.append([step, code, "sympy" in sys.modules])
+        steps.append([step, code, "sympy" in sys.modules, "jsonschema" in sys.modules])
 
     import coulombkit
     record("import coulombkit")
@@ -49,6 +50,7 @@ FRESH_INTERPRETER = textwrap.dedent(
         (["abelian", "ring"], {"theory": theory, "a": x, "b": y}),
         (["abelian", "quantize"], {"theory": theory, "element": x}),
         (["abelian", "poisson"], {"theory": theory, "a": x, "b": y}),
+        (["validate", "--schema", "element"], {"rank": -1, "terms": []}),
     ]
     for argv, doc in calls:
         sys.stdin = io.StringIO(json.dumps(doc))
@@ -67,14 +69,18 @@ FRESH_INTERPRETER = textwrap.dedent(
 )
 
 
-def test_only_the_symbolic_api_loads_sympy():
+@pytest.fixture(scope="module")
+def steps():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_INTERPRETER],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    steps = json.loads(proc.stdout)
-    assert steps == [
+    return json.loads(proc.stdout)
+
+
+def test_only_the_symbolic_api_loads_sympy(steps):
+    assert [step[:3] for step in steps] == [
         ["import coulombkit", None, False],
         ["from coulombkit import multiplicities", None, False],
         ["import coulombkit.cli", None, False],
@@ -90,7 +96,32 @@ def test_only_the_symbolic_api_loads_sympy():
         ["abelian ring", 0, False],
         ["abelian quantize", 0, False],
         ["abelian poisson", 0, False],
+        ["validate --schema", 2, False],
         ["str(DifferenceOperator)", None, False],
+        ["DifferenceOperator.terms", None, True],
+    ]
+
+
+def test_only_a_rejected_document_loads_jsonschema(steps):
+    # once loaded by the rejected document, jsonschema stays in sys.modules for the last steps
+    assert [[name, code, jsonschema] for name, code, _, jsonschema in steps] == [
+        ["import coulombkit", None, False],
+        ["from coulombkit import multiplicities", None, False],
+        ["import coulombkit.cli", None, False],
+        ["from coulombkit import higgs", None, False],
+        ["coulombkit.hilbert_series", None, False],
+        ["km mult", 0, False],
+        ["km tensor", 0, False],
+        ["quiver satake", 0, False],
+        ["jordan hilbert", 0, False],
+        ["validate --schema", 0, False],
+        ["abelian hilbert", 0, False],
+        ["hypertoric compare", 0, False],
+        ["abelian ring", 0, False],
+        ["abelian quantize", 0, False],
+        ["abelian poisson", 0, False],
+        ["validate --schema", 2, True],
+        ["str(DifferenceOperator)", None, True],
         ["DifferenceOperator.terms", None, True],
     ]
 
