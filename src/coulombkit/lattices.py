@@ -6,7 +6,10 @@ unimodular transforms alternates it on rows and columns, the column-style
 Hermite form that canonicalizes sublattices is one pass, and so are rank and
 the saturated integer kernel.  On top of these sit the dual-torus kernel
 construction and the count of weight-zero monomials that gives the graded
-dimensions on both sides of hypertoric duality.  ``cartan`` solves for root
+dimensions on both sides of hypertoric duality.  That count keys each class
+by one integer, in coordinates that one Hermite pass over the generators
+adapts to the spans of the later weights, so a step adds a constant and most
+prunings are one comparison.  ``cartan`` solves for root
 coordinates through the Smith form; there is no Gauss-Jordan elimination
 over Q and no determinant.  All work is plain arbitrary-precision integer
 arithmetic.  Coweights and character vectors are plain integer tuples;
@@ -16,7 +19,7 @@ arithmetic.  Coweights and character vectors are plain integer tuples;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from .cancel import CancellationToken, check
@@ -165,6 +168,106 @@ def smith_diagonal(mat: IntMatrix) -> tuple[int, ...]:
     return tuple(d.entries[i][i] for i in range(min(d.nrows, d.ncols)))
 
 
+class _Carry(dict):
+    """Memo: the change in a key's mixed-radix torsion index when one weight's
+    torsion digits are added, keyed by the old index."""
+
+    def __init__(self, digits, radices):
+        super().__init__()
+        self.digits, self.radices = digits, radices
+
+    def __missing__(self, index):
+        new, scale, rest = 0, 1, index
+        for a, d in zip(self.digits, self.radices):
+            rest, b = divmod(rest, d)
+            new += (a + b) % d * scale
+            scale *= d
+        self[index] = new - index
+        return new - index
+
+
+class _Member(dict):
+    """Memo: whether a key's class lies in the span of ``basis``, the Hermite
+    basis of a subgroup H_i of index above 1 in H_{i-1}."""
+
+    def __init__(self, basis, radices, radix, base):
+        super().__init__()
+        self.basis, self.radices, self.radix, self.base = basis, radices, radix, base
+
+    def __missing__(self, key):
+        free, index = divmod(key, self.radix)
+        y, half = [], self.base // 2
+        for d in self.radices:
+            index, a = divmod(index, d)
+            y.append(a)
+        while len(y) < len(self.basis):  # balanced base-B digits, lowest first
+            a = (free + half) % self.base - half
+            y.append(a)
+            free = (free - a) // self.base
+        self[key] = _in_span(self.basis, y)
+        return self[key]
+
+
+def _in_span(basis, y) -> bool:
+    """Whether y lies in the span of ``basis``, whose k-th vector starts with a
+    positive entry at coordinate k."""
+    for k, h in enumerate(basis):
+        a, rem = divmod(y[k], h[k])
+        if rem:
+            return False
+        y = [p - a * q for p, q in zip(y, h)]
+    return True
+
+
+def _flag_keys(weights, moduli, top: int, token: CancellationToken | None = None):
+    """Integer keys for the classes of ``koszul_counts``, and each pair's filter.
+
+    The class group is Z^r modulo the torsion generators m_j e_j (m_j != 0).
+    One Hermite pass over the columns m_j e_j, then the weights last to first,
+    leaves them in echelon form E.  The columns of E give each weight
+    coordinates y adapted to the flag H_{-1} ⊇ H_0 ⊇ ..., where H_i is spanned
+    by the torsion generators and weights[i + 1:]: H_i lies in the first
+    rank(H_i) coordinates, and the first t, one per torsion generator, are
+    read mod E's diagonal entries d_k.  A key is F * M + tau, where tau is the
+    mixed-radix index of those residues, M = prod d_k, and F holds the other
+    coordinates as balanced base-B digits, lowest first; B = 2 * top * (the
+    largest of them in a weight) + 1, so no sum of ``top`` weights carries.
+
+    Returns (steps, radix, prunes).  steps[2i] and steps[2i + 1] are (the
+    change of F * M, a torsion carry memo or None) for x_i and y_i.  prunes[i]
+    keeps the classes of H_i after pair i: a range (lo, hi) of keys when
+    weights[i] raises the rank, since then its coordinate must be 0; None when
+    H_{i-1} = H_i; otherwise a memo of membership in H_i's Hermite basis.
+    """
+    r, n = len(moduli), len(weights)
+    torsion = [tuple(m if j == i else 0 for j in range(r)) for i, m in enumerate(moduli) if m]
+    gens = torsion + list(reversed(weights))
+    rows = [[g[p] for g in gens] for p in range(r)]
+    rank, t = _hermite(rows, len(gens), token), len(torsion)
+    cols = [list(c) for c in zip(*rows[:rank])] or [[] for _ in gens]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows[:rank]]
+    radices = [rows[k][k] for k in range(t)]
+    radix = prod(radices)
+    base = 2 * top * max((abs(x) for row in rows[t:rank] for x in row), default=0) + 1
+    steps, prunes = [], []
+    for i in range(n):
+        c = t + n - 1 - i
+        y = cols[c]
+        for sign in (1, -1):
+            digits = [sign * a % d for a, d in zip(y, radices)]
+            free = sum(sign * a * base**k for k, a in enumerate(y[t:]))
+            steps.append((free * radix, _Carry(digits, radices) if any(digits) else None))
+        low = sum(p < c for p in pivots)  # rank(H_i)
+        if c in pivots:
+            half = (base ** (low - t) - 1) // 2 * radix
+            prunes.append((-half, half + radix - 1))
+            continue
+        basis = [col[:low] for col in cols[:c]]
+        basis = basis[: _hermite(basis, low, token)]
+        prunes.append(None if _in_span(basis, y[:low]) else _Member(basis, radices, radix, base))
+    return steps, radix, prunes
+
+
 def koszul_counts(
     weights, moduli, top: int, power: int, token: CancellationToken | None = None
 ) -> list[int]:
@@ -173,42 +276,48 @@ def koszul_counts(
 
     x_i carries ``weights[i]`` and y_i its negative, in the group
     Z/moduli[0] + Z/moduli[1] + ..., where a modulus of 0 stands for Z.
-    After the pair x_i, y_i only classes in the span of the later weights and
-    the moduli are kept: no others can return to zero.  They lie in a subgroup
-    of rank at most min(R, len(weights) - R), R the rank of the weights, so a
-    layer of half-degree t holds O(t^min(R, len(weights) - R)) of them, not O(t^R).
-    The count runs one half-degree at a time and checks ``token`` before each, and it
-    keeps only one layer per variable, so a huge ``top`` grows under the token.
+    After the pair x_i, y_i only classes in H_i, the span of the later weights
+    and the moduli, are kept: no others can return to zero.  They lie in a
+    subgroup of rank at most min(R, len(weights) - R), R the rank of the
+    weights, so a layer of half-degree t holds O(t^min(R, len(weights) - R))
+    of them, not O(t^R).  Each class is one integer key (``_flag_keys``), so
+    a variable adds a constant to it (and looks up one torsion carry when the
+    group has torsion), and the filter after a pair that raises the rank is
+    one comparison.  The count runs one half-degree at a time and checks
+    ``token`` before each, and it keeps only one layer per variable, so a huge
+    ``top`` grows under the token.
     """
-    r = len(moduli)
-    zero = (0,) * r
-    torsion = [tuple(m if j == i else 0 for j in range(r)) for i, m in enumerate(moduli) if m]
-    pairs = []  # (weight of x_i, weight of y_i, the tests a kept class passes, their memo)
-    for i, w in enumerate(weights):
-        # c is in the column span of B iff e_p divides (S c)_p for each p, where S B T = E
-        s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r), token)
-        tests = [(s.entries[p], e.entries[p][p] if p < e.ncols else 0) for p in range(r)]
-        pairs.append((w, tuple(-c for c in w), [(row, ep) for row, ep in tests if ep != 1], {}))
+    steps, radix, prunes = _flag_keys(weights, moduli, top, token)
     # one half-degree at a time: below[j] maps a class to the number of monomials in the
     # first j + 1 variables of half-degree t - 1, before the pruning after their pair
-    below = [{} for _ in range(2 * len(weights))]
+    below = [{} for _ in steps]
     dims, out = [], []
     for t in range(top + 1):
         check(token)
-        layer = {zero: 1} if t == 0 else {}
-        for i, (x, y, tests, kept) in enumerate(pairs):
-            for j, v in ((2 * i, x), (2 * i + 1, y)):
+        layer = {0: 1} if t == 0 else {}
+        for i, prune in enumerate(prunes):
+            for j in (2 * i, 2 * i + 1):
                 # without variable j, plus variable j times a monomial of half-degree t - 1
                 if j % 2:  # below[j - 1] keeps x_i's layer for half-degree t + 1
                     layer = dict(layer)
-                for wt, c in below[j].items():
-                    key = tuple((a + b) % m if m else a + b for a, b, m in zip(wt, v, moduli))
-                    layer[key] = layer.get(key, 0) + c
+                step, carry = steps[j]
+                if carry is None:
+                    for key, c in below[j].items():
+                        key += step
+                        layer[key] = layer.get(key, 0) + c
+                else:
+                    for key, c in below[j].items():
+                        key += step + carry[key % radix]
+                        layer[key] = layer.get(key, 0) + c
                 below[j] = layer
-            for wt in layer.keys() - kept.keys():
-                kept[wt] = all(gcd(sum(a * b for a, b in zip(row, wt)), ep) == ep for row, ep in tests)
-            layer = {wt: c for wt, c in layer.items() if kept[wt]}
-        dims.append(layer.get(zero, 0))
+            if prune is None:  # below[j] keeps y_i's layer
+                layer = dict(layer)
+            elif type(prune) is tuple:
+                lo, hi = prune
+                layer = {key: c for key, c in layer.items() if lo <= key <= hi}
+            else:
+                layer = {key: c for key, c in layer.items() if prune[key]}
+        dims.append(layer.get(0, 0))
         out.append(sum((-1) ** q * comb(power, q) * dims[t - 2 * q] for q in range(min(power, t // 2) + 1)))
     return out
 

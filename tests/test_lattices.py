@@ -1,13 +1,15 @@
 """Integer lattice linear algebra: Smith/Hermite forms and the dual torus."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from coulombkit.cancel import CancellationToken
+from coulombkit import lattices
+from coulombkit.cancel import CancellationToken, check
 from coulombkit.errors import Cancelled, DimensionError, LatticeError
 from coulombkit.lattices import (
     IntMatrix,
@@ -293,3 +295,119 @@ def test_koszul_counts_match_enumeration():
         assert koszul_counts(weights, moduli, top, power) == want, (weights, moduli)
         torsion += any(moduli)
     assert torsion >= 40
+
+
+def tuple_koszul_counts(weights, moduli, top, power, token=None):
+    """Reference oracle: the Koszul count with each class a tuple of its
+    coordinates, reduced mod the moduli, and the classes outside the span of
+    the later weights dropped by a Smith-form test per character."""
+    r = len(moduli)
+    zero = (0,) * r
+    torsion = [tuple(m if j == i else 0 for j in range(r)) for i, m in enumerate(moduli) if m]
+    pairs = []  # (weight of x_i, weight of y_i, the tests a kept class passes, their memo)
+    for i, w in enumerate(weights):
+        # c is in the column span of B iff e_p divides (S c)_p for each p, where S B T = E
+        s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r), token)
+        tests = [(s.entries[p], e.entries[p][p] if p < e.ncols else 0) for p in range(r)]
+        pairs.append((w, tuple(-c for c in w), [(row, ep) for row, ep in tests if ep != 1], {}))
+    # one half-degree at a time: below[j] maps a class to the number of monomials in the
+    # first j + 1 variables of half-degree t - 1, before the pruning after their pair
+    below = [{} for _ in range(2 * len(weights))]
+    dims, out = [], []
+    for t in range(top + 1):
+        check(token)
+        layer = {zero: 1} if t == 0 else {}
+        for i, (x, y, tests, kept) in enumerate(pairs):
+            for j, v in ((2 * i, x), (2 * i + 1, y)):
+                # without variable j, plus variable j times a monomial of half-degree t - 1
+                if j % 2:  # below[j - 1] keeps x_i's layer for half-degree t + 1
+                    layer = dict(layer)
+                for wt, c in below[j].items():
+                    key = tuple((a + b) % m if m else a + b for a, b, m in zip(wt, v, moduli))
+                    layer[key] = layer.get(key, 0) + c
+                below[j] = layer
+            for wt in layer.keys() - kept.keys():
+                kept[wt] = all(gcd(sum(a * b for a, b in zip(row, wt)), ep) == ep for row, ep in tests)
+            layer = {wt: c for wt, c in layer.items() if kept[wt]}
+        dims.append(layer.get(zero, 0))
+        out.append(sum((-1) ** q * comb(power, q) * dims[t - 2 * q] for q in range(min(power, t // 2) + 1)))
+    return out
+
+
+def _koszul_inputs(count, seed):
+    """Seeded inputs: torsion of every size, zero, repeated and doubled weights."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        moduli = [rng.choice((0, 0, 2, 3, 4, 6, 10**6 + 3)) for _ in range(rng.randint(0, 4))]
+        weights = [tuple(rng.randint(-3, 3) for _ in moduli) for _ in range(rng.randint(0, 4))]
+        extras = [(0,) * len(moduli)] + weights[:1] + [tuple(2 * a for a in w) for w in weights[-1:]]
+        weights += [w for w in extras if rng.random() < 0.3]
+        rng.shuffle(weights)
+        top = rng.randint(0, 10 if len(weights) <= 4 else 6)
+        yield weights, moduli, top, rng.randint(0, 3)
+
+
+def test_koszul_counts_match_tuple_dp(monkeypatch):
+    # the integer keys against the tuple keys, and every filter kind and the torsion carry on the way
+    kinds, lookups = [], {lattices._Carry: 0, lattices._Member: 0}
+    flag_keys = lattices._flag_keys
+
+    def recorded(*args):
+        steps, radix, prunes = flag_keys(*args)
+        kinds.extend("index 1" if p is None else "rank" if type(p) is tuple else "index > 1" for p in prunes)
+        return steps, radix, prunes
+
+    def counted(memo):
+        missing = memo.__missing__
+
+        def wrapper(self, key):
+            lookups[memo] += 1
+            return missing(self, key)
+
+        monkeypatch.setattr(memo, "__missing__", wrapper)
+
+    monkeypatch.setattr(lattices, "_flag_keys", recorded)
+    counted(lattices._Carry)
+    counted(lattices._Member)
+    cases = 0
+    for weights, moduli, top, power in _koszul_inputs(600, seed=19):
+        want = tuple_koszul_counts(weights, moduli, top, power)
+        assert koszul_counts(weights, moduli, top, power) == want, (weights, moduli, top, power)
+        cases += 1
+    assert cases == 600
+    assert min(kinds.count(kind) for kind in ("rank", "index 1", "index > 1")) >= 50, Counter(kinds)
+    assert min(lookups.values()) >= 100, lookups
+
+
+
+def _in_span_by_smith(c, gens):
+    """Reference oracle: c lies in the span of ``gens`` iff e_p divides (S c)_p, where S B T = E."""
+    s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*gens)) or ((),) * len(c)))
+    diag = [e.entries[p][p] if p < e.ncols else 0 for p in range(len(c))]
+    return all(gcd(pairing(row, c), ep) == ep for row, ep in zip(s.entries, diag))
+
+
+def test_flag_key_filters_keep_exactly_the_later_span():
+    # after pair i a class of H_{i-1} is kept iff it lies in H_i: the span of the torsion
+    # generators and the later weights; the classes reached are sums of up to `top` signed weights
+    checked = Counter()
+    for weights, moduli, top, _ in _koszul_inputs(150, seed=29):
+        top = min(top, 3)
+        steps, radix, prunes = lattices._flag_keys(weights, moduli, top)
+        torsion = [tuple(m if j == i else 0 for j in range(len(moduli))) for i, m in enumerate(moduli) if m]
+        for i, prune in enumerate(prunes):
+            if prune is None:
+                continue
+            for combo in (c for d in range(top + 1) for c in combinations_with_replacement(range(2 * i + 2), d)):
+                cls = [0] * len(moduli)
+                key = 0
+                for j in combo:
+                    step, carry = steps[j]
+                    key += step + (0 if carry is None else carry[key % radix])
+                    cls = [a + (-b if j % 2 else b) for a, b in zip(cls, weights[j // 2])]
+                if not _in_span_by_smith(cls, torsion + weights[i:]):
+                    continue
+                kept = prune[0] <= key <= prune[1] if type(prune) is tuple else prune[key]
+                assert kept == _in_span_by_smith(cls, torsion + weights[i + 1 :]), (weights, moduli, i, combo)
+                checked["rank" if type(prune) is tuple else "index > 1", kept] += 1
+    assert len(checked) == 4 and min(checked.values()) >= 100, checked

@@ -11,6 +11,7 @@ from math import comb, floor
 import pytest
 import sympy
 
+from coulombkit import abelian
 from coulombkit.cancel import CancellationToken
 from coulombkit.difference_ops import (
     HBAR,
@@ -35,7 +36,8 @@ from coulombkit.monopole import (
     quantize,
     quantum_relation,
 )
-from test_lattices import solve_rational
+from coulombkit.quiver import jordan_coulomb_hilbert
+from test_lattices import solve_rational, tuple_koszul_counts
 
 W = w_vars(1)[0]
 
@@ -302,6 +304,26 @@ def test_hilbert_series_many_characters():
     ]
     for th, deg in cases:
         assert hilbert_series(th, deg, token) == _box_scan(th, deg), th.characters
+
+
+def test_hilbert_series_a_type_24_to_degree_8():
+    # 23 free coordinates of the Coulomb side's class group, each class one integer key
+    assert hilbert_series(AbelianTheory.a_type(24), 8) == jordan_coulomb_hilbert(1, 24, 8)
+
+
+def test_hilbert_series_unsaturated_characters_match_tuple_dp(monkeypatch):
+    # characters whose Smith form has an entry above 1: the class group has torsion
+    rng = random.Random(23)
+    theories = []
+    while len(theories) < 200:
+        k = rng.randint(1, 3)
+        chars = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(3, 6))]
+        diag = smith_diagonal(IntMatrix.from_rows(chars))
+        if len(chars) >= k and 0 not in diag and max(diag) > 1:
+            theories.append(AbelianTheory.of(k, chars))
+    got = [hilbert_series(th, 3) for th in theories]
+    monkeypatch.setattr(abelian, "koszul_counts", tuple_koszul_counts)
+    assert got == [hilbert_series(th, 3) for th in theories]
 
 
 def test_hilbert_series_rank_five_many_characters_finish():
