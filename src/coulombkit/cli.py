@@ -8,8 +8,8 @@ JSON (or plain table) result.  Exit codes: 0 success, 1 malformed input
 
 A document is checked against its schema by a small interpreter of the
 Draft 2020-12 keywords that the shipped schemas use; any other keyword
-raises.  Only a rejected document imports ``jsonschema``, whose
-``Draft202012Validator`` words the diagnostics.  The ``--timeout`` deadline
+raises.  The interpreter also words each diagnostic, as jsonschema 4.26
+words it, so the CLI has no runtime dependency.  The ``--timeout`` deadline
 starts before the document is read and also covers printing the result.
 """
 
@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import re
 import sys
 from fractions import Fraction
@@ -71,36 +72,61 @@ def _is_integer(x) -> bool:
 
 _TYPES = {"object": dict, "array": list, "string": str}
 
-# keyword -> check(instance, keyword value, enclosing schema); a keyword ignores instances of other types
+# keyword -> its failures (path below the instance, message) given (instance, keyword value,
+# enclosing schema), worded as jsonschema 4.26 words them; a keyword ignores instances of other types
 _KEYWORDS = {
-    "type": lambda x, t, s: _is_integer(x) if t == "integer" else isinstance(x, _TYPES[t]),
-    "properties": lambda x, props, s: not isinstance(x, dict)
-    or all(_valid(x[k], sub) for k, sub in props.items() if k in x),
-    "required": lambda x, keys, s: not isinstance(x, dict) or all(k in x for k in keys),
-    "additionalProperties": lambda x, sub, s: not isinstance(x, dict)
-    or all(_valid(v, sub) for k, v in x.items() if k not in s.get("properties", ())),
-    "items": lambda x, sub, s: not isinstance(x, list) or all(_valid(v, sub) for v in x),
+    "type": lambda x, t, s: ()
+    if (_is_integer(x) if t == "integer" else isinstance(x, _TYPES[t]))
+    else [((), f"{x!r} is not of type {t!r}")],
+    "properties": lambda x, props, s: ()
+    if not isinstance(x, dict)
+    else (((k, *p), m) for k, sub in props.items() if k in x for p, m in _errors(x[k], sub)),
+    "required": lambda x, keys, s: ()
+    if not isinstance(x, dict)
+    else [((), f"{k!r} is a required property") for k in keys if k not in x],
+    "additionalProperties": lambda x, sub, s: ()
+    if not isinstance(x, dict) or not (extras := [k for k in x if k not in s.get("properties", ())])
+    else [((), "Additional properties are not allowed (%s %s unexpected)" % (
+        ", ".join(map(repr, sorted(extras, key=str))), "was" if len(extras) == 1 else "were"))]
+    if sub is False
+    else (((k, *p), m) for k in extras for p, m in _errors(x[k], sub)),
+    "items": lambda x, sub, s: ()
+    if not isinstance(x, list)
+    else (((i, *p), m) for i, v in enumerate(x) for p, m in _errors(v, sub)),
     # a bool is not a number, and NaN is not below any minimum
-    "minimum": lambda x, m, s: isinstance(x, bool) or not isinstance(x, numbers.Number) or not x < m,
-    "minItems": lambda x, n, s: not isinstance(x, list) or len(x) >= n,
-    "maxItems": lambda x, n, s: not isinstance(x, list) or len(x) <= n,
-    "oneOf": lambda x, subs, s: sum(_valid(x, sub) for sub in subs) == 1,
-    "pattern": lambda x, p, s: not isinstance(x, str) or re.search(p, x) is not None,
-    **dict.fromkeys(("$schema", "$id", "title"), lambda x, v, s: True),  # annotations
+    "minimum": lambda x, n, s: [((), f"{x!r} is less than the minimum of {n!r}")]
+    if isinstance(x, numbers.Number) and not isinstance(x, bool) and x < n
+    else (),
+    "minItems": lambda x, n, s: [((), f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}")]
+    if isinstance(x, list) and len(x) < n
+    else (),
+    "maxItems": lambda x, n, s: [((), f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}")]
+    if isinstance(x, list) and len(x) > n
+    else (),
+    # jsonschema names the valid subschemas after the first, then the first
+    "oneOf": lambda x, subs, s: ()
+    if len(ok := [sub for sub in subs if next(_errors(x, sub), None) is None]) == 1
+    else [((), f"{x!r} is valid under each of {', '.join(map(repr, ok[1:] + ok[:1]))}" if ok
+           else f"{x!r} is not valid under any of the given schemas")],
+    "pattern": lambda x, p, s: [((), f"{x!r} does not match {p!r}")]
+    if isinstance(x, str) and re.search(p, x) is None
+    else (),
+    **dict.fromkeys(("$schema", "$id", "title"), lambda x, v, s: ()),  # annotations
 }
 
 
-def _valid(x, schema) -> bool:
-    """Whether ``x`` satisfies ``schema`` under Draft 2020-12.  A keyword
-    outside ``_KEYWORDS`` raises, so no check is skipped silently."""
+def _errors(x, schema):
+    """Yield ``(path, message)`` for each way ``x`` fails ``schema`` under Draft
+    2020-12, depth first in keyword order.  A keyword outside ``_KEYWORDS``
+    raises, whatever the document, so no check is skipped silently."""
     if isinstance(schema, bool):
-        return schema
+        if not schema:
+            yield (), f"False schema does not allow {x!r}"
+        return
     if not _KEYWORDS.keys() >= schema.keys():
         raise ValueError(f"unsupported schema keywords: {sorted(schema.keys() - _KEYWORDS.keys())}")
     for key, value in schema.items():
-        if not _KEYWORDS[key](x, value, schema):
-            return False
-    return True
+        yield from _KEYWORDS[key](x, value, schema)
 
 
 def _pointer(path) -> str:
@@ -108,17 +134,10 @@ def _pointer(path) -> str:
 
 
 def validate_schema(doc, schema_name: str, prefix: str = "") -> list[str]:
-    """Schema diagnostics with JSON-pointer paths; empty means valid."""
-    schema = _schemas()[schema_name]
-    if not _valid(doc, schema):
-        # jsonschema only words the diagnostics; importing it is most of a cold start
-        import jsonschema
-
-        errors = jsonschema.Draft202012Validator(schema).iter_errors(doc)
-        return [
-            f"{prefix}{_pointer(err.absolute_path)}: {err.message}"
-            for err in sorted(errors, key=lambda e: list(e.absolute_path))
-        ]
+    """Schema diagnostics with JSON-pointer paths, sorted by path; empty means valid."""
+    errors = sorted(_errors(doc, _schemas()[schema_name]), key=lambda e: e[0])
+    if errors:
+        return [f"{prefix}{_pointer(path)}: {message}" for path, message in errors]
     out = []
     if schema_name == "quiver":
         n = doc["vertices"]
@@ -432,14 +451,13 @@ def main(argv=None) -> int:
             raise InputError(["--timeout must be a number of seconds, not nan"])
         args.token = CancellationToken(args.timeout) if args.timeout is not None else None
         doc = _read_document(args)
-        text = _render(handler(doc, args), args.format, args.token)
+        text, code = _render(handler(doc, args), args.format, args.token), 0
     except InputError as exc:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)
         return 1
     except MismatchError as exc:
-        print(str(exc))
-        return 2
+        text, code = str(exc), 2
     except Cancelled as exc:
         print(f"cancelled: {exc}", file=sys.stderr)
         return 3
@@ -452,8 +470,15 @@ def main(argv=None) -> int:
     except RecursionError as exc:  # parsed just under the limit, then nested too deep to check
         print(f"input nested too deeply: {exc}", file=sys.stderr)
         return 1
-    print(text)
-    return 0
+    try:
+        print(text)
+        sys.stdout.flush()  # a reader that closed the pipe early is met here, not at exit
+    except BrokenPipeError:
+        # as the Python docs advise for SIGPIPE: the flush at exit now writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: the output pipe was closed before the result was written", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

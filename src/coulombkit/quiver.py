@@ -223,11 +223,14 @@ def strata_affine(
     c = central_element_as_root_sum(gcm)
     out = []
     for size in range(bound + 1):
+        check(token)
         top = lam - c.scaled(size)
         interval = _dominant_interval(gcm, top, mu, token)
+        if not interval:  # no kappa to pair: the p(size) partitions are not walked
+            continue
         for part in _partitions(size):
-            for _, kappa in interval:
-                out.append((kappa, part))
+            check(token)
+            out.extend((kappa, part) for _, kappa in interval)
     out.sort(key=lambda p: (sum(p[1]), p[1], p[0].fund, p[0].delta))
     return out
 

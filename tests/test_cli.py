@@ -715,3 +715,30 @@ def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path, monkeypatc
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_affine_strata_with_an_empty_interval_finish_quickly(capsys, tmp_path):
+    # mu lies above every lam - |partition| c, so no size pairs a partition with a kappa; the
+    # p(size) partitions of each size up to 60 were once walked all the same, for 46 s
+    doc = {"cartan": "A1~", "lambda": {"fund": [1, 0]}, "mu": {"fund": [3, 0]}}
+    start = time.monotonic()
+    code, out, _ = run(capsys, ["quiver", "strata", "--depth", "60", "--timeout", "0.5"], doc, tmp_path=tmp_path)
+    assert (code, json.loads(out)) == (0, {"strata": []})
+    assert time.monotonic() - start < 1.5
+
+
+def test_a_reader_closing_the_pipe_early_ends_without_a_traceback():
+    # a 230 kB result: the writer fills the pipe and is still writing when the reader closes it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coulombkit.cli", "abelian", "hilbert", "--max-deg", "3000"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdin.write(b'{"rank": 1, "characters": [[1]]}')
+    proc.stdin.close()
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), head) == (1, b'{\n  "dimensions": [\n')
+    assert err == "error: the output pipe was closed before the result was written\n"

@@ -1,5 +1,5 @@
-"""The package namespace is lazy, only the symbolic API loads sympy, and only
-a rejected document loads jsonschema."""
+"""The package namespace is lazy, only the symbolic API loads sympy, and no
+CLI document loads jsonschema."""
 
 import importlib
 import json
@@ -102,8 +102,7 @@ def test_only_the_symbolic_api_loads_sympy(steps):
     ]
 
 
-def test_only_a_rejected_document_loads_jsonschema(steps):
-    # once loaded by the rejected document, jsonschema stays in sys.modules for the last steps
+def test_no_cli_document_loads_jsonschema(steps):
     assert [[name, code, jsonschema] for name, code, _, jsonschema in steps] == [
         ["import coulombkit", None, False],
         ["from coulombkit import multiplicities", None, False],
@@ -120,10 +119,30 @@ def test_only_a_rejected_document_loads_jsonschema(steps):
         ["abelian ring", 0, False],
         ["abelian quantize", 0, False],
         ["abelian poisson", 0, False],
-        ["validate --schema", 2, True],
-        ["str(DifferenceOperator)", None, True],
-        ["DifferenceOperator.terms", None, True],
+        ["validate --schema", 2, False],
+        ["str(DifferenceOperator)", None, False],
+        ["DifferenceOperator.terms", None, False],
     ]
+
+
+def test_a_rejected_document_is_worded_without_jsonschema():
+    # a None entry in sys.modules makes every import of jsonschema raise ImportError
+    blocked = textwrap.dedent(
+        """
+        import sys
+        sys.modules["jsonschema"] = None
+        from coulombkit.cli import main
+        sys.exit(main(["validate", "--schema", "element"]))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", blocked], input='{"rank":-1,"terms":[]}',
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, '{"diagnostics": ["/rank: -1 is less than the minimum of 0"]}\n', ""
+    )
 
 
 def test_every_public_name_is_its_submodule_attribute():

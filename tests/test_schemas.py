@@ -1,5 +1,5 @@
 """The schema interpreter in ``coulombkit.cli`` against jsonschema's
-Draft 2020-12 validator, the oracle that words the diagnostics."""
+Draft 2020-12 validator, the oracle of its verdicts and of its wording."""
 
 import json
 import math
@@ -83,8 +83,8 @@ def oracle(name):
 def test_interpreter_agrees_with_jsonschema(case):
     name, doc = case
     errors = sorted(oracle(name).iter_errors(doc), key=lambda e: list(e.absolute_path))
-    assert cli._valid(doc, cli._schemas()[name]) == (not errors), (name, doc)
-    if errors:  # a rejected document is worded by jsonschema, message for message
+    assert (next(cli._errors(doc, cli._schemas()[name]), None) is None) == (not errors), (name, doc)
+    if errors:  # a rejected document is worded as jsonschema words it, message for message
         assert cli.validate_schema(doc, name, "/x") == [
             "/x/" + "/".join(map(str, e.absolute_path)) + f": {e.message}" for e in errors
         ]
@@ -126,8 +126,9 @@ def test_interpreter_agrees_with_jsonschema(case):
     ],
 )
 def test_draft_2020_12_where_python_types_differ(schema, doc, valid):
-    assert cli._valid(doc, schema) is valid
-    assert jsonschema.Draft202012Validator(schema).is_valid(doc) is valid
+    errors = [(tuple(e.absolute_path), e.message) for e in jsonschema.Draft202012Validator(schema).iter_errors(doc)]
+    assert (not errors) is valid
+    assert list(cli._errors(doc, schema)) == errors
 
 
 def _keywords(schema):
@@ -153,7 +154,7 @@ def test_shipped_schemas_use_only_the_interpreted_keywords():
 @pytest.mark.parametrize("doc", [3, 1, "x"])
 def test_an_unknown_keyword_raises_whatever_the_document(doc, monkeypatch):
     with pytest.raises(ValueError, match="maximum"):
-        cli._valid(doc, {"type": "integer", "maximum": 2})
+        list(cli._errors(doc, {"type": "integer", "maximum": 2}))
     monkeypatch.setattr(cli, "_schemas", lambda: {"capped": {"items": {"type": "integer", "maximum": 2}}})
     with pytest.raises(ValueError, match="maximum"):
         cli.validate_schema([doc], "capped")
