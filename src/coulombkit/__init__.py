@@ -24,14 +24,12 @@ _EXPORTS = {
         "validate_and_symmetrize",
     ),
     "difference_ops": (
-        "HBAR",
         "DifferenceOperator",
         "commutator",
         "multiply",
         "poisson_from_lifts",
         "shift_polynomial",
         "specialize_hbar",
-        "w_vars",
     ),
     "errors": (
         "Cancelled",
@@ -44,7 +42,7 @@ _EXPORTS = {
         "SymmetrizabilityError",
         "UnsupportedError",
     ),
-    "higgs": ("HiggsTheory", "coulomb_higgs_compare", "invariant_hilbert", "moment_ideal_generators"),
+    "higgs": ("HiggsTheory", "coulomb_higgs_compare", "invariant_hilbert"),
     "lattices": (
         "IntMatrix",
         "dual_sequence",
@@ -57,7 +55,6 @@ _EXPORTS = {
     ),
     "monopole": (
         "CoulombElement",
-        "birationality_witness",
         "classical_product",
         "element_from_operator",
         "grading_degree",
@@ -89,6 +86,7 @@ _EXPORTS = {
         "strata_affine",
         "strata_finite",
     ),
+    "symbolic": ("HBAR", "birationality_witness", "moment_ideal_generators", "w_vars"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -12,106 +12,31 @@ pay for a gcd.  The shift expands each monomial by the binomial theorem,
 specialization evaluates the hbar-degree pieces of a coefficient at the value
 by Horner's rule.  ``str`` prints through ``Polynomial`` itself.
 
-sympy is the symbolic API's boundary, imported only on use: ``from_terms``
-accepts sympy expressions (``to_poly``), and ``terms``, ``shift_polynomial``,
-``w_vars`` and ``HBAR`` return sympy values.  Importing this module, and the
-whole CLI, leaves sympy unloaded.
+Symbolic values cross in and out through ``coulombkit.symbolic``, on use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, mul
-from typing import TYPE_CHECKING
 
 from .cancel import CancellationToken, check
-from .errors import DimensionError, DomainError, LiftError
+from .errors import DimensionError, LiftError
 from .lattices import Coweight
 from .polynomial import Polynomial
 
-if TYPE_CHECKING:
-    import sympy
-
-
-@lru_cache(maxsize=32)
-def w_vars(rank: int) -> tuple[sympy.Symbol, ...]:
-    """Equivariant parameters w_1 .. w_rank."""
-    import sympy
-
-    if rank == 0:
-        return ()
-    return sympy.symbols(f"w1:{rank + 1}")
-
-
-@lru_cache(maxsize=32)
-def _generators(rank: int) -> dict[sympy.Symbol, Polynomial]:
-    """w_1 .. w_rank and hbar, each as a sympy symbol and as a polynomial."""
-    import sympy
-
-    gens = w_vars(rank) + (sympy.Symbol("hbar"),)
-    return {g: Polynomial.variable(rank + 1, j) for j, g in enumerate(gens)}
-
-
-def __getattr__(name):
-    """``HBAR``, the sympy symbol hbar, bound on first use so that importing
-    the module does not load sympy."""
-    if name == "HBAR":
-        (hbar,) = _generators(0)  # rank 0 has the one generator hbar
-        globals()["HBAR"] = hbar
-        return hbar
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def to_poly(rank: int, value) -> Polynomial:
-    """``value`` (a polynomial, an int, a Fraction or a polynomial sympy
-    expression) as a polynomial in w_1 .. w_rank, hbar.
-
-    A sympy expression is rebuilt from its sums, products and integer powers
-    of the generators, with every other leaf a rational constant, as sympy's
-    ``PolyRing.from_expr`` reads it."""
+    """``value`` (a polynomial, an int, a Fraction or a polynomial symbolic
+    expression, read by ``symbolic.from_expr``) as a polynomial in
+    w_1 .. w_rank, hbar."""
     if isinstance(value, Polynomial):
         return value
     if type(value) is int or isinstance(value, Fraction):
         return Polynomial.constant(rank + 1, value)
-    import sympy
-    from sympy.polys.domains import QQ
-    from sympy.polys.polyerrors import CoercionFailed
+    from .symbolic import from_expr
 
-    mapping = _generators(rank)
-
-    def rebuild(expr) -> Polynomial:
-        generator = mapping.get(expr)
-        if generator is not None:
-            return generator
-        if expr.is_Add:
-            return reduce(add, map(rebuild, expr.args))
-        if expr.is_Mul:
-            return reduce(mul, map(rebuild, expr.args))
-        base, exp = expr.as_base_exp()
-        if exp.is_Integer and exp > 1:
-            return rebuild(base) ** int(exp)
-        q = QQ.convert(expr)
-        return Polynomial.constant(rank + 1, Fraction(int(q.numerator), int(q.denominator)))
-
-    try:
-        return rebuild(sympy.sympify(value))
-    except (ValueError, TypeError, sympy.SympifyError, CoercionFailed):
-        gens = ", ".join(map(str, mapping))
-        raise DomainError(f"{value} is not a polynomial in {gens}") from None
-
-
-def as_expr(rank: int, p: Polynomial) -> sympy.Expr:
-    """``p`` as a sympy expression in w_1 .. w_rank, hbar: the Add of one Mul
-    per term that sympy's ``PolyElement.as_expr`` builds."""
-    import sympy
-
-    gens = tuple(_generators(rank))
-    return sympy.Add(*[
-        sympy.Mul(sympy.Rational(c, p.den), *[sympy.Pow(g, e) for g, e in zip(gens, m) if e])
-        for m, c in p.num.items()
-    ])
+    return from_expr(rank, value)
 
 
 def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, Polynomial], ...]:
@@ -136,7 +61,9 @@ class _GradedSum:
     polys: tuple[tuple[Coweight, Polynomial], ...]
 
     @property
-    def terms(self) -> tuple[tuple[Coweight, sympy.Expr], ...]:
+    def terms(self) -> tuple:
+        from .symbolic import as_expr
+
         return tuple((lam, as_expr(self.rank, p)) for lam, p in self.polys)
 
     def _check_rank(self, other) -> None:
@@ -198,8 +125,10 @@ class DifferenceOperator(_GradedSum):
         return multiply(self, other)
 
 
-def shift_polynomial(rank: int, poly, lam: Coweight) -> sympy.Expr:
+def shift_polynomial(rank: int, poly, lam: Coweight):
     """Substitute w_j -> w_j + hbar * lam_j, the action of e^lam."""
+    from .symbolic import as_expr
+
     return as_expr(rank, to_poly(rank, poly).shift(lam))
 
 

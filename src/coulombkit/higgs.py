@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .abelian import AbelianTheory, hilbert_series, top_half_degree
 from .cancel import CancellationToken
 from .errors import DimensionError
 from .lattices import IntMatrix, dual_sequence, koszul_counts
-
-if TYPE_CHECKING:  # only the symbolic helpers below need sympy, and import it on use
-    import sympy
 
 
 @dataclass(frozen=True)
@@ -48,25 +44,17 @@ class HiggsTheory:
         return len(self.charges[0]) if self.charges and self.charges[0] else 0
 
     def variables(self):
-        import sympy
+        from .symbolic import higgs_variables
 
-        xs = sympy.symbols(f"x1:{self.n + 1}") if self.n else ()
-        ys = sympy.symbols(f"y1:{self.n + 1}") if self.n else ()
-        return xs, ys
+        return higgs_variables(self.n)
 
 
 GradedDimensionTable = dict[Fraction, int]
 
 
-def moment_ideal_generators(th: HiggsTheory) -> list[sympy.Expr]:
-    """One generator per torus factor: mu_j = sum_i B_ij x_i y_i."""
-    import sympy
-
-    xs, ys = th.variables()
-    gens = []
-    for j in range(th.m):
-        gens.append(sympy.Add(*[th.charges[i][j] * xs[i] * ys[i] for i in range(th.n)]))
-    return gens
+def dims_to_table(dims: list[int]) -> GradedDimensionTable:
+    """Dimensions listed by half-degree 0, 1/2, 1, ... as a table by degree."""
+    return {Fraction(t, 2): d for t, d in enumerate(dims)}
 
 
 def invariant_hilbert(
@@ -82,8 +70,7 @@ def invariant_hilbert(
     HS(C[x, y] / mu)^T = (1 - s^2)^m * #(weight-zero monomials), where s steps
     one half-degree (deg x_i = deg y_i = 1/2, deg mu_j = 1).
     """
-    dims = koszul_counts(th.charges, (0,) * th.m, top_half_degree(max_deg), th.m, token)
-    return {Fraction(t, 2): d for t, d in enumerate(dims)}
+    return dims_to_table(koszul_counts(th.charges, (0,) * th.m, top_half_degree(max_deg), th.m, token))
 
 
 @dataclass(frozen=True)
@@ -110,8 +97,7 @@ def coulomb_higgs_compare(
     """
     max_deg = Fraction(max_deg)
     coulomb_th = AbelianTheory.of(a.ncols, a.entries)
-    dims = hilbert_series(coulomb_th, max_deg, token)
-    coulomb_table = {Fraction(i, 2): d for i, d in enumerate(dims)}
+    coulomb_table = dims_to_table(hilbert_series(coulomb_th, max_deg, token))
     b = dual_sequence(a)
     higgs_th = HiggsTheory.of(b.entries)
     higgs_table = invariant_hilbert(higgs_th, max_deg, token)

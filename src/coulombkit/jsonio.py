@@ -14,7 +14,7 @@ from .abelian import AbelianTheory
 from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
 from .difference_ops import DifferenceOperator
 from .errors import DimensionError, DomainError
-from .higgs import GradedDimensionTable
+from .higgs import GradedDimensionTable, dims_to_table  # noqa: F401 (re-exported)
 from .lattices import IntMatrix
 from .monopole import CoulombElement
 from .polynomial import Polynomial
@@ -169,7 +169,3 @@ def matrix_from_json(doc) -> IntMatrix:
 
 def table_to_json(table: GradedDimensionTable) -> list:
     return [[fraction_str(deg), dim] for deg, dim in sorted(table.items())]
-
-
-def dims_to_table(dims: list[int]) -> GradedDimensionTable:
-    return {Fraction(i, 2): d for i, d in enumerate(dims)}

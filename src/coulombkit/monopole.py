@@ -3,30 +3,27 @@
 Elements of the Coulomb branch of an ``AbelianTheory`` are finite sums
 f_lam(w) * r^lam over coweights lam; the lam-component is the pi_1 grading of
 the term.  The classical product, the quantization into difference operators,
-the Poisson bracket, the cohomological grading and the birationality witness
-live here.  Coefficients are ``polynomial.Polynomial`` values, as in
-``difference_ops``, with hbar's exponent always 0; a monopole dressing is a
-product of linear forms <rho_i, w>, so pulling an operator back divides by one
-linear form at a time.  The theory itself and the Hilbert series need no
-polynomials; they live in ``abelian`` and are re-exported.
+the Poisson bracket and the cohomological grading live here; the
+birationality witness, a symbolic value, lives in ``symbolic``.  Coefficients
+are ``polynomial.Polynomial`` values, as in ``difference_ops``, with hbar's
+exponent always 0; a monopole dressing is a product of linear forms
+<rho_i, w>, so pulling an operator back divides by one linear form at a
+time.  The theory itself and the Hilbert series need no polynomials; they
+live in ``abelian`` and are re-exported.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from . import difference_ops as dops
 from .abelian import AbelianTheory, hilbert_series  # noqa: F401 (re-exported)
 from .cancel import CancellationToken, check
-from .difference_ops import DifferenceOperator, _GradedSum, _merge, as_expr, to_poly
+from .difference_ops import DifferenceOperator, _GradedSum, _merge, to_poly
 from .errors import DimensionError, DomainError, LiftError
 from .lattices import CharacterVector, Coweight, pairing
 from .polynomial import Polynomial
-
-if TYPE_CHECKING:
-    import sympy
 
 
 class CoulombElement(_GradedSum):
@@ -181,10 +178,3 @@ def grading_degree(th: AbelianTheory, a: CoulombElement) -> Fraction:
     lam, poly = a.polys[0]
     (monom,) = poly.num
     return Fraction(sum(monom)) + Fraction(sum(abs(pairing(lam, rho)) for rho in th.characters), 2)
-
-
-def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:
-    """r^lam * r^{-lam} = prod_i <rho_i, w>^{|<rho_i, lam>|}, a nonzero
-    polynomial: every monopole class is invertible after inverting the w's."""
-    lam = tuple(int(x) for x in lam)
-    return as_expr(th.rank, _classical_dressing(th, lam) * _classical_dressing(th, tuple(-x for x in lam)))

@@ -18,12 +18,10 @@ from coulombkit.cartan import (
     named_gcm,
 )
 from coulombkit.difference_ops import (
-    HBAR,
     DifferenceOperator,
     commutator,
     multiply,
     specialize_hbar,
-    w_vars,
 )
 from coulombkit.higgs import coulomb_higgs_compare
 from coulombkit.lattices import IntMatrix
@@ -42,6 +40,7 @@ from coulombkit.multiplicities import (
     weight_multiplicity,
 )
 from coulombkit.quiver import fixed_point_nonempty, jordan_coulomb_hilbert, mv_dimension, strata_affine
+from coulombkit.symbolic import HBAR, w_vars
 
 from test_multiplicities import oracle_multiplicity
 

@@ -13,17 +13,16 @@ from sympy.polys.rings import ring
 
 from coulombkit import difference_ops
 from coulombkit.difference_ops import (
-    HBAR,
     DifferenceOperator,
     commutator,
     multiply,
     poisson_from_lifts,
     shift_polynomial,
     specialize_hbar,
-    w_vars,
 )
 from coulombkit.errors import DimensionError, DomainError, LiftError
 from coulombkit.polynomial import Polynomial
+from coulombkit.symbolic import HBAR, w_vars
 
 W = w_vars(1)[0]
 

@@ -13,9 +13,9 @@ from coulombkit.higgs import (
     HiggsTheory,
     coulomb_higgs_compare,
     invariant_hilbert,
-    moment_ideal_generators,
 )
 from coulombkit.lattices import IntMatrix, smith_diagonal
+from coulombkit.symbolic import moment_ideal_generators
 
 
 def test_moment_generators():

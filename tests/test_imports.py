@@ -1,6 +1,7 @@
-"""The package namespace is lazy, only the symbolic API loads sympy, and no
-CLI document loads jsonschema."""
+"""The package namespace is lazy, only the symbolic API loads sympy, only
+``coulombkit.symbolic`` imports it, and no CLI document loads jsonschema."""
 
+import ast
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import coulombkit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "coulombkit"
 
 # Runs in a fresh interpreter: prints, after each step, whether sympy and jsonschema are loaded.
 FRESH_INTERPRETER = textwrap.dedent(
@@ -29,6 +31,8 @@ FRESH_INTERPRETER = textwrap.dedent(
     record("import coulombkit")
     from coulombkit import cartan, lattices, multiplicities, quiver
     record("from coulombkit import multiplicities")
+    from coulombkit import difference_ops, monopole
+    record("from coulombkit import difference_ops, monopole")
     import coulombkit.cli
     record("import coulombkit.cli")
     from coulombkit import higgs
@@ -62,6 +66,10 @@ FRESH_INTERPRETER = textwrap.dedent(
     op = coulombkit.DifferenceOperator.from_terms(1, [((1,), Polynomial({(2, 1): 3}, 2))])
     assert str(op) == "(3*hbar*w1**2/2)*e^[1]"
     record("str(DifferenceOperator)")
+    coulombkit.DifferenceOperator.from_terms(2, {(1, 0): 3, (0, -1): Polynomial({(1, 0, 1): 2}, 3)})
+    record("DifferenceOperator.from_terms(int, Polynomial)")
+    coulombkit.HBAR
+    record("coulombkit.HBAR")
     op.terms
     record("DifferenceOperator.terms")
     print(json.dumps(steps))
@@ -83,6 +91,7 @@ def test_only_the_symbolic_api_loads_sympy(steps):
     assert [step[:3] for step in steps] == [
         ["import coulombkit", None, False],
         ["from coulombkit import multiplicities", None, False],
+        ["from coulombkit import difference_ops, monopole", None, False],
         ["import coulombkit.cli", None, False],
         ["from coulombkit import higgs", None, False],
         ["coulombkit.hilbert_series", None, False],
@@ -98,6 +107,8 @@ def test_only_the_symbolic_api_loads_sympy(steps):
         ["abelian poisson", 0, False],
         ["validate --schema", 2, False],
         ["str(DifferenceOperator)", None, False],
+        ["DifferenceOperator.from_terms(int, Polynomial)", None, False],
+        ["coulombkit.HBAR", None, True],
         ["DifferenceOperator.terms", None, True],
     ]
 
@@ -106,6 +117,7 @@ def test_no_cli_document_loads_jsonschema(steps):
     assert [[name, code, jsonschema] for name, code, _, jsonschema in steps] == [
         ["import coulombkit", None, False],
         ["from coulombkit import multiplicities", None, False],
+        ["from coulombkit import difference_ops, monopole", None, False],
         ["import coulombkit.cli", None, False],
         ["from coulombkit import higgs", None, False],
         ["coulombkit.hilbert_series", None, False],
@@ -121,8 +133,55 @@ def test_no_cli_document_loads_jsonschema(steps):
         ["abelian poisson", 0, False],
         ["validate --schema", 2, False],
         ["str(DifferenceOperator)", None, False],
+        ["DifferenceOperator.from_terms(int, Polynomial)", None, False],
+        ["coulombkit.HBAR", None, False],
         ["DifferenceOperator.terms", None, False],
     ]
+
+
+def _module_level(nodes):
+    """The nodes that run when their module is imported: all but function bodies."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        yield from _module_level(ast.iter_child_nodes(node))
+
+
+def _imported_modules(node) -> list[str]:
+    """The dotted paths an import statement imports, relative ones spelled
+    from the package (``from .symbolic import as_expr`` gives
+    ``coulombkit.symbolic`` and ``coulombkit.symbolic.as_expr``)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = ".".join(filter(None, ["coulombkit" if node.level else "", node.module]))
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def test_only_the_symbolic_module_names_sympy_or_imports_symbolic_on_load():
+    """sympy is named in ``coulombkit/symbolic.py`` alone; every other module
+    imports ``symbolic`` inside a function, so it loads sympy only on use; and
+    no file uses sympy's sparse rings (the library computes in ``Polynomial``,
+    the tests keep the rings as oracles)."""
+    rings = {"ring", "rings", "PolyRing", "PolyElement"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        name = path.relative_to(SRC)
+        if path.name != "symbolic.py" and "sympy" in text:
+            found.append(f"{name}: names sympy")
+        tree = ast.parse(text, str(path))
+        for node in _module_level(tree.body):
+            if "coulombkit.symbolic" in _imported_modules(node):
+                found.append(f"{name}:{node.lineno}: imports coulombkit.symbolic outside a function")
+        for node in ast.walk(tree):
+            # dotted paths: sympy.polys.rings.ring imported, or sympy.ring read as an attribute
+            paths = [ast.unparse(node)] if isinstance(node, ast.Attribute) else _imported_modules(node)
+            if any(p.split(".")[0] == "sympy" and rings & set(p.split(".")) for p in paths):
+                found.append(f"{name}:{node.lineno}: uses sympy's sparse rings")
+    assert found == []
 
 
 def test_a_rejected_document_is_worded_without_jsonschema():

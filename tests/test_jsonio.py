@@ -8,9 +8,10 @@ import sympy
 
 from coulombkit import jsonio
 from coulombkit.cartan import KMWeight, named_gcm
-from coulombkit.difference_ops import HBAR, DifferenceOperator, w_vars
+from coulombkit.difference_ops import DifferenceOperator
 from coulombkit.errors import DomainError
 from coulombkit.monopole import CoulombElement
+from coulombkit.symbolic import HBAR, w_vars
 
 
 def test_fraction_strings():

@@ -14,12 +14,10 @@ import sympy
 from coulombkit import abelian
 from coulombkit.cancel import CancellationToken
 from coulombkit.difference_ops import (
-    HBAR,
     DifferenceOperator,
     commutator,
     multiply,
     specialize_hbar,
-    w_vars,
 )
 from coulombkit.errors import DomainError, LiftError
 from coulombkit.jsonio import element_to_json, operator_to_json
@@ -27,7 +25,6 @@ from coulombkit.lattices import IntMatrix, pairing, smith_diagonal
 from coulombkit.monopole import (
     AbelianTheory,
     CoulombElement,
-    birationality_witness,
     classical_product,
     element_from_operator,
     grading_degree,
@@ -37,6 +34,7 @@ from coulombkit.monopole import (
     quantum_relation,
 )
 from coulombkit.quiver import jordan_coulomb_hilbert
+from coulombkit.symbolic import HBAR, birationality_witness, w_vars
 from test_lattices import solve_rational, tuple_koszul_counts
 
 W = w_vars(1)[0]

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from coulombkit.difference_ops import HBAR, DifferenceOperator, as_expr, to_poly, w_vars
+from coulombkit.difference_ops import DifferenceOperator, to_poly
 from coulombkit.errors import DomainError, LiftError
 from coulombkit.monopole import AbelianTheory, CoulombElement, _classical_dressing, element_from_operator
 from coulombkit.polynomial import Polynomial
+from coulombkit.symbolic import HBAR, as_expr, w_vars
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -190,6 +191,13 @@ def test_printed_forms_match_sympy(case, data):
 def test_non_polynomials_are_domain_errors(expr):
     with pytest.raises(DomainError, match="is not a polynomial in w1, w2, hbar"):
         to_poly(2, sympy.sympify(expr))
+
+
+@pytest.mark.parametrize("value", [None, True, "w1", '__import__("os").getpid()'])
+def test_coefficients_that_are_not_expressions_are_domain_errors(value):
+    # strings are never parsed (parsing one evaluates it), and None or a bool is no polynomial
+    with pytest.raises(DomainError, match="is not a polynomial in w1, hbar"):
+        CoulombElement.from_terms(1, {(0,): value})
 
 
 @pytest.mark.parametrize("a", [0, 1, 2, 50, 2000])
