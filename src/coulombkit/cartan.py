@@ -9,9 +9,14 @@ primitive null vector a, solved greedily in index order; for untwisted
 affine types this gives the usual alpha_0 = delta - theta).
 
 Root coordinates come from the Smith form U A V = D of the Cartan matrix,
-the one exact-linear-algebra path: it is computed once per Cartan datum and
-cached, and each query is a few integer matrix-vector products over one
-common denominator (``in_positive_root_cone`` builds no ``Fraction``).
+the one exact-linear-algebra path.  Everything a solve reads is stored once per
+Cartan datum: the rows of U at the nonzero d_j, each scaled by den / d_j, the
+rows of U at the zero d_j, the columns of V at the nonzero d_j, and the common
+denominator den.  A query is then one zero-row check and two integer
+matrix-vector products (``in_positive_root_cone`` builds no ``Fraction``).
+The Langlands dual is likewise built and validated once per datum.  Both
+per-datum caches are keyed by the datum alone and filled under the caller's
+cancellation token, so a cancelled pass stores nothing.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
+from itertools import compress
+from operator import add, mul, sub
 
+from .cancel import CancellationToken, check
 from .errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
 from .lattices import IntMatrix, integer_kernel, smith_normal_form
 
@@ -38,11 +46,11 @@ class KMWeight:
 
     def __add__(self, other: "KMWeight") -> "KMWeight":
         self._match(other)
-        return KMWeight(tuple(a + b for a, b in zip(self.fund, other.fund)), self.delta + other.delta)
+        return KMWeight(tuple(map(add, self.fund, other.fund)), self.delta + other.delta)
 
     def __sub__(self, other: "KMWeight") -> "KMWeight":
         self._match(other)
-        return KMWeight(tuple(a - b for a, b in zip(self.fund, other.fund)), self.delta - other.delta)
+        return KMWeight(tuple(map(sub, self.fund, other.fund)), self.delta - other.delta)
 
     def __neg__(self) -> "KMWeight":
         return KMWeight(tuple(-a for a in self.fund), -self.delta)
@@ -99,10 +107,13 @@ class GeneralizedCartanMatrix:
         return all(c >= 0 for c in mu.fund)
 
 
-def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], list[list[int]]]:
+def _minimal_symmetrizers(
+    a: tuple[tuple[int, ...], ...], token: CancellationToken | None = None
+) -> tuple[tuple[int, ...], list[list[int]]]:
     """Minimal positive symmetrizers and the connected components, each sorted.
 
-    One walk per component from its first vertex fixes every ratio d_j / d_i.
+    One walk per component from its first vertex fixes every ratio d_j / d_i;
+    ``token`` is checked at each vertex.
     """
     n = len(a)
     ratio: list[Fraction | None] = [None] * n
@@ -113,6 +124,7 @@ def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ..
         ratio[start] = Fraction(1)
         comp, queue = [start], [start]
         while queue:
+            check(token)
             i = queue.pop()
             for j in range(n):
                 if a[i][j] == 0 or i == j:
@@ -137,16 +149,18 @@ def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ..
     return tuple(int(r) for r in ratio), comps
 
 
-def _classify_component(a, d, comp) -> str:
+def _classify_component(a, d, comp, token: CancellationToken | None = None) -> str:
     """Sylvester's criterion on the symmetric block D*A of one component.
 
     One fraction-free (Bareiss) elimination with no row swaps: each step keeps
     the trailing block, whose corner is the next leading principal minor, and
     every division is exact.  It stops at the first minor that is not positive.
+    ``token`` is checked at each step.
     """
     m = [[d[i] * a[i][j] for j in comp] for i in comp]
     n, prev = len(m), 1
     for k in range(n):
+        check(token)
         piv = m[0][0]
         if piv <= 0:
             # zero only in the last minor: a positive semidefinite corank-1 block
@@ -157,10 +171,11 @@ def _classify_component(a, d, comp) -> str:
     return "finite"
 
 
-def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
+def validate_and_symmetrize(raw, token: CancellationToken | None = None) -> GeneralizedCartanMatrix:
     """Check the GCM axioms, compute minimal symmetrizers, classify the type.
 
-    Accepts an ``IntMatrix`` or any nested sequence of integers.
+    Accepts an ``IntMatrix`` or any nested sequence of integers.  The
+    symmetrizer walk and the eliminations run under ``token``.
     """
     if isinstance(raw, IntMatrix):
         a = raw.entries
@@ -179,14 +194,14 @@ def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
                 if (a[i][j] == 0) != (a[j][i] == 0):
                     raise CartanError(f"a[{i}][{j}] = 0 requires a[{j}][{i}] = 0")
 
-    d, comps = _minimal_symmetrizers(a)
-    tags = {_classify_component(a, d, c) for c in comps}
+    d, comps = _minimal_symmetrizers(a, token)
+    tags = {_classify_component(a, d, c, token) for c in comps}
     tag = next((t for t in ("indefinite", "affine") if t in tags), "finite")
 
     null_vector = dual_labels = delta_split = None
     if tag == "affine":
         mat = IntMatrix.from_rows(a)
-        ker = integer_kernel(mat)
+        ker = integer_kernel(mat, token)
         if ker.ncols != 1:
             raise UnsupportedError("only affine matrices with 1-dimensional radical are supported")
         vec = [ker.entries[i][0] for i in range(n)]
@@ -228,42 +243,76 @@ def _bezout(p: int, q: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
-    """Replace the Cartan matrix by its transpose; symmetrizers are recomputed."""
-    n = gcm.size
-    return validate_and_symmetrize([[gcm.entries[j][i] for j in range(n)] for i in range(n)])
+class _PerDatum(dict):
+    """What ``build`` makes of a Cartan datum, for the 16 data used most recently.
+
+    Keyed by the datum alone: ``build`` runs under the caller's token, and a
+    cancelled build stores nothing.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __call__(self, gcm: GeneralizedCartanMatrix, token: CancellationToken | None):
+        value = self.pop(gcm, None)
+        if value is None:
+            value = self.build(gcm, token)
+            if len(self) >= 16:
+                del self[next(iter(self))]
+        self[gcm] = value
+        return value
 
 
-@lru_cache(maxsize=16)
-def _smith_form(gcm: GeneralizedCartanMatrix):
-    """(U, diagonal of D, V) with U A V = D, computed once per Cartan datum."""
-    u, d, v = smith_normal_form(IntMatrix(gcm.entries))
-    return u.entries, tuple(d.entries[i][i] for i in range(gcm.size)), v.entries
+_duals = _PerDatum(lambda gcm, token: validate_and_symmetrize(tuple(zip(*gcm.entries)), token))
 
 
-def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
+def langlands_dual(
+    gcm: GeneralizedCartanMatrix, token: CancellationToken | None = None
+) -> GeneralizedCartanMatrix:
+    """Replace the Cartan matrix by its transpose; symmetrizers are recomputed.
+    Built once per datum, so repeated calls return the same object."""
+    return _duals(gcm, token)
+
+
+def _solve_data(gcm: GeneralizedCartanMatrix, token: CancellationToken | None):
+    """One Smith pass U A V = D, run under ``token``, kept as what every solve reads:
+    the rows of U at the nonzero d_j, each scaled by den / d_j; the rows of U at
+    the zero d_j; the rows of V cut to the columns at the nonzero d_j; and den,
+    the largest d_j (1 for the rank-0 datum), which every nonzero d_j divides."""
+    u, d, v = smith_normal_form(IntMatrix(gcm.entries), token)
+    diag = [d.entries[j][j] for j in range(gcm.size)]
+    den = max(diag, default=1)
+    scaled = tuple(tuple(den // dj * x for x in row) for row, dj in zip(u.entries, diag) if dj)
+    zero_rows = tuple(row for row, dj in zip(u.entries, diag) if not dj)
+    v_cut = tuple(tuple(compress(row, diag)) for row in v.entries)
+    return scaled, zero_rows, v_cut, den
+
+
+_solves = _PerDatum(_solve_data)
+
+
+def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight, token: CancellationToken | None):
     """(num, den) with num / den the simple-root coordinates of ``mu``, or None.
 
     A c = mu becomes D y = U mu with c = V y.  A zero d_j meeting a nonzero
     (U mu)_j makes the system inconsistent; otherwise y_j = (U mu)_j / d_j,
-    held over den, the largest d_j (1 for the rank-0 datum), which every
-    nonzero d_j divides.
+    held over den.
     """
     if len(mu.fund) != gcm.size:
         raise DimensionError("weight length does not match Cartan matrix size")
-    u, diag, v = _smith_form(gcm)
-    umu = [sum(a * b for a, b in zip(row, mu.fund)) for row in u]
-    if any(x and not d for x, d in zip(umu, diag)):
+    scaled, zero_rows, v_cut, den = _solves(gcm, token)
+    fund = mu.fund
+    if zero_rows and any(sum(map(mul, row, fund)) for row in zero_rows):
         return None
-    den = max(diag, default=1)
-    y = [x * (den // d) if d else 0 for x, d in zip(umu, diag)]
-    num = [sum(a * b for a, b in zip(row, y)) for row in v]
-    if 0 not in diag:
+    y = [sum(map(mul, row, fund)) for row in scaled]
+    num = [sum(map(mul, row, y)) for row in v_cut]
+    if not zero_rows:
         return (num, den) if mu.delta == 0 else None
-    if gcm.tag != "affine" or diag.count(0) != 1:
+    if gcm.tag != "affine" or len(zero_rows) != 1:
         raise UnsupportedError("singular non-affine Cartan matrices are not supported")
     # the free coordinate moves along the null vector a, and s . c = delta pins it (s . a = 1)
-    t = den * mu.delta - sum(s * x for s, x in zip(gcm.delta_split, num))
+    t = den * mu.delta - sum(map(mul, gcm.delta_split, num))
     return [x + t * a for x, a in zip(num, gcm.null_vector)], den
 
 
@@ -273,22 +322,27 @@ def root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     For nonsingular Cartan matrices the delta coordinate must vanish; for
     affine type the delta coordinate pins down the null-vector direction.
     """
-    sol = _scaled_root_coordinates(gcm, mu)
+    sol = _scaled_root_coordinates(gcm, mu, None)
     if sol is None:
         return None
     num, den = sol
     return tuple(Fraction(x, den) for x in num)
 
 
-def in_positive_root_cone(gcm: GeneralizedCartanMatrix, mu: KMWeight):
-    """Integer non-negative root coordinates of ``mu``, or None."""
-    sol = _scaled_root_coordinates(gcm, mu)
+def in_positive_root_cone(
+    gcm: GeneralizedCartanMatrix, mu: KMWeight, token: CancellationToken | None = None
+) -> tuple[int, ...] | None:
+    """Integer non-negative root coordinates of ``mu``, or None.  A datum's
+    first solve runs its Smith pass under ``token``."""
+    sol = _scaled_root_coordinates(gcm, mu, token)
     if sol is None:
         return None
     num, den = sol
-    if any(x < 0 or x % den for x in num):
+    coords = [x // den for x in num]
+    # den * (x // den) <= x, with equality at every x iff den divides them all
+    if min(coords, default=0) < 0 or den * sum(coords) != sum(num):
         return None
-    return tuple(x // den for x in num)
+    return tuple(coords)
 
 
 def dominance_leq(mu: KMWeight, lam: KMWeight, gcm: GeneralizedCartanMatrix) -> bool:

@@ -187,12 +187,14 @@ def _get_weight(doc, key):
     return jsonio.weight_from_json(doc[key])
 
 
-def _get_gcm(doc, key="cartan"):
-    _check(doc[key], "gcm", f"/{key}")
+def _get_gcm(doc, token: CancellationToken | None):
+    _check(doc["cartan"], "gcm", "/cartan")
     try:
-        return jsonio.gcm_from_json(doc[key])
+        return jsonio.gcm_from_json(doc["cartan"], token)
+    except Cancelled:
+        raise
     except CoulombKitError as exc:
-        raise InputError([f"/{key}: {exc}"]) from exc
+        raise InputError([f"/cartan: {exc}"]) from exc
 
 
 def _max_deg(args) -> Fraction:
@@ -226,14 +228,14 @@ def _table_from_dims(dims: list[int]) -> list:
 
 def _cmd_km_mult(doc, args):
     _require(doc, "cartan", "lambda", "mu")
-    gcm = _get_gcm(doc)
+    gcm = _get_gcm(doc, args.token)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
     return {"multiplicity": weight_multiplicity(gcm, lam, mu, args.token)}
 
 
 def _cmd_km_tensor(doc, args):
     _require(doc, "cartan", "lambda1", "lambda2")
-    gcm = _get_gcm(doc)
+    gcm = _get_gcm(doc, args.token)
     lam1, lam2 = _get_weight(doc, "lambda1"), _get_weight(doc, "lambda2")
     comps = tensor_decompose(gcm, lam1, lam2, args.token)
     return {
@@ -246,13 +248,13 @@ def _cmd_km_tensor(doc, args):
 
 def _cmd_km_dual(doc, args):
     _require(doc, "cartan")
-    return {"cartan": jsonio.gcm_to_json(langlands_dual(_get_gcm(doc)))}
+    return {"cartan": jsonio.gcm_to_json(langlands_dual(_get_gcm(doc, args.token), args.token))}
 
 
 def _cmd_quiver_slice(doc, args):
     _check(doc, "quiver")
     q, d = jsonio.quiver_from_json(doc)
-    sp = quiver.slice_params(q, d)
+    sp = quiver.slice_params(q, d, args.token)
     return {
         "lambda": jsonio.weight_to_json(sp.lam),
         "mu": jsonio.weight_to_json(sp.mu),
@@ -262,7 +264,7 @@ def _cmd_quiver_slice(doc, args):
 
 def _cmd_quiver_strata(doc, args):
     _require(doc, "cartan", "lambda", "mu")
-    gcm = _get_gcm(doc)
+    gcm = _get_gcm(doc, args.token)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
     if gcm.tag == "affine":
         strata = strata_affine(gcm, lam, mu, _depth(args), args.token)
@@ -277,9 +279,9 @@ def _cmd_quiver_strata(doc, args):
 
 def _cmd_quiver_satake(doc, args):
     _require(doc, "cartan", "lambda", "mu")
-    gcm = _get_gcm(doc)
+    gcm = _get_gcm(doc, args.token)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
-    mult = weight_multiplicity(langlands_dual(gcm), lam, mu, args.token)
+    mult = weight_multiplicity(langlands_dual(gcm, args.token), lam, mu, args.token)
     # as in quiver.fixed_point_nonempty: the fixed point exists iff the dual multiplicity is nonzero
     return {"nonempty": mult > 0, "dual_multiplicity": mult}
 

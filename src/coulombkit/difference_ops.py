@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .cancel import CancellationToken, check
 from .errors import DimensionError, LiftError
-from .lattices import Coweight
+from .lattices import Coweight, as_coweight
 from .polynomial import Polynomial
 
 
@@ -44,7 +44,7 @@ def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, Polyn
     sort by coweight."""
     merged: dict[Coweight, Polynomial] = {}
     for lam, p in terms.items() if isinstance(terms, dict) else terms:
-        lam = tuple(map(int, lam))
+        lam = as_coweight(lam)
         if len(lam) != rank:
             raise DimensionError(f"coweight length does not match {owner} rank")
         p = convert(p)

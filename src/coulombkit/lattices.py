@@ -23,10 +23,23 @@ from math import comb, prod
 from typing import Iterable, Sequence
 
 from .cancel import CancellationToken, check
-from .errors import DimensionError, LatticeError
+from .errors import DimensionError, DomainError, LatticeError
 
 Coweight = tuple[int, ...]
 CharacterVector = tuple[int, ...]
+
+
+def as_coweight(lam) -> Coweight:
+    """``lam`` as a tuple of ints.  An entry x with int(x) != x is a DomainError,
+    so nothing is truncated; 1.0 reads as 1, as the JSON schema reads it."""
+    try:
+        lam = tuple(lam)
+        out = tuple(map(int, lam))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != lam:  # one elementwise comparison: 1 == 1.0, but 1 != 1.7 and 2 != "2"
+        raise DomainError(f"coweight entries must be integers, not {lam!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -334,16 +347,17 @@ def hermite_column_form(mat: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(zip(*kept)) if kept else tuple(() for _ in range(mat.nrows)))
 
 
-def integer_kernel(mat: IntMatrix) -> IntMatrix:
+def integer_kernel(mat: IntMatrix, token: CancellationToken | None = None) -> IntMatrix:
     """A basis of the saturated integer kernel of ``mat``, as columns,
     canonicalized by Hermite column form.
 
     One Hermite pass over mat^T, carrying an identity block, leaves the
-    kernel's basis in the transform's rows past the rank.
+    kernel's basis in the transform's rows past the rank; ``token`` is
+    checked at each of its Euclid steps.
     """
     n = mat.ncols
     a = [list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(zip(*mat.entries))]
-    basis = [row[mat.nrows :] for row in a[_hermite(a, mat.nrows) :]]
+    basis = [row[mat.nrows :] for row in a[_hermite(a, mat.nrows, token) :]]
     if not basis:
         return IntMatrix(tuple(() for _ in range(n)))
     return hermite_column_form(IntMatrix(tuple(zip(*basis))))

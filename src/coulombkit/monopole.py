@@ -22,7 +22,7 @@ from .abelian import AbelianTheory, hilbert_series  # noqa: F401 (re-exported)
 from .cancel import CancellationToken, check
 from .difference_ops import DifferenceOperator, _GradedSum, _merge, to_poly
 from .errors import DimensionError, DomainError, LiftError
-from .lattices import CharacterVector, Coweight, pairing
+from .lattices import CharacterVector, Coweight, as_coweight, pairing
 from .polynomial import Polynomial
 
 
@@ -135,7 +135,7 @@ def quantize(
 
 def quantum_relation(th: AbelianTheory, lam) -> tuple[DifferenceOperator, DifferenceOperator]:
     """(u_lam u_{-lam}, u_{-lam} u_lam), both supported on e^0."""
-    lam = tuple(int(x) for x in lam)
+    lam = as_coweight(lam)
     neg = tuple(-x for x in lam)
     up = DifferenceOperator.from_terms(th.rank, {lam: _quantized_shift(th, lam)})
     down = DifferenceOperator.from_terms(th.rank, {neg: _quantized_shift(th, neg)})

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .cancel import CancellationToken, check
 from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
@@ -173,21 +173,18 @@ class FreudenthalTable:
         if not gcm.is_dominant(lam):
             raise DomainError("highest weight must be dominant")
         self.gcm, self.lam = gcm, lam
-        self.height, self._top = 0, [(0,) * gcm.size]  # _top: the weights of the layer at height
-        self._mult: dict[RootVector, int] = {self._top[0]: 1}
+        # _top: the weights of the layer at height, each with its fundamental coordinates
+        self.height, self._top = 0, {(0,) * gcm.size: lam.fund}
+        self._mult: dict[RootVector, int] = dict.fromkeys(self._top, 1)
         self.evaluated = 1
 
-    def _coordinates(self, beta: RootVector) -> list[int]:
-        """The fundamental coordinates of lam - beta: lam - A beta."""
-        return [x - sum(map(mul, row, beta)) for x, row in zip(self.lam.fund, self.gcm.entries)]
-
-    def _dominant_depth(self, beta: RootVector) -> RootVector | None:
+    def _dominant_depth(self, beta: RootVector, c: tuple[int, ...]) -> RootVector | None:
         """The depth of the dominant Weyl conjugate of lam - beta, or None when
         lam - beta is not a weight of V(lam).  With c = lam - A beta the
         fundamental coordinates of lam - beta, s_i adds c_i to beta_i; a
         negative c_i lowers the height, and a negative beta_i leaves the
         weights, which the Weyl group permutes (Kac, Prop. 10.1)."""
-        a, c, beta = self.gcm.entries, self._coordinates(beta), list(beta)
+        a, c, beta = self.gcm.entries, list(c), list(beta)
         while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
             step = c[i]
             beta[i] += step
@@ -212,34 +209,39 @@ class FreudenthalTable:
             return
         table = _root_table(gcm)
         table.extend(height, token)
-        roots = [(alpha, m, table.norms[alpha])
+        roots = [(alpha, m, table.norms[alpha], tuple(map(mul, gcm.d, alpha)))
                  for alpha, m in table.multiplicities.items() if sum(alpha) <= height]
+        columns = list(zip(*gcm.entries))  # lam - beta - alpha_i has coordinates lam - beta - A e_i
         while self._top and self.height < height:
-            below = dict.fromkeys(b[:i] + (b[i] + 1,) + b[i + 1:] for b in self._top for i in range(len(b)))
-            layer = {}
-            for beta in below:
+            below = {}
+            for b, c in self._top.items():
+                for i, col in enumerate(columns):
+                    if (beta := b[:i] + (b[i] + 1,) + b[i + 1:]) not in below:
+                        below[beta] = tuple(map(sub, c, col))
+            layer, top = {}, {}
+            for beta, mu in below.items():
                 check(token)
-                mu = self._coordinates(beta)
                 i = next((i for i, x in enumerate(mu) if x < 0), None)
                 if i is None:
                     q = self._freudenthal_sum(beta, mu, roots)
                 else:
                     q = mult.get(beta[:i] + (beta[i] + mu[i],) + beta[i + 1:], 0)
                 if q:
-                    layer[beta] = q
+                    layer[beta], top[beta] = q, mu
             mult.update(layer)
-            self._top, self.height = list(layer), self.height + 1
+            self._top, self.height = top, self.height + 1
 
-    def _freudenthal_sum(self, beta: RootVector, mu: list[int], roots) -> int:
+    def _freudenthal_sum(self, beta: RootVector, mu: tuple[int, ...], roots) -> int:
         """Freudenthal's formula at lam - beta, whose fundamental coordinates are
-        ``mu``, from the complete layers below it."""
+        ``mu``, from the complete layers below it; ``roots`` holds each positive
+        root alpha with its multiplicity, (alpha, alpha) and d alpha."""
         gcm, lam, mult = self.gcm, self.lam.fund, self._mult
         self.evaluated += 1
         num = 0
-        for alpha, m_alpha, norm in roots:
-            pairing = _pair(gcm, mu, alpha)  # (mu + k alpha, alpha) = pairing + k norm
+        for alpha, m_alpha, norm, d_alpha in roots:
+            pairing = sum(map(mul, mu, d_alpha))  # (mu + k alpha, alpha) = pairing + k norm
             shifted, k = beta, 1
-            while min(shifted := tuple(b - a for b, a in zip(shifted, alpha))) >= 0:
+            while min(shifted := tuple(map(sub, shifted, alpha))) >= 0:
                 num += m_alpha * (pairing + k * norm) * mult.get(shifted, 0)
                 k += 1
         # (lam + rho, lam + rho) - (mu + rho, mu + rho) = (lam + mu + 2 rho, lam - mu)
@@ -257,9 +259,11 @@ class FreudenthalTable:
 
     def multiplicity(self, mu: KMWeight, token: CancellationToken | None = None) -> int:
         """dim of the weight space at mu, read at its dominant conjugate, so the
-        table grows only to that conjugate's height."""
-        beta = in_positive_root_cone(self.gcm, self.lam - mu)
-        if beta is None or (beta := self._dominant_depth(beta)) is None:
+        table grows only to that conjugate's height.  The solve gives beta with
+        A beta the fundamental part of lam - mu (in affine type the null direction
+        leaves A beta alone), so lam - A beta is mu.fund and is not recomputed."""
+        beta = in_positive_root_cone(self.gcm, self.lam - mu, token)
+        if beta is None or (beta := self._dominant_depth(beta, mu.fund)) is None:
             return 0
         return self.multiplicity_at_depth(beta, token)
 
@@ -335,7 +339,7 @@ def tensor_fixed_components(
 ) -> list[tuple[KMWeight, KMWeight]]:
     """All pairs (mu1, mu2) with mu1 + mu2 = mu and each mu_a a weight of the
     corresponding module over the Langlands dual Cartan datum."""
-    dual = langlands_dual(gcm)
+    dual = langlands_dual(gcm, token)
     out = []
     for mu1, _ in weight_support(dual, lam1, depth, token):
         mu2 = mu - mu1

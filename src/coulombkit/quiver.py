@@ -55,8 +55,9 @@ class Quiver:
     def loop_free(self) -> bool:
         return all(a != b for a, b in self.edges)
 
-    def cartan_matrix(self) -> GeneralizedCartanMatrix:
-        """Forget orientation; 2 on the diagonal minus edge counts elsewhere."""
+    def cartan_matrix(self, token: CancellationToken | None = None) -> GeneralizedCartanMatrix:
+        """Forget orientation; 2 on the diagonal minus edge counts elsewhere,
+        validated under ``token``."""
         if not self.loop_free:
             raise UnsupportedError("quivers with loops have no Kac-Moody datum")
         n = self.vertices
@@ -64,7 +65,7 @@ class Quiver:
         for s, t in self.edges:
             a[s][t] -= 1
             a[t][s] -= 1
-        return validate_and_symmetrize(a)
+        return validate_and_symmetrize(a, token)
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,11 @@ def gauge_data(q: Quiver, d: DimVectors) -> GaugeData:
     return GaugeData(d.v, tuple(summands), sum(x * x for x in d.v), dim_n)
 
 
-def slice_params(q: Quiver, d: DimVectors) -> SliceParams:
+def slice_params(q: Quiver, d: DimVectors, token: CancellationToken | None = None) -> SliceParams:
     """lam = sum w_i varpi_i, mu = lam - sum v_i alpha_i on the quiver's
     Kac-Moody datum (orientation forgotten)."""
     d.check_against(q)
-    gcm = q.cartan_matrix()
+    gcm = q.cartan_matrix(token)
     lam = KMWeight.of(d.w)
     mu = lam - gcm.root_combination(d.v)
     return SliceParams(lam, mu, d, gcm.is_dominant(mu))
@@ -148,14 +149,14 @@ def fixed_point_nonempty(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeig
     exists iff the dual-side weight multiplicity V_mu(lam) is nonzero."""
     if not gcm.is_dominant(lam):
         raise DomainError("lam must be dominant")
-    return weight_multiplicity(langlands_dual(gcm), lam, mu, token) > 0
+    return weight_multiplicity(langlands_dual(gcm, token), lam, mu, token) > 0
 
 
 def _dominant_interval(
     gcm: GeneralizedCartanMatrix, top: KMWeight, mu: KMWeight, token=None
 ) -> list[tuple[int, KMWeight]]:
     """Dominant kappa with top >= kappa >= mu, as (height of top-kappa, kappa)."""
-    t = in_positive_root_cone(gcm, top - mu)
+    t = in_positive_root_cone(gcm, top - mu, token)
     if t is None:
         return []
     out = []

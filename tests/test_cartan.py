@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulombkit import cartan
+from coulombkit.cancel import CancellationToken
 from coulombkit.cartan import (
     NAMED_CARTAN_MATRICES,
     KMWeight,
@@ -22,6 +24,7 @@ from coulombkit.cartan import (
     validate_and_symmetrize,
 )
 from coulombkit.errors import (
+    Cancelled,
     CartanError,
     CoulombKitError,
     DimensionError,
@@ -355,6 +358,37 @@ def test_root_coordinates_singular_indefinite():
         assert fn(gcm, KMWeight.of((1, 0, 0, 0))) is None  # inconsistent
         with pytest.raises(UnsupportedError):
             fn(gcm, gcm.root_combination((1, 2, 0, 1)))
+
+
+def test_langlands_dual_is_built_once_per_datum():
+    for gcm in SOLVER_CASES:
+        assert langlands_dual(gcm) is langlands_dual(gcm)
+        assert langlands_dual(langlands_dual(gcm)) == gcm
+    # the cache is keyed by the datum's value, not by the object
+    assert langlands_dual(named_gcm("B2")) is langlands_dual(named_gcm("B2"))
+
+
+def test_cancelled_smith_pass_stores_nothing():
+    gcm = validate_and_symmetrize([[2, -2, 0], [-1, 2, -7], [0, -1, 2]])
+    mu = gcm.root_combination((1, 2, 3))
+    cancelled = CancellationToken()
+    cancelled.cancel()
+    with pytest.raises(Cancelled):
+        in_positive_root_cone(gcm, mu, cancelled)
+    assert gcm not in cartan._solves
+    # a later caller's token, or none, builds the solve data once, keyed by the datum alone
+    assert in_positive_root_cone(gcm, mu, CancellationToken(60)) == (1, 2, 3)
+    data = cartan._solves[gcm]
+    assert in_positive_root_cone(gcm, mu) == (1, 2, 3) and cartan._solves[gcm] is data
+    assert in_positive_root_cone(gcm, mu, cancelled) == (1, 2, 3)
+
+
+def test_validation_honours_the_token():
+    cancelled = CancellationToken()
+    cancelled.cancel()
+    with pytest.raises(Cancelled):
+        validate_and_symmetrize(NAMED_CARTAN_MATRICES["A3"], cancelled)
+    assert validate_and_symmetrize(NAMED_CARTAN_MATRICES["A3"], CancellationToken(60)) == named_gcm("A3")
 
 
 def test_root_coordinates_wrong_length():

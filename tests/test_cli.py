@@ -485,6 +485,31 @@ def test_abelian_hilbert_smith_form_honours_timeout():
     assert (proc.returncode, proc.stdout) == (3, "") and "cancelled" in proc.stderr
 
 
+_N = 400
+_TYPE_A_400 = [[2 if i == j else -(abs(i - j) == 1) for j in range(_N)] for i in range(_N)]
+
+
+@pytest.mark.parametrize("command, doc", [
+    # validating the matrix took 2 s and its Smith pass 3.6 s, neither under the token,
+    # so --timeout 0.5 once exited 0 after 6.5 s
+    (["km", "mult"], {"cartan": _TYPE_A_400, "lambda": {"fund": [1] + [0] * (_N - 1)},
+                      "mu": {"fund": [1] + [0] * (_N - 1)}}),
+    # the same matrix from a linear quiver, validated untimed: exit 0 after 2.6 s
+    (["quiver", "slice"], {"vertices": _N, "edges": [[i, i + 1] for i in range(_N - 1)],
+                           "v": [1] * _N, "w": [2] + [0] * (_N - 1)}),
+], ids=["km-mult", "quiver-slice"])
+def test_timeout_covers_the_cartan_preparation(command, doc):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", *command, "--timeout", "0.5"],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout) == (3, "") and proc.stderr.startswith("cancelled: ")
+    assert elapsed < 1.5
+
+
 def _one_term(lam):
     return {"rank": len(lam), "terms": [{"coweight": lam, "poly": [{"coeff": "1", "powers": [0] * len(lam)}]}]}
 

@@ -171,6 +171,19 @@ def test_rank_mismatch():
         multiply(e1, DifferenceOperator.shift(2, (1, 0)))
 
 
+@pytest.mark.parametrize("entry", [1.7, "2", Fraction(1, 2)])
+def test_non_integer_coweights_are_domain_errors(entry):
+    # int() once truncated each of these: (1.7,) read as e^[1] and ("2",) as e^[2]
+    with pytest.raises(DomainError, match="coweight entries must be integers"):
+        op({(entry,): 1})
+
+
+def test_integral_float_coweight_reads_as_its_integer():
+    # the JSON schema accepts 1.0 as an integer, so the library does too
+    assert str(op({(1.0,): 1})) == "(1)*e^[1]"
+    assert op({(1.0,): W}) == op({(1,): W})
+
+
 # ---------------------------------------------------------------- reference oracle
 # The formulas below work on sympy expressions, as the library did before its
 # coefficients became ring elements: simultaneous substitution for the shift

@@ -375,6 +375,18 @@ def test_birationality_witness():
     assert prod.terms == (((0, 0), birationality_witness(th2, (1, -1))),)
 
 
+@pytest.mark.parametrize("entry", [1.7, "2", Fraction(1, 2)])
+def test_non_integer_coweights_are_domain_errors(entry):
+    # each read through int() once: (1.9,) gave the witness at lam = 1
+    th = AbelianTheory.of(1, [(1,), (1,)])
+    for call in (lambda: CoulombElement.from_terms(1, {(entry,): 1}),
+                 lambda: quantum_relation(th, (entry,)),
+                 lambda: birationality_witness(th, (entry,))):
+        with pytest.raises(DomainError, match="coweight entries must be integers"):
+            call()
+    assert quantum_relation(th, (1.0,)) == quantum_relation(th, (1,))
+
+
 # ---------------------------------------------------------------- exact-value digests
 
 def _digest_case(rng):

@@ -8,6 +8,7 @@ no code with the Freudenthal recursion under test.
 
 import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +38,7 @@ from coulombkit.multiplicities import (
     weight_multiplicity,
     weight_support,
 )
+from test_cartan import oracle_root_coordinates
 
 RHO_CACHE = {}
 
@@ -356,6 +358,55 @@ def test_freudenthal_sums_only_at_dominant_weights():
     table = multiplicities._freudenthal(gcm, lam)
     assert table.evaluated == 198
     assert len(table._mult) == 6968
+
+
+def parent_dominant_depth(gcm, lam, beta):
+    """The query's reduction before mu's coordinates were passed in: c = lam - A beta
+    is recomputed from lam and beta, then s_i adds c_i to beta_i while c_i < 0."""
+    a, beta = gcm.entries, list(beta)
+    c = [x - sum(r * b for r, b in zip(row, beta)) for x, row in zip(lam.fund, a)]
+    while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
+        step = c[i]
+        beta[i] += step
+        if beta[i] < 0:
+            return None
+        for j, row in enumerate(a):
+            c[j] -= row[i] * step
+    return tuple(beta)
+
+
+# A3, B3, G2, A1~, A2~, the twisted affine A2^(2) and a hyperbolic datum
+QUERY_DATA = [named_gcm(name) for name in ("A3", "B3", "G2", "A1~", "A2~")] + [
+    validate_and_symmetrize(a) for a in ([[2, -1], [-4, 2]], [[2, -3], [-3, 2]])
+]
+
+
+def test_query_path_matches_the_recomputing_oracle():
+    # the oracle solves by Gauss-Jordan, reduces with lam - A beta recomputed, and reads a
+    # fresh table; the library reads the dominant conjugate off mu through its cached solve
+    rng, tables, seen = random.Random(2201), {}, set()
+    while len(seen) < 600:
+        gcm = rng.choice(QUERY_DATA)
+        lam = KMWeight.of([rng.randint(0, 2) for _ in range(gcm.size)], rng.randint(-1, 1))
+        mu = lam - gcm.root_combination([rng.randint(-1, 3) for _ in range(gcm.size)])
+        for _ in range(rng.randint(0, 2)):
+            mu = gcm.reflect(rng.randrange(gcm.size), mu)
+        if rng.random() < 0.2:  # off the root lattice, or off the delta pin
+            mu = KMWeight(mu.fund, mu.delta + rng.choice((-1, 1))) if gcm.tag == "affine" else \
+                KMWeight(tuple(x + rng.randint(-1, 1) for x in mu.fund), mu.delta)
+        if (gcm, lam, mu) in seen:
+            continue
+        seen.add((gcm, lam, mu))
+        coords = oracle_root_coordinates(gcm, lam - mu)
+        want, beta = 0, None
+        if coords is not None and all(x.denominator == 1 and x >= 0 for x in coords):
+            beta = parent_dominant_depth(gcm, lam, tuple(int(x) for x in coords))
+        if beta is not None:
+            if (gcm, lam) not in tables:
+                tables[gcm, lam] = FreudenthalTable(gcm, lam)
+            want = tables[gcm, lam].multiplicity_at_depth(beta)
+        assert weight_multiplicity(gcm, lam, mu) == want, (gcm.entries, lam, mu)
+    assert len({gcm for gcm, _, _ in seen}) == len(QUERY_DATA)
 
 
 def test_affine_queries_reduce_before_filling():
