@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cancel import CancellationToken
 from .errors import DimensionError, DomainError
-from .lattices import CharacterVector, IntMatrix, koszul_counts, smith_normal_form
+from .lattices import CharacterVector, IntMatrix, as_coweight, koszul_counts, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class AbelianTheory:
 
     @staticmethod
     def of(rank: int, characters, names=()) -> "AbelianTheory":
-        chars = tuple(tuple(int(x) for x in c) for c in characters)
+        chars = tuple(map(as_coweight, characters))
         if any(len(c) != rank for c in chars):
             raise DimensionError("character length does not match torus rank")
         return AbelianTheory(rank, chars, tuple(names))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .cancel import CancellationToken, check
 from .errors import DimensionError, LiftError
@@ -39,17 +40,23 @@ def to_poly(rank: int, value) -> Polynomial:
     return from_expr(rank, value)
 
 
-def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, Polynomial], ...]:
-    """Convert each coefficient, sum equal coweights, drop zero coefficients,
-    sort by coweight."""
+def _collect(pairs) -> tuple[tuple[Coweight, Polynomial], ...]:
+    """Sum the polynomials of equal coweights, drop zeros, sort; the pairs are already valid."""
     merged: dict[Coweight, Polynomial] = {}
+    for lam, p in pairs:
+        merged[lam] = merged[lam] + p if lam in merged else p
+    return tuple((lam, p) for lam, p in sorted(merged.items()) if p)
+
+
+def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, Polynomial], ...]:
+    """Read each coweight and convert each coefficient, then ``_collect``."""
+    pairs = []
     for lam, p in terms.items() if isinstance(terms, dict) else terms:
         lam = as_coweight(lam)
         if len(lam) != rank:
             raise DimensionError(f"coweight length does not match {owner} rank")
-        p = convert(p)
-        merged[lam] = merged[lam] + p if lam in merged else p
-    return tuple((lam, p) for lam, p in sorted(merged.items()) if p)
+        pairs.append((lam, convert(p)))
+    return _collect(pairs)
 
 
 @dataclass(frozen=True)
@@ -66,17 +73,19 @@ class _GradedSum:
 
         return tuple((lam, as_expr(self.rank, p)) for lam, p in self.polys)
 
-    def _check_rank(self, other) -> None:
+    def _check_rank(self, other):
+        """``other`` once its rank matches; a sum of another kind is read through ``from_terms``."""
         if self.rank != other.rank:
             raise DimensionError(self._rank_mismatch)
+        return other if type(other) is type(self) else self.from_terms(self.rank, other.polys)
 
     def __add__(self, other):
-        self._check_rank(other)
-        return self.from_terms(self.rank, self.polys + other.polys)
+        other = self._check_rank(other)
+        return type(self)(self.rank, _collect(self.polys + other.polys))
 
     def __sub__(self, other):
-        self._check_rank(other)
-        return self.from_terms(self.rank, self.polys + tuple((lam, -p) for lam, p in other.polys))
+        other = self._check_rank(other)
+        return type(self)(self.rank, _collect(self.polys + tuple((lam, -p) for lam, p in other.polys)))
 
     def scale(self, c):
         c = to_poly(self.rank, c)
@@ -140,9 +149,8 @@ def multiply(
     for lam, f in a.polys:
         for mu, g in b.polys:
             check(token)
-            key = tuple(x + y for x, y in zip(lam, mu))
-            acc.append((key, f * g.shift(lam, token)))
-    return DifferenceOperator.from_terms(a.rank, acc)
+            acc.append((tuple(map(add, lam, mu)), f * g.shift(lam, token)))
+    return DifferenceOperator(a.rank, _collect(acc))
 
 
 def commutator(
@@ -154,7 +162,7 @@ def commutator(
 def specialize_hbar(a: DifferenceOperator, value) -> DifferenceOperator:
     """hbar -> ``value`` (a rational or a polynomial) in every coefficient."""
     v = to_poly(a.rank, value)
-    return DifferenceOperator.from_terms(a.rank, [(lam, p.at_hbar(v)) for lam, p in a.polys])
+    return DifferenceOperator(a.rank, _collect((lam, p.at_hbar(v)) for lam, p in a.polys))
 
 
 def poisson_from_lifts(
@@ -171,4 +179,4 @@ def poisson_from_lifts(
         if p.hbar_coefficient(0):
             raise LiftError(f"commutator coefficient at {lam} is not divisible by hbar")
         out.append((lam, p.hbar_coefficient(1)))
-    return DifferenceOperator.from_terms(comm.rank, out)
+    return DifferenceOperator(comm.rank, _collect(out))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .abelian import AbelianTheory, hilbert_series, top_half_degree
 from .cancel import CancellationToken
 from .errors import DimensionError
-from .lattices import IntMatrix, dual_sequence, koszul_counts
+from .lattices import IntMatrix, as_coweight, dual_sequence, koszul_counts
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class HiggsTheory:
 
     @staticmethod
     def of(charges) -> "HiggsTheory":
-        rows = tuple(tuple(int(x) for x in r) for r in charges)
+        rows = tuple(map(as_coweight, charges))
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionError("ragged charge matrix")
         th = HiggsTheory(len(rows), rows)

@@ -6,21 +6,22 @@ the term.  The classical product, the quantization into difference operators,
 the Poisson bracket and the cohomological grading live here; the
 birationality witness, a symbolic value, lives in ``symbolic``.  Coefficients
 are ``polynomial.Polynomial`` values, as in ``difference_ops``, with hbar's
-exponent always 0; a monopole dressing is a product of linear forms
-<rho_i, w>, so pulling an operator back divides by one linear form at a
-time.  The theory itself and the Hilbert series need no polynomials; they
-live in ``abelian`` and are re-exported.
+exponent always 0; a monopole dressing is a product of linear forms <rho_i, w>,
+so pulling an operator back divides by one linear form at a time.  The bracket
+is a closed form on the monopole basis and builds no operator.  The theory and
+the Hilbert series need no polynomials; they live in ``abelian`` and are re-exported.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from . import difference_ops as dops
 from .abelian import AbelianTheory, hilbert_series  # noqa: F401 (re-exported)
 from .cancel import CancellationToken, check
-from .difference_ops import DifferenceOperator, _GradedSum, _merge, to_poly
+from .difference_ops import DifferenceOperator, _collect, _GradedSum, _merge, to_poly
 from .errors import DimensionError, DomainError, LiftError
 from .lattices import CharacterVector, Coweight, as_coweight, pairing
 from .polynomial import Polynomial
@@ -59,6 +60,30 @@ def _linear_form(rank: int, rho: CharacterVector) -> Polynomial:
     return Polynomial({tuple(int(i == j) for i in range(rank + 1)): c for j, c in enumerate(rho) if c})
 
 
+def _checked_terms(th: AbelianTheory, x: CoulombElement, token: CancellationToken | None = None) -> tuple:
+    """The terms of x, once its rank matches the theory's and the token is checked per term."""
+    if th.rank != x.rank:
+        raise DimensionError("element rank does not match theory rank")
+    for _ in x.polys:
+        check(token)
+    return x.polys
+
+
+def _term_pairs(th: AbelianTheory, left, right, token: CancellationToken | None):
+    """Each pair (f r^lam, g r^mu) of terms of left and right as lam, f, mu, g and the factors
+    (<rho_i, w>, d_i, c_i) with d_i > 0.  For p_i = <rho_i, lam> and q_i = <rho_i, mu>, read once
+    per term, both d_i = (|p_i| + |q_i| - |p_i + q_i|) / 2 and c_i = max(0, q_i) p_i - max(0, p_i) q_i
+    vanish unless p_i q_i < 0, and then d_i = min(|p_i|, |q_i|) and c_i = p_i |q_i|."""
+    forms = [_linear_form(th.rank, rho) for rho in th.characters]
+    right = [(mu, g, [pairing(mu, rho) for rho in th.characters]) for mu, g in right]
+    for lam, f in left:
+        ps = [pairing(lam, rho) for rho in th.characters]
+        for mu, g, qs in right:
+            check(token)
+            yield lam, f, mu, g, [
+                (form, min(abs(p), abs(q)), p * abs(q)) for form, p, q in zip(forms, ps, qs) if p * q < 0]
+
+
 def classical_product(
     th: AbelianTheory,
     a: CoulombElement,
@@ -70,25 +95,15 @@ def classical_product(
         r^lam * r^mu = prod_i <rho_i, w>^{d_i} r^{lam+mu},
         d_i = (|<rho_i,lam>| + |<rho_i,mu>| - |<rho_i,lam+mu>|) / 2.
     """
-    if th.rank != a.rank or th.rank != b.rank:
-        raise DimensionError("element rank does not match theory rank")
     acc = []
-    for lam, f in a.polys:
-        for mu, g in b.polys:
-            check(token)
-            key = tuple(x + y for x, y in zip(lam, mu))
-            prod = f * g
-            for rho in th.characters:
-                p, q = pairing(lam, rho), pairing(mu, rho)
-                d2 = abs(p) + abs(q) - abs(p + q)
-                assert d2 % 2 == 0
-                if d2:
-                    form = _linear_form(th.rank, rho)
-                    for _ in range(d2 // 2):
-                        check(token)
-                        prod *= form
-            acc.append((key, prod))
-    return CoulombElement.from_terms(th.rank, acc)
+    for lam, f, mu, g, factors in _term_pairs(th, _checked_terms(th, a), _checked_terms(th, b), token):
+        prod = f * g
+        for form, d, _ in factors:
+            for _ in range(d):
+                check(token)
+                prod *= form
+        acc.append((tuple(map(add, lam, mu)), prod))
+    return CoulombElement(th.rank, _collect(acc))
 
 
 def _quantized_shift(
@@ -124,13 +139,8 @@ def quantize(
     th: AbelianTheory, a: CoulombElement, token: CancellationToken | None = None
 ) -> DifferenceOperator:
     """Linear map f(w) r^lam -> f(w) u_lam into the difference-operator algebra."""
-    if th.rank != a.rank:
-        raise DimensionError("element rank does not match theory rank")
-    out = []
-    for lam, f in a.polys:
-        check(token)
-        out.append((lam, f * _quantized_shift(th, lam, token)))
-    return DifferenceOperator.from_terms(th.rank, out)
+    out = [(lam, f * _quantized_shift(th, lam, token)) for lam, f in _checked_terms(th, a, token)]
+    return DifferenceOperator(th.rank, _collect(out))
 
 
 def quantum_relation(th: AbelianTheory, lam) -> tuple[DifferenceOperator, DifferenceOperator]:
@@ -156,7 +166,7 @@ def element_from_operator(th: AbelianTheory, op: DifferenceOperator) -> CoulombE
         except LiftError:
             raise LiftError(f"coefficient at {lam} is not divisible by the monopole dressing") from None
         out.append((lam, poly))
-    return CoulombElement.from_terms(th.rank, out)
+    return CoulombElement(th.rank, _collect(out))
 
 
 def poisson(
@@ -165,10 +175,27 @@ def poisson(
     b: CoulombElement,
     token: CancellationToken | None = None,
 ) -> CoulombElement:
-    """Poisson bracket extracted from the quantization: commutator over hbar at
-    hbar = 0, pulled back to the monopole basis."""
-    bracket = dops.poisson_from_lifts(quantize(th, a, token), quantize(th, b, token), token)
-    return element_from_operator(th, bracket)
+    """The Poisson bracket in closed form on the monopole basis.  With p_i, q_i,
+    d_i and c_i as in ``_term_pairs`` and d_lam = sum_j lam_j d/dw_j,
+
+        {f r^lam, g r^mu} = [(f d_lam g - g d_mu f) prod_i rho_i^d_i
+                             + f g sum_(c_i != 0) c_i rho_i^(d_i - 1) prod_(k != i) rho_k^d_k] r^(lam + mu).
+
+    The commutator of the quantizations has hbar-coefficient F d_lam G - G d_mu F with F = f D_lam,
+    G = g D_mu and D_lam = prod_i rho_i^max(0, p_i), as the hbar-linear parts of the dressings cancel;
+    then D_lam D_mu = D_(lam+mu) prod_i rho_i^d_i and d_lam D_mu = D_mu sum_i max(0, q_i) p_i / rho_i."""
+    acc, left, right = [], _checked_terms(th, a, token), _checked_terms(th, b, token)
+    for lam, f, mu, g, factors in _term_pairs(th, left, right, token):
+        dressing, c_sum = Polynomial.constant(th.rank + 1, 1), Polynomial({})
+        for form, d, c in factors:
+            check(token)
+            c_sum, dressing = c_sum * form + dressing * Polynomial.constant(th.rank + 1, c), dressing * form
+            for _ in range(d - 1):
+                check(token)
+                c_sum, dressing = c_sum * form, dressing * form
+        term = (f * g.derivative(lam) - g * f.derivative(mu)) * dressing + f * g * c_sum
+        acc.append((tuple(map(add, lam, mu)), term))
+    return CoulombElement(th.rank, _collect(acc))
 
 
 def grading_degree(th: AbelianTheory, a: CoulombElement) -> Fraction:

@@ -154,6 +154,16 @@ class Polynomial:
                 return result
             base = base * base
 
+    def derivative(self, v) -> "Polynomial":
+        """The directional derivative sum_j v_j dp/dx_j, v read as 0 past its length."""
+        out: dict[Monomial, int] = {}
+        for m, c in self.num.items():
+            for j, l in enumerate(v):
+                if l and m[j]:
+                    key = m[:j] + (m[j] - 1,) + m[j + 1:]
+                    out[key] = out.get(key, 0) + c * l * m[j]
+        return Polynomial.make(out, self.den)
+
     # ------------------------------------------------------------ the shift and hbar
 
     def shift(self, lam, token: CancellationToken | None = None) -> "Polynomial":

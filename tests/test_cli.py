@@ -15,7 +15,9 @@ from coulombkit import multiplicities
 from coulombkit.abelian import AbelianTheory
 from coulombkit.cancel import CancellationToken
 from coulombkit.cli import _render, main, validate_schema
+from coulombkit.difference_ops import DifferenceOperator, multiply
 from coulombkit.errors import Cancelled
+from coulombkit.polynomial import Polynomial
 from test_monopole import _box_scan
 
 
@@ -550,7 +552,9 @@ def test_printing_checks_the_deadline_only_past_4096_chunks():
     "command, doc",
     [
         ("quantize", {"theory": {"rank": 1, "characters": [[1]]}, "element": _one_term([100000])}),
-        ("poisson", {"theory": {"rank": 1, "characters": [[1]]}, "a": _one_term([3000]), "b": _one_term([-1])}),
+        # one term pair whose bracket builds (w1 + w2)^2999 one linear factor at a time
+        ("poisson", {"theory": {"rank": 2, "characters": [[1, 1]]},
+                     "a": _one_term([3000, 0]), "b": _one_term([-3000, 0])}),
         ("ring", {"theory": {"rank": 2, "characters": [[1, 1]]},
                   "a": _one_term([20000, 0]), "b": _one_term([-20000, 0])}),
     ],
@@ -594,13 +598,33 @@ def test_one_high_power_is_cheap_to_shift():
         assert (proc.returncode, proc.stdout) == (3, "") and "timed out" in proc.stderr
 
 
+def test_high_power_brackets_print_exactly():
+    # the closed-form bracket differentiates w^powers instead of shifting it
+    for powers, result in [([200000], "(200000*w1**199999)*r^[1]"),
+                           ([1500, 1500], "(1500*w1**1500*w2**1499 + 1500*w1**1499*w2**1500)*r^[1, 1]")]:
+        proc, elapsed = _high_power_bracket(powers)
+        assert proc.returncode == 0 and proc.stdout.endswith(f'result: "{result}"\n')
+        assert elapsed < 5
+
+
+def test_slow_bracket_of_a_high_power_finishes(capsys, tmp_path):
+    # {r^3000, r^-1} once took minutes: two quantizations, two shifted products, 2999 divisions
+    doc = {"theory": {"rank": 1, "characters": [[1]]}, "a": _one_term([3000]), "b": _one_term([-1])}
+    code, out, _ = run(capsys, ["abelian", "poisson", "--timeout", "5"], doc, tmp_path=tmp_path)
+    assert code == 0 and json.loads(out)["result"] == "(3000)*r^[2999]"
+
+
 @pytest.mark.parametrize("powers", [[200000], [1500, 1500]], ids=["one_long_row", "many_choices"])
 def test_one_high_power_shift_is_cancellable(powers):
     # the token is checked inside one monomial's expansion: while its binomial rows
-    # are built, and while the product of two rows is summed
-    proc, elapsed = _high_power_bracket(powers)
-    assert (proc.returncode, proc.stdout) == (3, "") and "timed out" in proc.stderr
-    assert elapsed < 5
+    # are built, and while the product of two rows is summed; driven in-process,
+    # because the closed-form bracket no longer shifts w^powers
+    rank = len(powers)
+    power = DifferenceOperator.polynomial(rank, Polynomial({(*powers, 0): 1}))
+    start = time.monotonic()
+    with pytest.raises(Cancelled, match="timed out"):
+        multiply(DifferenceOperator.shift(rank, (1,) * rank), power, CancellationToken(0.5))
+    assert time.monotonic() - start < 5
 
 
 def test_km_mult_deep_weight_space(capsys, tmp_path):

@@ -184,6 +184,19 @@ def test_integral_float_coweight_reads_as_its_integer():
     assert op({(1.0,): W}) == op({(1,): W})
 
 
+def test_a_sum_with_another_kind_reads_it_at_the_boundary():
+    # sums of one kind skip the per-term reading; a classical element still rejects an hbar term
+    from coulombkit.monopole import CoulombElement
+
+    elem, hbar = CoulombElement.monopole(1, (1,)), DifferenceOperator.polynomial(1, HBAR)
+    with pytest.raises(DomainError, match="may not involve hbar"):
+        elem + hbar
+    with pytest.raises(DomainError, match="may not involve hbar"):
+        elem - hbar
+    assert str(hbar + elem) == "(hbar) + (1)*e^[1]"
+    assert elem + DifferenceOperator.one(1) == CoulombElement.from_terms(1, {(0,): 1, (1,): 1})
+
+
 # ---------------------------------------------------------------- reference oracle
 # The formulas below work on sympy expressions, as the library did before its
 # coefficients became ring elements: simultaneous substitution for the shift

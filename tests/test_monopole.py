@@ -17,6 +17,7 @@ from coulombkit.difference_ops import (
     DifferenceOperator,
     commutator,
     multiply,
+    poisson_from_lifts,
     specialize_hbar,
 )
 from coulombkit.errors import DomainError, LiftError
@@ -33,6 +34,7 @@ from coulombkit.monopole import (
     quantize,
     quantum_relation,
 )
+from coulombkit.polynomial import Polynomial
 from coulombkit.quiver import jordan_coulomb_hilbert
 from coulombkit.symbolic import HBAR, birationality_witness, w_vars
 from test_lattices import solve_rational, tuple_koszul_counts
@@ -179,6 +181,58 @@ def test_poisson_properties():
             th, b, poisson(th, a, c)
         )
         assert (lhs - rhs).is_zero()
+
+
+def _closed_form_case(rng):
+    """A theory of rank 0-3 with 0-5 characters, entries in -2..2 (zero and
+    repeated characters included), and two elements of 0-3 terms with
+    fractional coefficients at coweights in [-1, 1]^rank."""
+    k = rng.randint(0, 3)
+    chars = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(0, 5))]
+    if chars and rng.random() < 0.2:
+        chars.append(rng.choice(chars))
+    th = AbelianTheory.of(k, chars)
+
+    def element():
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            num = {}
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 2) for _ in range(k)) + (0,)
+                num[m] = num.get(m, 0) + rng.randint(-3, 3)
+            terms.append((tuple(rng.randint(-1, 1) for _ in range(k)), Polynomial.make(num, rng.choice((1, 2, 3)))))
+        return CoulombElement.from_terms(k, terms)
+
+    return th, element(), element()
+
+
+def test_closed_form_bracket_matches_the_quantized_commutator():
+    # the reference is the bracket as the hbar-coefficient of the commutator of the lifts
+    rng = random.Random(2201)
+    nonzero = 0
+    for _ in range(600):
+        th, a, b = _closed_form_case(rng)
+        want = element_from_operator(th, poisson_from_lifts(quantize(th, a), quantize(th, b)))
+        assert poisson(th, a, b) == want
+        nonzero += not want.is_zero()
+    assert nonzero > 200
+
+
+def test_poisson_jacobi_identity():
+    rng = random.Random(59)
+    for _ in range(25):
+        th = random_theory(rng)
+        a, b, c = (random_element(rng, th) for _ in range(3))
+        cyclic = [poisson(th, x, poisson(th, y, z)) for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+        assert (cyclic[0] + cyclic[1] + cyclic[2]).is_zero()
+
+
+@pytest.mark.parametrize("entry", [1.7, "2", None, float("nan")])
+def test_theory_characters_that_are_not_integers_are_domain_errors(entry):
+    # each entry was read through int(): ("2",) and (1.9,) became the characters (2,) and (1,)
+    with pytest.raises(DomainError, match="must be integers"):
+        AbelianTheory.of(1, [(1,), (entry,)])
+    assert AbelianTheory.of(1, [(1.0,), (2,)]) == AbelianTheory.of(1, [(1,), (2,)])
 
 
 def test_grading_degree():

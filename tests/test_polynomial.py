@@ -173,6 +173,17 @@ def test_division_by_one_linear_form(case, form_coeffs):
 
 @SETTINGS
 @given(pairs(), st.data())
+def test_derivative_matches_diff(case, data):
+    # along v in w_1 .. w_rank, so hbar's exponents are kept
+    rank, R, ((p, P), _) = case
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    got = p.derivative(v)
+    assert in_ring(R, got) == sum((c * P.diff(x) for c, x in zip(v, R.gens)), R.zero)
+    assert_canonical(got, rank)
+
+
+@SETTINGS
+@given(pairs(), st.data())
 def test_printed_forms_match_sympy(case, data):
     rank, R, ((a, A), (b, B)) = case
     lams = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=2, unique=True))
