@@ -4,9 +4,10 @@ Weights are stored in fundamental-weight coordinates plus an explicit delta
 coordinate.  The delta coordinate is zero and ignored outside affine type;
 in affine type it pairs to zero with every simple coroot, and the simple
 roots acquire delta components through the convention fixed in
-``_delta_splitter`` (an integer covector s with s . a = 1 against the
-primitive null vector a, solved greedily in index order; for untwisted
-affine types this gives the usual alpha_0 = delta - theta).
+``_delta_splitter``: alpha_j carries delta coordinate 1 for the last j whose
+label a_j is 1, and every other alpha_i carries 0, so s . a = 1 against the
+primitive null vector a (in untwisted affine type that node plays alpha_0 in
+the usual alpha_0 = delta - theta).
 
 Root coordinates come from the Smith form U A V = D of the Cartan matrix,
 the one exact-linear-algebra path.  Everything a solve reads is stored once per
@@ -14,7 +15,9 @@ Cartan datum: the rows of U at the nonzero d_j, each scaled by den / d_j, the
 rows of U at the zero d_j, the columns of V at the nonzero d_j, and the common
 denominator den.  A query is then one zero-row check and two integer
 matrix-vector products (``in_positive_root_cone`` builds no ``Fraction``).
-The Langlands dual is likewise built and validated once per datum.  Both
+The Langlands dual is read off the datum's own fields once per datum: the
+transpose has the same type and swaps the Kac labels (Kac, Sec. 2.1, Ch. 4),
+so only its symmetrizers are walked again.  Both
 per-datum caches are keyed by the datum alone and filled under the caller's
 cancellation token, so a cancelled pass stores nothing.
 """
@@ -174,17 +177,23 @@ def _classify_component(a, d, comp, token: CancellationToken | None = None) -> s
 def validate_and_symmetrize(raw, token: CancellationToken | None = None) -> GeneralizedCartanMatrix:
     """Check the GCM axioms, compute minimal symmetrizers, classify the type.
 
-    Accepts an ``IntMatrix`` or any nested sequence of integers.  The
-    symmetrizer walk and the eliminations run under ``token``.
+    Accepts an ``IntMatrix`` or any nested sequence of integers.  ``token``
+    is checked once per row of the integer conversion and of the axiom loop,
+    and inside the symmetrizer walk and the eliminations.
     """
     if isinstance(raw, IntMatrix):
         a = raw.entries
     else:
-        a = tuple(tuple(int(x) for x in row) for row in raw)
+        rows = []
+        for row in raw:
+            check(token)
+            rows.append(tuple(int(x) for x in row))
+        a = tuple(rows)
     n = len(a)
     if any(len(row) != n for row in a):
         raise CartanError("Cartan matrix must be square")
     for i in range(n):
+        check(token)
         if a[i][i] != 2:
             raise CartanError(f"diagonal entry a[{i}][{i}] must be 2")
         for j in range(n):
@@ -218,29 +227,11 @@ def validate_and_symmetrize(raw, token: CancellationToken | None = None) -> Gene
 
 
 def _delta_splitter(a: tuple[int, ...]) -> tuple[int, ...]:
-    """Deterministic integer covector s with s . a = 1 (a is primitive)."""
-    s = [0] * len(a)
-    g, coeffs = a[0], [1] + [0] * (len(a) - 1)
-    for i in range(1, len(a)):
-        old_g = g
-        g = math.gcd(g, a[i])
-        # extended gcd step: g = x*old_g + y*a[i]
-        x, y = _bezout(old_g, a[i])
-        coeffs = [c * x for c in coeffs]
-        coeffs[i] = y
-    assert g == 1, "null vector must be primitive"
-    return tuple(coeffs)
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q_, (old_r, r) = divmod(old_r, r)[0], (r, old_r % r)
-        old_s, s = s, old_s - q_ * s
-        old_t, t = t, old_t - q_ * t
-    return old_s, old_t
+    """e_j for the last j with a_j = 1, so s . a = 1.  An affine datum that
+    validates is indecomposable, and each of those has a label 1 (Kac,
+    Thm. 4.8 and Tables Aff 1-3)."""
+    j = len(a) - 1 - a[::-1].index(1)
+    return tuple(int(i == j) for i in range(len(a)))
 
 
 class _PerDatum(dict):
@@ -264,7 +255,19 @@ class _PerDatum(dict):
         return value
 
 
-_duals = _PerDatum(lambda gcm, token: validate_and_symmetrize(tuple(zip(*gcm.entries)), token))
+def _dual_datum(gcm: GeneralizedCartanMatrix, token: CancellationToken | None) -> GeneralizedCartanMatrix:
+    """The transpose's datum without validating it again.  D A is symmetric, and
+    the transpose's D' A^T is a positive multiple of D^-1 (D A) D^-1 on each
+    component, so every leading minor keeps its sign and the tag stays.  a^vee A = 0
+    makes the Kac labels and the dual labels trade places."""
+    at = tuple(zip(*gcm.entries))
+    d, _ = _minimal_symmetrizers(at, token)
+    labels = gcm.dual_labels
+    split = None if labels is None else _delta_splitter(labels)
+    return GeneralizedCartanMatrix(at, d, gcm.tag, labels, gcm.null_vector, split)
+
+
+_duals = _PerDatum(_dual_datum)
 
 
 def langlands_dual(

@@ -472,6 +472,9 @@ def main(argv=None) -> int:
     except RecursionError as exc:  # parsed just under the limit, then nested too deep to check
         print(f"input nested too deeply: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # a resource limit, like the deadline
+        print("out of memory: the input needs more memory than the process may use", file=sys.stderr)
+        return 3
     try:
         print(text)
         sys.stdout.flush()  # a reader that closed the pipe early is met here, not at exit

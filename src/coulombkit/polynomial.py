@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add
 
 from .cancel import CancellationToken, check
-from .errors import LiftError
+from .errors import DomainError, LiftError
 
 Monomial = tuple[int, ...]
 
@@ -145,6 +145,8 @@ class Polynomial:
 
     def __pow__(self, k: int) -> "Polynomial":
         """``self`` to the power k >= 1, by repeated squaring."""
+        if k < 1:
+            raise DomainError(f"a polynomial power must be at least 1, got {k}")
         result, base = None, self
         while True:
             if k & 1:

@@ -57,11 +57,15 @@ class Quiver:
 
     def cartan_matrix(self, token: CancellationToken | None = None) -> GeneralizedCartanMatrix:
         """Forget orientation; 2 on the diagonal minus edge counts elsewhere,
-        validated under ``token``."""
+        built and validated under ``token``, checked once per row."""
         if not self.loop_free:
             raise UnsupportedError("quivers with loops have no Kac-Moody datum")
         n = self.vertices
-        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        a = []
+        for i in range(n):
+            check(token)
+            a.append([0] * n)
+            a[i][i] = 2
         for s, t in self.edges:
             a[s][t] -= 1
             a[t][s] -= 1
@@ -221,6 +225,8 @@ def strata_affine(
         raise DomainError("lam must be dominant")
     if level(gcm, lam) < 1:
         raise DomainError("lam must have level >= 1")
+    if bound < 0:
+        raise DomainError(f"bound must be non-negative, got {bound}")
     c = central_element_as_root_sum(gcm)
     out = []
     for size in range(bound + 1):

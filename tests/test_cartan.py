@@ -1,6 +1,7 @@
 """Cartan data: axioms, symmetrizers, classification, duality, dominance."""
 
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction
@@ -396,3 +397,114 @@ def test_root_coordinates_wrong_length():
         for fn in (root_coordinates, in_positive_root_cone):
             with pytest.raises(DimensionError):
                 fn(gcm, KMWeight.of((0,) * (gcm.size + 1)))
+
+
+def _fields(gcm):
+    return gcm.entries, gcm.d, gcm.tag, gcm.null_vector, gcm.dual_labels, gcm.delta_split
+
+
+def _permuted(gcm, rng):
+    perm = rng.sample(range(gcm.size), gcm.size)
+    return validate_and_symmetrize([[gcm.entries[p][q] for q in perm] for p in perm])
+
+
+def _tree(n, edges):
+    """The Cartan matrix on n vertices with a_ij, a_ji read off each edge (i, j, a_ij, a_ji)."""
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, aij, aji in edges:
+        a[i][j], a[j][i] = aij, aji
+    return a
+
+
+def _chain(n, bonds=None):
+    """The path 0 - 1 - ... - n-1, with (a_i,i+1, a_i+1,i) = bonds[i] where given."""
+    return [(i, i + 1, *(bonds or {}).get(i, (-1, -1))) for i in range(n - 1)]
+
+
+# affine data from Kac's Tables Aff 1-3, most with labels above 2 or one label 1
+KAC_AFFINE = [
+    _tree(7, _chain(5) + [(2, 5, -1, -1), (5, 6, -1, -1)]),  # E6~
+    _tree(8, _chain(7) + [(3, 7, -1, -1)]),  # E7~
+    _tree(9, _chain(8) + [(5, 8, -1, -1)]),  # E8~
+    _tree(5, _chain(5, {2: (-2, -1)})),  # F4~, and E6^(2) as its transpose
+    _tree(5, _chain(5, {2: (-1, -2)})),
+    _tree(3, _chain(3, {1: (-3, -1)})),  # G2~, and D4^(3) as its transpose
+    _tree(3, _chain(3, {1: (-1, -3)})),
+    _tree(6, [(0, 2, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1), (3, 5, -1, -1)]),  # D5~
+    _tree(4, [(0, 2, -1, -1), (1, 2, -1, -1), (2, 3, -1, -2)]),  # B3~
+    _tree(4, _chain(4, {0: (-2, -1), 2: (-1, -2)})),  # C3~
+    _tree(3, _chain(3, {0: (-2, -1), 1: (-2, -1)})),  # A4^(2), null vector (2, 2, 1)
+    _tree(4, _chain(4, {0: (-1, -2), 2: (-2, -1)})),  # D4^(2)
+]
+
+
+def _oracle_data():
+    """Every named datum, the explicit ones above, Kac's affine data, and the data
+    among 3000 seeded random inputs, each with one permuted copy."""
+    rng = random.Random(24)
+    data = list(SOLVER_CASES) + [validate_and_symmetrize(m) for m in KAC_AFFINE]
+    for _ in range(3000):
+        try:
+            data.append(validate_and_symmetrize(_random_cartan_input(rng)))
+        except CoulombKitError:
+            pass
+    return data + [_permuted(g, rng) for g in data]
+
+
+ORACLE_DATA = _oracle_data()
+
+
+def test_langlands_dual_matches_validating_the_transpose():
+    tags = {}
+    for gcm in ORACLE_DATA:
+        assert _fields(langlands_dual(gcm)) == _fields(validate_and_symmetrize(tuple(zip(*gcm.entries))))
+        tags[gcm.tag] = tags.get(gcm.tag, 0) + 1
+    assert len(ORACLE_DATA) >= 2000 and tags.keys() == {"finite", "affine", "indefinite"}
+    assert all(validate_and_symmetrize(m).tag == "affine" for m in KAC_AFFINE)
+    assert tags["affine"] >= 100, tags
+
+
+def _greedy_delta_splitter(a):
+    """The earlier convention: s with s . a = 1 by extended Euclid, folding in
+    a_1, a_2, ... in index order."""
+
+    def bezout(p, q):
+        old_r, r, old_s, s, old_t, t = p, q, 1, 0, 0, 1
+        while r:
+            k = old_r // r
+            old_r, r = r, old_r - k * r
+            old_s, s = s, old_s - k * s
+            old_t, t = t, old_t - k * t
+        return old_s, old_t
+
+    g, coeffs = a[0], [1] + [0] * (len(a) - 1)
+    for i in range(1, len(a)):
+        x, y = bezout(g, a[i])
+        g = math.gcd(g, a[i])
+        coeffs = [c * x for c in coeffs]
+        coeffs[i] = y
+    assert g == 1
+    return tuple(coeffs)
+
+
+def test_delta_splitter_matches_the_extended_euclid_greedy():
+    rng = random.Random(8)
+    affine = [g for g in ORACLE_DATA if g.tag == "affine"]
+    for gcm in affine + [_permuted(g, rng) for g in affine for _ in range(3)]:
+        assert gcm.delta_split == _greedy_delta_splitter(gcm.null_vector)
+        assert langlands_dual(gcm).delta_split == _greedy_delta_splitter(gcm.dual_labels)
+
+
+def test_langlands_dual_runs_no_elimination_and_no_kernel(monkeypatch):
+    type_a = validate_and_symmetrize([[2 if i == j else -(abs(i - j) == 1) for j in range(400)] for i in range(400)])
+    cycle = validate_and_symmetrize(cartan._affine_a(40))
+    calls = []
+    for name in ("_classify_component", "integer_kernel"):
+        monkeypatch.setattr(cartan, name, lambda *args, name=name: calls.append(name))
+    for gcm in (type_a, cycle):
+        cartan._duals.pop(gcm, None)
+        start = time.perf_counter()
+        dual = langlands_dual(gcm)
+        assert time.perf_counter() - start < 0.5
+        assert _fields(dual)[1:] == (gcm.d, gcm.tag, gcm.dual_labels, gcm.null_vector, gcm.delta_split)
+    assert calls == []

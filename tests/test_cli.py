@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -499,7 +500,10 @@ _TYPE_A_400 = [[2 if i == j else -(abs(i - j) == 1) for j in range(_N)] for i in
     # the same matrix from a linear quiver, validated untimed: exit 0 after 2.6 s
     (["quiver", "slice"], {"vertices": _N, "edges": [[i, i + 1] for i in range(_N - 1)],
                            "v": [1] * _N, "w": [2] + [0] * (_N - 1)}),
-], ids=["km-mult", "quiver-slice"])
+    # building the 3000 x 3000 matrix and its integer conversion and axiom loop took no
+    # token, so this exited 3 only after 2.3 s
+    (["quiver", "slice"], {"vertices": 3000, "edges": [[i, i + 1] for i in range(2999)]}),
+], ids=["km-mult", "quiver-slice", "quiver-slice-3000"])
 def test_timeout_covers_the_cartan_preparation(command, doc):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     start = time.monotonic()
@@ -510,6 +514,22 @@ def test_timeout_covers_the_cartan_preparation(command, doc):
     elapsed = time.monotonic() - start
     assert (proc.returncode, proc.stdout) == (3, "") and proc.stderr.startswith("cancelled: ")
     assert elapsed < 1.5
+
+
+def test_running_out_of_memory_is_exit_3_without_a_traceback():
+    # the dense 10^5 x 10^5 Cartan matrix does not fit: this ended in a MemoryError traceback
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", "quiver", "slice"],
+        input=json.dumps({"vertices": 100000, "edges": []}), env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def _one_term(lam):

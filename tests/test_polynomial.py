@@ -264,3 +264,11 @@ def test_str_matches_the_printed_sympy_expression(case):
 def test_str_of_explicit_polynomials(coeffs, rank, text):
     p = Polynomial.from_fractions({m: Fraction(q) for m, q in coeffs.items()})
     assert str(p) == text == str(as_expr(rank, p))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_powers_below_one_are_domain_errors(k):
+    # p ** 0 returned None, and p ** -1 squared its base without end
+    p = Polynomial.make({(1, 0): 1, (0, 0): 2})
+    with pytest.raises(DomainError):
+        p**k

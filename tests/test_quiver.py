@@ -133,6 +133,13 @@ def test_strata_affine_requires_level():
         strata_affine(named_gcm("A2"), KMWeight.of((1, 1)), KMWeight.of((0, 0)), 1)
 
 
+def test_strata_affine_rejects_a_negative_bound():
+    # a negative bound once gave [] as if no stratum existed
+    lam = KMWeight.of((2, 0))
+    with pytest.raises(DomainError):
+        strata_affine(named_gcm("A1~"), lam, lam, -1)
+
+
 def test_cocharacter_split():
     weights = [(1, 0), (0, 1)]
     assert cocharacter_split(weights, (0, 0)) == (0, 2, 0)
