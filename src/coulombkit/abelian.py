@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cancel import CancellationToken
 from .errors import DimensionError, DomainError
 from .lattices import CharacterVector, IntMatrix, as_coweight, koszul_counts, smith_normal_form
 
@@ -45,9 +44,7 @@ def top_half_degree(max_deg) -> int:
     return int(top)
 
 
-def hilbert_series(
-    th: AbelianTheory, max_deg, token: CancellationToken | None = None
-) -> list[int]:
+def hilbert_series(th: AbelianTheory, max_deg) -> list[int]:
     """Graded dimensions of the Coulomb branch ring in half-integer steps.
 
     Entry i is the dimension in degree i/2.  With s one half-degree and A the
@@ -62,7 +59,7 @@ def hilbert_series(
     """
     top = top_half_degree(max_deg)
     n, k = len(th.characters), th.rank
-    u, d, _ = smith_normal_form(IntMatrix.from_rows(th.characters), token)
+    u, d, _ = smith_normal_form(IntMatrix.from_rows(th.characters))
     diag = [d.entries[j][j] for j in range(min(n, k))]
     if n < k or 0 in diag:
         raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
@@ -70,4 +67,4 @@ def hilbert_series(
     rows = [j for j in range(n) if j >= k or diag[j] != 1]
     weights = [tuple(u.entries[j][i] for j in rows) for i in range(n)]
     moduli = [diag[j] if j < k else 0 for j in rows]
-    return koszul_counts(weights, moduli, top, n - k, token)
+    return koszul_counts(weights, moduli, top, n - k)

@@ -18,8 +18,8 @@ matrix-vector products (``in_positive_root_cone`` builds no ``Fraction``).
 The Langlands dual is read off the datum's own fields once per datum: the
 transpose has the same type and swaps the Kac labels (Kac, Sec. 2.1, Ch. 4),
 so only its symmetrizers are walked again.  Both
-per-datum caches are keyed by the datum alone and filled under the caller's
-cancellation token, so a cancelled pass stores nothing.
+per-datum caches are keyed by the datum alone and filled under the deadline
+(``cancel.check``), so a cancelled pass stores nothing.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from functools import reduce
 from itertools import compress
 from operator import add, mul, sub
 
-from .cancel import CancellationToken, check
+from .cancel import check
 from .errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
-from .lattices import IntMatrix, integer_kernel, smith_normal_form
+from .lattices import IntMatrix, as_coweight, integer_kernel, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class KMWeight:
 
     @staticmethod
     def of(coords, delta: int = 0) -> "KMWeight":
-        return KMWeight(tuple(int(c) for c in coords), int(delta))
+        """The coordinates and delta read by ``as_coweight``, so nothing is truncated."""
+        return KMWeight(as_coweight(coords), *as_coweight((delta,)))
 
     def __add__(self, other: "KMWeight") -> "KMWeight":
         self._match(other)
@@ -110,13 +111,11 @@ class GeneralizedCartanMatrix:
         return all(c >= 0 for c in mu.fund)
 
 
-def _minimal_symmetrizers(
-    a: tuple[tuple[int, ...], ...], token: CancellationToken | None = None
-) -> tuple[tuple[int, ...], list[list[int]]]:
+def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], list[list[int]]]:
     """Minimal positive symmetrizers and the connected components, each sorted.
 
     One walk per component from its first vertex fixes every ratio d_j / d_i;
-    ``token`` is checked at each vertex.
+    the deadline is checked at each vertex.
     """
     n = len(a)
     ratio: list[Fraction | None] = [None] * n
@@ -127,7 +126,7 @@ def _minimal_symmetrizers(
         ratio[start] = Fraction(1)
         comp, queue = [start], [start]
         while queue:
-            check(token)
+            check()
             i = queue.pop()
             for j in range(n):
                 if a[i][j] == 0 or i == j:
@@ -152,18 +151,18 @@ def _minimal_symmetrizers(
     return tuple(int(r) for r in ratio), comps
 
 
-def _classify_component(a, d, comp, token: CancellationToken | None = None) -> str:
+def _classify_component(a, d, comp) -> str:
     """Sylvester's criterion on the symmetric block D*A of one component.
 
     One fraction-free (Bareiss) elimination with no row swaps: each step keeps
     the trailing block, whose corner is the next leading principal minor, and
     every division is exact.  It stops at the first minor that is not positive.
-    ``token`` is checked at each step.
+    The deadline is checked at each step.
     """
     m = [[d[i] * a[i][j] for j in comp] for i in comp]
     n, prev = len(m), 1
     for k in range(n):
-        check(token)
+        check()
         piv = m[0][0]
         if piv <= 0:
             # zero only in the last minor: a positive semidefinite corank-1 block
@@ -174,26 +173,26 @@ def _classify_component(a, d, comp, token: CancellationToken | None = None) -> s
     return "finite"
 
 
-def validate_and_symmetrize(raw, token: CancellationToken | None = None) -> GeneralizedCartanMatrix:
+def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
     """Check the GCM axioms, compute minimal symmetrizers, classify the type.
 
-    Accepts an ``IntMatrix`` or any nested sequence of integers.  ``token``
-    is checked once per row of the integer conversion and of the axiom loop,
-    and inside the symmetrizer walk and the eliminations.
+    Accepts an ``IntMatrix`` or any nested sequence of integers, each row read
+    by ``as_coweight``.  The deadline is checked once per row of that reading
+    and of the axiom loop, and inside the symmetrizer walk and the eliminations.
     """
     if isinstance(raw, IntMatrix):
         a = raw.entries
     else:
         rows = []
         for row in raw:
-            check(token)
-            rows.append(tuple(int(x) for x in row))
+            check()
+            rows.append(as_coweight(row))
         a = tuple(rows)
     n = len(a)
     if any(len(row) != n for row in a):
         raise CartanError("Cartan matrix must be square")
     for i in range(n):
-        check(token)
+        check()
         if a[i][i] != 2:
             raise CartanError(f"diagonal entry a[{i}][{i}] must be 2")
         for j in range(n):
@@ -203,14 +202,14 @@ def validate_and_symmetrize(raw, token: CancellationToken | None = None) -> Gene
                 if (a[i][j] == 0) != (a[j][i] == 0):
                     raise CartanError(f"a[{i}][{j}] = 0 requires a[{j}][{i}] = 0")
 
-    d, comps = _minimal_symmetrizers(a, token)
-    tags = {_classify_component(a, d, c, token) for c in comps}
+    d, comps = _minimal_symmetrizers(a)
+    tags = {_classify_component(a, d, c) for c in comps}
     tag = next((t for t in ("indefinite", "affine") if t in tags), "finite")
 
     null_vector = dual_labels = delta_split = None
     if tag == "affine":
         mat = IntMatrix.from_rows(a)
-        ker = integer_kernel(mat, token)
+        ker = integer_kernel(mat)
         if ker.ncols != 1:
             raise UnsupportedError("only affine matrices with 1-dimensional radical are supported")
         vec = [ker.entries[i][0] for i in range(n)]
@@ -237,7 +236,7 @@ def _delta_splitter(a: tuple[int, ...]) -> tuple[int, ...]:
 class _PerDatum(dict):
     """What ``build`` makes of a Cartan datum, for the 16 data used most recently.
 
-    Keyed by the datum alone: ``build`` runs under the caller's token, and a
+    Keyed by the datum alone: ``build`` runs under the deadline, and a
     cancelled build stores nothing.
     """
 
@@ -245,23 +244,23 @@ class _PerDatum(dict):
         super().__init__()
         self.build = build
 
-    def __call__(self, gcm: GeneralizedCartanMatrix, token: CancellationToken | None):
+    def __call__(self, gcm: GeneralizedCartanMatrix):
         value = self.pop(gcm, None)
         if value is None:
-            value = self.build(gcm, token)
+            value = self.build(gcm)
             if len(self) >= 16:
                 del self[next(iter(self))]
         self[gcm] = value
         return value
 
 
-def _dual_datum(gcm: GeneralizedCartanMatrix, token: CancellationToken | None) -> GeneralizedCartanMatrix:
+def _dual_datum(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     """The transpose's datum without validating it again.  D A is symmetric, and
     the transpose's D' A^T is a positive multiple of D^-1 (D A) D^-1 on each
     component, so every leading minor keeps its sign and the tag stays.  a^vee A = 0
     makes the Kac labels and the dual labels trade places."""
     at = tuple(zip(*gcm.entries))
-    d, _ = _minimal_symmetrizers(at, token)
+    d, _ = _minimal_symmetrizers(at)
     labels = gcm.dual_labels
     split = None if labels is None else _delta_splitter(labels)
     return GeneralizedCartanMatrix(at, d, gcm.tag, labels, gcm.null_vector, split)
@@ -270,20 +269,18 @@ def _dual_datum(gcm: GeneralizedCartanMatrix, token: CancellationToken | None) -
 _duals = _PerDatum(_dual_datum)
 
 
-def langlands_dual(
-    gcm: GeneralizedCartanMatrix, token: CancellationToken | None = None
-) -> GeneralizedCartanMatrix:
+def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     """Replace the Cartan matrix by its transpose; symmetrizers are recomputed.
     Built once per datum, so repeated calls return the same object."""
-    return _duals(gcm, token)
+    return _duals(gcm)
 
 
-def _solve_data(gcm: GeneralizedCartanMatrix, token: CancellationToken | None):
-    """One Smith pass U A V = D, run under ``token``, kept as what every solve reads:
+def _solve_data(gcm: GeneralizedCartanMatrix):
+    """One Smith pass U A V = D, run under the deadline, kept as what every solve reads:
     the rows of U at the nonzero d_j, each scaled by den / d_j; the rows of U at
     the zero d_j; the rows of V cut to the columns at the nonzero d_j; and den,
     the largest d_j (1 for the rank-0 datum), which every nonzero d_j divides."""
-    u, d, v = smith_normal_form(IntMatrix(gcm.entries), token)
+    u, d, v = smith_normal_form(IntMatrix(gcm.entries))
     diag = [d.entries[j][j] for j in range(gcm.size)]
     den = max(diag, default=1)
     scaled = tuple(tuple(den // dj * x for x in row) for row, dj in zip(u.entries, diag) if dj)
@@ -295,7 +292,7 @@ def _solve_data(gcm: GeneralizedCartanMatrix, token: CancellationToken | None):
 _solves = _PerDatum(_solve_data)
 
 
-def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight, token: CancellationToken | None):
+def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     """(num, den) with num / den the simple-root coordinates of ``mu``, or None.
 
     A c = mu becomes D y = U mu with c = V y.  A zero d_j meeting a nonzero
@@ -304,7 +301,7 @@ def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight, token: 
     """
     if len(mu.fund) != gcm.size:
         raise DimensionError("weight length does not match Cartan matrix size")
-    scaled, zero_rows, v_cut, den = _solves(gcm, token)
+    scaled, zero_rows, v_cut, den = _solves(gcm)
     fund = mu.fund
     if zero_rows and any(sum(map(mul, row, fund)) for row in zero_rows):
         return None
@@ -325,19 +322,17 @@ def root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     For nonsingular Cartan matrices the delta coordinate must vanish; for
     affine type the delta coordinate pins down the null-vector direction.
     """
-    sol = _scaled_root_coordinates(gcm, mu, None)
+    sol = _scaled_root_coordinates(gcm, mu)
     if sol is None:
         return None
     num, den = sol
     return tuple(Fraction(x, den) for x in num)
 
 
-def in_positive_root_cone(
-    gcm: GeneralizedCartanMatrix, mu: KMWeight, token: CancellationToken | None = None
-) -> tuple[int, ...] | None:
+def in_positive_root_cone(gcm: GeneralizedCartanMatrix, mu: KMWeight) -> tuple[int, ...] | None:
     """Integer non-negative root coordinates of ``mu``, or None.  A datum's
-    first solve runs its Smith pass under ``token``."""
-    sol = _scaled_root_coordinates(gcm, mu, token)
+    first solve runs its Smith pass under the deadline."""
+    sol = _scaled_root_coordinates(gcm, mu)
     if sol is None:
         return None
     num, den = sol

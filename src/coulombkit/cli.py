@@ -9,8 +9,9 @@ JSON (or plain table) result.  Exit codes: 0 success, 1 malformed input
 A document is checked against its schema by a small interpreter of the
 Draft 2020-12 keywords that the shipped schemas use; any other keyword
 raises.  The interpreter also words each diagnostic, as jsonschema 4.26
-words it, so the CLI has no runtime dependency.  The ``--timeout`` deadline
-starts before the document is read and also covers printing the result.
+words it, so the CLI has no runtime dependency.  ``main`` opens the one
+``--timeout`` deadline scope of the run (``cancel``): it starts before the
+document is read and also covers printing the result.
 """
 
 from __future__ import annotations
@@ -187,10 +188,10 @@ def _get_weight(doc, key):
     return jsonio.weight_from_json(doc[key])
 
 
-def _get_gcm(doc, token: CancellationToken | None):
+def _get_gcm(doc):
     _check(doc["cartan"], "gcm", "/cartan")
     try:
-        return jsonio.gcm_from_json(doc["cartan"], token)
+        return jsonio.gcm_from_json(doc["cartan"])
     except Cancelled:
         raise
     except CoulombKitError as exc:
@@ -228,16 +229,16 @@ def _table_from_dims(dims: list[int]) -> list:
 
 def _cmd_km_mult(doc, args):
     _require(doc, "cartan", "lambda", "mu")
-    gcm = _get_gcm(doc, args.token)
+    gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
-    return {"multiplicity": weight_multiplicity(gcm, lam, mu, args.token)}
+    return {"multiplicity": weight_multiplicity(gcm, lam, mu)}
 
 
 def _cmd_km_tensor(doc, args):
     _require(doc, "cartan", "lambda1", "lambda2")
-    gcm = _get_gcm(doc, args.token)
+    gcm = _get_gcm(doc)
     lam1, lam2 = _get_weight(doc, "lambda1"), _get_weight(doc, "lambda2")
-    comps = tensor_decompose(gcm, lam1, lam2, args.token)
+    comps = tensor_decompose(gcm, lam1, lam2)
     return {
         "components": [
             [jsonio.weight_to_json(w), m]
@@ -248,13 +249,13 @@ def _cmd_km_tensor(doc, args):
 
 def _cmd_km_dual(doc, args):
     _require(doc, "cartan")
-    return {"cartan": jsonio.gcm_to_json(langlands_dual(_get_gcm(doc, args.token), args.token))}
+    return {"cartan": jsonio.gcm_to_json(langlands_dual(_get_gcm(doc)))}
 
 
 def _cmd_quiver_slice(doc, args):
     _check(doc, "quiver")
     q, d = jsonio.quiver_from_json(doc)
-    sp = quiver.slice_params(q, d, args.token)
+    sp = quiver.slice_params(q, d)
     return {
         "lambda": jsonio.weight_to_json(sp.lam),
         "mu": jsonio.weight_to_json(sp.mu),
@@ -264,24 +265,24 @@ def _cmd_quiver_slice(doc, args):
 
 def _cmd_quiver_strata(doc, args):
     _require(doc, "cartan", "lambda", "mu")
-    gcm = _get_gcm(doc, args.token)
+    gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
     if gcm.tag == "affine":
-        strata = strata_affine(gcm, lam, mu, _depth(args), args.token)
+        strata = strata_affine(gcm, lam, mu, _depth(args))
         return {
             "strata": [
                 {"kappa": jsonio.weight_to_json(k), "partition": list(p)} for k, p in strata
             ]
         }
-    strata = strata_finite(gcm, lam, mu, args.token)
+    strata = strata_finite(gcm, lam, mu)
     return {"strata": [jsonio.weight_to_json(k) for k in strata]}
 
 
 def _cmd_quiver_satake(doc, args):
     _require(doc, "cartan", "lambda", "mu")
-    gcm = _get_gcm(doc, args.token)
+    gcm = _get_gcm(doc)
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
-    mult = weight_multiplicity(langlands_dual(gcm, args.token), lam, mu, args.token)
+    mult = weight_multiplicity(langlands_dual(gcm), lam, mu)
     # as in quiver.fixed_point_nonempty: the fixed point exists iff the dual multiplicity is nonzero
     return {"nonempty": mult > 0, "dual_multiplicity": mult}
 
@@ -297,7 +298,7 @@ def _theory_and_elements(doc, *keys):
     return th, elems
 
 
-def _printed(value, key, to_json, token) -> dict:
+def _printed(value, key, to_json) -> dict:
     """``value`` as its printed ``"result"`` and as JSON under ``key``.  Printing
     stops with a ValueError at an integer past the interpreter's digit limit.
     The deadline is checked once the result is printed, unless it is zero: a
@@ -305,7 +306,7 @@ def _printed(value, key, to_json, token) -> dict:
     try:
         text = str(value)
         if value.polys:
-            check(token)
+            check()
         return {"result": text, key: to_json(value)}
     except ValueError:
         limit = sys.get_int_max_str_digits()
@@ -314,33 +315,33 @@ def _printed(value, key, to_json, token) -> dict:
 
 def _cmd_abelian_ring(doc, args):
     th, (a, b) = _theory_and_elements(doc, "a", "b")
-    product = monopole.classical_product(th, a, b, args.token)
-    return _printed(product, "element", jsonio.element_to_json, args.token)
+    product = monopole.classical_product(th, a, b)
+    return _printed(product, "element", jsonio.element_to_json)
 
 
 def _cmd_abelian_quantize(doc, args):
     th, (a,) = _theory_and_elements(doc, "element")
-    op = monopole.quantize(th, a, args.token)
-    return _printed(op, "operator", jsonio.operator_to_json, args.token)
+    op = monopole.quantize(th, a)
+    return _printed(op, "operator", jsonio.operator_to_json)
 
 
 def _cmd_abelian_poisson(doc, args):
     th, (a, b) = _theory_and_elements(doc, "a", "b")
-    bracket = monopole.poisson(th, a, b, args.token)
-    return _printed(bracket, "element", jsonio.element_to_json, args.token)
+    bracket = monopole.poisson(th, a, b)
+    return _printed(bracket, "element", jsonio.element_to_json)
 
 
 def _cmd_abelian_hilbert(doc, args):
     _check(doc, "theory")
     th = jsonio.theory_from_json(doc)
-    dims = hilbert_series(th, _max_deg(args), args.token)
+    dims = hilbert_series(th, _max_deg(args))
     return {"dimensions": _table_from_dims(dims)}
 
 
 def _cmd_hypertoric_compare(doc, args):
     _check(doc, "matrix")
     a = jsonio.matrix_from_json(doc)
-    report = coulomb_higgs_compare(a, _max_deg(args), args.token)
+    report = coulomb_higgs_compare(a, _max_deg(args))
     out = {
         "coulomb": jsonio.table_to_json(report.coulomb),
         "higgs": jsonio.table_to_json(report.higgs),
@@ -356,7 +357,7 @@ def _cmd_jordan_hilbert(doc, args):
     _require(doc, "n", "ell")
     if not (type(doc["n"]) is int and type(doc["ell"]) is int):  # JSON true is not an integer
         raise InputError(["/n, /ell: must be integers"])
-    dims = jordan_coulomb_hilbert(doc["n"], doc["ell"], _max_deg(args), args.token)
+    dims = jordan_coulomb_hilbert(doc["n"], doc["ell"], _max_deg(args))
     return {"dimensions": _table_from_dims(dims)}
 
 
@@ -419,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _CHUNKS_PER_CHECK = 4096
 
 
-def _render(result: dict, fmt: str, token: CancellationToken | None) -> str:
+def _render(result: dict, fmt: str) -> str:
     if fmt == "table":
         lines = []
         for key in sorted(result):
@@ -438,7 +439,7 @@ def _render(result: dict, fmt: str, token: CancellationToken | None) -> str:
     for i, chunk in enumerate(json.JSONEncoder(indent=2, sort_keys=True).iterencode(result), 1):
         chunks.append(chunk)
         if i % _CHUNKS_PER_CHECK == 0:
-            check(token)
+            check()
     return "".join(chunks)
 
 
@@ -451,9 +452,8 @@ def main(argv=None) -> int:
     try:
         if args.timeout is not None and math.isnan(args.timeout):  # a NaN deadline never expires
             raise InputError(["--timeout must be a number of seconds, not nan"])
-        args.token = CancellationToken(args.timeout) if args.timeout is not None else None
-        doc = _read_document(args)
-        text, code = _render(handler(doc, args), args.format, args.token), 0
+        with CancellationToken(args.timeout):
+            text, code = _render(handler(_read_document(args), args), args.format), 0
     except InputError as exc:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)

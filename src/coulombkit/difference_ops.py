@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .cancel import CancellationToken, check
+from .cancel import check
 from .errors import DimensionError, LiftError
 from .lattices import Coweight, as_coweight
 from .polynomial import Polynomial
@@ -141,22 +141,18 @@ def shift_polynomial(rank: int, poly, lam: Coweight):
     return as_expr(rank, to_poly(rank, poly).shift(lam))
 
 
-def multiply(
-    a: DifferenceOperator, b: DifferenceOperator, token: CancellationToken | None = None
-) -> DifferenceOperator:
+def multiply(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
     a._check_rank(b)
     acc: list[tuple[Coweight, Polynomial]] = []
     for lam, f in a.polys:
         for mu, g in b.polys:
-            check(token)
-            acc.append((tuple(map(add, lam, mu)), f * g.shift(lam, token)))
+            check()
+            acc.append((tuple(map(add, lam, mu)), f * g.shift(lam)))
     return DifferenceOperator(a.rank, _collect(acc))
 
 
-def commutator(
-    a: DifferenceOperator, b: DifferenceOperator, token: CancellationToken | None = None
-) -> DifferenceOperator:
-    return multiply(a, b, token) - multiply(b, a, token)
+def commutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
+    return multiply(a, b) - multiply(b, a)
 
 
 def specialize_hbar(a: DifferenceOperator, value) -> DifferenceOperator:
@@ -165,15 +161,13 @@ def specialize_hbar(a: DifferenceOperator, value) -> DifferenceOperator:
     return DifferenceOperator(a.rank, _collect((lam, p.at_hbar(v)) for lam, p in a.polys))
 
 
-def poisson_from_lifts(
-    a_lift: DifferenceOperator, b_lift: DifferenceOperator, token: CancellationToken | None = None
-) -> DifferenceOperator:
+def poisson_from_lifts(a_lift: DifferenceOperator, b_lift: DifferenceOperator) -> DifferenceOperator:
     """(a*b - b*a) / hbar followed by hbar -> 0.
 
     Every commutator coefficient is divisible by hbar, because hbar is central
     and the algebra is commutative modulo hbar; LiftError guards that.
     """
-    comm = commutator(a_lift, b_lift, token)
+    comm = commutator(a_lift, b_lift)
     out = []
     for lam, p in comm.polys:
         if p.hbar_coefficient(0):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import AbelianTheory, hilbert_series, top_half_degree
-from .cancel import CancellationToken
 from .errors import DimensionError
 from .lattices import IntMatrix, as_coweight, dual_sequence, koszul_counts
 
@@ -57,9 +56,7 @@ def dims_to_table(dims: list[int]) -> GradedDimensionTable:
     return {Fraction(t, 2): d for t, d in enumerate(dims)}
 
 
-def invariant_hilbert(
-    th: HiggsTheory, max_deg, token: CancellationToken | None = None
-) -> GradedDimensionTable:
+def invariant_hilbert(th: HiggsTheory, max_deg) -> GradedDimensionTable:
     """Graded dimension of the torus invariants of the moment-ideal quotient.
 
     The mu_j form a regular sequence: (x, y) -> (x_i y_i) is flat, and the
@@ -70,7 +67,7 @@ def invariant_hilbert(
     HS(C[x, y] / mu)^T = (1 - s^2)^m * #(weight-zero monomials), where s steps
     one half-degree (deg x_i = deg y_i = 1/2, deg mu_j = 1).
     """
-    return dims_to_table(koszul_counts(th.charges, (0,) * th.m, top_half_degree(max_deg), th.m, token))
+    return dims_to_table(koszul_counts(th.charges, (0,) * th.m, top_half_degree(max_deg), th.m))
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,7 @@ class ComparisonReport:
     verdict: bool
 
 
-def coulomb_higgs_compare(
-    a: IntMatrix, max_deg, token: CancellationToken | None = None
-) -> ComparisonReport:
+def coulomb_higgs_compare(a: IntMatrix, max_deg) -> ComparisonReport:
     """Toric hyperkaehler duality check at the level of graded dimensions.
 
     The Coulomb side is the abelian theory whose characters are the rows of
@@ -97,9 +92,9 @@ def coulomb_higgs_compare(
     """
     max_deg = Fraction(max_deg)
     coulomb_th = AbelianTheory.of(a.ncols, a.entries)
-    coulomb_table = dims_to_table(hilbert_series(coulomb_th, max_deg, token))
+    coulomb_table = dims_to_table(hilbert_series(coulomb_th, max_deg))
     b = dual_sequence(a)
     higgs_th = HiggsTheory.of(b.entries)
-    higgs_table = invariant_hilbert(higgs_th, max_deg, token)
+    higgs_table = invariant_hilbert(higgs_th, max_deg)
     # both tables cover the half-degrees 0 .. max_deg
     return ComparisonReport(coulomb_table, higgs_table, max_deg, coulomb_table == higgs_table)

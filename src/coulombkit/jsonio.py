@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 from .abelian import AbelianTheory
-from .cancel import CancellationToken
 from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
 from .difference_ops import DifferenceOperator
 from .errors import DimensionError, DomainError
@@ -48,12 +47,12 @@ def weight_from_json(doc) -> KMWeight:
 
 # ---------------------------------------------------------------- Cartan data
 
-def gcm_from_json(doc, token: CancellationToken | None = None) -> GeneralizedCartanMatrix:
+def gcm_from_json(doc) -> GeneralizedCartanMatrix:
     if isinstance(doc, str):
         return named_gcm(doc)
     if isinstance(doc, dict):
         doc = doc["matrix"]
-    return validate_and_symmetrize(doc, token)
+    return validate_and_symmetrize(doc)
 
 
 def gcm_to_json(gcm: GeneralizedCartanMatrix) -> dict:

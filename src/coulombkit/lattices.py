@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterable, Sequence
 
-from .cancel import CancellationToken, check
+from .cancel import check
 from .errors import DimensionError, DomainError, LatticeError
 
 Coweight = tuple[int, ...]
@@ -55,7 +55,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
+        return IntMatrix(tuple(map(as_coweight, rows)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -94,21 +94,21 @@ def pairing(lam: Sequence[int], rho: Sequence[int]) -> int:
     return sum(int(a) * int(b) for a, b in zip(lam, rho))
 
 
-def _hermite(rows: list[list[int]], ncols: int, token: CancellationToken | None = None) -> int:
+def _hermite(rows: list[list[int]], ncols: int) -> int:
     """Row-Hermite-reduce the first ``ncols`` columns of ``rows`` in place; return the rank.
 
     Column by column, Euclid's algorithm on the smallest nonzero entry at or
     below the current row leaves one pivot, made positive, and the entries
     above it are reduced into [0, pivot).  Entries past ``ncols`` take the same
     row operations, so a row that carries an identity block carries the
-    transform.  ``token`` is checked at each Euclid step.
+    transform.  The deadline is checked at each Euclid step.
     """
     n, r = len(rows), 0
     for c in range(ncols):
         if r == n:
             break
         while True:
-            check(token)
+            check()
             nz = [i for i in range(r, n) if rows[i][c]]
             if len(nz) < 2:
                 break
@@ -131,9 +131,7 @@ def _hermite(rows: list[list[int]], ncols: int, token: CancellationToken | None 
     return r
 
 
-def smith_normal_form(
-    mat: IntMatrix, token: CancellationToken | None = None
-) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*mat*V = D, U and V unimodular, D diagonal
     with each diagonal entry dividing the next.
 
@@ -141,7 +139,7 @@ def smith_normal_form(
     diagonal; where d_i does not divide d_{i+1}, column i + 1 is added to
     column i and the passes go round again.  Every pass reduces its entries
     above the pivots, so the entries of U and V stay small (Kannan-Bachem).
-    ``token`` is checked at each Euclid step.
+    The deadline is checked at each Euclid step.
     """
     rows, cols = mat.nrows, mat.ncols
     wide = 0 < rows < cols  # then work on the transpose: its first row pass leaves less to clear
@@ -156,11 +154,11 @@ def smith_normal_form(
 
     while True:
         a = [r + t for r, t in zip(m, u)]
-        _hermite(a, cols, token)
+        _hermite(a, cols)
         m, u = [r[:cols] for r in a], [r[cols:] for r in a]
         if not diagonal():
             a = [list(c) + t for c, t in zip(zip(*m), vt)]
-            _hermite(a, rows, token)
+            _hermite(a, rows)
             m, vt = [list(r) for r in zip(*(c[:rows] for c in a))], [c[rows:] for c in a]
             if not diagonal():
                 continue
@@ -232,7 +230,7 @@ def _in_span(basis, y) -> bool:
     return True
 
 
-def _flag_keys(weights, moduli, top: int, token: CancellationToken | None = None):
+def _flag_keys(weights, moduli, top: int):
     """Integer keys for the classes of ``koszul_counts``, and each pair's filter.
 
     The class group is Z^r modulo the torsion generators m_j e_j (m_j != 0).
@@ -256,7 +254,7 @@ def _flag_keys(weights, moduli, top: int, token: CancellationToken | None = None
     torsion = [tuple(m if j == i else 0 for j in range(r)) for i, m in enumerate(moduli) if m]
     gens = torsion + list(reversed(weights))
     rows = [[g[p] for g in gens] for p in range(r)]
-    rank, t = _hermite(rows, len(gens), token), len(torsion)
+    rank, t = _hermite(rows, len(gens)), len(torsion)
     cols = [list(c) for c in zip(*rows[:rank])] or [[] for _ in gens]
     pivots = [next(c for c, x in enumerate(row) if x) for row in rows[:rank]]
     radices = [rows[k][k] for k in range(t)]
@@ -276,14 +274,12 @@ def _flag_keys(weights, moduli, top: int, token: CancellationToken | None = None
             prunes.append((-half, half + radix - 1))
             continue
         basis = [col[:low] for col in cols[:c]]
-        basis = basis[: _hermite(basis, low, token)]
+        basis = basis[: _hermite(basis, low)]
         prunes.append(None if _in_span(basis, y[:low]) else _Member(basis, radices, radix, base))
     return steps, radix, prunes
 
 
-def koszul_counts(
-    weights, moduli, top: int, power: int, token: CancellationToken | None = None
-) -> list[int]:
+def koszul_counts(weights, moduli, top: int, power: int) -> list[int]:
     """Weight-zero monomials in x_i, y_i of each half-degree 0..top, times
     (1 - s^2)^power, where s steps one half-degree.
 
@@ -297,16 +293,16 @@ def koszul_counts(
     a variable adds a constant to it (and looks up one torsion carry when the
     group has torsion), and the filter after a pair that raises the rank is
     one comparison.  The count runs one half-degree at a time and checks
-    ``token`` before each, and it keeps only one layer per variable, so a huge
-    ``top`` grows under the token.
+    the deadline before each, and it keeps only one layer per variable, so a
+    huge ``top`` grows under the deadline.
     """
-    steps, radix, prunes = _flag_keys(weights, moduli, top, token)
+    steps, radix, prunes = _flag_keys(weights, moduli, top)
     # one half-degree at a time: below[j] maps a class to the number of monomials in the
     # first j + 1 variables of half-degree t - 1, before the pruning after their pair
     below = [{} for _ in steps]
     dims, out = [], []
     for t in range(top + 1):
-        check(token)
+        check()
         layer = {0: 1} if t == 0 else {}
         for i, prune in enumerate(prunes):
             for j in (2 * i, 2 * i + 1):
@@ -347,17 +343,17 @@ def hermite_column_form(mat: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(zip(*kept)) if kept else tuple(() for _ in range(mat.nrows)))
 
 
-def integer_kernel(mat: IntMatrix, token: CancellationToken | None = None) -> IntMatrix:
+def integer_kernel(mat: IntMatrix) -> IntMatrix:
     """A basis of the saturated integer kernel of ``mat``, as columns,
     canonicalized by Hermite column form.
 
     One Hermite pass over mat^T, carrying an identity block, leaves the
-    kernel's basis in the transform's rows past the rank; ``token`` is
+    kernel's basis in the transform's rows past the rank; the deadline is
     checked at each of its Euclid steps.
     """
     n = mat.ncols
     a = [list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(zip(*mat.entries))]
-    basis = [row[mat.nrows :] for row in a[_hermite(a, mat.nrows, token) :]]
+    basis = [row[mat.nrows :] for row in a[_hermite(a, mat.nrows) :]]
     if not basis:
         return IntMatrix(tuple(() for _ in range(n)))
     return hermite_column_form(IntMatrix(tuple(zip(*basis))))

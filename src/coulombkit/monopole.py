@@ -20,7 +20,7 @@ from operator import add
 
 from . import difference_ops as dops
 from .abelian import AbelianTheory, hilbert_series  # noqa: F401 (re-exported)
-from .cancel import CancellationToken, check
+from .cancel import check
 from .difference_ops import DifferenceOperator, _collect, _GradedSum, _merge, to_poly
 from .errors import DimensionError, DomainError, LiftError
 from .lattices import CharacterVector, Coweight, as_coweight, pairing
@@ -60,16 +60,21 @@ def _linear_form(rank: int, rho: CharacterVector) -> Polynomial:
     return Polynomial({tuple(int(i == j) for i in range(rank + 1)): c for j, c in enumerate(rho) if c})
 
 
-def _checked_terms(th: AbelianTheory, x: CoulombElement, token: CancellationToken | None = None) -> tuple:
-    """The terms of x, once its rank matches the theory's and the token is checked per term."""
+def _terms(th: AbelianTheory, x: CoulombElement) -> tuple:
+    """The terms of x, once its rank matches the theory's."""
     if th.rank != x.rank:
         raise DimensionError("element rank does not match theory rank")
-    for _ in x.polys:
-        check(token)
     return x.polys
 
 
-def _term_pairs(th: AbelianTheory, left, right, token: CancellationToken | None):
+def _checked_terms(th: AbelianTheory, x: CoulombElement) -> tuple:
+    """The terms of x, once its rank matches the theory's and the deadline is checked per term."""
+    for _ in _terms(th, x):
+        check()
+    return x.polys
+
+
+def _term_pairs(th: AbelianTheory, left, right):
     """Each pair (f r^lam, g r^mu) of terms of left and right as lam, f, mu, g and the factors
     (<rho_i, w>, d_i, c_i) with d_i > 0.  For p_i = <rho_i, lam> and q_i = <rho_i, mu>, read once
     per term, both d_i = (|p_i| + |q_i| - |p_i + q_i|) / 2 and c_i = max(0, q_i) p_i - max(0, p_i) q_i
@@ -79,36 +84,29 @@ def _term_pairs(th: AbelianTheory, left, right, token: CancellationToken | None)
     for lam, f in left:
         ps = [pairing(lam, rho) for rho in th.characters]
         for mu, g, qs in right:
-            check(token)
+            check()
             yield lam, f, mu, g, [
                 (form, min(abs(p), abs(q)), p * abs(q)) for form, p, q in zip(forms, ps, qs) if p * q < 0]
 
 
-def classical_product(
-    th: AbelianTheory,
-    a: CoulombElement,
-    b: CoulombElement,
-    token: CancellationToken | None = None,
-) -> CoulombElement:
+def classical_product(th: AbelianTheory, a: CoulombElement, b: CoulombElement) -> CoulombElement:
     """Bilinear extension of the monopole product rule
 
         r^lam * r^mu = prod_i <rho_i, w>^{d_i} r^{lam+mu},
         d_i = (|<rho_i,lam>| + |<rho_i,mu>| - |<rho_i,lam+mu>|) / 2.
     """
     acc = []
-    for lam, f, mu, g, factors in _term_pairs(th, _checked_terms(th, a), _checked_terms(th, b), token):
+    for lam, f, mu, g, factors in _term_pairs(th, _terms(th, a), _terms(th, b)):
         prod = f * g
         for form, d, _ in factors:
             for _ in range(d):
-                check(token)
+                check()
                 prod *= form
         acc.append((tuple(map(add, lam, mu)), prod))
     return CoulombElement(th.rank, _collect(acc))
 
 
-def _quantized_shift(
-    th: AbelianTheory, lam: Coweight, token: CancellationToken | None = None
-) -> Polynomial:
+def _quantized_shift(th: AbelianTheory, lam: Coweight) -> Polynomial:
     """The coefficient of u_lam: descending-factor dressing of e^lam by the
     positive pairings, prod_i prod_{0 <= j < <rho_i, lam>} (<rho_i, w> - j hbar)."""
     hbar = (0,) * th.rank + (1,)
@@ -116,7 +114,7 @@ def _quantized_shift(
     for rho in th.characters:
         form = _linear_form(th.rank, rho)
         for j in range(pairing(lam, rho)):
-            check(token)
+            check()
             poly *= Polynomial({**form.num, hbar: -j}) if j else form
     return poly
 
@@ -135,11 +133,9 @@ def _classical_dressing(th: AbelianTheory, lam: Coweight) -> Polynomial:
     return poly
 
 
-def quantize(
-    th: AbelianTheory, a: CoulombElement, token: CancellationToken | None = None
-) -> DifferenceOperator:
+def quantize(th: AbelianTheory, a: CoulombElement) -> DifferenceOperator:
     """Linear map f(w) r^lam -> f(w) u_lam into the difference-operator algebra."""
-    out = [(lam, f * _quantized_shift(th, lam, token)) for lam, f in _checked_terms(th, a, token)]
+    out = [(lam, f * _quantized_shift(th, lam)) for lam, f in _checked_terms(th, a)]
     return DifferenceOperator(th.rank, _collect(out))
 
 
@@ -169,12 +165,7 @@ def element_from_operator(th: AbelianTheory, op: DifferenceOperator) -> CoulombE
     return CoulombElement(th.rank, _collect(out))
 
 
-def poisson(
-    th: AbelianTheory,
-    a: CoulombElement,
-    b: CoulombElement,
-    token: CancellationToken | None = None,
-) -> CoulombElement:
+def poisson(th: AbelianTheory, a: CoulombElement, b: CoulombElement) -> CoulombElement:
     """The Poisson bracket in closed form on the monopole basis.  With p_i, q_i,
     d_i and c_i as in ``_term_pairs`` and d_lam = sum_j lam_j d/dw_j,
 
@@ -184,14 +175,14 @@ def poisson(
     The commutator of the quantizations has hbar-coefficient F d_lam G - G d_mu F with F = f D_lam,
     G = g D_mu and D_lam = prod_i rho_i^max(0, p_i), as the hbar-linear parts of the dressings cancel;
     then D_lam D_mu = D_(lam+mu) prod_i rho_i^d_i and d_lam D_mu = D_mu sum_i max(0, q_i) p_i / rho_i."""
-    acc, left, right = [], _checked_terms(th, a, token), _checked_terms(th, b, token)
-    for lam, f, mu, g, factors in _term_pairs(th, left, right, token):
+    acc, left, right = [], _checked_terms(th, a), _checked_terms(th, b)
+    for lam, f, mu, g, factors in _term_pairs(th, left, right):
         dressing, c_sum = Polynomial.constant(th.rank + 1, 1), Polynomial({})
         for form, d, c in factors:
-            check(token)
+            check()
             c_sum, dressing = c_sum * form + dressing * Polynomial.constant(th.rank + 1, c), dressing * form
             for _ in range(d - 1):
-                check(token)
+                check()
                 c_sum, dressing = c_sum * form, dressing * form
         term = (f * g.derivative(lam) - g * f.derivative(mu)) * dressing + f * g * c_sum
         acc.append((tuple(map(add, lam, mu)), term))

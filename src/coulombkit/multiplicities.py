@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .cancel import CancellationToken, check
+from .cancel import check
 from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
 from .errors import DimensionError, DomainError, UnsupportedError
 
@@ -46,7 +46,7 @@ class RootTable:
     def roots(self):
         return sorted(self.multiplicities, key=lambda b: (sum(b), b))
 
-    def extend(self, height: int, token: CancellationToken | None = None) -> None:
+    def extend(self, height: int) -> None:
         """Continue Peterson's recursion from the current height bound up to
         ``height``.  (beta, beta - 2 rho) c_beta sums c_beta' c_beta'' over beta' +
         beta'' = beta, and c_beta vanishes off the multiples of roots (Kac, Ex. 11.11),
@@ -61,7 +61,7 @@ class RootTable:
         # reached, or stopped: mults is filled in height order, so its last root tops them all
         if height <= self.height or self.height and sum(next(reversed(mults), ())) < self.height:
             return
-        # lcms[h] = L(h), grown one entry per layer once the token has been checked
+        # lcms[h] = L(h), grown one entry per layer once the deadline has been checked
         lcms = list(accumulate(range(1, self.height + 1), lcm, initial=1))
         layers: dict[int, list[tuple[RootVector, int]]] = {}  # c_beta L(h), by height h
         for beta, cb in c.items():
@@ -70,7 +70,7 @@ class RootTable:
         gram = [[gcm.gram(i, j) for i in range(n)] for j in range(n)]  # row j: (alpha_i, alpha_j)
         pairings: dict[RootVector, list[int]] = {}  # beta' -> ((beta', alpha_j))_j
         for h in range(self.height + 1, height + 1):
-            check(token)
+            check()
             lcms.append(scale := lcm(lcms[-1], h))
             num: dict[RootVector, int] = {}  # the pair sums times L(h)^2
             for h1 in range(1, h // 2 + 1):
@@ -78,7 +78,7 @@ class RootTable:
                 outer, inner = scale // lcms[h1] * twice, scale // lcms[h - h1]
                 upper = [(bpp, cpp * inner) for bpp, cpp in layers.get(h - h1, ())]
                 for bp, cp in layers.get(h1, ()):
-                    check(token)
+                    check()
                     if (gp := pairings.get(bp)) is None:
                         gp = pairings[bp] = [sum(map(mul, row, bp)) for row in gram]
                     cp *= outer
@@ -89,7 +89,7 @@ class RootTable:
             norms = {beta: _form(gcm, beta, beta) for beta in roots}
             layer = dict.fromkeys(roots, scale)
             for beta, s in num.items():
-                check(token)
+                check()
                 divisor_part = 0  # sum of mult(beta/k) / k over k >= 2, times L(h)
                 for k in range(2, gcd(*beta) + 1):
                     if all(b % k == 0 for b in beta):
@@ -131,15 +131,13 @@ def _pair(gcm: GeneralizedCartanMatrix, fund, beta: RootVector) -> int:
     return sum(d * f * b for d, f, b in zip(gcm.d, fund, beta))
 
 
-def root_multiplicities(
-    gcm: GeneralizedCartanMatrix, height: int, token: CancellationToken | None = None
-) -> RootTable:
+def root_multiplicities(gcm: GeneralizedCartanMatrix, height: int) -> RootTable:
     """Peterson's recursion up to ``height``: a copy of the table that every Freudenthal
-    table of ``gcm`` extends, grown under ``token``.  A cancelled call leaves that table
+    table of ``gcm`` extends, grown under the deadline.  A cancelled call leaves that table
     valid, since a layer is committed only when it is complete."""
     if height < 1:
         raise DomainError("height bound must be at least 1")
-    (shared := _root_table(gcm)).extend(height, token)
+    (shared := _root_table(gcm)).extend(height)
     h = min(height, shared.height)
     return RootTable(gcm, h, *({b: v for b, v in d.items() if sum(b) <= h}
                               for d in (shared.multiplicities, shared.c_values, shared.norms)))
@@ -194,7 +192,7 @@ class FreudenthalTable:
                 c[j] -= row[i] * step
         return tuple(beta)
 
-    def extend(self, height: int, token: CancellationToken | None = None) -> None:
+    def extend(self, height: int) -> None:
         """Every layer up to ``height``.  V(lam) = U(n^-) v_lam, so a weight of
         layer h lies one simple root below a weight of layer h - 1; only those
         vectors are candidates, and the first empty layer ends the module.
@@ -208,7 +206,7 @@ class FreudenthalTable:
         if height <= self.height or not self._top:
             return
         table = _root_table(gcm)
-        table.extend(height, token)
+        table.extend(height)
         roots = [(alpha, m, table.norms[alpha], tuple(map(mul, gcm.d, alpha)))
                  for alpha, m in table.multiplicities.items() if sum(alpha) <= height]
         columns = list(zip(*gcm.entries))  # lam - beta - alpha_i has coordinates lam - beta - A e_i
@@ -220,7 +218,7 @@ class FreudenthalTable:
                         below[beta] = tuple(map(sub, c, col))
             layer, top = {}, {}
             for beta, mu in below.items():
-                check(token)
+                check()
                 i = next((i for i, x in enumerate(mu) if x < 0), None)
                 if i is None:
                     q = self._freudenthal_sum(beta, mu, roots)
@@ -252,30 +250,28 @@ class FreudenthalTable:
         assert r == 0 and q >= 0
         return q
 
-    def multiplicity_at_depth(self, beta: RootVector, token: CancellationToken | None = None) -> int:
+    def multiplicity_at_depth(self, beta: RootVector) -> int:
         """dim of the weight space at lam - sum beta_i alpha_i."""
-        self.extend(sum(beta), token)
+        self.extend(sum(beta))
         return self._mult.get(beta, 0)
 
-    def multiplicity(self, mu: KMWeight, token: CancellationToken | None = None) -> int:
+    def multiplicity(self, mu: KMWeight) -> int:
         """dim of the weight space at mu, read at its dominant conjugate, so the
         table grows only to that conjugate's height.  The solve gives beta with
         A beta the fundamental part of lam - mu (in affine type the null direction
         leaves A beta alone), so lam - A beta is mu.fund and is not recomputed."""
-        beta = in_positive_root_cone(self.gcm, self.lam - mu, token)
+        beta = in_positive_root_cone(self.gcm, self.lam - mu)
         if beta is None or (beta := self._dominant_depth(beta, mu.fund)) is None:
             return 0
-        return self.multiplicity_at_depth(beta, token)
+        return self.multiplicity_at_depth(beta)
 
 
 _freudenthal = lru_cache(maxsize=128)(FreudenthalTable)
 
 
-def weight_multiplicity(
-    gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight, token: CancellationToken | None = None
-) -> int:
+def weight_multiplicity(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> int:
     """dim V_mu(lam) for the integrable highest-weight module V(lam)."""
-    return _freudenthal(gcm, lam).multiplicity(mu, token)
+    return _freudenthal(gcm, lam).multiplicity(mu)
 
 
 def antidominant_conjugate(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> KMWeight:
@@ -289,12 +285,7 @@ def default_support_depth(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> int:
     return sum(in_positive_root_cone(gcm, lam - antidominant_conjugate(gcm, lam)))
 
 
-def weight_support(
-    gcm: GeneralizedCartanMatrix,
-    lam: KMWeight,
-    depth: int | None = None,
-    token: CancellationToken | None = None,
-):
+def weight_support(gcm: GeneralizedCartanMatrix, lam: KMWeight, depth: int | None = None):
     """Pairs (mu, mult) with mult > 0 and lam - mu of height <= depth.
 
     ``depth`` may be omitted in finite type, where the full support fits under
@@ -307,7 +298,7 @@ def weight_support(
     if depth < 0:
         raise DomainError("depth must be non-negative")
     table = _freudenthal(gcm, lam)
-    table.extend(depth, token)
+    table.extend(depth)
     betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
     return [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
 
@@ -318,13 +309,12 @@ def tensor_weight_mult(
     lam2: KMWeight,
     mu: KMWeight,
     depth: int | None = None,
-    token: CancellationToken | None = None,
 ) -> int:
     """Weight multiplicity of mu in V(lam1) (x) V(lam2): the convolution
     sum over decompositions mu = mu1 + mu2 of the two weight supports."""
     total = 0
-    for mu1, m1 in weight_support(gcm, lam1, depth, token):
-        m2 = weight_multiplicity(gcm, lam2, mu - mu1, token)
+    for mu1, m1 in weight_support(gcm, lam1, depth):
+        m2 = weight_multiplicity(gcm, lam2, mu - mu1)
         total += m1 * m2
     return total
 
@@ -335,23 +325,20 @@ def tensor_fixed_components(
     lam2: KMWeight,
     mu: KMWeight,
     depth: int | None = None,
-    token: CancellationToken | None = None,
 ) -> list[tuple[KMWeight, KMWeight]]:
     """All pairs (mu1, mu2) with mu1 + mu2 = mu and each mu_a a weight of the
     corresponding module over the Langlands dual Cartan datum."""
-    dual = langlands_dual(gcm, token)
+    dual = langlands_dual(gcm)
     out = []
-    for mu1, _ in weight_support(dual, lam1, depth, token):
+    for mu1, _ in weight_support(dual, lam1, depth):
         mu2 = mu - mu1
-        if weight_multiplicity(dual, lam2, mu2, token) > 0:
+        if weight_multiplicity(dual, lam2, mu2) > 0:
             out.append((mu1, mu2))
     out.sort(key=lambda p: (p[0].fund, p[0].delta))
     return out
 
 
-def tensor_decompose(
-    gcm: GeneralizedCartanMatrix, lam1: KMWeight, lam2: KMWeight, token: CancellationToken | None = None
-) -> dict[KMWeight, int]:
+def tensor_decompose(gcm: GeneralizedCartanMatrix, lam1: KMWeight, lam2: KMWeight) -> dict[KMWeight, int]:
     """Decomposition of V(lam1) (x) V(lam2) into irreducibles, finite type only,
     by the Brauer-Klimyk formula: each weight mu of V(lam1) contributes
     mult(mu) det(w) to V(w(lam2 + mu + rho) - rho) when w(lam2 + mu + rho) is
@@ -364,7 +351,7 @@ def tensor_decompose(
         raise DimensionError("weights live on different Cartan data")
     rho = KMWeight((1,) * gcm.size)
     result: dict[KMWeight, int] = {}
-    for mu, m in weight_support(gcm, lam1, token=token):
+    for mu, m in weight_support(gcm, lam1):
         nu, sign = _dominant(gcm, lam2 + mu + rho)
         if all(c > 0 for c in nu.fund):
             kappa = nu - rho

@@ -17,12 +17,12 @@ from itertools import product
 from math import gcd, lcm
 from operator import add
 
-from .cancel import CancellationToken, check
+from .cancel import check
 from .errors import DomainError, LiftError
 
 Monomial = tuple[int, ...]
 
-_CHECK_EVERY = 1024  # steps of one monomial's shift between two token checks
+_CHECK_EVERY = 1024  # steps of a shift, term pairs of a product or printed terms between two deadline checks
 
 
 class Polynomial:
@@ -87,7 +87,8 @@ class Polynomial:
         The generators are ordered by name (hbar, w1, w10, w11, w2, ...) and the
         terms by their exponents in that order, descending lex, with one
         exception: of two terms, a positive constant and a negative multiple of
-        one variable's power, the constant comes first (``4 - 2*w1``)."""
+        one variable's power, the constant comes first (``4 - 2*w1``).  The
+        deadline is checked every ``_CHECK_EVERY`` terms."""
         if not self.num:
             return "0"
         nvars = len(next(iter(self.num)))
@@ -99,7 +100,9 @@ class Polynomial:
             if not any(m0) and c0 > 0 > c and sum(map(bool, m)) == 1:
                 terms.reverse()
         out = []
-        for m, c in terms:
+        for i, (m, c) in enumerate(terms, 1):
+            if not i % _CHECK_EVERY:
+                check()
             g = gcd(c, self.den)
             n, d = abs(c) // g, self.den // g
             factors = [names[j] if m[j] == 1 else f"{names[j]}**{m[j]}" for j in order if m[j]]
@@ -135,9 +138,14 @@ class Polynomial:
         return self + -other
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product; the deadline is checked once per term of ``self`` when
+        there are at least ``_CHECK_EVERY`` term pairs."""
         out: dict[Monomial, int] = {}
         get = out.get
+        checked = len(self.num) * len(other.num) >= _CHECK_EVERY
         for ma, ca in self.num.items():
+            if checked:
+                check()
             for mb, cb in other.num.items():
                 m = tuple(map(add, ma, mb))
                 out[m] = get(m, 0) + ca * cb
@@ -168,22 +176,22 @@ class Polynomial:
 
     # ------------------------------------------------------------ the shift and hbar
 
-    def shift(self, lam, token: CancellationToken | None = None) -> "Polynomial":
+    def shift(self, lam) -> "Polynomial":
         """p(w + hbar * lam, hbar), monomial by monomial by the binomial theorem:
         w_j^a -> sum_k C(a, k) lam_j^k w_j^(a - k) hbar^k.  The shift and its
         inverse have integer matrices, so the numerators keep their gcd.  The
-        token is checked every ``_CHECK_EVERY`` steps inside a monomial too, so
-        one high power is cancellable."""
+        deadline is checked every ``_CHECK_EVERY`` steps inside a monomial too,
+        so one high power is cancellable."""
         moved = [(j, l) for j, l in enumerate(lam) if l]
         if not moved:
             return self
         out: dict[Monomial, int] = {}
         for monom, coeff in self.num.items():
-            check(token)
-            rows = [_binomial_row(j, a, l, token) for j, l in moved if (a := monom[j])]
+            check()
+            rows = [_binomial_row(j, a, l) for j, l in moved if (a := monom[j])]
             for i, choice in enumerate(product(*rows), 1):
                 if not i % _CHECK_EVERY:
-                    check(token)
+                    check()
                 m, factor = list(monom), coeff
                 for j, k, b in choice:
                     m[j] -= k
@@ -249,13 +257,13 @@ class Polynomial:
         return Polynomial.make({m: v * form.den for m, v in quotient.items()}, self.den * c**top)
 
 
-def _binomial_row(j: int, a: int, l: int, token: CancellationToken | None) -> list[tuple[int, int, int]]:
+def _binomial_row(j: int, a: int, l: int) -> list[tuple[int, int, int]]:
     """(j, k, C(a, k) l^k) for k = 0 .. a, each entry from the one before:
     C(a, k + 1) l^(k + 1) = C(a, k) l^k (a - k) l / (k + 1), a division that is exact."""
     row, b = [], 1
     for k in range(a + 1):
         if not (k + 1) % _CHECK_EVERY:
-            check(token)
+            check()
         row.append((j, k, b))
         b = b * (a - k) * l // (k + 1)
     return row

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .cancel import CancellationToken, check
+from .cancel import check
 from .cartan import (
     GeneralizedCartanMatrix,
     KMWeight,
@@ -23,7 +23,7 @@ from .cartan import (
     validate_and_symmetrize,
 )
 from .errors import DimensionError, DomainError, UnsupportedError
-from .lattices import Coweight, pairing
+from .lattices import Coweight, as_coweight, pairing
 from .multiplicities import weight_multiplicity
 
 
@@ -36,7 +36,7 @@ class Quiver:
 
     @staticmethod
     def of(vertices: int, edges) -> "Quiver":
-        edges = tuple((int(a), int(b)) for a, b in edges)
+        edges = tuple(map(as_coweight, edges))
         for a, b in edges:
             if not (0 <= a < vertices and 0 <= b < vertices):
                 raise DimensionError(f"edge ({a},{b}) references a missing vertex")
@@ -55,21 +55,21 @@ class Quiver:
     def loop_free(self) -> bool:
         return all(a != b for a, b in self.edges)
 
-    def cartan_matrix(self, token: CancellationToken | None = None) -> GeneralizedCartanMatrix:
+    def cartan_matrix(self) -> GeneralizedCartanMatrix:
         """Forget orientation; 2 on the diagonal minus edge counts elsewhere,
-        built and validated under ``token``, checked once per row."""
+        built and validated under the deadline, checked once per row."""
         if not self.loop_free:
             raise UnsupportedError("quivers with loops have no Kac-Moody datum")
         n = self.vertices
         a = []
         for i in range(n):
-            check(token)
+            check()
             a.append([0] * n)
             a[i][i] = 2
         for s, t in self.edges:
             a[s][t] -= 1
             a[t][s] -= 1
-        return validate_and_symmetrize(a, token)
+        return validate_and_symmetrize(a)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class DimVectors:
 
     @staticmethod
     def of(v, w) -> "DimVectors":
-        return DimVectors(tuple(int(x) for x in v), tuple(int(x) for x in w))
+        return DimVectors(as_coweight(v), as_coweight(w))
 
     def check_against(self, q: Quiver) -> None:
         if len(self.v) != q.vertices or len(self.w) != q.vertices:
@@ -120,11 +120,11 @@ def gauge_data(q: Quiver, d: DimVectors) -> GaugeData:
     return GaugeData(d.v, tuple(summands), sum(x * x for x in d.v), dim_n)
 
 
-def slice_params(q: Quiver, d: DimVectors, token: CancellationToken | None = None) -> SliceParams:
+def slice_params(q: Quiver, d: DimVectors) -> SliceParams:
     """lam = sum w_i varpi_i, mu = lam - sum v_i alpha_i on the quiver's
     Kac-Moody datum (orientation forgotten)."""
     d.check_against(q)
-    gcm = q.cartan_matrix(token)
+    gcm = q.cartan_matrix()
     lam = KMWeight.of(d.w)
     mu = lam - gcm.root_combination(d.v)
     return SliceParams(lam, mu, d, gcm.is_dominant(mu))
@@ -148,24 +148,24 @@ def mv_dimension(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> i
     return sum(v)
 
 
-def fixed_point_nonempty(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight, token=None) -> bool:
+def fixed_point_nonempty(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> bool:
     """Combinatorial shadow of the fixed-point conjecture: the fixed point
     exists iff the dual-side weight multiplicity V_mu(lam) is nonzero."""
     if not gcm.is_dominant(lam):
         raise DomainError("lam must be dominant")
-    return weight_multiplicity(langlands_dual(gcm, token), lam, mu, token) > 0
+    return weight_multiplicity(langlands_dual(gcm), lam, mu) > 0
 
 
 def _dominant_interval(
-    gcm: GeneralizedCartanMatrix, top: KMWeight, mu: KMWeight, token=None
+    gcm: GeneralizedCartanMatrix, top: KMWeight, mu: KMWeight
 ) -> list[tuple[int, KMWeight]]:
     """Dominant kappa with top >= kappa >= mu, as (height of top-kappa, kappa)."""
-    t = in_positive_root_cone(gcm, top - mu, token)
+    t = in_positive_root_cone(gcm, top - mu)
     if t is None:
         return []
     out = []
     for u in iproduct(*[range(x + 1) for x in t]):
-        check(token)
+        check()
         kappa = top - gcm.root_combination(u)
         if gcm.is_dominant(kappa):
             out.append((sum(u), kappa))
@@ -173,18 +173,13 @@ def _dominant_interval(
     return out
 
 
-def strata_finite(
-    gcm: GeneralizedCartanMatrix,
-    lam: KMWeight,
-    mu: KMWeight,
-    token: CancellationToken | None = None,
-) -> list[KMWeight]:
+def strata_finite(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> list[KMWeight]:
     """All dominant kappa with lam >= kappa >= mu, sorted descending."""
     if gcm.tag != "finite":
         raise UnsupportedError("strata_finite requires finite type")
     if not gcm.is_dominant(lam):
         raise DomainError("lam must be dominant")
-    return [kappa for _, kappa in _dominant_interval(gcm, lam, mu, token)]
+    return [kappa for _, kappa in _dominant_interval(gcm, lam, mu)]
 
 
 def _partitions(n: int):
@@ -209,7 +204,6 @@ def strata_affine(
     lam: KMWeight,
     mu: KMWeight,
     bound: int,
-    token: CancellationToken | None = None,
 ) -> list[tuple[KMWeight, tuple[int, ...]]]:
     """Brute-force enumeration of the affine strata index set: pairs
     (kappa, partition) with lam - |partition| c >= kappa >= mu, where c is the
@@ -230,13 +224,13 @@ def strata_affine(
     c = central_element_as_root_sum(gcm)
     out = []
     for size in range(bound + 1):
-        check(token)
+        check()
         top = lam - c.scaled(size)
-        interval = _dominant_interval(gcm, top, mu, token)
+        interval = _dominant_interval(gcm, top, mu)
         if not interval:  # no kappa to pair: the p(size) partitions are not walked
             continue
         for part in _partitions(size):
-            check(token)
+            check()
             out.extend((kappa, part) for _, kappa in interval)
     out.sort(key=lambda p: (sum(p[1]), p[1], p[0].fund, p[0].delta))
     return out
@@ -272,15 +266,13 @@ def parabolic_codim(gl_ranks, mu_blocks) -> int:
     return total
 
 
-def jordan_coulomb_hilbert(
-    n: int, ell: int, max_deg, token: CancellationToken | None = None
-) -> list[int]:
+def jordan_coulomb_hilbert(n: int, ell: int, max_deg) -> list[int]:
     """Graded dimensions of the n-th symmetric product of the surface
     xy = z^ell, with deg z = 1 and deg x = deg y = ell/2, in half-integer steps.
 
     Entry i is the dimension in degree i/2, counting size-n multisets of
     normal-form monomials x^a z^c and y^b z^c (b > 0), one degree at a time
-    with a ``token`` check before each.
+    with a deadline check before each.
     """
     if ell < 0:
         raise DomainError(f"ell must be positive, got {ell}")
@@ -296,7 +288,7 @@ def jordan_coulomb_hilbert(
     # members other than 1, so Sym^n agrees with Sym^top there when n > top
     sym: list[list[int]] = [[] for _ in range(min(n, top) + 1)]
     for t in range(top + 1):
-        check(token)
+        check()
         # x^a z^c and y^b z^c of doubled degree a * ell + 2c = t: one of each for every
         # a <= t // ell of the parity that makes t - a * ell even, except y^0 = x^0
         xs = (t // ell + 2 - t % 2) // 2 if ell % 2 else (t // ell + 1) * (1 - t % 2)

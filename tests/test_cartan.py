@@ -374,22 +374,25 @@ def test_cancelled_smith_pass_stores_nothing():
     mu = gcm.root_combination((1, 2, 3))
     cancelled = CancellationToken()
     cancelled.cancel()
-    with pytest.raises(Cancelled):
-        in_positive_root_cone(gcm, mu, cancelled)
+    with pytest.raises(Cancelled), cancelled:
+        in_positive_root_cone(gcm, mu)
     assert gcm not in cartan._solves
     # a later caller's token, or none, builds the solve data once, keyed by the datum alone
-    assert in_positive_root_cone(gcm, mu, CancellationToken(60)) == (1, 2, 3)
+    with CancellationToken(60):
+        assert in_positive_root_cone(gcm, mu) == (1, 2, 3)
     data = cartan._solves[gcm]
     assert in_positive_root_cone(gcm, mu) == (1, 2, 3) and cartan._solves[gcm] is data
-    assert in_positive_root_cone(gcm, mu, cancelled) == (1, 2, 3)
+    with cancelled:
+        assert in_positive_root_cone(gcm, mu) == (1, 2, 3)
 
 
 def test_validation_honours_the_token():
     cancelled = CancellationToken()
     cancelled.cancel()
-    with pytest.raises(Cancelled):
-        validate_and_symmetrize(NAMED_CARTAN_MATRICES["A3"], cancelled)
-    assert validate_and_symmetrize(NAMED_CARTAN_MATRICES["A3"], CancellationToken(60)) == named_gcm("A3")
+    with pytest.raises(Cancelled), cancelled:
+        validate_and_symmetrize(NAMED_CARTAN_MATRICES["A3"])
+    with CancellationToken(60):
+        assert validate_and_symmetrize(NAMED_CARTAN_MATRICES["A3"]) == named_gcm("A3")
 
 
 def test_root_coordinates_wrong_length():
@@ -508,3 +511,18 @@ def test_langlands_dual_runs_no_elimination_and_no_kernel(monkeypatch):
         assert time.perf_counter() - start < 0.5
         assert _fields(dual)[1:] == (gcm.d, gcm.tag, gcm.dual_labels, gcm.null_vector, gcm.delta_split)
     assert calls == []
+
+
+@pytest.mark.parametrize("read", [
+    lambda: validate_and_symmetrize([[2, -1.5], [-1, 2]]),
+    lambda: KMWeight.of([1.7, 2]),
+    lambda: KMWeight.of([1, 2], delta=0.5),
+    lambda: KMWeight.of(["1", 2]),
+], ids=["cartan-entry", "weight-coordinate", "weight-delta", "weight-string"])
+def test_cartan_inputs_that_are_not_integers_are_domain_errors(read):
+    # each entry was read through int(): [[2, -1.5], [-1, 2]] validated as A2, and
+    # KMWeight.of([1.7, 2], delta=0.5) was (1, 2) with delta 0
+    with pytest.raises(DomainError, match="must be integers"):
+        read()
+    assert KMWeight.of([1.0, 2], delta=1.0) == KMWeight((1, 2), 1)
+    assert validate_and_symmetrize([[2.0, -1], [-1, 2]]) == named_gcm("A2")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from coulombkit import multiplicities
+from coulombkit import monopole, multiplicities
 from coulombkit.abelian import AbelianTheory
 from coulombkit.cancel import CancellationToken
 from coulombkit.cli import _render, main, validate_schema
@@ -561,11 +561,12 @@ def test_timeout_covers_printing_a_large_result():
 def test_printing_checks_the_deadline_only_past_4096_chunks():
     expired = CancellationToken(0)
     small = {"dimensions": [[str(d), d] for d in range(100)]}
-    assert _render(small, "json", expired) == json.dumps(small, indent=2, sort_keys=True)
+    with expired:
+        assert _render(small, "json") == json.dumps(small, indent=2, sort_keys=True)
     large = {"dimensions": [[str(d), d] for d in range(2000)]}
-    assert _render(large, "json", None) == json.dumps(large, indent=2, sort_keys=True)
-    with pytest.raises(Cancelled):
-        _render(large, "json", expired)
+    assert _render(large, "json") == json.dumps(large, indent=2, sort_keys=True)
+    with pytest.raises(Cancelled), expired:
+        _render(large, "json")
 
 
 @pytest.mark.parametrize(
@@ -591,6 +592,51 @@ def test_abelian_timeout_reaches_inside_one_term(command, doc):
     )
     assert (proc.returncode, proc.stdout) == (3, "") and "cancelled" in proc.stderr
     assert time.monotonic() - start < 10
+
+
+def test_rank_12_ring_checks_the_deadline_in_its_last_factor_and_its_printing():
+    # abelian ring --timeout 0.2 on rank 12, character (1, ..., 1), a = r^(7 e1) and b = r^(-14 e1)
+    # exited 3 only after about 0.7 s: its last factor, 12,376 terms by a 12-term form, and the
+    # printing of the 31,824-term result ran past the deadline unchecked
+    form = monopole._linear_form(12, (1,) * 12)
+    last = form**6
+    result = last * form
+    assert (len(last), len(result)) == (12376, 31824)
+    cancelled = CancellationToken()
+    cancelled.cancel()
+    with cancelled:
+        assert len(form * form) == 78  # 144 term pairs: a small product checks no deadline
+        with pytest.raises(Cancelled):
+            last * form
+        with pytest.raises(Cancelled):
+            str(result)
+
+
+def test_ring_timeout_reaches_inside_one_large_product():
+    # one term pair whose coefficients have 2025 terms each: their product ran its
+    # 4.1 million term pairs unchecked, so --timeout 0.5 exited 3 only after 3 s
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    square = {"rank": 2, "terms": [{"coweight": [0, 0], "poly": [
+        {"coeff": "1", "powers": [i, j]} for i in range(45) for j in range(45)]}]}
+    doc = {"theory": {"rank": 2, "characters": [[1, 0]]}, "a": square, "b": square}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", "abelian", "ring", "--timeout", "0.5"],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "") and proc.stderr.startswith("cancelled: ")
+    assert time.monotonic() - start < 1.5
+
+
+@pytest.mark.parametrize("command, doc", [
+    # the support depth of a finite-type tensor product was solved past the deadline: exit 0
+    (["km", "tensor"], {"cartan": "A2", "lambda1": {"fund": [0, 0]}, "lambda2": {"fund": [1, 0]}}),
+    # the named datum was validated past the deadline, and the level error came first: exit 1
+    (["quiver", "strata", "--depth", "2"], {"cartan": "A1~", "lambda": {"fund": [0, 0]}, "mu": {"fund": [0, 0]}}),
+], ids=["km-tensor", "quiver-strata"])
+def test_timeout_zero_covers_named_data_and_support_depths(capsys, tmp_path, command, doc):
+    code, out, err = run(capsys, command + ["--timeout", "0"], doc, tmp_path=tmp_path)
+    assert (code, out) == (3, "") and err.startswith("cancelled: ")
 
 
 def _high_power_bracket(powers):
@@ -642,8 +688,8 @@ def test_one_high_power_shift_is_cancellable(powers):
     rank = len(powers)
     power = DifferenceOperator.polynomial(rank, Polynomial({(*powers, 0): 1}))
     start = time.monotonic()
-    with pytest.raises(Cancelled, match="timed out"):
-        multiply(DifferenceOperator.shift(rank, (1,) * rank), power, CancellationToken(0.5))
+    with pytest.raises(Cancelled, match="timed out"), CancellationToken(0.5):
+        multiply(DifferenceOperator.shift(rank, (1,) * rank), power)
     assert time.monotonic() - start < 5
 
 

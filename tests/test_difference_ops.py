@@ -280,7 +280,7 @@ def test_hbar_inverse_is_not_a_coefficient():
 def test_poisson_from_lifts_rejects_hbar_free_commutator_part(monkeypatch):
     # hbar is central and the algebra is commutative modulo hbar, so no pair of
     # polynomial operators has such a commutator; the guard is fed one directly
-    monkeypatch.setattr(difference_ops, "commutator", lambda a, b, token=None: op({(1,): W + HBAR}))
+    monkeypatch.setattr(difference_ops, "commutator", lambda a, b: op({(1,): W + HBAR}))
     with pytest.raises(LiftError):
         poisson_from_lifts(DifferenceOperator.one(1), DifferenceOperator.one(1))
 

@@ -1,8 +1,10 @@
 """The package namespace is lazy, only the symbolic API loads sympy, only
-``coulombkit.symbolic`` imports it, and no CLI document loads jsonschema."""
+``coulombkit.symbolic`` imports it, no CLI document loads jsonschema, and the
+deadline reaches the library as a scope, not as a parameter."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -182,6 +184,44 @@ def test_only_the_symbolic_module_names_sympy_or_imports_symbolic_on_load():
             if any(p.split(".")[0] == "sympy" and rings & set(p.split(".")) for p in paths):
                 found.append(f"{name}:{node.lineno}: uses sympy's sparse rings")
     assert found == []
+
+
+def _calls_by_function(tree, name):
+    """The name of the innermost function around each call of ``name``; None at module level."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+                owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return owners
+
+
+def test_the_deadline_is_ambient():
+    """No function, method or lambda takes a ``token`` parameter, ``check``
+    takes no argument, and ``cli.main`` is the one place that makes a token,
+    the scope of the run's deadline."""
+    found, makers = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                if "token" in [p.arg for p in params]:
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        makers += [f"{path.name}:{owner}" for owner in _calls_by_function(tree, "CancellationToken")]
+    assert found == []
+    assert makers == ["cli.py:main"]
+    from coulombkit.cancel import check
+
+    assert inspect.signature(check).parameters == {}
 
 
 def test_a_rejected_document_is_worded_without_jsonschema():

@@ -10,7 +10,7 @@ import pytest
 
 from coulombkit import lattices
 from coulombkit.cancel import CancellationToken, check
-from coulombkit.errors import Cancelled, DimensionError, LatticeError
+from coulombkit.errors import Cancelled, DimensionError, DomainError, LatticeError
 from coulombkit.lattices import (
     IntMatrix,
     dual_sequence,
@@ -175,9 +175,8 @@ def test_smith_transform_entries_stay_small():
 
 
 def test_smith_normal_form_honours_an_expired_token():
-    token = CancellationToken(0)
-    with pytest.raises(Cancelled):
-        smith_normal_form(IntMatrix.from_rows([[2, 3], [5, 7]]), token)
+    with pytest.raises(Cancelled), CancellationToken(0):
+        smith_normal_form(IntMatrix.from_rows([[2, 3], [5, 7]]))
 
 
 def test_hermite_canonicalizes_column_span():
@@ -297,7 +296,7 @@ def test_koszul_counts_match_enumeration():
     assert torsion >= 40
 
 
-def tuple_koszul_counts(weights, moduli, top, power, token=None):
+def tuple_koszul_counts(weights, moduli, top, power):
     """Reference oracle: the Koszul count with each class a tuple of its
     coordinates, reduced mod the moduli, and the classes outside the span of
     the later weights dropped by a Smith-form test per character."""
@@ -307,7 +306,7 @@ def tuple_koszul_counts(weights, moduli, top, power, token=None):
     pairs = []  # (weight of x_i, weight of y_i, the tests a kept class passes, their memo)
     for i, w in enumerate(weights):
         # c is in the column span of B iff e_p divides (S c)_p for each p, where S B T = E
-        s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r), token)
+        s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*weights[i + 1 :], *torsion)) or ((),) * r))
         tests = [(s.entries[p], e.entries[p][p] if p < e.ncols else 0) for p in range(r)]
         pairs.append((w, tuple(-c for c in w), [(row, ep) for row, ep in tests if ep != 1], {}))
     # one half-degree at a time: below[j] maps a class to the number of monomials in the
@@ -315,7 +314,7 @@ def tuple_koszul_counts(weights, moduli, top, power, token=None):
     below = [{} for _ in range(2 * len(weights))]
     dims, out = [], []
     for t in range(top + 1):
-        check(token)
+        check()
         layer = {zero: 1} if t == 0 else {}
         for i, (x, y, tests, kept) in enumerate(pairs):
             for j, v in ((2 * i, x), (2 * i + 1, y)):
@@ -411,3 +410,11 @@ def test_flag_key_filters_keep_exactly_the_later_span():
                 assert kept == _in_span_by_smith(cls, torsion + weights[i + 1 :]), (weights, moduli, i, combo)
                 checked["rank" if type(prune) is tuple else "index > 1", kept] += 1
     assert len(checked) == 4 and min(checked.values()) >= 100, checked
+
+
+@pytest.mark.parametrize("entry", [2.5, "2", None])
+def test_matrix_entries_that_are_not_integers_are_domain_errors(entry):
+    # each entry was read through int(): [[1, 2.5]] became the matrix ((1, 2),)
+    with pytest.raises(DomainError, match="must be integers"):
+        IntMatrix.from_rows([[1, entry]])
+    assert IntMatrix.from_rows([[1, 2.0]]) == IntMatrix(((1, 2),))

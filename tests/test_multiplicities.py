@@ -210,8 +210,8 @@ class CountdownToken(CancellationToken):
 def test_cancelled_root_multiplicities_leave_the_shared_table_valid(token):
     gcm = named_gcm("A3~")
     multiplicities._root_table.cache_clear()
-    with pytest.raises(Cancelled):
-        root_multiplicities(gcm, 9, token)
+    with pytest.raises(Cancelled), token:
+        root_multiplicities(gcm, 9)
     assert same_table(root_multiplicities(gcm, 9), fresh_root_table(gcm, 9))
 
 
