@@ -9,7 +9,9 @@ label a_j is 1, and every other alpha_i carries 0, so s . a = 1 against the
 primitive null vector a (in untwisted affine type that node plays alpha_0 in
 the usual alpha_0 = delta - theta).
 
-Root coordinates come from the Smith form U A V = D of the Cartan matrix,
+Validation reads the type and the affine null vector off one sparse
+elimination of A, a vertex of least degree first, so a Cartan datum costs its
+edges there, not n^3.  Root coordinates come from the Smith form U A V = D,
 the one exact-linear-algebra path.  Everything a solve reads is stored once per
 Cartan datum: the rows of U at the nonzero d_j, each scaled by den / d_j, the
 rows of U at the zero d_j, the columns of V at the nonzero d_j, and the common
@@ -17,23 +19,24 @@ denominator den.  A query is then one zero-row check and two integer
 matrix-vector products (``in_positive_root_cone`` builds no ``Fraction``).
 The Langlands dual is read off the datum's own fields once per datum: the
 transpose has the same type and swaps the Kac labels (Kac, Sec. 2.1, Ch. 4),
-so only its symmetrizers are walked again.  Both
-per-datum caches are keyed by the datum alone and filled under the deadline
+so only its symmetrizers are walked again.  Both per-datum values sit in an
+``lru_cache`` keyed by the datum and are built under the deadline
 (``cancel.check``), so a cancelled pass stores nothing.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import add, mul, sub
 
 from .cancel import check
 from .errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
-from .lattices import IntMatrix, as_coweight, integer_kernel, smith_normal_form
+from .lattices import IntMatrix, as_coweight, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -111,15 +114,11 @@ class GeneralizedCartanMatrix:
         return all(c >= 0 for c in mu.fund)
 
 
-def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Minimal positive symmetrizers and the connected components, each sorted.
-
-    One walk per component from its first vertex fixes every ratio d_j / d_i;
-    the deadline is checked at each vertex.
-    """
+def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Minimal positive symmetrizers: one walk per connected component from its first
+    vertex fixes every ratio d_j / d_i, and the deadline is checked at each vertex."""
     n = len(a)
     ratio: list[Fraction | None] = [None] * n
-    comps = []
     for start in range(n):
         if ratio[start] is not None:
             continue
@@ -141,36 +140,67 @@ def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ..
                     raise SymmetrizabilityError(
                         "matrix is not symmetrizable (cycle products disagree)"
                     )
-        comp.sort()
         lcm = reduce(math.lcm, (ratio[i].denominator for i in comp), 1)
         scaled = [ratio[i] * lcm for i in comp]
         g = reduce(math.gcd, (int(x) for x in scaled), 0)
         for i, x in zip(comp, scaled):
             ratio[i] = Fraction(int(x) // g)
-        comps.append(comp)
-    return tuple(int(r) for r in ratio), comps
+    return tuple(int(r) for r in ratio)
 
 
-def _classify_component(a, d, comp) -> str:
-    """Sylvester's criterion on the symmetric block D*A of one component.
+def _eliminate(a) -> tuple[str, list[int] | None]:
+    """Type and primitive null vector of a symmetrizable GCM from one sparse elimination.
 
-    One fraction-free (Bareiss) elimination with no row swaps: each step keeps
-    the trailing block, whose corner is the next leading principal minor, and
-    every division is exact.  It stops at the first minor that is not positive.
-    The deadline is checked at each step.
+    D A is symmetric; a component is finite iff it is positive definite, affine
+    iff positive semidefinite of corank 1, and every proper principal block of
+    an affine one is finite (Kac, Ch. 4).  So the pivots decide in any vertex
+    order: a negative pivot, or a zero pivot that still has a neighbour, is
+    indefinite, and a zero pivot with no neighbour left ends an affine
+    component.  A vertex of least current degree goes first, which makes no fill
+    on trees and cycles (Rose, 1972).  Each updated row is scaled by the
+    positive pivot and divided by its gcd, which keeps every pivot's sign.  The
+    deadline is checked at each row read and each pivot.  With one zero pivot,
+    back-substitution through the stored rows gives the null vector.
     """
-    m = [[d[i] * a[i][j] for j in comp] for i in comp]
-    n, prev = len(m), 1
-    for k in range(n):
+    rows = []
+    for row in a:
         check()
-        piv = m[0][0]
-        if piv <= 0:
-            # zero only in the last minor: a positive semidefinite corank-1 block
-            return "affine" if piv == 0 and k == n - 1 else "indefinite"
-        top = m[0]
-        m = [[(x * piv - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in m[1:]]
-        prev = piv
-    return "finite"
+        rows.append({j: row[j] for j in compress(range(len(a)), row)})
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    order, zeros = [], []  # order: (vertex, pivot, its later neighbours' entries)
+    while heap:
+        deg, k = heapq.heappop(heap)
+        rk = rows[k]
+        if rk is None or deg != len(rk):
+            continue  # eliminated, or pushed again at its current degree
+        check()
+        rows[k], p = None, rk.pop(k)
+        order.append((k, p, rk))
+        if p < 0 or (p == 0 and rk):
+            return "indefinite", None
+        if p == 0:
+            zeros.append(k)
+        for i in rk:
+            aik = rows[i].pop(k)
+            row = {j: p * x for j, x in rows[i].items()}
+            for j, x in rk.items():
+                row[j] = row.get(j, 0) - aik * x
+            g = math.gcd(*row.values()) or 1
+            rows[i] = row = {j: x // g for j, x in row.items() if x or i == j}
+            heapq.heappush(heap, (len(row), i))
+    if not zeros:
+        return "finite", None
+    if len(zeros) > 1:
+        raise UnsupportedError("only affine matrices with 1-dimensional radical are supported")
+    x = [Fraction(0)] * len(a)
+    x[zeros[0]] = Fraction(1)
+    for k, p, rk in reversed(order):
+        if p:
+            x[k] = Fraction(-sum(y * x[j] for j, y in rk.items()), p)
+    # x = a / a_z for the primitive null vector a and the zero pivot z, so a_z is its lcd
+    den = reduce(math.lcm, (v.denominator for v in x))
+    return "affine", [int(v * den) for v in x]
 
 
 def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
@@ -178,7 +208,7 @@ def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
 
     Accepts an ``IntMatrix`` or any nested sequence of integers, each row read
     by ``as_coweight``.  The deadline is checked once per row of that reading
-    and of the axiom loop, and inside the symmetrizer walk and the eliminations.
+    and of the axiom loop, and inside the symmetrizer walk and the elimination.
     """
     if isinstance(raw, IntMatrix):
         a = raw.entries
@@ -202,19 +232,10 @@ def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
                 if (a[i][j] == 0) != (a[j][i] == 0):
                     raise CartanError(f"a[{i}][{j}] = 0 requires a[{j}][{i}] = 0")
 
-    d, comps = _minimal_symmetrizers(a)
-    tags = {_classify_component(a, d, c) for c in comps}
-    tag = next((t for t in ("indefinite", "affine") if t in tags), "finite")
-
+    d = _minimal_symmetrizers(a)
+    tag, vec = _eliminate(a)
     null_vector = dual_labels = delta_split = None
-    if tag == "affine":
-        mat = IntMatrix.from_rows(a)
-        ker = integer_kernel(mat)
-        if ker.ncols != 1:
-            raise UnsupportedError("only affine matrices with 1-dimensional radical are supported")
-        vec = [ker.entries[i][0] for i in range(n)]
-        if all(x <= 0 for x in vec):
-            vec = [-x for x in vec]
+    if vec is not None:
         if any(x <= 0 for x in vec):
             raise CartanError("affine null vector is not positive")
         null_vector = tuple(vec)
@@ -233,48 +254,26 @@ def _delta_splitter(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(int(i == j) for i in range(len(a)))
 
 
-class _PerDatum(dict):
-    """What ``build`` makes of a Cartan datum, for the 16 data used most recently.
-
-    Keyed by the datum alone: ``build`` runs under the deadline, and a
-    cancelled build stores nothing.
-    """
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __call__(self, gcm: GeneralizedCartanMatrix):
-        value = self.pop(gcm, None)
-        if value is None:
-            value = self.build(gcm)
-            if len(self) >= 16:
-                del self[next(iter(self))]
-        self[gcm] = value
-        return value
-
-
+@lru_cache(maxsize=16)
 def _dual_datum(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     """The transpose's datum without validating it again.  D A is symmetric, and
     the transpose's D' A^T is a positive multiple of D^-1 (D A) D^-1 on each
-    component, so every leading minor keeps its sign and the tag stays.  a^vee A = 0
+    component, so every principal minor keeps its sign and the tag stays.  a^vee A = 0
     makes the Kac labels and the dual labels trade places."""
     at = tuple(zip(*gcm.entries))
-    d, _ = _minimal_symmetrizers(at)
+    d = _minimal_symmetrizers(at)
     labels = gcm.dual_labels
     split = None if labels is None else _delta_splitter(labels)
     return GeneralizedCartanMatrix(at, d, gcm.tag, labels, gcm.null_vector, split)
 
 
-_duals = _PerDatum(_dual_datum)
-
-
 def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     """Replace the Cartan matrix by its transpose; symmetrizers are recomputed.
     Built once per datum, so repeated calls return the same object."""
-    return _duals(gcm)
+    return _dual_datum(gcm)
 
 
+@lru_cache(maxsize=16)
 def _solve_data(gcm: GeneralizedCartanMatrix):
     """One Smith pass U A V = D, run under the deadline, kept as what every solve reads:
     the rows of U at the nonzero d_j, each scaled by den / d_j; the rows of U at
@@ -289,9 +288,6 @@ def _solve_data(gcm: GeneralizedCartanMatrix):
     return scaled, zero_rows, v_cut, den
 
 
-_solves = _PerDatum(_solve_data)
-
-
 def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     """(num, den) with num / den the simple-root coordinates of ``mu``, or None.
 
@@ -301,7 +297,7 @@ def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     """
     if len(mu.fund) != gcm.size:
         raise DimensionError("weight length does not match Cartan matrix size")
-    scaled, zero_rows, v_cut, den = _solves(gcm)
+    scaled, zero_rows, v_cut, den = _solve_data(gcm)
     fund = mu.fund
     if zero_rows and any(sum(map(mul, row, fund)) for row in zero_rows):
         return None
