@@ -9,26 +9,27 @@ label a_j is 1, and every other alpha_i carries 0, so s . a = 1 against the
 primitive null vector a (in untwisted affine type that node plays alpha_0 in
 the usual alpha_0 = delta - theta).
 
-Validation reads the type and the affine null vector off one sparse
-elimination of A, a vertex of least degree first, so a Cartan datum costs its
-edges there, not n^3.  Root coordinates come from the Smith form U A V = D,
-the one exact-linear-algebra path.  Everything a solve reads is stored once per
-Cartan datum: the rows of U at the nonzero d_j, each scaled by den / d_j, the
-rows of U at the zero d_j, the columns of V at the nonzero d_j, and the common
-denominator den.  A query is then one zero-row check and two integer
-matrix-vector products (``in_positive_root_cone`` builds no ``Fraction``).
-The Langlands dual is read off the datum's own fields once per datum: the
-transpose has the same type and swaps the Kac labels (Kac, Sec. 2.1, Ch. 4),
-so only its symmetrizers are walked again.  Both per-datum values sit in an
-``lru_cache`` keyed by the datum and are built under the deadline
-(``cancel.check``), so a cancelled pass stores nothing.
+Validation reads A once into each row's off-diagonal nonzeros; the axioms, the
+symmetrizer walk, one sparse elimination (a vertex of least degree first) for
+the type and the affine null vector, and ``root_combination`` read those, so
+they cost the datum's edges.  Root coordinates come from the Smith form
+U A V = D, the one exact-linear-algebra path.  Everything a solve reads is
+stored once per Cartan datum: the rows of U at the nonzero d_j, each scaled by
+den / d_j, the rows of U at the zero d_j, the columns of V at the nonzero d_j,
+and the common denominator den.  A query is then one zero-row check and two
+integer matrix-vector products (``in_positive_root_cone`` builds no
+``Fraction``).  The Langlands dual is read off the datum's own fields once per
+datum: the transpose has the same type and swaps the Kac labels (Kac, Sec. 2.1,
+Ch. 4), so only its nonzeros are transposed and its symmetrizers walked again;
+it and the solve data sit in an ``lru_cache`` keyed by the datum and are built
+under the deadline (``cancel.check``), so a cancelled pass stores nothing.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
@@ -83,6 +84,7 @@ class GeneralizedCartanMatrix:
     null_vector: tuple[int, ...] | None       # primitive a with A a = 0 (affine)
     dual_labels: tuple[int, ...] | None       # primitive a^vee with a^vee A = 0 (affine)
     delta_split: tuple[int, ...] | None       # integer s with s . a = 1 (affine)
+    neighbours: tuple[dict[int, int], ...] = field(compare=False, repr=False)  # row i: {j != i: a_ij != 0}
 
     @property
     def size(self) -> int:
@@ -95,12 +97,12 @@ class GeneralizedCartanMatrix:
         return KMWeight(fund, delta)
 
     def root_combination(self, coeffs) -> KMWeight:
-        n = self.size
-        fund = tuple(sum(self.entries[i][j] * coeffs[j] for j in range(n)) for i in range(n))
-        delta = 0
-        if self.delta_split is not None:
-            delta = sum(self.delta_split[j] * coeffs[j] for j in range(n))
-        return KMWeight(fund, delta)
+        fund = []
+        for i, row in enumerate(self.neighbours):
+            check()
+            fund.append(2 * coeffs[i] + sum(x * coeffs[j] for j, x in row.items()))
+        delta = 0 if self.delta_split is None else sum(map(mul, self.delta_split, coeffs))
+        return KMWeight(tuple(fund), delta)
 
     def gram(self, i: int, j: int) -> int:
         """Invariant form on simple roots, normalized (alpha_i, alpha_i) = 2 d_i."""
@@ -114,32 +116,25 @@ class GeneralizedCartanMatrix:
         return all(c >= 0 for c in mu.fund)
 
 
-def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Minimal positive symmetrizers: one walk per connected component from its first
-    vertex fixes every ratio d_j / d_i, and the deadline is checked at each vertex."""
-    n = len(a)
-    ratio: list[Fraction | None] = [None] * n
-    for start in range(n):
+def _minimal_symmetrizers(nbrs) -> tuple[int, ...]:
+    """Minimal positive symmetrizers: one walk along the nonzeros per connected component
+    from its first vertex fixes every ratio d_j / d_i; the deadline is checked at each vertex."""
+    ratio: list[Fraction | None] = [None] * len(nbrs)
+    for start in range(len(ratio)):
         if ratio[start] is not None:
             continue
         ratio[start] = Fraction(1)
-        comp, queue = [start], [start]
-        while queue:
+        comp = [start]
+        for i in comp:  # breadth first: the vertices appended below are walked in turn
             check()
-            i = queue.pop()
-            for j in range(n):
-                if a[i][j] == 0 or i == j:
-                    continue
+            for j, x in nbrs[i].items():
                 # d_i a_ij = d_j a_ji  =>  d_j = d_i * a_ij / a_ji
-                val = ratio[i] * Fraction(a[i][j], a[j][i])
+                val = ratio[i] * Fraction(x, nbrs[j][i])
                 if ratio[j] is None:
                     ratio[j] = val
                     comp.append(j)
-                    queue.append(j)
                 elif ratio[j] != val:
-                    raise SymmetrizabilityError(
-                        "matrix is not symmetrizable (cycle products disagree)"
-                    )
+                    raise SymmetrizabilityError("matrix is not symmetrizable (cycle products disagree)")
         lcm = reduce(math.lcm, (ratio[i].denominator for i in comp), 1)
         scaled = [ratio[i] * lcm for i in comp]
         g = reduce(math.gcd, (int(x) for x in scaled), 0)
@@ -148,7 +143,7 @@ def _minimal_symmetrizers(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(int(r) for r in ratio)
 
 
-def _eliminate(a) -> tuple[str, list[int] | None]:
+def _eliminate(nbrs) -> tuple[str, list[int] | None]:
     """Type and primitive null vector of a symmetrizable GCM from one sparse elimination.
 
     D A is symmetric; a component is finite iff it is positive definite, affine
@@ -159,13 +154,13 @@ def _eliminate(a) -> tuple[str, list[int] | None]:
     component.  A vertex of least current degree goes first, which makes no fill
     on trees and cycles (Rose, 1972).  Each updated row is scaled by the
     positive pivot and divided by its gcd, which keeps every pivot's sign.  The
-    deadline is checked at each row read and each pivot.  With one zero pivot,
+    deadline is checked at each row copied and each pivot.  With one zero pivot,
     back-substitution through the stored rows gives the null vector.
     """
     rows = []
-    for row in a:
+    for i, row in enumerate(nbrs):
         check()
-        rows.append({j: row[j] for j in compress(range(len(a)), row)})
+        rows.append({**row, i: 2})
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     order, zeros = [], []  # order: (vertex, pivot, its later neighbours' entries)
@@ -193,7 +188,7 @@ def _eliminate(a) -> tuple[str, list[int] | None]:
         return "finite", None
     if len(zeros) > 1:
         raise UnsupportedError("only affine matrices with 1-dimensional radical are supported")
-    x = [Fraction(0)] * len(a)
+    x = [Fraction(0)] * len(nbrs)
     x[zeros[0]] = Fraction(1)
     for k, p, rk in reversed(order):
         if p:
@@ -206,34 +201,34 @@ def _eliminate(a) -> tuple[str, list[int] | None]:
 def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
     """Check the GCM axioms, compute minimal symmetrizers, classify the type.
 
-    Accepts an ``IntMatrix`` or any nested sequence of integers, each row read
-    by ``as_coweight``.  The deadline is checked once per row of that reading
-    and of the axiom loop, and inside the symmetrizer walk and the elimination.
+    Accepts an ``IntMatrix`` or nested rows, each read by ``as_coweight``.  One reading keeps each
+    row's off-diagonal nonzeros; every later pass reads those and checks the deadline per row.
     """
-    if isinstance(raw, IntMatrix):
-        a = raw.entries
-    else:
-        rows = []
-        for row in raw:
-            check()
-            rows.append(as_coweight(row))
-        a = tuple(rows)
+    a, nbrs = [], []
+    for i, row in enumerate(raw.entries if isinstance(raw, IntMatrix) else raw):
+        check()
+        a.append(row := row if isinstance(raw, IntMatrix) else as_coweight(row))
+        nbrs.append({j: row[j] for j in compress(range(len(row)), row) if j != i})
     n = len(a)
     if any(len(row) != n for row in a):
         raise CartanError("Cartan matrix must be square")
-    for i in range(n):
+    # raise what a row-major scan meets first: the least (row, column, kind); a one-sided pair at (min, max)
+    first = (n,)
+    for i, row in enumerate(nbrs):
         check()
         if a[i][i] != 2:
-            raise CartanError(f"diagonal entry a[{i}][{i}] must be 2")
-        for j in range(n):
-            if i != j:
-                if a[i][j] > 0:
-                    raise CartanError(f"off-diagonal entry a[{i}][{j}] must be <= 0")
-                if (a[i][j] == 0) != (a[j][i] == 0):
-                    raise CartanError(f"a[{i}][{j}] = 0 requires a[{j}][{i}] = 0")
+            first = min(first, (i, -1, 0, f"diagonal entry a[{i}][{i}] must be 2"))
+        for j, x in row.items():
+            if x > 0:
+                first = min(first, (i, j, 0, f"off-diagonal entry a[{i}][{j}] must be <= 0"))
+            if i not in nbrs[j]:
+                p, q = min(i, j), max(i, j)
+                first = min(first, (p, q, 1, f"a[{p}][{q}] = 0 requires a[{q}][{p}] = 0"))
+    if first < (n,):
+        raise CartanError(first[-1])
 
-    d = _minimal_symmetrizers(a)
-    tag, vec = _eliminate(a)
+    d = _minimal_symmetrizers(nbrs)
+    tag, vec = _eliminate(nbrs)
     null_vector = dual_labels = delta_split = None
     if vec is not None:
         if any(x <= 0 for x in vec):
@@ -243,7 +238,7 @@ def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
         g = reduce(math.gcd, dual)
         dual_labels = tuple(x // g for x in dual)
         delta_split = _delta_splitter(null_vector)
-    return GeneralizedCartanMatrix(a, d, tag, null_vector, dual_labels, delta_split)
+    return GeneralizedCartanMatrix(tuple(a), d, tag, null_vector, dual_labels, delta_split, tuple(nbrs))
 
 
 def _delta_splitter(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -260,11 +255,14 @@ def _dual_datum(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     the transpose's D' A^T is a positive multiple of D^-1 (D A) D^-1 on each
     component, so every principal minor keeps its sign and the tag stays.  a^vee A = 0
     makes the Kac labels and the dual labels trade places."""
-    at = tuple(zip(*gcm.entries))
-    d = _minimal_symmetrizers(at)
+    nbrs, at = gcm.neighbours, []
+    for i, row in enumerate(nbrs):
+        check()
+        at.append({j: nbrs[j][i] for j in row})
     labels = gcm.dual_labels
     split = None if labels is None else _delta_splitter(labels)
-    return GeneralizedCartanMatrix(at, d, gcm.tag, labels, gcm.null_vector, split)
+    return GeneralizedCartanMatrix(tuple(zip(*gcm.entries)), _minimal_symmetrizers(at), gcm.tag, labels,
+                                   gcm.null_vector, split, tuple(at))
 
 
 def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:

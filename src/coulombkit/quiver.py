@@ -23,7 +23,7 @@ from .cartan import (
     validate_and_symmetrize,
 )
 from .errors import DimensionError, DomainError, UnsupportedError
-from .lattices import Coweight, as_coweight, pairing
+from .lattices import Coweight, IntMatrix, as_coweight, pairing
 from .multiplicities import weight_multiplicity
 
 
@@ -56,20 +56,22 @@ class Quiver:
         return all(a != b for a, b in self.edges)
 
     def cartan_matrix(self) -> GeneralizedCartanMatrix:
-        """Forget orientation; 2 on the diagonal minus edge counts elsewhere,
-        built and validated under the deadline, checked once per row."""
+        """Forget orientation: 2 on the diagonal minus edge counts elsewhere, one checked row at a time."""
         if not self.loop_free:
             raise UnsupportedError("quivers with loops have no Kac-Moody datum")
-        n = self.vertices
-        a = []
-        for i in range(n):
-            check()
-            a.append([0] * n)
-            a[i][i] = 2
+        ends = [[] for _ in range(self.vertices)]
         for s, t in self.edges:
-            a[s][t] -= 1
-            a[t][s] -= 1
-        return validate_and_symmetrize(a)
+            ends[s].append(t)
+            ends[t].append(s)
+        rows = []
+        for i, js in enumerate(ends):
+            check()
+            row = [0] * self.vertices
+            row[i] = 2
+            for j in js:
+                row[j] -= 1
+            rows.append(tuple(row))
+        return validate_and_symmetrize(IntMatrix(tuple(rows)))
 
 
 @dataclass(frozen=True)

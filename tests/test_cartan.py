@@ -132,6 +132,77 @@ def test_validation_outcomes_match_recorded_digest():
     assert digest.hexdigest() == "48387c0f4270858cc84a4b33162111e597db729423258704d91793d3b2c761c9"
 
 
+def _dense_first_violation(a):
+    """The axiom error a dense row-major scan of ``a`` meets first, or None."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        return "Cartan matrix must be square"
+    for i in range(n):
+        if a[i][i] != 2:
+            return f"diagonal entry a[{i}][{i}] must be 2"
+        for j in range(n):
+            if i != j:
+                if a[i][j] > 0:
+                    return f"off-diagonal entry a[{i}][{j}] must be <= 0"
+                if (a[i][j] == 0) != (a[j][i] == 0):
+                    return f"a[{i}][{j}] = 0 requires a[{j}][{i}] = 0"
+    return None
+
+
+def _several_violations(rng):
+    """A symmetric-pattern matrix of size 2-8 with 2-4 axiom violations: one-sided zero
+    patterns with the zero above or below the diagonal, positive off-diagonal entries,
+    diagonal entries other than 2, and, in about one in twenty, a ragged row."""
+    n = rng.randint(2, 8)
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(1, n):
+        for i in range(j):
+            if rng.random() < 0.5:
+                a[i][j], a[j][i] = rng.randint(-3, -1), rng.randint(-3, -1)
+    for _ in range(rng.randint(2, 4)):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.choice(("zero", "one-sided", "positive", "diagonal"))
+        if kind == "zero":
+            a[i][j] = 0
+        elif kind == "one-sided":
+            a[i][j], a[j][i] = rng.randint(-3, -1), 0
+        elif kind == "positive":
+            a[i][j] = rng.randint(1, 3)
+        else:
+            a[i][i] = rng.choice((-2, 0, 1, 3))
+    if rng.random() < 0.05:
+        row = a[rng.randrange(n)]
+        row.append(0) if rng.random() < 0.5 else row.pop()
+    return a
+
+
+def test_first_of_several_violations_is_the_dense_scans():
+    # validation reads each row's nonzeros once; a one-sided pair (p, q), p < q, must still be
+    # reported at row p, before later entries of row p and every later row, whichever side is zero
+    rng = random.Random(27)
+    kinds = {}
+    for _ in range(4000):
+        a = _several_violations(rng)
+        want = _dense_first_violation(a)
+        for m in [a] if want == "Cartan matrix must be square" else [a, IntMatrix.from_rows(a)]:
+            try:
+                validate_and_symmetrize(m)
+                got = None
+            except CoulombKitError as exc:
+                got = str(exc)
+            if want is None:  # the violations cancelled: a later stage may still reject it
+                assert got is None or not got.startswith(("diagonal", "off-diagonal", "a[", "Cartan")), a
+            else:
+                assert got == want, a
+        kind = (want or "valid").split()[0]
+        if kind.startswith("a["):  # one-sided at (p, q), p < q: is the zero a_pq or a_qp?
+            p, q = map(int, kind[2:-1].split("]["))
+            kind = "zero-below" if a[p][q] else "zero-above"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"Cartan", "diagonal", "off-diagonal", "zero-above", "zero-below", "valid"}, kinds
+    assert min(kinds.values()) >= 50, kinds
+
+
 def _sylvester_tag(gcm):
     """(tag, number of components) by Sylvester's rule on the leading blocks of
     D*A on each component, every minor a separate Bareiss determinant."""
@@ -500,6 +571,19 @@ def test_elimination_order_changes_nothing_but_the_vertex_labels():
             for field in ("d", "null_vector", "dual_labels"):
                 value = getattr(gcm, field)
                 assert getattr(permuted, field) == (value and tuple(value[p] for p in perm))
+
+
+def test_root_combination_and_simple_roots_are_the_dense_products():
+    # both read each row's nonzeros; the dual's are the transpose's
+    rng = random.Random(27)
+    for gcm in ORACLE_DATA:
+        for g in (gcm, langlands_dual(gcm)):
+            n, split = g.size, g.delta_split or (0,) * g.size
+            c = [rng.randint(-4, 4) for _ in range(n)]
+            fund = tuple(sum(g.entries[i][j] * c[j] for j in range(n)) for i in range(n))
+            assert g.root_combination(c) == KMWeight(fund, sum(s * x for s, x in zip(split, c)))
+            for j in range(n):
+                assert g.simple_root(j) == KMWeight(tuple(row[j] for row in g.entries), split[j])
 
 
 def _greedy_delta_splitter(a):

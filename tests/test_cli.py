@@ -497,13 +497,14 @@ _TYPE_A_400 = [[2 if i == j else -(abs(i - j) == 1) for j in range(_N)] for i in
     # so --timeout 0.5 once exited 0 after 6.5 s
     (["km", "mult"], {"cartan": _TYPE_A_400, "lambda": {"fund": [1] + [0] * (_N - 1)},
                       "mu": {"fund": [1] + [0] * (_N - 1)}}, 0.5, 1),
-    # a slice that runs for over three times its deadline; one dense Bareiss step ran
-    # between two checks, so at --timeout 3 this exited only after 3.56 s
+    # a slice that runs for over three times its deadline (0.50-0.75 s untimed); one dense
+    # Bareiss step ran between two checks, so at --timeout 3 this exited only after 3.56 s
     (["quiver", "slice"], {"vertices": 3000, "edges": [[i, i + 1] for i in range(2999)],
-                           "v": [1] * 3000, "w": [2] + [0] * 2999}, 1.2, 0.5),
+                           "v": [1] * 3000, "w": [2] + [0] * 2999}, 0.15, 0.5),
     # building the 3000 x 3000 matrix and its integer conversion and axiom loop took no
-    # token, so this exited 3 only after 2.3 s
-    (["quiver", "slice"], {"vertices": 3000, "edges": [[i, i + 1] for i in range(2999)]}, 0.5, 1),
+    # token, so at --timeout 0.5 this exited 3 only after 2.3 s; a larger dense matrix costs
+    # hundreds of MB, so the deadline shrinks with the work instead
+    (["quiver", "slice"], {"vertices": 3000, "edges": [[i, i + 1] for i in range(2999)]}, 0.15, 1),
 ], ids=["km-mult", "quiver-slice", "quiver-slice-3000"])
 def test_timeout_covers_the_cartan_preparation(command, doc, timeout, slack):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

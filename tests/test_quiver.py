@@ -1,11 +1,18 @@
 """Quiver bookkeeping, slice parameters, strata, and fixed-point shadows."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from coulombkit.cartan import KMWeight, central_element_as_root_sum, dominance_leq, named_gcm
+from coulombkit.cartan import (
+    KMWeight,
+    central_element_as_root_sum,
+    dominance_leq,
+    named_gcm,
+    validate_and_symmetrize,
+)
 from coulombkit.errors import DomainError, UnsupportedError
 from coulombkit.monopole import AbelianTheory, hilbert_series
 from coulombkit.multiplicities import weight_multiplicity
@@ -44,6 +51,22 @@ def test_cartan_matrix_forgets_orientation():
     assert Quiver.linear(3).cartan_matrix().entries == named_gcm("A3").entries
     with pytest.raises(UnsupportedError):
         Quiver.jordan().cartan_matrix()
+    # parallel edges in both orientations count together
+    q = Quiver.of(4, [(0, 1), (1, 0), (1, 2), (3, 2), (2, 3), (0, 3)])
+    a = [[2, -2, 0, -1], [-2, 2, -1, 0], [0, -1, 2, -2], [-1, 0, -2, 2]]
+    assert q.cartan_matrix() == validate_and_symmetrize(a)
+    assert q.cartan_matrix().neighbours == validate_and_symmetrize(a).neighbours
+
+
+def test_3000_vertex_linear_slice_within_a_second_and_a_half():
+    # the axioms, the symmetrizer walk and root_combination read each row's nonzeros; their
+    # dense n x n passes took 2.7 s here
+    n = 3000
+    q, d = Quiver.linear(n), DimVectors.of([1] * n, [2] + [0] * (n - 1))
+    start = time.perf_counter()
+    sp = slice_params(q, d)
+    assert time.perf_counter() - start < 1.5
+    assert sp.mu == KMWeight((1,) + (0,) * (n - 2) + (-1,)) and not sp.mu_dominant
 
 
 def test_slice_params_examples():
