@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError
-from .lattices import CharacterVector, IntMatrix, as_coweight, koszul_counts, smith_normal_form
+from .lattices import CharacterVector, IntMatrix, as_integers, koszul_counts, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class AbelianTheory:
 
     @staticmethod
     def of(rank: int, characters, names=()) -> "AbelianTheory":
-        chars = tuple(map(as_coweight, characters))
+        chars = tuple(as_integers(c, "character") for c in characters)
         if any(len(c) != rank for c in chars):
             raise DimensionError("character length does not match torus rank")
         return AbelianTheory(rank, chars, tuple(names))
@@ -54,8 +54,11 @@ def hilbert_series(th: AbelianTheory, max_deg) -> list[int]:
     U y vanishes in Z/d_1 + ... + Z/d_k + Z^{n-k} (Smith form U A V = D).
     Give x_i the class of U e_i and y_i that of -U e_i; the monomials x^a y^b
     over one y = a - b number s^{|y|_1} / (1 - s^2)^n, so the series is
-    (1 - s^2)^{n-k} times the count of class-zero monomials.  The DP keeps
-    only classes the later characters can cancel: O(t^min(k, n-k)) in degree t.
+    (1 - s^2)^{n-k} times the count of class-zero monomials.  ``koszul_counts``
+    sums s^{|y|_1} over the class-zero y directly, one character at a time,
+    keeping only the classes that the later characters can cancel, so it holds
+    O(t^min(k, n-k)) states of degree t; on rank 1 its cost is linear in
+    max_deg.
     """
     top = top_half_degree(max_deg)
     n, k = len(th.characters), th.rank

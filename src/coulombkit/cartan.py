@@ -37,7 +37,7 @@ from operator import add, mul, sub
 
 from .cancel import check
 from .errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
-from .lattices import IntMatrix, as_coweight, smith_normal_form
+from .lattices import IntMatrix, as_integers, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class KMWeight:
 
     @staticmethod
     def of(coords, delta: int = 0) -> "KMWeight":
-        """The coordinates and delta read by ``as_coweight``, so nothing is truncated."""
-        return KMWeight(as_coweight(coords), *as_coweight((delta,)))
+        """The coordinates and delta read by ``as_integers``, so nothing is truncated."""
+        return KMWeight(as_integers(coords, "weight"), *as_integers((delta,), "weight"))
 
     def __add__(self, other: "KMWeight") -> "KMWeight":
         self._match(other)
@@ -201,13 +201,13 @@ def _eliminate(nbrs) -> tuple[str, list[int] | None]:
 def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
     """Check the GCM axioms, compute minimal symmetrizers, classify the type.
 
-    Accepts an ``IntMatrix`` or nested rows, each read by ``as_coweight``.  One reading keeps each
+    Accepts an ``IntMatrix`` or nested rows, each read by ``as_integers``.  One reading keeps each
     row's off-diagonal nonzeros; every later pass reads those and checks the deadline per row.
     """
     a, nbrs = [], []
     for i, row in enumerate(raw.entries if isinstance(raw, IntMatrix) else raw):
         check()
-        a.append(row := row if isinstance(raw, IntMatrix) else as_coweight(row))
+        a.append(row := row if isinstance(raw, IntMatrix) else as_integers(row, "Cartan matrix"))
         nbrs.append({j: row[j] for j in compress(range(len(row)), row) if j != i})
     n = len(a)
     if any(len(row) != n for row in a):

@@ -23,7 +23,7 @@ from operator import add
 
 from .cancel import check
 from .errors import DimensionError, LiftError
-from .lattices import Coweight, as_coweight
+from .lattices import Coweight, as_integers
 from .polynomial import Polynomial
 
 
@@ -52,7 +52,7 @@ def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, Polyn
     """Read each coweight and convert each coefficient, then ``_collect``."""
     pairs = []
     for lam, p in terms.items() if isinstance(terms, dict) else terms:
-        lam = as_coweight(lam)
+        lam = as_integers(lam, "coweight")
         if len(lam) != rank:
             raise DimensionError(f"coweight length does not match {owner} rank")
         pairs.append((lam, convert(p)))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .abelian import AbelianTheory, hilbert_series, top_half_degree
 from .errors import DimensionError
-from .lattices import IntMatrix, as_coweight, dual_sequence, koszul_counts
+from .lattices import IntMatrix, as_integers, dual_sequence, koszul_counts
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class HiggsTheory:
 
     @staticmethod
     def of(charges) -> "HiggsTheory":
-        rows = tuple(map(as_coweight, charges))
+        rows = tuple(as_integers(row, "charge") for row in charges)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionError("ragged charge matrix")
         th = HiggsTheory(len(rows), rows)
@@ -85,10 +85,12 @@ def coulomb_higgs_compare(a: IntMatrix, max_deg) -> ComparisonReport:
     the cocharacter inclusion ``a``; the Higgs side reduces C^n + (C^n)* by
     the dual torus, whose charges are ``dual_sequence(a)``.
 
-    Both sides run one ``koszul_counts`` DP, over groups that
-    ``dual_sequence`` makes isomorphic (Gale duality), so the verdict checks
-    ``dual_sequence``, the Smith form and the grading; the independent oracles
-    (coweight box scan, rank method) live in the tests.
+    Both sides run one ``koszul_counts`` DP, which sums s^|m|_1 over the
+    relation vectors m of its weights: the image of ``a`` on the Coulomb side,
+    ker(B^T) with B = ``dual_sequence(a)`` on the Higgs side, which is the same
+    lattice when ``dual_sequence`` is right (Gale duality).  So the verdict
+    checks ``dual_sequence``, the Smith form and the grading; the independent
+    oracles (coweight box scan, rank method) live in the tests.
     """
     max_deg = Fraction(max_deg)
     coulomb_th = AbelianTheory.of(a.ncols, a.entries)

@@ -6,10 +6,12 @@ unimodular transforms alternates it on rows and columns, the column-style
 Hermite form that canonicalizes sublattices is one pass, and so are rank and
 the saturated integer kernel.  On top of these sit the dual-torus kernel
 construction and the count of weight-zero monomials that gives the graded
-dimensions on both sides of hypertoric duality.  That count keys each class
-by one integer, in coordinates that one Hermite pass over the generators
-adapts to the spans of the later weights, so a step adds a constant and most
-prunings are one comparison.  ``cartan`` solves for root
+dimensions on both sides of hypertoric duality.  That count sums the
+relation vectors of the weights one pair at a time, with each class keyed by
+one integer in coordinates that one Hermite pass over the generators adapts
+to the spans of the later weights, so the moves a pair allows are read off
+the key: one digit when its weight raises the rank, one residue class
+otherwise.  ``cartan`` solves for root
 coordinates through the Smith form; there is no Gauss-Jordan elimination
 over Q and no determinant.  All work is plain arbitrary-precision integer
 arithmetic.  Coweights and character vectors are plain integer tuples;
@@ -19,7 +21,8 @@ arithmetic.  Coweights and character vectors are plain integer tuples;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from itertools import chain
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .cancel import check
@@ -29,16 +32,17 @@ Coweight = tuple[int, ...]
 CharacterVector = tuple[int, ...]
 
 
-def as_coweight(lam) -> Coweight:
-    """``lam`` as a tuple of ints.  An entry x with int(x) != x is a DomainError,
-    so nothing is truncated; 1.0 reads as 1, as the JSON schema reads it."""
+def as_integers(values, noun: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.  An entry x with int(x) != x is a DomainError
+    that says what was read ("{noun} entries must be integers"), so nothing is
+    truncated; 1.0 reads as 1, as the JSON schema reads it."""
     try:
-        lam = tuple(lam)
-        out = tuple(map(int, lam))
+        values = tuple(values)
+        out = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out != lam:  # one elementwise comparison: 1 == 1.0, but 1 != 1.7 and 2 != "2"
-        raise DomainError(f"coweight entries must be integers, not {lam!r}")
+    if out != values:  # one elementwise comparison: 1 == 1.0, but 1 != 1.7 and 2 != "2"
+        raise DomainError(f"{noun} entries must be integers, not {values!r}")
     return out
 
 
@@ -55,7 +59,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(map(as_coweight, rows)))
+        return IntMatrix(tuple(as_integers(row, "matrix") for row in rows))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -180,30 +184,34 @@ def smith_diagonal(mat: IntMatrix) -> tuple[int, ...]:
 
 
 class _Carry(dict):
-    """Memo: the change in a key's mixed-radix torsion index when one weight's
-    torsion digits are added, keyed by the old index."""
+    """Memo: the change in a key's mixed-radix torsion index when m times one
+    weight's torsion digits are added, keyed by (the old index, m)."""
 
     def __init__(self, digits, radices):
         super().__init__()
         self.digits, self.radices = digits, radices
 
-    def __missing__(self, index):
+    def __missing__(self, index_m):
+        index, m = index_m
         new, scale, rest = 0, 1, index
         for a, d in zip(self.digits, self.radices):
             rest, b = divmod(rest, d)
-            new += (a + b) % d * scale
+            new += (b + m * a) % d * scale
             scale *= d
-        self[index] = new - index
+        self[index_m] = new - index
         return new - index
 
 
-class _Member(dict):
-    """Memo: whether a key's class lies in the span of ``basis``, the Hermite
-    basis of a subgroup H_i of index above 1 in H_{i-1}."""
+class _Residue(dict):
+    """Memo: for the key of a class c of H_{i-1}, the least m >= 0 with
+    c + m w_i in H_i, which has index ``index`` above 1 in H_{i-1}.  ``rows``
+    is a Hermite basis of H_{i-1}, row k starting at coordinate k, each with
+    its coefficient of w_i; forward substitution writes c = h + q w_i with h
+    in H_i, so m = -q mod ``index``."""
 
-    def __init__(self, basis, radices, radix, base):
+    def __init__(self, rows, index, radices, radix, base):
         super().__init__()
-        self.basis, self.radices, self.radix, self.base = basis, radices, radix, base
+        self.rows, self.index, self.radices, self.radix, self.base = rows, index, radices, radix, base
 
     def __missing__(self, key):
         free, index = divmod(key, self.radix)
@@ -211,27 +219,21 @@ class _Member(dict):
         for d in self.radices:
             index, a = divmod(index, d)
             y.append(a)
-        while len(y) < len(self.basis):  # balanced base-B digits, lowest first
+        while len(y) < len(self.rows):  # balanced base-B digits, lowest first
             a = (free + half) % self.base - half
             y.append(a)
             free = (free - a) // self.base
-        self[key] = _in_span(self.basis, y)
+        q = 0
+        for k, row in enumerate(self.rows):
+            z = y[k] // row[k]
+            y = [p - z * r for p, r in zip(y, row)]
+            q += z * row[-1]
+        self[key] = -q % self.index
         return self[key]
 
 
-def _in_span(basis, y) -> bool:
-    """Whether y lies in the span of ``basis``, whose k-th vector starts with a
-    positive entry at coordinate k."""
-    for k, h in enumerate(basis):
-        a, rem = divmod(y[k], h[k])
-        if rem:
-            return False
-        y = [p - a * q for p, q in zip(y, h)]
-    return True
-
-
 def _flag_keys(weights, moduli, top: int):
-    """Integer keys for the classes of ``koszul_counts``, and each pair's filter.
+    """Integer keys for the classes of ``koszul_counts``, and each pair's moves.
 
     The class group is Z^r modulo the torsion generators m_j e_j (m_j != 0).
     One Hermite pass over the columns m_j e_j, then the weights last to first,
@@ -244,11 +246,14 @@ def _flag_keys(weights, moduli, top: int):
     coordinates as balanced base-B digits, lowest first; B = 2 * top * (the
     largest of them in a weight) + 1, so no sum of ``top`` weights carries.
 
-    Returns (steps, radix, prunes).  steps[2i] and steps[2i + 1] are (the
-    change of F * M, a torsion carry memo or None) for x_i and y_i.  prunes[i]
-    keeps the classes of H_i after pair i: a range (lo, hi) of keys when
-    weights[i] raises the rank, since then its coordinate must be 0; None when
-    H_{i-1} = H_i; otherwise a memo of membership in H_i's Hermite basis.
+    Returns (pairs, M).  pairs[i] = (step, carry, index, read) moves a class c
+    of H_{i-1} to the classes c + m w_i in H_i.  step is the change of F * M
+    for m = 1, and carry a torsion carry memo, or None when w_i has no torsion
+    digits.  When w_i raises the rank, index is 0 and the one allowed m clears
+    the top coordinate of c, a multiple of w_i's pivot there: with read =
+    (offset, divisor), m = -((key + offset) // divisor).  Otherwise index =
+    [H_{i-1} : H_i], the allowed m are one residue class mod index, and read
+    is None when index is 1, or else a memo of the least allowed m >= 0 by key.
     """
     r, n = len(moduli), len(weights)
     torsion = [tuple(m if j == i else 0 for j in range(r)) for i, m in enumerate(moduli) if m]
@@ -260,23 +265,25 @@ def _flag_keys(weights, moduli, top: int):
     radices = [rows[k][k] for k in range(t)]
     radix = prod(radices)
     base = 2 * top * max((abs(x) for row in rows[t:rank] for x in row), default=0) + 1
-    steps, prunes = [], []
+    pairs = []
     for i in range(n):
         c = t + n - 1 - i
         y = cols[c]
-        for sign in (1, -1):
-            digits = [sign * a % d for a, d in zip(y, radices)]
-            free = sum(sign * a * base**k for k, a in enumerate(y[t:]))
-            steps.append((free * radix, _Carry(digits, radices) if any(digits) else None))
+        step = sum(a * base**k for k, a in enumerate(y[t:])) * radix
+        digits = [a % d for a, d in zip(y, radices)]
+        carry = _Carry(digits, radices) if any(digits) else None
         low = sum(p < c for p in pivots)  # rank(H_i)
-        if c in pivots:
-            half = (base ** (low - t) - 1) // 2 * radix
-            prunes.append((-half, half + radix - 1))
+        if c in pivots:  # F's top digit is (key + offset) // (B^(low - t) * M)
+            digit = base ** (low - t)
+            pairs.append((step, carry, 0, ((digit - 1) // 2 * radix, digit * radix * y[low])))
             continue
-        basis = [col[:low] for col in cols[:c]]
-        basis = basis[: _hermite(basis, low)]
-        prunes.append(None if _in_span(basis, y[:low]) else _Member(basis, radices, radix, base))
-    return steps, radix, prunes
+        # H_{i-1} from the generators of H_i and w_i, each carrying its coefficient of w_i
+        a = [col[:low] + [0] for col in cols[:c]] + [y[:low] + [1]]
+        _hermite(a, low)
+        index = gcd(*(row[-1] for row in a[low:]))
+        read = _Residue(a[:low], index, radices, radix, base) if index > 1 else None
+        pairs.append((step, carry, index, read))
+    return pairs, radix
 
 
 def koszul_counts(weights, moduli, top: int, power: int) -> list[int]:
@@ -284,50 +291,54 @@ def koszul_counts(weights, moduli, top: int, power: int) -> list[int]:
     (1 - s^2)^power, where s steps one half-degree.
 
     x_i carries ``weights[i]`` and y_i its negative, in the group
-    Z/moduli[0] + Z/moduli[1] + ..., where a modulus of 0 stands for Z.
-    After the pair x_i, y_i only classes in H_i, the span of the later weights
-    and the moduli, are kept: no others can return to zero.  They lie in a
-    subgroup of rank at most min(R, len(weights) - R), R the rank of the
-    weights, so a layer of half-degree t holds O(t^min(R, len(weights) - R))
-    of them, not O(t^R).  Each class is one integer key (``_flag_keys``), so
-    a variable adds a constant to it (and looks up one torsion carry when the
-    group has torsion), and the filter after a pair that raises the rank is
-    one comparison.  The count runs one half-degree at a time and checks
-    the deadline before each, and it keeps only one layer per variable, so a
-    huge ``top`` grows under the deadline.
+    Z/moduli[0] + Z/moduli[1] + ..., where a modulus of 0 stands for Z.  As
+    sum_{a,b} s^(a+b) [(a-b) w_i] = sum_m s^|m| [m w_i] / (1 - s^2), the count
+    is (1 - s^2)^(power - n) times the sum of s^|m|_1 over the relation vectors
+    m in Z^n (sum_i m_i w_i = 0, n = len(weights)); those n weight-zero
+    factors are applied once, at the end.
+
+    The DP runs over the pairs.  A state, one integer key(c) * (top + 1) + e,
+    is a class c with a degree e; pair i moves it to c + m w_i with degree
+    e + |m| for each m with c + m w_i in H_i, the span of the later weights and
+    the moduli, since no other class can return to zero.  ``_flag_keys`` reads
+    these m off the key: the one that clears c's top coordinate when w_i raises
+    the rank, else one residue class mod [H_{i-1} : H_i].  The kept classes lie
+    in a subgroup of rank at most min(R, n - R), R the rank of the weights, and
+    a move is one multiply-add (and one carry lookup when the group has
+    torsion).  The deadline is checked before each move and each output
+    degree, so a huge ``top`` grows under it.
     """
-    steps, radix, prunes = _flag_keys(weights, moduli, top)
-    # one half-degree at a time: below[j] maps a class to the number of monomials in the
-    # first j + 1 variables of half-degree t - 1, before the pruning after their pair
-    below = [{} for _ in steps]
-    dims, out = [], []
-    for t in range(top + 1):
+    pairs, radix = _flag_keys(weights, moduli, top)
+    width = top + 1
+    layer = {0: 1}  # class key * width + degree -> number of partial relation vectors
+    for step, carry, index, read in pairs:
+        new, jump = {}, step * width
+        for state, count in layer.items():
+            key, degree = divmod(state, width)
+            room = top - degree
+            if index:  # the allowed m form one residue class mod index
+                first = 0 if read is None else read[key]
+                ms = chain(range(first, room + 1, index), range(first - index, -room - 1, -index))
+            else:  # at most one m: the one that clears the top coordinate of c
+                m = -((key + read[0]) // read[1])
+                ms = (m,) if abs(m) <= room else ()
+            for m in ms:
+                check()
+                at = state + m * jump + abs(m)
+                if carry is not None:
+                    at += carry[key % radix, m] * width
+                new[at] = new.get(at, 0) + count
+        layer = new
+    out, last = [], [[0, 0] for _ in range(abs(power - len(weights)))]
+    for t in range(width):
         check()
-        layer = {0: 1} if t == 0 else {}
-        for i, prune in enumerate(prunes):
-            for j in (2 * i, 2 * i + 1):
-                # without variable j, plus variable j times a monomial of half-degree t - 1
-                if j % 2:  # below[j - 1] keeps x_i's layer for half-degree t + 1
-                    layer = dict(layer)
-                step, carry = steps[j]
-                if carry is None:
-                    for key, c in below[j].items():
-                        key += step
-                        layer[key] = layer.get(key, 0) + c
-                else:
-                    for key, c in below[j].items():
-                        key += step + carry[key % radix]
-                        layer[key] = layer.get(key, 0) + c
-                below[j] = layer
-            if prune is None:  # below[j] keeps y_i's layer
-                layer = dict(layer)
-            elif type(prune) is tuple:
-                lo, hi = prune
-                layer = {key: c for key, c in layer.items() if lo <= key <= hi}
+        v = layer.get(t, 0)
+        for prev in last:  # prev[t % 2] is the factor's input (times) or output (divided) at t - 2
+            if power > len(weights):
+                v, prev[t % 2] = v - prev[t % 2], v
             else:
-                layer = {key: c for key, c in layer.items() if prune[key]}
-        dims.append(layer.get(0, 0))
-        out.append(sum((-1) ** q * comb(power, q) * dims[t - 2 * q] for q in range(min(power, t // 2) + 1)))
+                v = prev[t % 2] = v + prev[t % 2]
+        out.append(v)
     return out
 
 

@@ -23,7 +23,7 @@ from .abelian import AbelianTheory, hilbert_series  # noqa: F401 (re-exported)
 from .cancel import check
 from .difference_ops import DifferenceOperator, _collect, _GradedSum, _merge, to_poly
 from .errors import DimensionError, DomainError, LiftError
-from .lattices import CharacterVector, Coweight, as_coweight, pairing
+from .lattices import CharacterVector, Coweight, as_integers, pairing
 from .polynomial import Polynomial
 
 
@@ -141,7 +141,7 @@ def quantize(th: AbelianTheory, a: CoulombElement) -> DifferenceOperator:
 
 def quantum_relation(th: AbelianTheory, lam) -> tuple[DifferenceOperator, DifferenceOperator]:
     """(u_lam u_{-lam}, u_{-lam} u_lam), both supported on e^0."""
-    lam = as_coweight(lam)
+    lam = as_integers(lam, "coweight")
     neg = tuple(-x for x in lam)
     up = DifferenceOperator.from_terms(th.rank, {lam: _quantized_shift(th, lam)})
     down = DifferenceOperator.from_terms(th.rank, {neg: _quantized_shift(th, neg)})

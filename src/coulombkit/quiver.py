@@ -23,7 +23,7 @@ from .cartan import (
     validate_and_symmetrize,
 )
 from .errors import DimensionError, DomainError, UnsupportedError
-from .lattices import Coweight, IntMatrix, as_coweight, pairing
+from .lattices import Coweight, IntMatrix, as_integers, pairing
 from .multiplicities import weight_multiplicity
 
 
@@ -36,7 +36,7 @@ class Quiver:
 
     @staticmethod
     def of(vertices: int, edges) -> "Quiver":
-        edges = tuple(map(as_coweight, edges))
+        edges = tuple(as_integers(edge, "quiver edge") for edge in edges)
         for a, b in edges:
             if not (0 <= a < vertices and 0 <= b < vertices):
                 raise DimensionError(f"edge ({a},{b}) references a missing vertex")
@@ -81,7 +81,7 @@ class DimVectors:
 
     @staticmethod
     def of(v, w) -> "DimVectors":
-        return DimVectors(as_coweight(v), as_coweight(w))
+        return DimVectors(as_integers(v, "dimension vector"), as_integers(w, "dimension vector"))
 
     def check_against(self, q: Quiver) -> None:
         if len(self.v) != q.vertices or len(self.w) != q.vertices:

@@ -19,7 +19,7 @@ from sympy.polys.polyerrors import CoercionFailed
 from .abelian import AbelianTheory
 from .errors import DomainError
 from .higgs import HiggsTheory
-from .lattices import as_coweight
+from .lattices import as_integers
 from .monopole import _classical_dressing
 from .polynomial import Polynomial
 
@@ -85,7 +85,7 @@ def as_expr(rank: int, p: Polynomial) -> sympy.Expr:
 def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:
     """r^lam * r^{-lam} = prod_i <rho_i, w>^{|<rho_i, lam>|}, a nonzero
     polynomial: every monopole class is invertible after inverting the w's."""
-    lam = as_coweight(lam)
+    lam = as_integers(lam, "coweight")
     return as_expr(th.rank, _classical_dressing(th, lam) * _classical_dressing(th, tuple(-x for x in lam)))
 
 

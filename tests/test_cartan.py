@@ -633,16 +633,16 @@ def test_langlands_dual_runs_no_elimination_and_no_kernel(monkeypatch):
     assert calls == [] and cartan._dual_datum.cache_info().misses == 2
 
 
-@pytest.mark.parametrize("read", [
-    lambda: validate_and_symmetrize([[2, -1.5], [-1, 2]]),
-    lambda: KMWeight.of([1.7, 2]),
-    lambda: KMWeight.of([1, 2], delta=0.5),
-    lambda: KMWeight.of(["1", 2]),
+@pytest.mark.parametrize("read, noun", [
+    (lambda: validate_and_symmetrize([[2, -1.5], [-1, 2]]), "Cartan matrix"),
+    (lambda: KMWeight.of([1.7, 2]), "weight"),
+    (lambda: KMWeight.of([1, 2], delta=0.5), "weight"),
+    (lambda: KMWeight.of(["1", 2]), "weight"),
 ], ids=["cartan-entry", "weight-coordinate", "weight-delta", "weight-string"])
-def test_cartan_inputs_that_are_not_integers_are_domain_errors(read):
+def test_cartan_inputs_that_are_not_integers_are_domain_errors(read, noun):
     # each entry was read through int(): [[2, -1.5], [-1, 2]] validated as A2, and
-    # KMWeight.of([1.7, 2], delta=0.5) was (1, 2) with delta 0
-    with pytest.raises(DomainError, match="must be integers"):
+    # KMWeight.of([1.7, 2], delta=0.5) was (1, 2) with delta 0; the error names what was read
+    with pytest.raises(DomainError, match=f"^{noun} entries must be integers"):
         read()
     assert KMWeight.of([1.0, 2], delta=1.0) == KMWeight((1, 2), 1)
     assert validate_and_symmetrize([[2.0, -1], [-1, 2]]) == named_gcm("A2")

@@ -518,6 +518,25 @@ def test_timeout_covers_the_cartan_preparation(command, doc, timeout, slack):
     assert elapsed < timeout + slack
 
 
+@pytest.mark.parametrize("command, doc", [
+    (["abelian", "hilbert"], {"rank": 1, "characters": [[1], [1], [1]]}),
+    (["hypertoric", "compare"], [[1], [1], [1]]),
+], ids=["abelian-hilbert", "hypertoric-compare"])
+def test_timeout_reaches_inside_the_koszul_count(command, doc):
+    # untimed, max-deg 100000 takes 2.5 s (abelian hilbert) and 4.4 s (hypertoric compare);
+    # the count checks the deadline before each move and each output degree
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", *command, "--max-deg", "100000", "--timeout", "0.5"],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("cancelled: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 1.5
+
+
 def test_running_out_of_memory_is_exit_3_without_a_traceback():
     # the dense 10^5 x 10^5 Cartan matrix does not fit: this ended in a MemoryError traceback
     def cap_address_space():

@@ -70,7 +70,7 @@ def test_charge_matrix_validation():
 @pytest.mark.parametrize("entry", [1.7, "2", None, float("nan")])
 def test_charges_that_are_not_integers_are_domain_errors(entry):
     # each entry was read through int(): [[1.7], [2]] became the charges ((1,), (2,))
-    with pytest.raises(DomainError, match="must be integers"):
+    with pytest.raises(DomainError, match="^charge entries must be integers"):
         HiggsTheory.of([[entry], [2]])
     assert HiggsTheory.of([[1.0], [2]]) == HiggsTheory.of([[1], [2]])
 

@@ -347,14 +347,15 @@ def _koszul_inputs(count, seed):
 
 
 def test_koszul_counts_match_tuple_dp(monkeypatch):
-    # the integer keys against the tuple keys, and every filter kind and the torsion carry on the way
-    kinds, lookups = [], {lattices._Carry: 0, lattices._Member: 0}
+    # the relation-vector DP against the tuple keys, through every kind of pair, the torsion
+    # carry and the residue of a class modulo a subgroup of index above 1
+    kinds, lookups = [], {lattices._Carry: 0, lattices._Residue: 0}
     flag_keys = lattices._flag_keys
 
     def recorded(*args):
-        steps, radix, prunes = flag_keys(*args)
-        kinds.extend("index 1" if p is None else "rank" if type(p) is tuple else "index > 1" for p in prunes)
-        return steps, radix, prunes
+        pairs, radix = flag_keys(*args)
+        kinds.extend("rank" if index == 0 else "index 1" if index == 1 else "index > 1" for _, _, index, _ in pairs)
+        return pairs, radix
 
     def counted(memo):
         missing = memo.__missing__
@@ -367,7 +368,7 @@ def test_koszul_counts_match_tuple_dp(monkeypatch):
 
     monkeypatch.setattr(lattices, "_flag_keys", recorded)
     counted(lattices._Carry)
-    counted(lattices._Member)
+    counted(lattices._Residue)
     cases = 0
     for weights, moduli, top, power in _koszul_inputs(600, seed=19):
         want = tuple_koszul_counts(weights, moduli, top, power)
@@ -378,7 +379,6 @@ def test_koszul_counts_match_tuple_dp(monkeypatch):
     assert min(lookups.values()) >= 100, lookups
 
 
-
 def _in_span_by_smith(c, gens):
     """Reference oracle: c lies in the span of ``gens`` iff e_p divides (S c)_p, where S B T = E."""
     s, e, _ = smith_normal_form(IntMatrix(tuple(zip(*gens)) or ((),) * len(c)))
@@ -387,34 +387,41 @@ def _in_span_by_smith(c, gens):
 
 
 def test_flag_key_filters_keep_exactly_the_later_span():
-    # after pair i a class of H_{i-1} is kept iff it lies in H_i: the span of the torsion
-    # generators and the later weights; the classes reached are sums of up to `top` signed weights
+    # pair i sends a class c of H_{i-1} to exactly the m with c + m w_i in H_i, the span of the
+    # torsion generators and the later weights; the classes reached are sums of up to `top`
+    # signed earlier weights, keyed by the earlier pairs' steps and carries
     checked = Counter()
     for weights, moduli, top, _ in _koszul_inputs(150, seed=29):
         top = min(top, 3)
-        steps, radix, prunes = lattices._flag_keys(weights, moduli, top)
+        pairs, radix = lattices._flag_keys(weights, moduli, top)
         torsion = [tuple(m if j == i else 0 for j in range(len(moduli))) for i, m in enumerate(moduli) if m]
-        for i, prune in enumerate(prunes):
-            if prune is None:
+        for i, (_, _, index, read) in enumerate(pairs):
+            if index == 1:
                 continue
-            for combo in (c for d in range(top + 1) for c in combinations_with_replacement(range(2 * i + 2), d)):
-                cls = [0] * len(moduli)
-                key = 0
+            classes = {}
+            for combo in (c for d in range(top + 1) for c in combinations_with_replacement(range(2 * i), d)):
+                cls, key = [0] * len(moduli), 0
                 for j in combo:
-                    step, carry = steps[j]
-                    key += step + (0 if carry is None else carry[key % radix])
-                    cls = [a + (-b if j % 2 else b) for a, b in zip(cls, weights[j // 2])]
+                    step, carry, _, _ = pairs[j // 2]
+                    sign = -1 if j % 2 else 1
+                    key += sign * step + (0 if carry is None else carry[key % radix, sign])
+                    cls = [a + sign * b for a, b in zip(cls, weights[j // 2])]
+                classes[key] = cls
+            for key, cls in classes.items():
                 if not _in_span_by_smith(cls, torsion + weights[i:]):
                     continue
-                kept = prune[0] <= key <= prune[1] if type(prune) is tuple else prune[key]
-                assert kept == _in_span_by_smith(cls, torsion + weights[i + 1 :]), (weights, moduli, i, combo)
-                checked["rank" if type(prune) is tuple else "index > 1", kept] += 1
+                first = read[key] if index else -((key + read[0]) // read[1])
+                for m in range(-top, top + 1):
+                    allowed = (m - first) % index == 0 if index else m == first
+                    moved = [a + m * b for a, b in zip(cls, weights[i])]
+                    assert allowed == _in_span_by_smith(moved, torsion + weights[i + 1 :]), (weights, moduli, i, cls, m)
+                    checked["rank" if index == 0 else "index > 1", allowed] += 1
     assert len(checked) == 4 and min(checked.values()) >= 100, checked
 
 
 @pytest.mark.parametrize("entry", [2.5, "2", None])
 def test_matrix_entries_that_are_not_integers_are_domain_errors(entry):
     # each entry was read through int(): [[1, 2.5]] became the matrix ((1, 2),)
-    with pytest.raises(DomainError, match="must be integers"):
+    with pytest.raises(DomainError, match="^matrix entries must be integers"):
         IntMatrix.from_rows([[1, entry]])
     assert IntMatrix.from_rows([[1, 2.0]]) == IntMatrix(((1, 2),))

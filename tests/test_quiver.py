@@ -225,14 +225,14 @@ def test_fixed_point_weyl_invariance_dual_side():
         assert base == (weight_multiplicity(dual, lam, mu) > 0)
 
 
-@pytest.mark.parametrize("read", [
-    lambda: Quiver.of(2, [(0, 1.2)]),
-    lambda: DimVectors.of([1.5], [1]),
-    lambda: DimVectors.of([1], ["1"]),
+@pytest.mark.parametrize("read, noun", [
+    (lambda: Quiver.of(2, [(0, 1.2)]), "quiver edge"),
+    (lambda: DimVectors.of([1.5], [1]), "dimension vector"),
+    (lambda: DimVectors.of([1], ["1"]), "dimension vector"),
 ], ids=["edge", "v", "w"])
-def test_quiver_inputs_that_are_not_integers_are_domain_errors(read):
+def test_quiver_inputs_that_are_not_integers_are_domain_errors(read, noun):
     # each entry was read through int(): Quiver.of(2, [(0, 1.2)]) had the edge (0, 1)
-    with pytest.raises(DomainError, match="must be integers"):
+    with pytest.raises(DomainError, match=f"^{noun} entries must be integers"):
         read()
     assert Quiver.of(2, [(0, 1.0)]) == Quiver(2, ((0, 1),))
     assert DimVectors.of([1.0], [2]) == DimVectors((1,), (2,))
