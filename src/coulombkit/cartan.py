@@ -9,10 +9,12 @@ label a_j is 1, and every other alpha_i carries 0, so s . a = 1 against the
 primitive null vector a (in untwisted affine type that node plays alpha_0 in
 the usual alpha_0 = delta - theta).
 
-Validation reads A once into each row's off-diagonal nonzeros; the axioms, the
+A datum stores A once, as each row's off-diagonal nonzeros: validation reads an
+explicit matrix into them, and a quiver counts them off its edges.  The
 symmetrizer walk, one sparse elimination (a vertex of least degree first) for
-the type and the affine null vector, and ``root_combination`` read those, so
-they cost the datum's edges.  Root coordinates come from the Smith form
+the type and the affine null vector, ``root_combination`` and the dual read
+those, so they cost the datum's edges; the dense rows ``entries`` are written
+on first read, once per datum.  Root coordinates come from the Smith form
 U A V = D, the one exact-linear-algebra path.  Everything a solve reads is
 stored once per Cartan datum: the rows of U at the nonzero d_j, each scaled by
 den / d_j, the rows of U at the zero d_j, the columns of V at the nonzero d_j,
@@ -31,8 +33,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import compress
+from functools import cached_property, lru_cache, reduce
+from itertools import compress, repeat
 from operator import add, mul, sub
 
 from .cancel import check
@@ -76,19 +78,27 @@ class KMWeight:
 
 @dataclass(frozen=True)
 class GeneralizedCartanMatrix:
-    """Validated symmetrizable GCM with minimal symmetrizers and type tag."""
+    """Validated symmetrizable GCM with minimal symmetrizers and type tag.  A is stored only as
+    its rows' off-diagonal nonzeros; ``entries`` is written on first read, a checked row at a time."""
 
-    entries: tuple[tuple[int, ...], ...]
+    neighbours: tuple[dict[int, int], ...] = field(hash=False, repr=False)  # row i: {j != i: a_ij != 0}
     d: tuple[int, ...]                # minimal positive symmetrizers
     tag: str                          # "finite" | "affine" | "indefinite"
     null_vector: tuple[int, ...] | None       # primitive a with A a = 0 (affine)
     dual_labels: tuple[int, ...] | None       # primitive a^vee with a^vee A = 0 (affine)
     delta_split: tuple[int, ...] | None       # integer s with s . a = 1 (affine)
-    neighbours: tuple[dict[int, int], ...] = field(compare=False, repr=False)  # row i: {j != i: a_ij != 0}
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.neighbours)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        rows = []
+        for i, nz in enumerate(self.neighbours):
+            check()
+            rows.append(tuple(map({**nz, i: 2}.get, range(self.size), repeat(0))))
+        return tuple(rows)
 
     def simple_root(self, j: int) -> KMWeight:
         """alpha_j in (fundamental, delta) coordinates."""
@@ -226,7 +236,11 @@ def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
                 first = min(first, (p, q, 1, f"a[{p}][{q}] = 0 requires a[{q}][{p}] = 0"))
     if first < (n,):
         raise CartanError(first[-1])
+    return _datum(nbrs)
 
+
+def _datum(nbrs) -> GeneralizedCartanMatrix:
+    """Symmetrizers, type and labels of off-diagonal nonzeros that meet the GCM axioms."""
     d = _minimal_symmetrizers(nbrs)
     tag, vec = _eliminate(nbrs)
     null_vector = dual_labels = delta_split = None
@@ -234,11 +248,10 @@ def validate_and_symmetrize(raw) -> GeneralizedCartanMatrix:
         if any(x <= 0 for x in vec):
             raise CartanError("affine null vector is not positive")
         null_vector = tuple(vec)
-        dual = [d[i] * vec[i] for i in range(n)]
-        g = reduce(math.gcd, dual)
-        dual_labels = tuple(x // g for x in dual)
+        g = reduce(math.gcd, map(mul, d, vec))
+        dual_labels = tuple(x * y // g for x, y in zip(d, vec))
         delta_split = _delta_splitter(null_vector)
-    return GeneralizedCartanMatrix(tuple(a), d, tag, null_vector, dual_labels, delta_split, tuple(nbrs))
+    return GeneralizedCartanMatrix(tuple(nbrs), d, tag, null_vector, dual_labels, delta_split)
 
 
 def _delta_splitter(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -261,8 +274,8 @@ def _dual_datum(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
         at.append({j: nbrs[j][i] for j in row})
     labels = gcm.dual_labels
     split = None if labels is None else _delta_splitter(labels)
-    return GeneralizedCartanMatrix(tuple(zip(*gcm.entries)), _minimal_symmetrizers(at), gcm.tag, labels,
-                                   gcm.null_vector, split, tuple(at))
+    return GeneralizedCartanMatrix(tuple(at), _minimal_symmetrizers(at), gcm.tag, labels, gcm.null_vector,
+                                   split)
 
 
 def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:

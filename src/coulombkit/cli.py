@@ -222,7 +222,7 @@ def _depth(args) -> int:
 
 
 def _table_from_dims(dims: list[int]) -> list:
-    return jsonio.table_to_json(jsonio.dims_to_table(dims))
+    return [[jsonio.fraction_str(Fraction(t, 2)), d] for t, d in enumerate(dims)]
 
 
 # ------------------------------------------------------------ subcommands

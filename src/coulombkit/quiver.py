@@ -15,15 +15,15 @@ from .cancel import check
 from .cartan import (
     GeneralizedCartanMatrix,
     KMWeight,
+    _datum,
     central_element_as_root_sum,
     dominance_leq,
     in_positive_root_cone,
     langlands_dual,
     level,
-    validate_and_symmetrize,
 )
 from .errors import DimensionError, DomainError, UnsupportedError
-from .lattices import Coweight, IntMatrix, as_integers, pairing
+from .lattices import Coweight, as_integers, pairing
 from .multiplicities import weight_multiplicity
 
 
@@ -56,22 +56,14 @@ class Quiver:
         return all(a != b for a, b in self.edges)
 
     def cartan_matrix(self) -> GeneralizedCartanMatrix:
-        """Forget orientation: 2 on the diagonal minus edge counts elsewhere, one checked row at a time."""
+        """Forget orientation: 2 on the diagonal minus edge counts elsewhere.  Only the nonzeros are
+        counted off the edges; they meet the axioms, and the dense ``entries`` are written only when read."""
         if not self.loop_free:
             raise UnsupportedError("quivers with loops have no Kac-Moody datum")
-        ends = [[] for _ in range(self.vertices)]
+        nbrs = [{} for _ in range(self.vertices)]
         for s, t in self.edges:
-            ends[s].append(t)
-            ends[t].append(s)
-        rows = []
-        for i, js in enumerate(ends):
-            check()
-            row = [0] * self.vertices
-            row[i] = 2
-            for j in js:
-                row[j] -= 1
-            rows.append(tuple(row))
-        return validate_and_symmetrize(IntMatrix(tuple(rows)))
+            nbrs[s][t] = nbrs[t][s] = nbrs[s].get(t, 0) - 1
+        return _datum(nbrs)
 
 
 @dataclass(frozen=True)
@@ -274,7 +266,7 @@ def jordan_coulomb_hilbert(n: int, ell: int, max_deg) -> list[int]:
 
     Entry i is the dimension in degree i/2, counting size-n multisets of
     normal-form monomials x^a z^c and y^b z^c (b > 0), one degree at a time
-    with a deadline check before each.
+    and one multiset size at a time, with a deadline check before each.
     """
     if ell < 0:
         raise DomainError(f"ell must be positive, got {ell}")
@@ -286,9 +278,9 @@ def jordan_coulomb_hilbert(n: int, ell: int, max_deg) -> list[int]:
 
     top = top_half_degree(max_deg)
     h: list[int] = []  # h[t]: normal-form monomials of doubled degree t
-    # sym[j][t]: multisets of j of them; one of doubled degree t <= top has at most top
-    # members other than 1, so Sym^n agrees with Sym^top there when n > top
-    sym: list[list[int]] = [[] for _ in range(min(n, top) + 1)]
+    # sym[j][t]: multisets of j of them; one of doubled degree t <= top has at most top members
+    # other than 1, so Sym^n agrees with Sym^top there when n > top; row j grows at degree 0
+    sym: list[list[int]] = [[]]
     for t in range(top + 1):
         check()
         # x^a z^c and y^b z^c of doubled degree a * ell + 2c = t: one of each for every
@@ -296,7 +288,10 @@ def jordan_coulomb_hilbert(n: int, ell: int, max_deg) -> list[int]:
         xs = (t // ell + 2 - t % 2) // 2 if ell % 2 else (t // ell + 1) * (1 - t % 2)
         h.append(2 * xs - (1 - t % 2))
         sym[0].append(int(t == 0))
-        for j in range(1, len(sym)):
+        for j in range(1, min(n, top) + 1):
+            check()
+            if t == 0:
+                sym.append([])
             # Newton's identity: j Sym^j(s) = sum over k = 1..j of h(s^k) Sym^(j - k)(s)
             total = sum(h[d] * sym[j - k][t - d * k] for k in range(1, j + 1) for d in range(t // k + 1))
             sym[j].append(total // j)

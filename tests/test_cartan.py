@@ -1,5 +1,6 @@
 """Cartan data: axioms, symmetrizers, classification, duality, dominance."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -480,6 +481,22 @@ def test_validation_honours_the_token():
         validate_and_symmetrize(NAMED_CARTAN_MATRICES["A3"])
     with CancellationToken(60):
         assert validate_and_symmetrize(NAMED_CARTAN_MATRICES["A3"]) == named_gcm("A3")
+
+
+def test_a_datum_stores_its_nonzeros_and_writes_its_rows_once_when_read():
+    assert [f.name for f in dataclasses.fields(cartan.GeneralizedCartanMatrix)] == [
+        "neighbours", "d", "tag", "null_vector", "dual_labels", "delta_split"]
+    gcm = validate_and_symmetrize(NAMED_CARTAN_MATRICES["B3"])
+    assert gcm.neighbours == ({1: -1}, {0: -1, 2: -2}, {1: -1}) and "entries" not in vars(gcm)
+    cancelled = CancellationToken()
+    cancelled.cancel()
+    with pytest.raises(Cancelled), cancelled:
+        gcm.entries
+    assert "entries" not in vars(gcm)  # a cancelled read stores nothing
+    rows = gcm.entries
+    assert rows == tuple(map(tuple, NAMED_CARTAN_MATRICES["B3"])) and gcm.entries is rows
+    # the rows are no part of the datum's value: a datum whose rows were read equals a fresh one
+    assert gcm == named_gcm("B3") and hash(gcm) == hash(named_gcm("B3"))
 
 
 def test_root_coordinates_wrong_length():

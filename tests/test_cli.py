@@ -497,14 +497,16 @@ _TYPE_A_400 = [[2 if i == j else -(abs(i - j) == 1) for j in range(_N)] for i in
     # so --timeout 0.5 once exited 0 after 6.5 s
     (["km", "mult"], {"cartan": _TYPE_A_400, "lambda": {"fund": [1] + [0] * (_N - 1)},
                       "mu": {"fund": [1] + [0] * (_N - 1)}}, 0.5, 1),
-    # a slice that runs for over three times its deadline (0.50-0.75 s untimed); one dense
-    # Bareiss step ran between two checks, so at --timeout 3 this exited only after 3.56 s
-    (["quiver", "slice"], {"vertices": 3000, "edges": [[i, i + 1] for i in range(2999)],
-                           "v": [1] * 3000, "w": [2] + [0] * 2999}, 0.15, 0.5),
+    # a slice that runs for over three times its deadline (0.64-0.84 s untimed at 20000 vertices);
+    # one dense Bareiss step ran between two checks, so at --timeout 3 the 3000-vertex slice
+    # exited only after 3.56 s
+    (["quiver", "slice"], {"vertices": 20000, "edges": [[i, i + 1] for i in range(19999)],
+                           "v": [1] * 20000, "w": [2] + [0] * 19999}, 0.15, 0.5),
     # building the 3000 x 3000 matrix and its integer conversion and axiom loop took no
-    # token, so at --timeout 0.5 this exited 3 only after 2.3 s; a larger dense matrix costs
-    # hundreds of MB, so the deadline shrinks with the work instead
-    (["quiver", "slice"], {"vertices": 3000, "edges": [[i, i + 1] for i in range(2999)]}, 0.15, 1),
+    # token, so at --timeout 0.5 this exited 3 only after 2.3 s; a quiver's datum now costs its
+    # edges, so the quiver grew to keep the untimed run past three times the deadline (the id
+    # keeps the size the case was written for)
+    (["quiver", "slice"], {"vertices": 20000, "edges": [[i, i + 1] for i in range(19999)]}, 0.15, 1),
 ], ids=["km-mult", "quiver-slice", "quiver-slice-3000"])
 def test_timeout_covers_the_cartan_preparation(command, doc, timeout, slack):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -537,20 +539,52 @@ def test_timeout_reaches_inside_the_koszul_count(command, doc):
     assert elapsed < 1.5
 
 
-def test_running_out_of_memory_is_exit_3_without_a_traceback():
-    # the dense 10^5 x 10^5 Cartan matrix does not fit: this ended in a MemoryError traceback
+def test_timeout_reaches_inside_the_jordan_newton_sums():
+    # degree 0 alone runs sum_j j Newton steps over the 20001 rows it allocated before one
+    # check, so this was still running after 40 s; rows now grow under a check each
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", "jordan", "hilbert", "--max-deg", "20000", "--timeout", "0.5"],
+        input=json.dumps({"n": 20000, "ell": 1}), env=env, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("cancelled: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 1.5
+
+
+def _quiver_slice_under_1_5_gb(doc):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "coulombkit.cli", "quiver", "slice"],
-        input=json.dumps({"vertices": 100000, "edges": []}), env=env, capture_output=True, text=True,
-        timeout=120, preexec_fn=cap_address_space,
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space,
     )
+
+
+def test_running_out_of_memory_is_exit_3_without_a_traceback():
+    # the default dimension vectors of 10^8 vertices, 10^8 zeros each, do not fit; a MemoryError
+    # once ended in a traceback (the 10^5-vertex quiver that showed it now fits)
+    proc = _quiver_slice_under_1_5_gb({"vertices": 10**8, "edges": []})
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_edgeless_100000_vertex_slice_fits_and_answers():
+    # a quiver's datum holds only the nonzeros counted off its edges; the dense 10^5 x 10^5
+    # Cartan matrix it once built ran out of memory under this cap
+    start = time.monotonic()
+    proc = _quiver_slice_under_1_5_gb({"vertices": 100000, "edges": []})
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["lambda"] == out["mu"] == {"fund": [0] * 100000} and out["mu_dominant"] is True
+    assert elapsed < 5
 
 
 def _one_term(lam):

@@ -10,10 +10,11 @@ from coulombkit.cartan import (
     KMWeight,
     central_element_as_root_sum,
     dominance_leq,
+    langlands_dual,
     named_gcm,
     validate_and_symmetrize,
 )
-from coulombkit.errors import DomainError, UnsupportedError
+from coulombkit.errors import CoulombKitError, DomainError, UnsupportedError
 from coulombkit.monopole import AbelianTheory, hilbert_series
 from coulombkit.multiplicities import weight_multiplicity
 from coulombkit.quiver import (
@@ -56,6 +57,50 @@ def test_cartan_matrix_forgets_orientation():
     a = [[2, -2, 0, -1], [-2, 2, -1, 0], [0, -1, 2, -2], [-1, 0, -2, 2]]
     assert q.cartan_matrix() == validate_and_symmetrize(a)
     assert q.cartan_matrix().neighbours == validate_and_symmetrize(a).neighbours
+
+
+def _random_quiver(rng):
+    """Multi-edges, isolated vertices, trees, cycles, two disjoint triangles, or a triangle and a point."""
+    kind = rng.choice(["edges", "tree", "cycle", "triangles", "triangle-and-point"])
+    if kind == "edges":
+        n = rng.randint(0, 7)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n + 2))] if n > 1 else []
+    elif kind == "tree":
+        n = rng.randint(1, 8)
+        edges = [(rng.randrange(i), i) for i in range(1, n) for _ in range(rng.choice([1, 1, 1, 2]))]
+    elif kind == "cycle":
+        n = rng.randint(2, 8)
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    else:
+        n = 6 if kind == "triangles" else 4
+        edges = [(0, 1), (1, 2), (2, 0)] + ([(3, 4), (4, 5), (5, 3)] if n == 6 else [])
+    perm = rng.sample(range(n), n)
+    return Quiver.of(n, [(perm[b], perm[a]) if rng.random() < 0.5 else (perm[a], perm[b]) for a, b in edges])
+
+
+def _outcome(build):
+    try:
+        return build()
+    except CoulombKitError as exc:
+        return type(exc), str(exc)
+
+
+def test_quiver_datum_from_its_edges_matches_validating_its_dense_rows():
+    rng = random.Random(2201)
+    for _ in range(400):
+        q = _random_quiver(rng)
+        rows = [[2 if i == j else 0 for j in range(q.vertices)] for i in range(q.vertices)]
+        for s, t in q.edges:
+            rows[s][t] -= 1
+            rows[t][s] -= 1
+        got, want = _outcome(q.cartan_matrix), _outcome(lambda: validate_and_symmetrize(rows))
+        if isinstance(want, tuple):
+            assert got == want, q
+            continue
+        fields = ("neighbours", "entries", "d", "tag", "null_vector", "dual_labels", "delta_split")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], q
+        assert got == want and hash(got) == hash(want)
+        assert langlands_dual(got).entries == tuple(zip(*rows))
 
 
 def test_3000_vertex_linear_slice_within_a_second_and_a_half():
