@@ -33,7 +33,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import add, mul, sub
 
@@ -78,8 +78,7 @@ class KMWeight:
 
 @dataclass(frozen=True)
 class GeneralizedCartanMatrix:
-    """Validated symmetrizable GCM with minimal symmetrizers and type tag.  A is stored only as
-    its rows' off-diagonal nonzeros; ``entries`` is written on first read, a checked row at a time."""
+    """Validated symmetrizable GCM, stored as its rows' nonzeros; ``entries`` is written on first read."""
 
     neighbours: tuple[dict[int, int], ...] = field(hash=False, repr=False)  # row i: {j != i: a_ij != 0}
     d: tuple[int, ...]                # minimal positive symmetrizers
@@ -92,7 +91,8 @@ class GeneralizedCartanMatrix:
     def size(self) -> int:
         return len(self.neighbours)
 
-    @cached_property
+    @property
+    @lru_cache(maxsize=16)  # keyed by the datum, like the solve data; a cache on the instance slows its reads
     def entries(self) -> tuple[tuple[int, ...], ...]:
         rows = []
         for i, nz in enumerate(self.neighbours):
@@ -102,7 +102,7 @@ class GeneralizedCartanMatrix:
 
     def simple_root(self, j: int) -> KMWeight:
         """alpha_j in (fundamental, delta) coordinates."""
-        fund = tuple(self.entries[i][j] for i in range(self.size))
+        fund = tuple(2 if i == j else self.neighbours[i].get(j, 0) for i in range(self.size))
         delta = self.delta_split[j] if self.delta_split is not None else 0
         return KMWeight(fund, delta)
 
@@ -116,7 +116,7 @@ class GeneralizedCartanMatrix:
 
     def gram(self, i: int, j: int) -> int:
         """Invariant form on simple roots, normalized (alpha_i, alpha_i) = 2 d_i."""
-        return self.d[i] * self.entries[i][j]
+        return self.d[i] * (2 if i == j else self.neighbours[i].get(j, 0))
 
     def reflect(self, i: int, mu: KMWeight) -> KMWeight:
         """Simple reflection s_i acting on a weight."""

@@ -487,16 +487,18 @@ def test_a_datum_stores_its_nonzeros_and_writes_its_rows_once_when_read():
     assert [f.name for f in dataclasses.fields(cartan.GeneralizedCartanMatrix)] == [
         "neighbours", "d", "tag", "null_vector", "dual_labels", "delta_split"]
     gcm = validate_and_symmetrize(NAMED_CARTAN_MATRICES["B3"])
-    assert gcm.neighbours == ({1: -1}, {0: -1, 2: -2}, {1: -1}) and "entries" not in vars(gcm)
+    assert gcm.neighbours == ({1: -1}, {0: -1, 2: -2}, {1: -1})
+    rows = cartan.GeneralizedCartanMatrix.entries.fget
+    rows.cache_clear()
     cancelled = CancellationToken()
     cancelled.cancel()
     with pytest.raises(Cancelled), cancelled:
         gcm.entries
-    assert "entries" not in vars(gcm)  # a cancelled read stores nothing
-    rows = gcm.entries
-    assert rows == tuple(map(tuple, NAMED_CARTAN_MATRICES["B3"])) and gcm.entries is rows
-    # the rows are no part of the datum's value: a datum whose rows were read equals a fresh one
-    assert gcm == named_gcm("B3") and hash(gcm) == hash(named_gcm("B3"))
+    assert rows.cache_info().currsize == 0  # a cancelled read stores nothing
+    assert gcm.entries == tuple(map(tuple, NAMED_CARTAN_MATRICES["B3"]))
+    # written once per datum: an equal datum reads the same rows, and the instance is left as it was
+    assert named_gcm("B3").entries is gcm.entries and vars(gcm).keys() == vars(named_gcm("B3")).keys()
+    assert rows.cache_info().misses == 2 and gcm == named_gcm("B3") and hash(gcm) == hash(named_gcm("B3"))
 
 
 def test_root_coordinates_wrong_length():
