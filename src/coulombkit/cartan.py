@@ -80,7 +80,7 @@ class KMWeight:
 class GeneralizedCartanMatrix:
     """Validated symmetrizable GCM, stored as its rows' nonzeros; ``entries`` is written on first read."""
 
-    neighbours: tuple[dict[int, int], ...] = field(hash=False, repr=False)  # row i: {j != i: a_ij != 0}
+    neighbours: tuple[dict[int, int], ...] = field(hash=False)  # row i: {j != i: a_ij != 0}
     d: tuple[int, ...]                # minimal positive symmetrizers
     tag: str                          # "finite" | "affine" | "indefinite"
     null_vector: tuple[int, ...] | None       # primitive a with A a = 0 (affine)
