@@ -18,13 +18,14 @@ on first read, once per datum.  Root coordinates come from the Smith form
 U A V = D, the one exact-linear-algebra path.  Everything a solve reads is
 stored once per Cartan datum: the rows of U at the nonzero d_j, each scaled by
 den / d_j, the rows of U at the zero d_j, the columns of V at the nonzero d_j,
-and the common denominator den.  A query is then one zero-row check and two
-integer matrix-vector products (``in_positive_root_cone`` builds no
-``Fraction``).  The Langlands dual is read off the datum's own fields once per
-datum: the transpose has the same type and swaps the Kac labels (Kac, Sec. 2.1,
-Ch. 4), so only its nonzeros are transposed and its symmetrizers walked again;
-it and the solve data sit in an ``lru_cache`` keyed by the datum and are built
-under the deadline (``cancel.check``), so a cancelled pass stores nothing.
+and the common denominator den.  A solve (``_solve``) is then one zero-row check
+and two integer matrix-vector products, with no ``Fraction``; a Freudenthal table
+keeps the solve data it read and solves through it.  The Langlands dual is read
+off the datum's own fields once per datum: the transpose has the same type and
+swaps the Kac labels (Kac, Sec. 2.1, Ch. 4), so only its nonzeros are transposed
+and its symmetrizers walked again; it and the solve data sit in an ``lru_cache``
+keyed by the datum and are built under the deadline (``cancel.check``), so a
+cancelled pass stores nothing.
 """
 
 from __future__ import annotations
@@ -127,30 +128,30 @@ class GeneralizedCartanMatrix:
 
 
 def _minimal_symmetrizers(nbrs) -> tuple[int, ...]:
-    """Minimal positive symmetrizers: one walk along the nonzeros per connected component
-    from its first vertex fixes every ratio d_j / d_i; the deadline is checked at each vertex."""
-    ratio: list[Fraction | None] = [None] * len(nbrs)
-    for start in range(len(ratio)):
-        if ratio[start] is not None:
+    """Minimal positive symmetrizers: one walk along the nonzeros per connected component from
+    its first vertex fixes each d_j / d_i = a_ij / a_ji as num_j / den_j in lowest terms, in
+    integers, and d_j = num_j L / den_j for L the lcm of the den_j.  That is minimal: a prime p of L
+    does not divide d_j where den_j has the most factors p.  The deadline is checked at each vertex."""
+    num, den = [0] * len(nbrs), [1] * len(nbrs)
+    for start in range(len(num)):
+        if num[start]:
             continue
-        ratio[start] = Fraction(1)
+        num[start] = 1
         comp = [start]
         for i in comp:  # breadth first: the vertices appended below are walked in turn
             check()
             for j, x in nbrs[i].items():
-                # d_i a_ij = d_j a_ji  =>  d_j = d_i * a_ij / a_ji
-                val = ratio[i] * Fraction(x, nbrs[j][i])
-                if ratio[j] is None:
-                    ratio[j] = val
+                y = nbrs[j][i]
+                if not num[j]:
+                    g = -math.gcd(p := num[i] * x, q := den[i] * y)  # x, y < 0: num_j, den_j > 0
+                    num[j], den[j] = p // g, q // g
                     comp.append(j)
-                elif ratio[j] != val:
+                elif num[i] * x * den[j] != num[j] * y * den[i]:  # d_i a_ij = d_j a_ji
                     raise SymmetrizabilityError("matrix is not symmetrizable (cycle products disagree)")
-        lcm = reduce(math.lcm, (ratio[i].denominator for i in comp), 1)
-        scaled = [ratio[i] * lcm for i in comp]
-        g = reduce(math.gcd, (int(x) for x in scaled), 0)
-        for i, x in zip(comp, scaled):
-            ratio[i] = Fraction(int(x) // g)
-    return tuple(int(r) for r in ratio)
+        scale = reduce(math.lcm, (den[i] for i in comp))
+        for i in comp:
+            num[i] *= scale // den[i]
+    return tuple(num)
 
 
 def _eliminate(nbrs) -> tuple[str, list[int] | None]:
@@ -300,26 +301,27 @@ def _solve_data(gcm: GeneralizedCartanMatrix):
 
 
 def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
-    """(num, den) with num / den the simple-root coordinates of ``mu``, or None.
-
-    A c = mu becomes D y = U mu with c = V y.  A zero d_j meeting a nonzero
-    (U mu)_j makes the system inconsistent; otherwise y_j = (U mu)_j / d_j,
-    held over den.
-    """
     if len(mu.fund) != gcm.size:
         raise DimensionError("weight length does not match Cartan matrix size")
-    scaled, zero_rows, v_cut, den = _solve_data(gcm)
-    fund = mu.fund
+    return _solve(gcm, _solve_data(gcm), mu.fund, mu.delta)
+
+
+def _solve(gcm: GeneralizedCartanMatrix, data, fund, delta: int):
+    """(num, den) with num / den the simple-root coordinates of the weight with fundamental
+    coordinates ``fund`` and delta ``delta``, or None, read off the datum's solve data.  A c = mu
+    becomes D y = U mu with c = V y.  A zero d_j meeting a nonzero (U mu)_j makes the system
+    inconsistent; otherwise y_j = (U mu)_j / d_j, held over den."""
+    scaled, zero_rows, v_cut, den = data
     if zero_rows and any(sum(map(mul, row, fund)) for row in zero_rows):
         return None
     y = [sum(map(mul, row, fund)) for row in scaled]
     num = [sum(map(mul, row, y)) for row in v_cut]
     if not zero_rows:
-        return (num, den) if mu.delta == 0 else None
+        return (num, den) if delta == 0 else None
     if gcm.tag != "affine" or len(zero_rows) != 1:
         raise UnsupportedError("singular non-affine Cartan matrices are not supported")
     # the free coordinate moves along the null vector a, and s . c = delta pins it (s . a = 1)
-    t = den * mu.delta - sum(map(mul, gcm.delta_split, num))
+    t = den * delta - sum(map(mul, gcm.delta_split, num))
     return [x + t * a for x, a in zip(num, gcm.null_vector)], den
 
 
@@ -330,16 +332,17 @@ def root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
     affine type the delta coordinate pins down the null-vector direction.
     """
     sol = _scaled_root_coordinates(gcm, mu)
-    if sol is None:
-        return None
-    num, den = sol
-    return tuple(Fraction(x, den) for x in num)
+    return None if sol is None else tuple(Fraction(x, sol[1]) for x in sol[0])
 
 
 def in_positive_root_cone(gcm: GeneralizedCartanMatrix, mu: KMWeight) -> tuple[int, ...] | None:
     """Integer non-negative root coordinates of ``mu``, or None.  A datum's
     first solve runs its Smith pass under the deadline."""
-    sol = _scaled_root_coordinates(gcm, mu)
+    return _cone(_scaled_root_coordinates(gcm, mu))
+
+
+def _cone(sol) -> tuple[int, ...] | None:
+    """The coordinates of a solve when they are non-negative integers, else None."""
     if sol is None:
         return None
     num, den = sol

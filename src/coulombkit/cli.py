@@ -26,6 +26,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from itertools import count
 
 from . import jsonio, monopole, quiver
 from .abelian import hilbert_series
@@ -72,6 +73,8 @@ def _is_integer(x) -> bool:
 
 
 _TYPES = {"object": dict, "array": list, "string": str}
+# the array items the schema check in progress has visited: a small document never meets the deadline
+_items_seen = count(1)
 
 # keyword -> its failures (path below the instance, message) given (instance, keyword value,
 # enclosing schema), worded as jsonschema 4.26 words them; a keyword ignores instances of other types
@@ -92,8 +95,9 @@ _KEYWORDS = {
     if sub is False
     else (((k, *p), m) for k in extras for p, m in _errors(x[k], sub)),
     "items": lambda x, sub, s: ()
-    if not isinstance(x, list)
-    else (((i, *p), m) for i, v in enumerate(x) for p, m in _errors(v, sub)),
+    if not isinstance(x, list)  # check() returns None, so each 4096th item checks the deadline
+    else (((i, *p), m) for i, v in enumerate(x) if next(_items_seen) % 4096 or not check()
+          for p, m in _errors(v, sub)),
     # a bool is not a number, and NaN is not below any minimum
     "minimum": lambda x, n, s: [((), f"{x!r} is less than the minimum of {n!r}")]
     if isinstance(x, numbers.Number) and not isinstance(x, bool) and x < n
@@ -136,6 +140,8 @@ def _pointer(path) -> str:
 
 def validate_schema(doc, schema_name: str, prefix: str = "") -> list[str]:
     """Schema diagnostics with JSON-pointer paths, sorted by path; empty means valid."""
+    global _items_seen
+    _items_seen = count(1)
     errors = sorted(_errors(doc, _schemas()[schema_name]), key=lambda e: e[0])
     if errors:
         return [f"{prefix}{_pointer(path)}: {message}" for path, message in errors]

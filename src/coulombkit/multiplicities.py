@@ -6,22 +6,27 @@ below and store only nonzero entries, in exact arithmetic, uniformly for finite,
 affine and indefinite symmetrizable Cartan data.  Freudenthal's formula is
 summed only at dominant weights: any other weight takes the multiplicity of a
 Weyl conjugate in a lower layer, and a query is read at its dominant conjugate,
-so the table grows only to that conjugate's height.  Peterson's pair sums run
-in integers, layer h over lcm(1, ..., h)^2.  Finite-type tensor products come
-from the Brauer-Klimyk formula.  Height bounds make affine tables finite.
+so the table grows only to that conjugate's height.  A table holds the solve
+data from its first query and the dense columns of A; its reflections read the
+datum's nonzeros and its sums the root table's summands, so a query it has filled
+reads no cache keyed by the datum.  Peterson's pair sums run in integers, layer h
+over lcm(1, ..., h)^2.  Finite-type tensor products come from the Brauer-Klimyk
+formula.  Height bounds make affine tables finite.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .cancel import check
 from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
+from .cartan import _cone, _solve, _solve_data
 from .errors import DimensionError, DomainError, UnsupportedError
 
 RootVector = tuple[int, ...]  # coordinates over the simple roots
@@ -42,6 +47,9 @@ class RootTable:
     multiplicities: dict[RootVector, int] = field(default_factory=dict)
     c_values: dict[RootVector, Fraction] = field(default_factory=dict)
     norms: dict[RootVector, int] = field(default_factory=dict)
+    # (alpha, mult, (alpha, alpha), d alpha, height) per root, in height order: what Freudenthal's
+    # sums read, appended to by the tables that read it, so each datum's roots are listed once
+    summands: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def roots(self):
         return sorted(self.multiplicities, key=lambda b: (sum(b), b))
@@ -175,6 +183,7 @@ class FreudenthalTable:
         self.height, self._top = 0, {(0,) * gcm.size: lam.fund}
         self._mult: dict[RootVector, int] = dict.fromkeys(self._top, 1)
         self.evaluated = 1
+        self._data = self._columns = None
 
     def _dominant_depth(self, beta: RootVector, c: tuple[int, ...]) -> RootVector | None:
         """The depth of the dominant Weyl conjugate of lam - beta, or None when
@@ -182,14 +191,15 @@ class FreudenthalTable:
         fundamental coordinates of lam - beta, s_i adds c_i to beta_i; a
         negative c_i lowers the height, and a negative beta_i leaves the
         weights, which the Weyl group permutes (Kac, Prop. 10.1)."""
-        a, c, beta = self.gcm.entries, list(c), list(beta)
+        nbrs, c, beta = self.gcm.neighbours, list(c), list(beta)
         while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
             step = c[i]
             beta[i] += step
             if beta[i] < 0:
                 return None
-            for j, row in enumerate(a):
-                c[j] -= row[i] * step
+            c[i] -= 2 * step  # column i of A: a_ii = 2, and a_ji != 0 exactly where a_ij != 0
+            for j in nbrs[i]:
+                c[j] -= nbrs[j][i] * step
         return tuple(beta)
 
     def extend(self, height: int) -> None:
@@ -200,16 +210,18 @@ class FreudenthalTable:
         has a negative coordinate mu_i, and s_i moves it up -mu_i layers to a
         complete one; multiplicities are Weyl-invariant (Kac, Prop. 10.1), so it
         takes the multiplicity stored there, or 0 off the positive cone."""
-        gcm, lam, mult = self.gcm, self.lam.fund, self._mult
-        if len(lam) != gcm.size:
+        gcm, mult = self.gcm, self._mult
+        if len(self.lam.fund) != gcm.size:
             raise DimensionError("weight length does not match Cartan matrix size")
         if height <= self.height or not self._top:
             return
         table = _root_table(gcm)
         table.extend(height)
-        roots = [(alpha, m, table.norms[alpha], tuple(map(mul, gcm.d, alpha)))
-                 for alpha, m in table.multiplicities.items() if sum(alpha) <= height]
-        columns = list(zip(*gcm.entries))  # lam - beta - alpha_i has coordinates lam - beta - A e_i
+        (roots := table.summands).extend((a, m, table.norms[a], tuple(map(mul, gcm.d, a)), sum(a))
+                                         for a, m in islice(table.multiplicities.items(), len(roots), None))
+        roots = roots[:bisect_right(roots, height, key=itemgetter(4))]
+        # lam - beta - alpha_i is lam - beta - A e_i; the dense columns are read at the first fill
+        columns = self._columns = self._columns or list(zip(*gcm.entries))
         while self._top and self.height < height:
             below = {}
             for b, c in self._top.items():
@@ -231,12 +243,11 @@ class FreudenthalTable:
 
     def _freudenthal_sum(self, beta: RootVector, mu: tuple[int, ...], roots) -> int:
         """Freudenthal's formula at lam - beta, whose fundamental coordinates are
-        ``mu``, from the complete layers below it; ``roots`` holds each positive
-        root alpha with its multiplicity, (alpha, alpha) and d alpha."""
+        ``mu``, from the complete layers below it; ``roots`` are the root table's summands."""
         gcm, lam, mult = self.gcm, self.lam.fund, self._mult
         self.evaluated += 1
         num = 0
-        for alpha, m_alpha, norm, d_alpha in roots:
+        for alpha, m_alpha, norm, d_alpha, _ in roots:
             pairing = sum(map(mul, mu, d_alpha))  # (mu + k alpha, alpha) = pairing + k norm
             shifted, k = beta, 1
             while min(shifted := tuple(map(sub, shifted, alpha))) >= 0:
@@ -260,10 +271,25 @@ class FreudenthalTable:
         table grows only to that conjugate's height.  The solve gives beta with
         A beta the fundamental part of lam - mu (in affine type the null direction
         leaves A beta alone), so lam - A beta is mu.fund and is not recomputed."""
-        beta = in_positive_root_cone(self.gcm, self.lam - mu)
+        (lam := self.lam)._match(mu)  # "weights live on different Cartan data"
+        if self._data is None:
+            if len(lam.fund) != self.gcm.size:
+                raise DimensionError("weight length does not match Cartan matrix size")
+            self._data = _solve_data(self.gcm)  # under the deadline; a cancelled Smith pass stores nothing
+        beta = _cone(_solve(self.gcm, self._data, tuple(map(sub, lam.fund, mu.fund)), lam.delta - mu.delta))
         if beta is None or (beta := self._dominant_depth(beta, mu.fund)) is None:
             return 0
-        return self.multiplicity_at_depth(beta)
+        return self._mult.get(beta, 0) if sum(beta) <= self.height else self.multiplicity_at_depth(beta)
+
+    def _weight(self, beta: RootVector) -> KMWeight:
+        """lam - sum beta_i alpha_i, from the nonzeros of A's columns, under one deadline check."""
+        beta and check()  # at rank 0 there is no row to read, and no deadline is checked
+        fund, split, nbrs = list(self.lam.fund), self.gcm.delta_split or (), self.gcm.neighbours
+        for i, b in enumerate(beta):
+            fund[i] -= 2 * b
+            for j in nbrs[i] if b else ():
+                fund[j] -= nbrs[j][i] * b
+        return KMWeight(tuple(fund), self.lam.delta - sum(map(mul, split, beta)))
 
 
 _freudenthal = lru_cache(maxsize=128)(FreudenthalTable)
@@ -300,7 +326,7 @@ def weight_support(gcm: GeneralizedCartanMatrix, lam: KMWeight, depth: int | Non
     table = _freudenthal(gcm, lam)
     table.extend(depth)
     betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
-    return [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
+    return [(table._weight(b), table._mult[b]) for b in betas]
 
 
 def tensor_weight_mult(

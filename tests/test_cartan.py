@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -57,6 +58,70 @@ def test_b2_symmetrizers():
 def test_nonsymmetrizable_cycle():
     with pytest.raises(SymmetrizabilityError):
         validate_and_symmetrize([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
+
+
+def fraction_symmetrizers(nbrs):
+    """The symmetrizer walk in ``Fraction`` arithmetic: each d_j / d_start along the
+    breadth-first walk, then the component scaled by the lcm of their denominators."""
+    ratio = [None] * len(nbrs)
+    for start in range(len(ratio)):
+        if ratio[start] is not None:
+            continue
+        ratio[start] = Fraction(1)
+        comp = [start]
+        for i in comp:
+            for j, x in nbrs[i].items():
+                val = ratio[i] * Fraction(x, nbrs[j][i])
+                if ratio[j] is None:
+                    ratio[j] = val
+                    comp.append(j)
+                elif ratio[j] != val:
+                    raise SymmetrizabilityError("matrix is not symmetrizable (cycle products disagree)")
+        scaled = [ratio[i] * math.lcm(*(ratio[k].denominator for k in comp)) for i in comp]
+        g = math.gcd(*map(int, scaled))
+        for i, x in zip(comp, scaled):
+            ratio[i] = Fraction(int(x) // g)
+    return tuple(int(r) for r in ratio)
+
+
+def _random_neighbours(rng):
+    """Off-diagonal nonzeros on 1-9 vertices: most edges symmetrized by random d_i in
+    {1, 2, 3, 4, 6}, some with free entries, which rarely agree around a cycle; a chain
+    of bonds (-1, -2) sometimes follows, so the walk's ratios halve along it."""
+    n = rng.randint(1, 9)
+    d = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(n)]
+    nbrs = [{} for _ in range(n)]
+    for j in range(1, n):
+        for i in range(j):
+            if rng.random() < 0.4:
+                s = -rng.randint(1, 2) * math.lcm(d[i], d[j])
+                pair = (s // d[i], s // d[j]) if rng.random() < 0.8 else (rng.randint(-4, -1), rng.randint(-4, -1))
+                nbrs[i][j], nbrs[j][i] = pair
+    if rng.random() < 0.2:
+        nbrs += [{} for _ in range(rng.randint(1, 12))]
+        for i in range(n - 1, len(nbrs) - 1):
+            nbrs[i][i + 1], nbrs[i + 1][i] = -1, -2
+    return nbrs
+
+
+def test_integer_symmetrizers_match_the_fraction_walk():
+    rng = random.Random(76)
+    kinds = {}
+    for _ in range(4000):
+        nbrs = _random_neighbours(rng)
+        try:
+            want = fraction_symmetrizers(nbrs)
+        except SymmetrizabilityError as exc:
+            with pytest.raises(SymmetrizabilityError, match=f"^{re.escape(str(exc))}$"):
+                cartan._minimal_symmetrizers(nbrs)
+            kinds["not symmetrizable"] = kinds.get("not symmetrizable", 0) + 1
+            continue
+        assert cartan._minimal_symmetrizers(nbrs) == want, nbrs
+        kind = "d = 1" if set(want) == {1} else "d > 1"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) >= 400 and len(kinds) == 3, kinds
+    for gcm in ORACLE_DATA:
+        assert cartan._minimal_symmetrizers(gcm.neighbours) == fraction_symmetrizers(gcm.neighbours) == gcm.d
 
 
 def test_axiom_violations():

@@ -16,11 +16,12 @@ from itertools import product
 
 import pytest
 
-from coulombkit import multiplicities
+from coulombkit import cartan, multiplicities
 from coulombkit.cancel import CancellationToken
 from coulombkit.cartan import (
     NAMED_CARTAN_MATRICES,
     KMWeight,
+    in_positive_root_cone,
     langlands_dual,
     named_gcm,
     root_coordinates,
@@ -407,6 +408,74 @@ def test_query_path_matches_the_recomputing_oracle():
             want = tables[gcm, lam].multiplicity_at_depth(beta)
         assert weight_multiplicity(gcm, lam, mu) == want, (gcm.entries, lam, mu)
     assert len({gcm for gcm, _, _ in seen}) == len(QUERY_DATA)
+
+
+def parent_query(gcm, lam, mu, tables):
+    """The query as it read the datum before the table held its own data: a public
+    solve of lam - mu, the dense reduction, and a table filled to that depth."""
+    beta = in_positive_root_cone(gcm, lam - mu)
+    if beta is None or (beta := parent_dominant_depth(gcm, lam, beta)) is None:
+        return 0
+    if (gcm, lam) not in tables:
+        tables[gcm, lam] = FreudenthalTable(gcm, lam)
+    return tables[gcm, lam].multiplicity_at_depth(beta)
+
+
+def test_table_queries_and_supports_match_the_parent_path():
+    # named finite and affine data, the twisted A2^(2), a hyperbolic datum and rank 0; mu off
+    # the root lattice, and a nonzero delta in finite type, answer 0
+    data = QUERY_DATA + [named_gcm("C3"), validate_and_symmetrize([])]
+    rng, tables, kinds = random.Random(3008), {}, set()
+    for _ in range(900):
+        gcm = rng.choice(data)
+        lam = KMWeight.of([rng.randint(0, 2) for _ in range(gcm.size)], rng.randint(-1, 1))
+        mu = lam - gcm.root_combination([rng.randint(-1, 3) for _ in range(gcm.size)])
+        for _ in range(rng.randint(0, 2)) if gcm.size else ():
+            mu = gcm.reflect(rng.randrange(gcm.size), mu)
+        if rng.random() < 0.25:
+            mu = KMWeight(mu.fund, mu.delta + rng.choice((-1, 1))) if rng.random() < 0.5 else \
+                KMWeight(tuple(x + rng.randint(-1, 1) for x in mu.fund), mu.delta)
+        want = parent_query(gcm, lam, mu, tables)
+        assert weight_multiplicity(gcm, lam, mu) == want, (gcm.entries, lam, mu)
+        kinds.add((gcm.tag, gcm.size, want > 0, gcm.tag == "finite" and mu.delta != lam.delta))
+    assert {(tag, m) for tag, _, m, _ in kinds} >= {(t, m) for t in ("finite", "affine", "indefinite") for m in (0, 1)}
+    # rank 0, and lam - mu with a nonzero delta in finite type, at rank 0 and above
+    assert {("finite", 0, True, False), ("finite", 0, False, True)} <= kinds
+    assert any(off and size for _, size, _, off in kinds)
+    for gcm in data:
+        lam = KMWeight.of([rng.randint(0, 2) for _ in range(gcm.size)], rng.randint(-1, 1))
+        depth = rng.randint(0, 5)
+        table = FreudenthalTable(gcm, lam)
+        table.extend(depth)
+        betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
+        want = [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
+        assert weight_support(gcm, lam, depth) == want, (gcm.entries, lam, depth)
+
+
+def test_table_queries_raise_the_parent_errors_in_its_order():
+    gcm = named_gcm("A2")
+    for lam, mu, message in [
+        ((1, 0), (1, 0, 0), "weights live on different Cartan data"),
+        ((1, 0, 0), (1, 0), "weights live on different Cartan data"),
+        ((1, 0, 0), (1, 0, 0), "weight length does not match Cartan matrix size"),
+    ]:
+        for _ in range(2):  # a failed query leaves the table as it was
+            with pytest.raises(DimensionError, match=f"^{message}$"):
+                weight_multiplicity(gcm, KMWeight.of(lam), KMWeight.of(mu))
+    with pytest.raises(DomainError, match="^highest weight must be dominant$"):
+        weight_multiplicity(gcm, KMWeight.of((-1, 0, 0)), KMWeight.of((1, 0)))
+
+
+def test_a_warm_query_reads_only_the_table():
+    # the table holds its solve data and reads the datum's nonzeros, so a query it has filled reads no datum cache
+    gcm, lam = named_gcm("B3"), KMWeight.of((1, 1, 1))
+    support = weight_support(gcm, lam)
+    for mu, _ in support:
+        weight_multiplicity(gcm, lam, mu)
+    rows = type(gcm).entries.fget
+    before = cartan._solve_data.cache_info(), rows.cache_info()
+    assert [(mu, weight_multiplicity(gcm, lam, mu)) for mu, _ in support] == support
+    assert (cartan._solve_data.cache_info(), rows.cache_info()) == before
 
 
 def test_affine_queries_reduce_before_filling():

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from test_cli_fuzz import BAD_LEAVES, SCHEMAS, _slots, cartan, element, mutated, quiver, theory, vector, weight
 
 from coulombkit import cli
+from coulombkit.cancel import CancellationToken
+from coulombkit.errors import Cancelled
 
 KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "minimum",
             "minItems", "maxItems", "oneOf", "pattern"}
@@ -166,3 +168,16 @@ def test_a_large_valid_matrix_is_checked_quickly():
     start = time.perf_counter()
     assert cli.validate_schema({"matrix": a}, "gcm") == []
     assert time.perf_counter() - start < 0.8
+
+
+def test_the_schema_check_meets_an_expired_deadline():
+    # a 300000-vertex linear quiver took 2.2 s to check with no deadline check; every 4096th array
+    # item of a document checks it now, so a small document is still checked in full
+    with CancellationToken(0):
+        assert cli.validate_schema({"vertices": 3, "edges": [[0, 1], [1, 2]], "v": [1, 1, 1]}, "quiver") == []
+    n = 300000
+    doc = {"vertices": n, "edges": [[i, i + 1] for i in range(n - 1)], "v": [1] * n, "w": [2] + [0] * (n - 1)}
+    start = time.perf_counter()
+    with pytest.raises(Cancelled), CancellationToken(0):
+        cli.validate_schema(doc, "quiver")
+    assert time.perf_counter() - start < 0.1
