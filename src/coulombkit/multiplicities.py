@@ -7,9 +7,9 @@ affine and indefinite symmetrizable Cartan data.  Freudenthal's formula is
 summed only at dominant weights: any other weight takes the multiplicity of a
 Weyl conjugate in a lower layer, and a query is read at its dominant conjugate,
 so the table grows only to that conjugate's height.  A table holds the solve
-data from its first query and the dense columns of A; its reflections read the
-datum's nonzeros and its sums the root table's summands, so a query it has filled
-reads no cache keyed by the datum.  Peterson's pair sums run in integers, layer h
+data from its first query; its reflections read the datum's nonzeros, so a query
+it has filled reads no cache keyed by the datum.  Its sums read the summands the
+shared root table lists as it grows.  Peterson's pair sums run in integers, layer h
 over lcm(1, ..., h)^2.  Finite-type tensor products come from the Brauer-Klimyk
 formula.  Height bounds make affine tables finite.
 """
@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
@@ -47,8 +47,8 @@ class RootTable:
     multiplicities: dict[RootVector, int] = field(default_factory=dict)
     c_values: dict[RootVector, Fraction] = field(default_factory=dict)
     norms: dict[RootVector, int] = field(default_factory=dict)
-    # (alpha, mult, (alpha, alpha), d alpha, height) per root, in height order: what Freudenthal's
-    # sums read, appended to by the tables that read it, so each datum's roots are listed once
+    # (alpha, mult, (alpha, alpha), d alpha, height) per root of ``multiplicities``, in its order:
+    # what Freudenthal's sums read, appended to as each layer is committed
     summands: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def roots(self):
@@ -123,6 +123,7 @@ class RootTable:
             c.update((beta, Fraction(cb, scale)) for beta, cb in layer.items())
             mults.update(roots)
             self.norms.update(norms)
+            self.summands += [(b, m, norms[b], tuple(map(mul, gcm.d, b)), h) for b, m in roots.items()]
             self.height = h
             if not roots:
                 return
@@ -147,8 +148,10 @@ def root_multiplicities(gcm: GeneralizedCartanMatrix, height: int) -> RootTable:
         raise DomainError("height bound must be at least 1")
     (shared := _root_table(gcm)).extend(height)
     h = min(height, shared.height)
-    return RootTable(gcm, h, *({b: v for b, v in d.items() if sum(b) <= h}
-                              for d in (shared.multiplicities, shared.c_values, shared.norms)))
+    table = RootTable(gcm, h, *({b: v for b, v in d.items() if sum(b) <= h}
+                               for d in (shared.multiplicities, shared.c_values, shared.norms)))
+    table.summands = shared.summands[:len(table.multiplicities)]
+    return table
 
 
 @lru_cache(maxsize=16)
@@ -183,7 +186,7 @@ class FreudenthalTable:
         self.height, self._top = 0, {(0,) * gcm.size: lam.fund}
         self._mult: dict[RootVector, int] = dict.fromkeys(self._top, 1)
         self.evaluated = 1
-        self._data = self._columns = None
+        self._data = None
 
     def _dominant_depth(self, beta: RootVector, c: tuple[int, ...]) -> RootVector | None:
         """The depth of the dominant Weyl conjugate of lam - beta, or None when
@@ -210,18 +213,15 @@ class FreudenthalTable:
         has a negative coordinate mu_i, and s_i moves it up -mu_i layers to a
         complete one; multiplicities are Weyl-invariant (Kac, Prop. 10.1), so it
         takes the multiplicity stored there, or 0 off the positive cone."""
-        gcm, mult = self.gcm, self._mult
-        if len(self.lam.fund) != gcm.size:
+        gcm, lam, mult = self.gcm, self.lam.fund, self._mult
+        if len(lam) != gcm.size:
             raise DimensionError("weight length does not match Cartan matrix size")
         if height <= self.height or not self._top:
             return
         table = _root_table(gcm)
         table.extend(height)
-        (roots := table.summands).extend((a, m, table.norms[a], tuple(map(mul, gcm.d, a)), sum(a))
-                                         for a, m in islice(table.multiplicities.items(), len(roots), None))
-        roots = roots[:bisect_right(roots, height, key=itemgetter(4))]
-        # lam - beta - alpha_i is lam - beta - A e_i; the dense columns are read at the first fill
-        columns = self._columns = self._columns or list(zip(*gcm.entries))
+        roots = table.summands[:bisect_right(table.summands, height, key=itemgetter(4))]
+        columns = list(zip(*gcm.entries))  # lam - beta - alpha_i has coordinates lam - beta - A e_i
         while self._top and self.height < height:
             below = {}
             for b, c in self._top.items():
@@ -279,17 +279,7 @@ class FreudenthalTable:
         beta = _cone(_solve(self.gcm, self._data, tuple(map(sub, lam.fund, mu.fund)), lam.delta - mu.delta))
         if beta is None or (beta := self._dominant_depth(beta, mu.fund)) is None:
             return 0
-        return self._mult.get(beta, 0) if sum(beta) <= self.height else self.multiplicity_at_depth(beta)
-
-    def _weight(self, beta: RootVector) -> KMWeight:
-        """lam - sum beta_i alpha_i, from the nonzeros of A's columns, under one deadline check."""
-        beta and check()  # at rank 0 there is no row to read, and no deadline is checked
-        fund, split, nbrs = list(self.lam.fund), self.gcm.delta_split or (), self.gcm.neighbours
-        for i, b in enumerate(beta):
-            fund[i] -= 2 * b
-            for j in nbrs[i] if b else ():
-                fund[j] -= nbrs[j][i] * b
-        return KMWeight(tuple(fund), self.lam.delta - sum(map(mul, split, beta)))
+        return self.multiplicity_at_depth(beta)
 
 
 _freudenthal = lru_cache(maxsize=128)(FreudenthalTable)
@@ -326,7 +316,7 @@ def weight_support(gcm: GeneralizedCartanMatrix, lam: KMWeight, depth: int | Non
     table = _freudenthal(gcm, lam)
     table.extend(depth)
     betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
-    return [(table._weight(b), table._mult[b]) for b in betas]
+    return [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
 
 
 def tensor_weight_mult(
