@@ -152,6 +152,11 @@ def test_root_table_extends_in_place():
         assert table.height == fresh.height == 7
         assert table.c_values == fresh.c_values
         assert table.multiplicities == fresh.multiplicities
+        # Freudenthal's summands list the roots in the multiplicities' order, a copied prefix included
+        assert table.summands == fresh.summands == fresh_root_table(gcm, 7).summands == [
+            (b, m, fresh.norms[b], tuple(x * d for x, d in zip(b, gcm.d)), sum(b))
+            for b, m in fresh.multiplicities.items()
+        ]
 
 
 # hyperbolic, the twisted affine A2^(2), and an indefinite rank-3 datum
