@@ -277,11 +277,19 @@ def _cmd_quiver_strata(doc, args):
         strata = strata_affine(gcm, lam, mu, _depth(args))
         return {
             "strata": [
-                {"kappa": jsonio.weight_to_json(k), "partition": list(p)} for k, p in strata
+                {"kappa": jsonio.weight_to_json(k), "partition": list(p)} for k, p in _checked(strata)
             ]
         }
     strata = strata_finite(gcm, lam, mu)
-    return {"strata": [jsonio.weight_to_json(k) for k in strata]}
+    return {"strata": [jsonio.weight_to_json(k) for k in _checked(strata)]}
+
+
+def _checked(items):
+    """``items`` with the deadline checked at every 4096th, so a long list of strata is converted under it."""
+    for i, item in enumerate(items, 1):
+        if i % 4096 == 0:
+            check()
+        yield item
 
 
 def _cmd_quiver_satake(doc, args):

@@ -9,7 +9,11 @@ Weyl conjugate in a lower layer, and a query is read at its dominant conjugate,
 so the table grows only to that conjugate's height.  A table holds the solve
 data from its first query; its reflections read the datum's nonzeros, so a query
 it has filled reads no cache keyed by the datum.  Its sums read the summands the
-shared root table lists as it grows.  Peterson's pair sums run in integers, layer h
+shared root table lists as it grows.  A table is cached by the datum and the
+highest weight's fundamental coordinates alone: it reads lam through lam - mu
+and lam.fund, and delta pairs to zero with every coroot, so V(lam + k delta) is
+V(lam) with every weight moved by k delta (Kac, Ch. 9-12), and every delta-shift
+of one highest weight reads the same table.  Peterson's pair sums run in integers, layer h
 over lcm(1, ..., h)^2.  Finite-type tensor products come from the Brauer-Klimyk
 formula.  Height bounds make affine tables finite.
 """
@@ -161,14 +165,19 @@ def _root_table(gcm: GeneralizedCartanMatrix) -> RootTable:
 
 
 def _dominant(gcm: GeneralizedCartanMatrix, mu: KMWeight) -> tuple[KMWeight, int]:
-    """The dominant Weyl conjugate of ``mu`` (finite type) and the sign det(w)
-    of a Weyl group element w that takes ``mu`` there."""
+    """The dominant Weyl conjugate of ``mu`` and the sign det(w) of a Weyl group element w that
+    takes ``mu`` there, in finite type, where a reflection leaves delta alone.  s_i sends the
+    fundamental coordinates c to c - c_i A e_i: c_i -> -c_i, and c_j -= a_ji c_i for each
+    neighbour j, read off the datum's nonzeros."""
     if len(mu.fund) != gcm.size:
         raise DimensionError("weight length does not match Cartan matrix size")
-    sign = 1
-    while (i := next((i for i, c in enumerate(mu.fund) if c < 0), None)) is not None:
-        mu, sign = gcm.reflect(i, mu), -sign
-    return mu, sign
+    nbrs, c, sign = gcm.neighbours, list(mu.fund), 1
+    while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
+        step = c[i]
+        c[i], sign = -step, -sign
+        for j in nbrs[i]:
+            c[j] -= nbrs[j][i] * step
+    return KMWeight(tuple(c), mu.delta), sign
 
 
 class FreudenthalTable:
@@ -282,12 +291,19 @@ class FreudenthalTable:
         return self.multiplicity_at_depth(beta)
 
 
-_freudenthal = lru_cache(maxsize=128)(FreudenthalTable)
+@lru_cache(maxsize=128)
+def _freudenthal(gcm: GeneralizedCartanMatrix, fund: tuple[int, ...]) -> FreudenthalTable:
+    """The table of V(sum fund_i varpi_i), shared by every delta-shift of that highest weight.
+    Keyed by the tuple, whose hash is cheaper than a ``KMWeight``'s on a warm query."""
+    return FreudenthalTable(gcm, KMWeight(fund))
 
 
 def weight_multiplicity(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> int:
-    """dim V_mu(lam) for the integrable highest-weight module V(lam)."""
-    return _freudenthal(gcm, lam).multiplicity(mu)
+    """dim V_mu(lam) for the integrable highest-weight module V(lam).  delta pairs to zero
+    with every coroot, so V(lam + k delta) is V(lam) with every weight moved by k delta: mu
+    is read in the table of lam.fund, moved by -lam.delta."""
+    table = _freudenthal(gcm, lam.fund)
+    return table.multiplicity(KMWeight(mu.fund, mu.delta - lam.delta) if lam.delta else mu)
 
 
 def antidominant_conjugate(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> KMWeight:
@@ -313,7 +329,7 @@ def weight_support(gcm: GeneralizedCartanMatrix, lam: KMWeight, depth: int | Non
         depth = default_support_depth(gcm, lam)
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    table = _freudenthal(gcm, lam)
+    table = _freudenthal(gcm, lam.fund)  # its weights moved by lam.delta are lam's
     table.extend(depth)
     betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
     return [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]

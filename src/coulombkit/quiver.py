@@ -9,7 +9,6 @@ Jordan-quiver symmetric-product Hilbert series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .cancel import check
 from .cartan import (
@@ -153,16 +152,58 @@ def fixed_point_nonempty(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeig
 def _dominant_interval(
     gcm: GeneralizedCartanMatrix, top: KMWeight, mu: KMWeight
 ) -> list[tuple[int, KMWeight]]:
-    """Dominant kappa with top >= kappa >= mu, as (height of top-kappa, kappa)."""
+    """Dominant kappa with top >= kappa >= mu, as (height of top-kappa, kappa).
+
+    kappa = top - sum u_j alpha_j with 0 <= u <= t, t the root coordinates of top - mu, and
+    <kappa, alpha_i^vee> = top_i - sum_j a_ij u_j.  A walk fixes u_0, u_1, ... in turn and keeps,
+    per vertex, the most that pairing can still reach: a_ij <= 0 for j != i, so the coordinates not
+    yet fixed raise it by at most the sum over them of (-a_ij) t_j.  A branch is cut when a vertex
+    cannot reach 0.  That uses only the GCM axioms, so no dominant kappa is cut in any type, and the
+    sorted list is the box scan's.  Fixing u_k moves the bounds of k and of its neighbours, read off
+    the datum's nonzeros, and backtracking undoes it: the walk holds O(n + nonzeros) integers, runs
+    on an explicit stack and checks the deadline once per node.
+    """
     t = in_positive_root_cone(gcm, top - mu)
     if t is None:
         return []
-    out = []
-    for u in iproduct(*[range(x + 1) for x in t]):
+    nbrs, n = gcm.neighbours, gcm.size
+    cols = [[(j, nbrs[j][k]) for j in nbrs[k]] for k in range(n)]  # (j, a_jk) for a_jk != 0, j != k
+    reach = [c - sum(x * t[j] for j, x in row.items()) for c, row in zip(top.fund, nbrs)]
+    if min(reach, default=0) < 0:
+        return []
+    out: list[tuple[int, KMWeight]] = []
+    u = [0] * n
+    # every bound is >= 0 whenever the walk moves to the next vertex; fixing u_k at v moves
+    # k's bound by -2 v and each neighbour j's by a_jk (t_k - v)
+    k, fresh = 0, True
+    while k >= 0:
+        if k == n:
+            out.append((sum(u), top - gcm.root_combination(u)))
+            k, fresh = k - 1, False
+            continue
+        tk, col = t[k], cols[k]
+        if fresh:
+            u[k] = 0
+            for j, x in col:
+                reach[j] += x * tk
+        elif u[k] < tk and reach[k] >= 2:
+            u[k] += 1
+            reach[k] -= 2
+            for j, x in col:
+                reach[j] -= x
+        else:  # u_k is at t_k, or a larger one would leave k below 0: undo and backtrack
+            v = u[k]
+            reach[k] += 2 * v
+            for j, x in col:
+                reach[j] -= x * (tk - v)
+            k, fresh = k - 1, False
+            continue
         check()
-        kappa = top - gcm.root_combination(u)
-        if gcm.is_dominant(kappa):
-            out.append((sum(u), kappa))
+        # u_k raises its neighbours' bounds as it grows, so a neighbour below 0 only skips this value
+        if all(reach[j] >= 0 for j, _ in col):
+            k, fresh = k + 1, True
+        else:
+            fresh = False
     out.sort(key=lambda p: (p[0], p[1].fund, p[1].delta))
     return out
 

@@ -554,6 +554,32 @@ def test_timeout_reaches_inside_the_jordan_newton_sums():
     assert elapsed < 1.5
 
 
+@pytest.mark.parametrize(
+    "doc, depth",
+    [
+        # A_n with lambda = k rho and mu = 0: untimed, A6 5rho takes 3.4 s and A9 2rho 7.3 s cold
+        ({"cartan": "A6", "lambda": {"fund": [5] * 6}, "mu": {"fund": [0] * 6}}, None),
+        ({"cartan": "A9", "lambda": {"fund": [2] * 9}, "mu": {"fund": [0] * 9}}, None),
+        # Lambda_0 down to Lambda_0 - 30 delta on A1~: 138,000 (kappa, partition) pairs, 5.0 s cold
+        ({"cartan": "A1~", "lambda": {"fund": [1, 0]}, "mu": {"fund": [1, 0], "delta": -30}}, 30),
+    ],
+    ids=["A6-5rho", "A9-2rho", "A1~-depth-30"],
+)
+def test_quiver_strata_meets_its_deadline(doc, depth):
+    # the strata are converted to JSON under the deadline too: 138,000 of them took 0.5 s unchecked
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["quiver", "strata", "--timeout", "0.5"] + (["--depth", str(depth)] if depth else [])
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", *argv],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("cancelled: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 1.5
+
+
 def _quiver_slice_under_1_5_gb(doc):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))

@@ -361,7 +361,7 @@ def test_freudenthal_sums_only_at_dominant_weights():
     multiplicities._freudenthal.cache_clear()
     gcm, lam = named_gcm("A4"), KMWeight.of((3, 3, 3, 3))
     assert weight_multiplicity(gcm, lam, KMWeight.of((0, 0, 0, 0))) == 1136
-    table = multiplicities._freudenthal(gcm, lam)
+    table = multiplicities._freudenthal(gcm, lam.fund)
     assert table.evaluated == 198
     assert len(table._mult) == 6968
 
@@ -489,7 +489,42 @@ def test_affine_queries_reduce_before_filling():
     multiplicities._freudenthal.cache_clear()
     gcm, lam = named_gcm("A1~"), KMWeight.of((1, 0))
     assert weight_multiplicity(gcm, lam, KMWeight((-3, 4), -12)) == 42
-    assert multiplicities._freudenthal(gcm, lam).height == 20
+    assert multiplicities._freudenthal(gcm, lam.fund).height == 20
+
+
+@pytest.mark.parametrize("a", [NAMED_CARTAN_MATRICES[name] for name in ("A1~", "A2~", "A3~")] + [[[2, -1], [-4, 2]]],
+                         ids=["A1~", "A2~", "A3~", "A2^(2)"])
+def test_every_delta_shift_of_a_highest_weight_reads_one_table(a):
+    # V(Lambda_0 + k delta) is V(Lambda_0) with every weight moved by k delta: one table serves all k
+    gcm = validate_and_symmetrize(a)
+    rng = random.Random(31)
+    multiplicities._freudenthal.cache_clear()
+    fund = (1,) + (0,) * (gcm.size - 1)
+    for k in range(-5, 6):
+        lam = KMWeight(fund, k)
+        for _ in range(12):
+            mu = lam - gcm.root_combination([rng.randint(0, 4) for _ in range(gcm.size)])
+            if rng.random() < 0.3:
+                mu = KMWeight(mu.fund, mu.delta + rng.randint(-2, 2))
+            assert weight_multiplicity(gcm, lam, mu) == FreudenthalTable(gcm, lam).multiplicity(mu), (lam, mu)
+        (table := FreudenthalTable(gcm, lam)).extend(3)
+        betas = sorted((b for b in table._mult if sum(b) <= 3), key=lambda b: (sum(b), b))
+        assert weight_support(gcm, lam, 3) == [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
+    assert multiplicities._freudenthal.cache_info().misses == 1
+
+
+def test_a_delta_on_finite_data_changes_no_answer():
+    # in finite type delta is no root-lattice direction: lam - mu with a nonzero delta has no weight space
+    rng = random.Random(32)
+    for name in ("A2", "B2", "G2", "A3"):
+        gcm = named_gcm(name)
+        for _ in range(25):
+            lam = KMWeight(tuple(rng.randint(0, 2) for _ in range(gcm.size)), rng.randint(-3, 3))
+            mu = lam - gcm.root_combination([rng.randint(0, 3) for _ in range(gcm.size)])
+            mu = KMWeight(mu.fund, mu.delta + rng.choice((0, 0, rng.randint(-2, 2))))
+            assert weight_multiplicity(gcm, lam, mu) == FreudenthalTable(gcm, lam).multiplicity(mu), (lam, mu)
+            assert [(nu.fund, m) for nu, m in weight_support(gcm, lam)] == \
+                [(nu.fund, m) for nu, m in weight_support(gcm, KMWeight(lam.fund))]
 
 
 def test_weight_multiplicity_requires_dominant():
@@ -547,6 +582,23 @@ def test_antidominant_conjugate():
     assert anti.fund == (-1, -1)
     with pytest.raises(UnsupportedError):
         antidominant_conjugate(named_gcm("A1~"), KMWeight.of((1, 0)))
+
+
+def reflecting_dominant(gcm, mu):
+    """The dominant conjugate and det(w) by simple reflections of ``KMWeight``s, in finite type."""
+    sign = 1
+    while (i := next((i for i, c in enumerate(mu.fund) if c < 0), None)) is not None:
+        mu, sign = gcm.reflect(i, mu), -sign
+    return mu, sign
+
+
+def test_dominant_conjugate_in_integers_matches_the_reflection_walk():
+    rng = random.Random(33)
+    for name in ("A1", "A3", "B2", "C2", "G2", "B3", "C3", "A5"):
+        gcm = named_gcm(name)
+        for _ in range(40):
+            mu = KMWeight(tuple(rng.randint(-4, 4) for _ in range(gcm.size)), rng.randint(-2, 2))
+            assert multiplicities._dominant(gcm, mu) == reflecting_dominant(gcm, mu), (name, mu)
 
 
 def test_tensor_weight_mult_examples():

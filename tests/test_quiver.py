@@ -1,8 +1,10 @@
 """Quiver bookkeeping, slice parameters, strata, and fixed-point shadows."""
 
 import random
+import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,7 @@ from coulombkit.cartan import (
     KMWeight,
     central_element_as_root_sum,
     dominance_leq,
+    in_positive_root_cone,
     langlands_dual,
     named_gcm,
     validate_and_symmetrize,
@@ -20,6 +23,7 @@ from coulombkit.multiplicities import weight_multiplicity
 from coulombkit.quiver import (
     DimVectors,
     Quiver,
+    _dominant_interval,
     cocharacter_split,
     dims_from_weights,
     fixed_point_nonempty,
@@ -176,6 +180,81 @@ def test_strata_finite():
     # mu not dominant: interval still enumerates dominant kappa only
     out = strata_finite(a1, two, KMWeight.of((-2,)))
     assert out == [two, zero]
+
+
+def box_interval(gcm, top, mu):
+    """Every u in the box 0 <= u <= t, t the root coordinates of top - mu, kept where
+    top - sum u_i alpha_i is dominant: the interval as it was found before the pruned walk."""
+    t = in_positive_root_cone(gcm, top - mu)
+    if t is None:
+        return []
+    out = []
+    for u in product(*[range(x + 1) for x in t]):
+        kappa = top - gcm.root_combination(u)
+        if gcm.is_dominant(kappa):
+            out.append((sum(u), kappa))
+    out.sort(key=lambda p: (p[0], p[1].fund, p[1].delta))
+    return out
+
+
+INTERVAL_DATA = [named_gcm(name) for name in ("A1", "A2", "A3", "A4", "B2", "C2", "G2", "B3", "C3",
+                                              "A1~", "A2~", "A3~")] + [
+    validate_and_symmetrize(a) for a in ([[2, -1], [-4, 2]], [[2, -3], [-3, 2]])
+]
+
+
+@pytest.mark.parametrize("gcm", INTERVAL_DATA, ids=lambda g: f"{g.tag}{g.size}:{g.d}")
+def test_dominant_interval_walk_matches_the_box_scan(gcm):
+    # tops not all dominant, mu both below top and off its root lattice, random delta on affine tops
+    rng = random.Random(hash(gcm.d) % 1000 + 12 * gcm.size)
+    n, found = gcm.size, 0
+    for _ in range(60):
+        top = KMWeight(tuple(rng.randint(-1, 4) for _ in range(n)), rng.randint(-3, 3) if gcm.tag == "affine" else 0)
+        mu = top - gcm.root_combination([rng.randint(0, 3 if n <= 3 else 2) for _ in range(n)])
+        if rng.random() < 0.2:
+            mu = KMWeight(tuple(rng.randint(-3, 3) for _ in range(n)), mu.delta)
+        want = box_interval(gcm, top, mu)
+        assert _dominant_interval(gcm, top, mu) == want, (top, mu)
+        found += len(want) > 1
+    assert found
+
+
+def dominant_closure(gcm, top, mu, roots):
+    """Dominant kappa >= mu reached from a dominant top by steps down positive roots through dominant
+    weights; in finite type that is every dominant kappa in [mu, top] (Stembridge, Adv. Math. 136, 1998)."""
+    seen, frontier = {top.fund}, [top]
+    while frontier:
+        nxt = []
+        for kappa in frontier:
+            for beta in roots:
+                nu = kappa - beta
+                if nu.fund not in seen and gcm.is_dominant(nu) and dominance_leq(mu, nu, gcm):
+                    seen.add(nu.fund)
+                    nxt.append(nu)
+        frontier = nxt
+    return seen
+
+
+def test_dominant_interval_on_a9_needs_no_stack():
+    # rho down to varpi_5 on A9: a box of 5.6 x 10^8 points holds 1486 dominant weights
+    gcm = named_gcm("A9")
+    top, mu = KMWeight((1,) * 9), KMWeight((0, 0, 0, 0, 1, 0, 0, 0, 0))
+    in_positive_root_cone(gcm, top - mu)  # the datum's Smith pass, before the limit
+    old, limit = sys.getrecursionlimit(), 1
+    while True:  # the least limit the interpreter accepts here is the current stack depth + 1
+        try:
+            sys.setrecursionlimit(limit)
+            break
+        except RecursionError:
+            limit += 1
+    try:
+        sys.setrecursionlimit(limit + 4)
+        got = _dominant_interval(gcm, top, mu)
+    finally:
+        sys.setrecursionlimit(old)
+    roots = [gcm.root_combination([int(i <= k <= j) for k in range(9)]) for i in range(9) for j in range(i, 9)]
+    assert {kappa.fund for _, kappa in got} == dominant_closure(gcm, top, mu, roots)
+    assert len(got) == 1486 and got[0] == (0, top) and got[-1][1] == mu
 
 
 def test_strata_affine_contains_endpoints():
