@@ -275,11 +275,8 @@ def _cmd_quiver_strata(doc, args):
     lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
     if gcm.tag == "affine":
         strata = strata_affine(gcm, lam, mu, _depth(args))
-        return {
-            "strata": [
-                {"kappa": jsonio.weight_to_json(k), "partition": list(p)} for k, p in _checked(strata)
-            ]
-        }
+        kappa = cache(jsonio.weight_to_json)  # every partition of a size shares its kappa's one dict
+        return {"strata": [{"kappa": kappa(k), "partition": list(p)} for k, p in _checked(strata)]}
     strata = strata_finite(gcm, lam, mu)
     return {"strata": [jsonio.weight_to_json(k) for k in _checked(strata)]}
 

@@ -7,9 +7,10 @@ the Poisson bracket and the cohomological grading live here; the
 birationality witness, a symbolic value, lives in ``symbolic``.  Coefficients
 are ``polynomial.Polynomial`` values, as in ``difference_ops``, with hbar's
 exponent always 0; a monopole dressing is a product of linear forms <rho_i, w>,
-so pulling an operator back divides by one linear form at a time.  The bracket
-is a closed form on the monopole basis and builds no operator.  The theory and
-the Hilbert series need no polynomials; they live in ``abelian`` and are re-exported.
+and ``_dressed`` alone multiplies one out, or divides by it, one form at a
+time.  The bracket is a closed form on the monopole basis and builds no
+operator.  The theory and the Hilbert series need no polynomials; they live in
+``abelian`` and are re-exported.
 """
 
 from __future__ import annotations
@@ -89,62 +90,50 @@ def _term_pairs(th: AbelianTheory, left, right):
                 (form, min(abs(p), abs(q)), p * abs(q)) for form, p, q in zip(forms, ps, qs) if p * q < 0]
 
 
+def _dressed(th: AbelianTheory, poly: Polynomial, pairs, descending: bool = False,
+             step=Polynomial.__mul__) -> Polynomial:
+    """``poly`` times the dressing given by its (linear form, exponent e) ``pairs``, one linear
+    factor at a time in their order, with one deadline check per factor: form^e, or with
+    ``descending`` prod_(0 <= j < e) (form - j hbar).  An exponent e <= 0 contributes nothing;
+    ``step=Polynomial.divide_linear`` divides by the dressing instead."""
+    hbar = (0,) * th.rank + (1,)
+    for form, e in pairs:
+        for j in range(e):
+            check()
+            poly = step(poly, Polynomial({**form.num, hbar: -j}) if descending and j else form)
+    return poly
+
+
+def _pairings(th: AbelianTheory, lam: Coweight) -> list:
+    """The dressing of u_lam as (<rho_i, w>, <rho_i, lam>) pairs, one per character."""
+    return [(_linear_form(th.rank, rho), pairing(lam, rho)) for rho in th.characters]
+
+
 def classical_product(th: AbelianTheory, a: CoulombElement, b: CoulombElement) -> CoulombElement:
     """Bilinear extension of the monopole product rule
 
         r^lam * r^mu = prod_i <rho_i, w>^{d_i} r^{lam+mu},
         d_i = (|<rho_i,lam>| + |<rho_i,mu>| - |<rho_i,lam+mu>|) / 2.
     """
-    acc = []
-    for lam, f, mu, g, factors in _term_pairs(th, _terms(th, a), _terms(th, b)):
-        prod = f * g
-        for form, d, _ in factors:
-            for _ in range(d):
-                check()
-                prod *= form
-        acc.append((tuple(map(add, lam, mu)), prod))
+    acc = [(tuple(map(add, lam, mu)), _dressed(th, f * g, [(form, d) for form, d, _ in factors]))
+           for lam, f, mu, g, factors in _term_pairs(th, _terms(th, a), _terms(th, b))]
     return CoulombElement(th.rank, _collect(acc))
 
 
-def _quantized_shift(th: AbelianTheory, lam: Coweight) -> Polynomial:
-    """The coefficient of u_lam: descending-factor dressing of e^lam by the
-    positive pairings, prod_i prod_{0 <= j < <rho_i, lam>} (<rho_i, w> - j hbar)."""
-    hbar = (0,) * th.rank + (1,)
-    poly = Polynomial.constant(th.rank + 1, 1)
-    for rho in th.characters:
-        form = _linear_form(th.rank, rho)
-        for j in range(pairing(lam, rho)):
-            check()
-            poly *= Polynomial({**form.num, hbar: -j}) if j else form
-    return poly
-
-
-def _dressing_factors(th: AbelianTheory, lam: Coweight) -> list[Polynomial]:
-    """The linear factors of the quantized dressing at hbar = 0, each
-    <rho_i, w> repeated max(0, <rho_i, lam>) times."""
-    return [_linear_form(th.rank, rho) for rho in th.characters for _ in range(pairing(lam, rho))]
-
-
-def _classical_dressing(th: AbelianTheory, lam: Coweight) -> Polynomial:
-    """The quantized dressing at hbar = 0: prod_i <rho_i, w>^max(0, <rho_i, lam>)."""
-    poly = Polynomial.constant(th.rank + 1, 1)
-    for form in _dressing_factors(th, lam):
-        poly *= form
-    return poly
-
-
 def quantize(th: AbelianTheory, a: CoulombElement) -> DifferenceOperator:
-    """Linear map f(w) r^lam -> f(w) u_lam into the difference-operator algebra."""
-    out = [(lam, f * _quantized_shift(th, lam)) for lam, f in _checked_terms(th, a)]
+    """Linear map f(w) r^lam -> f(w) u_lam into the difference-operator algebra: u_lam is e^lam
+    dressed by prod_i prod_{0 <= j < <rho_i, lam>} (<rho_i, w> - j hbar)."""
+    one = Polynomial.constant(th.rank + 1, 1)
+    out = [(lam, f * _dressed(th, one, _pairings(th, lam), True)) for lam, f in _checked_terms(th, a)]
     return DifferenceOperator(th.rank, _collect(out))
 
 
 def quantum_relation(th: AbelianTheory, lam) -> tuple[DifferenceOperator, DifferenceOperator]:
     """(u_lam u_{-lam}, u_{-lam} u_lam), both supported on e^0."""
     lam = as_integers(lam, "coweight")
-    neg = tuple(-x for x in lam)
-    up = DifferenceOperator.from_terms(th.rank, {lam: _quantized_shift(th, lam)})
-    down = DifferenceOperator.from_terms(th.rank, {neg: _quantized_shift(th, neg)})
+    one = Polynomial.constant(th.rank + 1, 1)
+    up, down = (DifferenceOperator.from_terms(th.rank, {nu: _dressed(th, one, _pairings(th, nu), True)})
+                for nu in (lam, tuple(-x for x in lam)))
     return dops.multiply(up, down), dops.multiply(down, up)
 
 
@@ -157,11 +146,9 @@ def element_from_operator(th: AbelianTheory, op: DifferenceOperator) -> CoulombE
         if poly.hbar_degree() > 0:
             raise LiftError("operator still involves hbar")
         try:
-            for form in _dressing_factors(th, lam):
-                poly = poly.divide_linear(form)
+            out.append((lam, _dressed(th, poly, _pairings(th, lam), step=Polynomial.divide_linear)))
         except LiftError:
             raise LiftError(f"coefficient at {lam} is not divisible by the monopole dressing") from None
-        out.append((lam, poly))
     return CoulombElement(th.rank, _collect(out))
 
 
@@ -174,18 +161,19 @@ def poisson(th: AbelianTheory, a: CoulombElement, b: CoulombElement) -> CoulombE
 
     The commutator of the quantizations has hbar-coefficient F d_lam G - G d_mu F with F = f D_lam,
     G = g D_mu and D_lam = prod_i rho_i^max(0, p_i), as the hbar-linear parts of the dressings cancel;
-    then D_lam D_mu = D_(lam+mu) prod_i rho_i^d_i and d_lam D_mu = D_mu sum_i max(0, q_i) p_i / rho_i."""
+    then D_lam D_mu = D_(lam+mu) prod_i rho_i^d_i and d_lam D_mu = D_mu sum_i max(0, q_i) p_i / rho_i.
+    The sum C reads the partial dressing D at the start of each factor, so where f d_lam g - g d_mu f
+    is zero, only the last factor's multiplications of D are skipped."""
     acc, left, right = [], _checked_terms(th, a), _checked_terms(th, b)
     for lam, f, mu, g, factors in _term_pairs(th, left, right):
+        lead = f * g.derivative(lam) - g * f.derivative(mu)
         dressing, c_sum = Polynomial.constant(th.rank + 1, 1), Polynomial({})
-        for form, d, c in factors:
+        for k, (form, d, c) in enumerate(factors, 1):
             check()
-            c_sum, dressing = c_sum * form + dressing * Polynomial.constant(th.rank + 1, c), dressing * form
-            for _ in range(d - 1):
-                check()
-                c_sum, dressing = c_sum * form, dressing * form
-        term = (f * g.derivative(lam) - g * f.derivative(mu)) * dressing + f * g * c_sum
-        acc.append((tuple(map(add, lam, mu)), term))
+            c_sum = _dressed(th, c_sum * form + dressing * Polynomial.constant(th.rank + 1, c), [(form, d - 1)])
+            if lead or k < len(factors):
+                dressing = _dressed(th, dressing, [(form, d)])
+        acc.append((tuple(map(add, lam, mu)), lead * dressing + f * g * c_sum))
     return CoulombElement(th.rank, _collect(acc))
 
 

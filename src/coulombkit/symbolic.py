@@ -20,7 +20,7 @@ from .abelian import AbelianTheory
 from .errors import DomainError
 from .higgs import HiggsTheory
 from .lattices import as_integers
-from .monopole import _classical_dressing
+from .monopole import CoulombElement, classical_product
 from .polynomial import Polynomial
 
 HBAR = sympy.Symbol("hbar")
@@ -86,7 +86,9 @@ def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:
     """r^lam * r^{-lam} = prod_i <rho_i, w>^{|<rho_i, lam>|}, a nonzero
     polynomial: every monopole class is invertible after inverting the w's."""
     lam = as_integers(lam, "coweight")
-    return as_expr(th.rank, _classical_dressing(th, lam) * _classical_dressing(th, tuple(-x for x in lam)))
+    up, down = (CoulombElement.monopole(th.rank, nu) for nu in (lam, tuple(-x for x in lam)))
+    ((_, coeff),) = classical_product(th, up, down).polys
+    return as_expr(th.rank, coeff)
 
 
 def higgs_variables(n: int) -> tuple[tuple[sympy.Symbol, ...], tuple[sympy.Symbol, ...]]:

@@ -580,6 +580,33 @@ def test_quiver_strata_meets_its_deadline(doc, depth):
     assert elapsed < 1.5
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        # A6 with lambda1 = lambda2 = 2 rho: 64 s untimed
+        (["km", "tensor"], lambda: {"cartan": "A6", "lambda1": {"fund": [2] * 6}, "lambda2": {"fund": [2] * 6}}),
+        # the dual multiplicity of A6 2rho at mu = 0: 9.2 s untimed
+        (["quiver", "satake"], lambda: {"cartan": "A6", "lambda": {"fund": [2] * 6}, "mu": {"fund": [0] * 6}}),
+        # a dense indefinite 1500 x 1500 matrix, -1 off the diagonal: 12 s untimed
+        (["km", "dual"], lambda: {"cartan": [[2 if i == j else -1 for j in range(1500)] for i in range(1500)]}),
+    ],
+    ids=["km-tensor", "quiver-satake", "km-dual"],
+)
+def test_kac_moody_queries_meet_their_deadline(command, doc):
+    # the document is encoded before the clock starts: the matrix is 7 MB of JSON
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    text = json.dumps(doc())
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", *command, "--timeout", "0.5"],
+        input=text, env=env, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("cancelled: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 1.5
+
+
 def _quiver_slice_under_1_5_gb(doc):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))

@@ -382,8 +382,9 @@ def test_classical_dressing_is_the_quantized_dressing_at_hbar_zero():
         )
         lam = tuple(rng.randint(-3, 3) for _ in range(rank))
         R = oracle_ring(rank)
-        got = monopole._classical_dressing(th, lam)
-        assert in_ring(R, got) == in_ring(R, monopole._quantized_shift(th, lam)).compose(R.gens[-1], 0)
+        one, pairs = Polynomial.constant(rank + 1, 1), monopole._pairings(th, lam)
+        got = monopole._dressed(th, one, pairs)
+        assert in_ring(R, got) == in_ring(R, monopole._dressed(th, one, pairs, True)).compose(R.gens[-1], 0)
         assert_canonical(got, rank)
 
 

@@ -19,7 +19,7 @@ from sympy.polys.rings import ring
 
 from coulombkit.difference_ops import DifferenceOperator, to_poly
 from coulombkit.errors import DomainError, LiftError
-from coulombkit.monopole import AbelianTheory, CoulombElement, _classical_dressing, element_from_operator
+from coulombkit.monopole import AbelianTheory, CoulombElement, _dressed, _pairings, element_from_operator
 from coulombkit.polynomial import Polynomial
 from coulombkit.symbolic import HBAR, as_expr, w_vars
 
@@ -136,7 +136,7 @@ def test_division_by_the_dressing_matches_div(case, exact):
     rank, chars, lam, quotient, addend = case
     R = oracle_ring(rank)
     th = AbelianTheory.of(rank, chars)
-    dressing = _classical_dressing(th, lam)
+    dressing = _dressed(th, Polynomial.constant(rank + 1, 1), _pairings(th, lam))
     coeff = Polynomial.from_fractions({m: Fraction(q) for m, q in quotient.items()}) * dressing
     if not exact:
         coeff += Polynomial.from_fractions({m: Fraction(q) for m, q in addend.items()})
