@@ -19,13 +19,15 @@ U A V = D, the one exact-linear-algebra path.  Everything a solve reads is
 stored once per Cartan datum: the rows of U at the nonzero d_j, each scaled by
 den / d_j, the rows of U at the zero d_j, the columns of V at the nonzero d_j,
 and the common denominator den.  A solve (``_solve``) is then one zero-row check
-and two integer matrix-vector products, with no ``Fraction``; a Freudenthal table
-keeps the solve data it read and solves through it.  The Langlands dual is read
+and two integer matrix-vector products, with no ``Fraction``.  The sum of a
+solve's coordinates is one form over (fund, delta) (``_height_form``, cached by
+the datum as well), which a Freudenthal table reads once and keeps with the solve
+data; it solves only above its filled layers.  The Langlands dual is read
 off the datum's own fields once per datum: the transpose has the same type and
-swaps the Kac labels (Kac, Sec. 2.1, Ch. 4), so only its nonzeros are transposed
-and its symmetrizers walked again; it and the solve data sit in an ``lru_cache``
-keyed by the datum and are built under the deadline (``cancel.check``), so a
-cancelled pass stores nothing.
+swaps the Kac labels (Kac, Sec. 2.1, Ch. 4), so only its nonzeros are
+transposed, and its symmetrizers are read off d over each component; it and the
+solve data sit in an ``lru_cache`` keyed by the datum and are built under the
+deadline (``cancel.check``), so a cancelled pass stores nothing.
 """
 
 from __future__ import annotations
@@ -268,19 +270,30 @@ def _dual_datum(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     """The transpose's datum without validating it again.  D A is symmetric, and
     the transpose's D' A^T is a positive multiple of D^-1 (D A) D^-1 on each
     component, so every principal minor keeps its sign and the tag stays.  a^vee A = 0
-    makes the Kac labels and the dual labels trade places."""
-    nbrs, at = gcm.neighbours, []
+    makes the Kac labels and the dual labels trade places.  The transpose's minimal
+    symmetrizers are L / d_i for L the lcm of d over the component of i: d_i a_ij = d_j a_ji
+    makes them symmetrize it, and their gcd is 1, so only the components are walked."""
+    nbrs, at, d = gcm.neighbours, [], [0] * gcm.size
     for i, row in enumerate(nbrs):
         check()
         at.append({j: nbrs[j][i] for j in row})
+    for start in range(gcm.size):
+        if not d[start]:
+            comp, seen = [start], {start}
+            for i in comp:  # breadth first, as the symmetrizer walk
+                check()
+                comp += (new := nbrs[i].keys() - seen)
+                seen |= new
+            scale = reduce(math.lcm, (gcm.d[i] for i in comp))
+            for i in comp:
+                d[i] = scale // gcm.d[i]
     labels = gcm.dual_labels
     split = None if labels is None else _delta_splitter(labels)
-    return GeneralizedCartanMatrix(tuple(at), _minimal_symmetrizers(at), gcm.tag, labels, gcm.null_vector,
-                                   split)
+    return GeneralizedCartanMatrix(tuple(at), tuple(d), gcm.tag, labels, gcm.null_vector, split)
 
 
 def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
-    """Replace the Cartan matrix by its transpose; symmetrizers are recomputed.
+    """Replace the Cartan matrix by its transpose, with its minimal symmetrizers.
     Built once per datum, so repeated calls return the same object."""
     return _dual_datum(gcm)
 
@@ -323,6 +336,22 @@ def _solve(gcm: GeneralizedCartanMatrix, data, fund, delta: int):
     # the free coordinate moves along the null vector a, and s . c = delta pins it (s . a = 1)
     t = den * delta - sum(map(mul, gcm.delta_split, num))
     return [x + t * a for x, a in zip(num, gcm.null_vector)], den
+
+
+@lru_cache(maxsize=16)
+def _height_form(gcm: GeneralizedCartanMatrix):
+    """(form, per_delta, den, zero, s): where ``_solve`` gives coordinates to (fund, delta), den
+    times their sum is form . fund + per_delta delta.  ``zero`` is the zero row of U (affine type;
+    () otherwise) and s the delta split (zeros outside affine type).  The coordinates sum to
+    (the column sums of V) . y over den, and in affine type the free coordinate t = den delta -
+    s . num adds t sum(a).  None for a singular non-affine datum, which every solve refuses."""
+    scaled, zero_rows, v_cut, den = _solve_data(gcm)
+    if zero_rows and (gcm.tag != "affine" or len(zero_rows) != 1):
+        return None
+    a, s = sum(gcm.null_vector or ()), gcm.delta_split or (0,) * gcm.size
+    w = [sum(col) - a * sum(map(mul, s, col)) for col in zip(*v_cut)]
+    form = tuple(sum(map(mul, w, col)) for col in zip(*scaled))
+    return form, den * a, den, zero_rows[0] if zero_rows else (), s
 
 
 def root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):

@@ -6,16 +6,17 @@ below and store only nonzero entries, in exact arithmetic, uniformly for finite,
 affine and indefinite symmetrizable Cartan data.  Freudenthal's formula is
 summed only at dominant weights: any other weight takes the multiplicity of a
 Weyl conjugate in a lower layer, and a query is read at its dominant conjugate,
-so the table grows only to that conjugate's height.  A table holds the solve
-data from its first query; its reflections read the datum's nonzeros, so a query
-it has filled reads no cache keyed by the datum.  Its sums read the summands the
-shared root table lists as it grows.  A table is cached by the datum and the
-highest weight's fundamental coordinates alone: it reads lam through lam - mu
-and lam.fund, and delta pairs to zero with every coroot, so V(lam + k delta) is
-V(lam) with every weight moved by k delta (Kac, Ch. 9-12), and every delta-shift
-of one highest weight reads the same table.  Peterson's pair sums run in integers, layer h
-over lcm(1, ..., h)^2.  Finite-type tensor products come from the Brauer-Klimyk
-formula.  Height bounds make affine tables finite.
+so the table grows only to that conjugate's height.  A table indexes its sums at
+dominant weights by (fund, delta) and reads a height form off the solve data at
+its first query; a query walks to its dominant conjugate over the datum's
+nonzeros, carrying height and delta, and reads the index, so a filled query
+solves nothing and reads no cache keyed by the datum.  Its sums read the
+summands the shared root table lists as it grows.  A table is cached by the
+datum and lam.fund alone: delta pairs to zero with every coroot, so V(lam + k
+delta) is V(lam) with every weight moved by k delta (Kac, Ch. 9-12), and every
+delta-shift of one highest weight reads the same table.  Peterson's pair sums
+run in integers, layer h over lcm(1, ..., h)^2.  Finite-type tensor products come
+from the Brauer-Klimyk formula.  Height bounds make affine tables finite.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from operator import add, itemgetter, mul, sub
 
 from .cancel import check
 from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
-from .cartan import _cone, _solve, _solve_data
+from .cartan import _cone, _height_form, _solve, _solve_data
 from .errors import DimensionError, DomainError, UnsupportedError
 
 RootVector = tuple[int, ...]  # coordinates over the simple roots
@@ -194,25 +195,10 @@ class FreudenthalTable:
         # _top: the weights of the layer at height, each with its fundamental coordinates
         self.height, self._top = 0, {(0,) * gcm.size: lam.fund}
         self._mult: dict[RootVector, int] = dict.fromkeys(self._top, 1)
+        # the nonzero sums at dominant weights, by fund, and in affine type by (fund, delta)
+        self._dominant = {(lam.fund, lam.delta) if gcm.delta_split else lam.fund: 1}
         self.evaluated = 1
-        self._data = None
-
-    def _dominant_depth(self, beta: RootVector, c: tuple[int, ...]) -> RootVector | None:
-        """The depth of the dominant Weyl conjugate of lam - beta, or None when
-        lam - beta is not a weight of V(lam).  With c = lam - A beta the
-        fundamental coordinates of lam - beta, s_i adds c_i to beta_i; a
-        negative c_i lowers the height, and a negative beta_i leaves the
-        weights, which the Weyl group permutes (Kac, Prop. 10.1)."""
-        nbrs, c, beta = self.gcm.neighbours, list(c), list(beta)
-        while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
-            step = c[i]
-            beta[i] += step
-            if beta[i] < 0:
-                return None
-            c[i] -= 2 * step  # column i of A: a_ii = 2, and a_ji != 0 exactly where a_ij != 0
-            for j in nbrs[i]:
-                c[j] -= nbrs[j][i] * step
-        return tuple(beta)
+        self._data = self._form = None
 
     def extend(self, height: int) -> None:
         """Every layer up to ``height``.  V(lam) = U(n^-) v_lam, so a weight of
@@ -268,6 +254,9 @@ class FreudenthalTable:
             raise UnsupportedError("Freudenthal recursion degenerate at " + repr(beta))
         q, r = divmod(2 * num, den) if den else (0, 0)
         assert r == 0 and q >= 0
+        if q:  # in affine type lam - beta has delta lam.delta - s . beta, s the delta split
+            split = gcm.delta_split
+            self._dominant[(mu, self.lam.delta - sum(map(mul, split, beta))) if split else mu] = q
         return q
 
     def multiplicity_at_depth(self, beta: RootVector) -> int:
@@ -276,19 +265,42 @@ class FreudenthalTable:
         return self._mult.get(beta, 0)
 
     def multiplicity(self, mu: KMWeight) -> int:
-        """dim of the weight space at mu, read at its dominant conjugate, so the
-        table grows only to that conjugate's height.  The solve gives beta with
-        A beta the fundamental part of lam - mu (in affine type the null direction
-        leaves A beta alone), so lam - A beta is mu.fund and is not recomputed."""
+        """dim of the weight space at mu, read at its dominant conjugate nu.  den times the
+        height of lam - mu is a form over (mu.fund, mu.delta) read off the solve data once;
+        s_i adds c_i to it and -c_i s_i to the delta.  Weights lie under lam (Kac, Prop. 11.2)
+        and outside affine type (no zero row) share its delta, so a negative height answers 0;
+        a covered nu is read in the index, and a deeper one is solved, so a layer is filled
+        only when lam - nu is in the positive root cone."""
         (lam := self.lam)._match(mu)  # "weights live on different Cartan data"
-        if self._data is None:
-            if len(lam.fund) != self.gcm.size:
+        gcm = self.gcm
+        if self._form is None:
+            if len(lam.fund) != gcm.size:
                 raise DimensionError("weight length does not match Cartan matrix size")
-            self._data = _solve_data(self.gcm)  # under the deadline; a cancelled Smith pass stores nothing
-        beta = _cone(_solve(self.gcm, self._data, tuple(map(sub, lam.fund, mu.fund)), lam.delta - mu.delta))
-        if beta is None or (beta := self._dominant_depth(beta, mu.fund)) is None:
+            self._data = _solve_data(gcm)  # under the deadline; a cancelled Smith pass stores nothing
+            if (shape := _height_form(gcm)) is None:  # singular, not affine: the solve raises or finds no weight
+                _solve(gcm, self._data, tuple(map(sub, lam.fund, mu.fund)), lam.delta - mu.delta)
+                return 0
+            form, per_delta, _, zero, _ = shape
+            self._form = *shape, sum(map(mul, form, lam.fund)) + per_delta * lam.delta, sum(map(mul, zero, lam.fund))
+        form, per_delta, den, zero, split, top, zero_top = self._form
+        c, delta = list(mu.fund), mu.delta
+        h, r = divmod(top - sum(map(mul, form, c)) - per_delta * delta, den)
+        if r or (sum(map(mul, zero, c)) != zero_top if zero else delta != lam.delta):
             return 0
-        return self.multiplicity_at_depth(beta)
+        nbrs = gcm.neighbours
+        while h >= 0 and (step := min(c, default=0)) < 0:
+            check()
+            i, h = c.index(step), h + step
+            c[i], delta = -step, delta - step * split[i]
+            for j in nbrs[i]:  # column i of A: a_ji != 0 exactly where a_ij != 0
+                c[j] -= nbrs[j][i] * step
+        nu = (tuple(c), delta) if zero else tuple(c)
+        if h < 0 or h > self.height and self._top and \
+                _cone(_solve(gcm, self._data, tuple(map(sub, lam.fund, c)), lam.delta - delta)) is None:
+            return 0
+        if h > self.height:
+            self.extend(h)
+        return self._dominant.get(nu, 0)
 
 
 @lru_cache(maxsize=128)

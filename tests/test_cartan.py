@@ -7,6 +7,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -730,3 +731,54 @@ def test_cartan_inputs_that_are_not_integers_are_domain_errors(read, noun):
         read()
     assert KMWeight.of([1.0, 2], delta=1.0) == KMWeight((1, 2), 1)
     assert validate_and_symmetrize([[2.0, -1], [-1, 2]]) == named_gcm("A2")
+
+
+def test_dual_symmetrizers_are_the_component_lcm_over_d():
+    # the transpose's minimal symmetrizers, walked again, equal L / d_i for L the lcm of d over
+    # the component of i: on every named datum, the twisted A2^(2), a hyperbolic datum, G2 + B2,
+    # and seeded block sums of those with their vertices permuted
+    blocks = [NAMED_CARTAN_MATRICES[name] for name in sorted(NAMED_CARTAN_MATRICES)]
+    blocks += [[[2, -1], [-4, 2]], [[2, -3], [-3, 2]]]
+
+    def block_sum(parts):
+        a = []
+        for b in parts:
+            a = [row + [0] * len(b) for row in a] + [[0] * len(a) + list(r) for r in b]
+        return a
+
+    data = [validate_and_symmetrize(a) for a in blocks]
+    data.append(validate_and_symmetrize(block_sum([NAMED_CARTAN_MATRICES["G2"], NAMED_CARTAN_MATRICES["B2"]])))
+    rng = random.Random(34)
+    while len(data) < 80:
+        parts = rng.sample([b for b in blocks if len(b) < 9], rng.randint(2, 4))
+        try:
+            data.append(_permuted(validate_and_symmetrize(block_sum(parts)), rng))
+        except CoulombKitError:  # two affine blocks, or an affine and a finite one, are not supported
+            pass
+    assert len(data) == 80 and any(len(set(g.d)) > 2 for g in data)
+    for gcm in data:
+        at = [{j: gcm.neighbours[j][i] for j in row} for i, row in enumerate(gcm.neighbours)]
+        assert langlands_dual(gcm).d == cartan._minimal_symmetrizers(at), gcm.entries
+
+
+def test_height_form_sums_every_solve():
+    # den times the sum of a solve's coordinates is one form over (fund, delta), and the
+    # affine zero row is the solve's own consistency check; a singular non-affine datum has none
+    rng = random.Random(35)
+    singular = validate_and_symmetrize([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]])
+    assert singular.tag == "indefinite" and cartan._height_form(singular) is None
+    kinds = set()
+    for gcm in ORACLE_DATA[::7]:
+        shape = cartan._height_form(gcm)
+        if shape is None:
+            continue
+        form, per_delta, den, zero, split = shape
+        assert den == cartan._solve_data(gcm)[3] and split == (gcm.delta_split or (0,) * gcm.size)
+        for _ in range(6):
+            fund, delta = tuple(rng.randint(-5, 5) for _ in range(gcm.size)), rng.randint(-3, 3)
+            sol = cartan._solve(gcm, cartan._solve_data(gcm), fund, delta)
+            assert (sol is None) == (sum(map(mul, zero, fund)) != 0 or gcm.tag != "affine" and delta != 0)
+            if sol is not None:
+                assert sum(sol[0]) == sum(map(mul, form, fund)) + per_delta * delta
+                kinds.add(gcm.tag)
+    assert kinds == {"finite", "affine", "indefinite"}

@@ -483,6 +483,92 @@ def test_a_warm_query_reads_only_the_table():
     assert (cartan._solve_data.cache_info(), rows.cache_info()) == before
 
 
+class SolvingTable(FreudenthalTable):
+    """The query path before the index of dominant weights: lam - mu solved into the
+    positive root cone, then beta walked to the depth of the dominant conjugate of mu
+    (s_i adds c_i to beta_i; a negative beta_i leaves the weights) and read there.
+    ``reason`` records where the last query ended."""
+
+    def multiplicity(self, mu):
+        (lam := self.lam)._match(mu)
+        if self._data is None:
+            if len(lam.fund) != self.gcm.size:
+                raise DimensionError("weight length does not match Cartan matrix size")
+            self._data = cartan._solve_data(self.gcm)
+        diff = tuple(x - y for x, y in zip(lam.fund, mu.fund))
+        beta = cartan._cone(cartan._solve(self.gcm, self._data, diff, lam.delta - mu.delta))
+        if beta is None:
+            self.reason = "solve"
+            return 0
+        nbrs, c, beta = self.gcm.neighbours, list(mu.fund), list(beta)
+        while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
+            step = c[i]
+            beta[i] += step
+            if beta[i] < 0:
+                self.reason = "walk"
+                return 0
+            c[i] -= 2 * step
+            for j in nbrs[i]:
+                c[j] -= nbrs[j][i] * step
+        self.reason = "read"
+        return self.multiplicity_at_depth(tuple(beta))
+
+
+def test_the_index_of_dominant_weights_matches_the_solving_path():
+    # finite, affine, twisted and hyperbolic data; mu off the root lattice, off the positive
+    # cone and off the delta pin, walks that leave the cone, and delta-shifted highest weights.
+    # Each query must answer as the solving path does and leave the table at the same height.
+    rng, tables, kinds = random.Random(3301), {}, set()
+    data = QUERY_DATA + [named_gcm("C3")]
+    for _ in range(1500):
+        gcm = rng.choice(data)
+        lam = KMWeight.of([rng.randint(0, 2) for _ in range(gcm.size)], rng.randint(-2, 2))
+        mu = lam - gcm.root_combination([rng.randint(-2, 4) for _ in range(gcm.size)])
+        for _ in range(rng.randint(0, 4)):
+            mu = gcm.reflect(rng.randrange(gcm.size), mu)
+        shape = rng.choice(("weight", "weight", "lattice", "delta"))
+        if shape == "lattice":
+            mu = KMWeight(tuple(x + rng.randint(-1, 1) for x in mu.fund), mu.delta)
+        elif shape == "delta":
+            mu = KMWeight(mu.fund, mu.delta + rng.choice((-2, -1, 1, 2)))
+        if (gcm, lam) not in tables:
+            tables[gcm, lam] = FreudenthalTable(gcm, lam), SolvingTable(gcm, lam)
+        table, oracle = tables[gcm, lam]
+        want = oracle.multiplicity(mu)
+        assert (table.multiplicity(mu), table.height) == (want, oracle.height), (gcm.entries, lam, mu)
+        assert weight_multiplicity(gcm, lam, mu) == want, (gcm.entries, lam, mu)
+        kinds.add((gcm.tag, oracle.reason))
+    assert kinds == {(t, r) for t in ("finite", "affine", "indefinite") for r in ("solve", "walk", "read")}
+    # A6 2rho at a non-weight of integer height 20: the solve refuses it before any layer is filled
+    gcm, lam, mu = named_gcm("A6"), KMWeight.of((2,) * 6), KMWeight.of((-4, 0, 0, 1, -1, 9))
+    table, oracle = FreudenthalTable(gcm, lam), SolvingTable(gcm, lam)
+    assert (table.multiplicity(mu), table.height) == (oracle.multiplicity(mu), oracle.height) == (0, 0)
+
+
+def test_a_covered_query_solves_nothing(monkeypatch):
+    # once a table covers a query's dominant conjugate, the query reads the index alone
+    b3, a1 = named_gcm("B3"), named_gcm("A1~")
+    b3_lam, a1_lam = KMWeight.of((1, 1, 1)), KMWeight.of((1, 0), 2)
+    support = weight_support(b3, b3_lam)  # the whole module: the table is complete
+    queries = [(b3, b3_lam, mu) for mu, _ in support]
+    queries += [(b3, b3_lam, b3.reflect(i, mu)) for mu, _ in support for i in range(3)]
+    queries += [(b3, b3_lam, KMWeight(mu.fund, 1)) for mu, _ in support[:20]]  # off the delta pin
+    queries += [(b3, b3_lam, KMWeight.of((9, -9, 1)))]
+    for n in range(6):  # Lambda_0 + (2 - n) delta, of height 2n <= 10, its conjugates and off-lattice weights
+        mu = KMWeight.of((1, 0), 2 - n)
+        queries += [(a1, a1_lam, nu) for nu in (mu, a1.reflect(0, mu), a1.reflect(1, mu), KMWeight.of((0, 1), 2 - n))]
+    weight_multiplicity(a1, a1_lam, KMWeight.of((1, 0), -3))  # fills A1~ to height 10
+    want = [weight_multiplicity(*q) for q in queries]
+    assert want[:len(support)] == [m for _, m in support] and 0 in want and sorted(set(want))[-1] > 1
+
+    def refuse(*args):
+        raise AssertionError("a covered query solved")
+
+    monkeypatch.setattr(multiplicities, "_solve", refuse)
+    monkeypatch.setattr(multiplicities, "_cone", refuse)
+    assert [weight_multiplicity(*q) for q in queries] == want
+
+
 def test_affine_queries_reduce_before_filling():
     # s_0 s_1 s_0 (Lambda_0 - 10 delta) lies at beta = (14, 12); the table grows only to the
     # height 20 of its dominant conjugate, whose multiplicity is p(10) = 42
