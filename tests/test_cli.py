@@ -589,9 +589,9 @@ def test_quiver_strata_meets_its_deadline(doc, depth):
         (["quiver", "satake"], lambda: {"cartan": "A6", "lambda": {"fund": [2] * 6}, "mu": {"fund": [0] * 6}}),
         # a dense indefinite 1500 x 1500 matrix, -1 off the diagonal: 12 s untimed
         (["km", "dual"], lambda: {"cartan": [[2 if i == j else -1 for j in range(1500)] for i in range(1500)]}),
-        # the multiplicity of A6 2rho at mu = 0: 6.7 s untimed
+        # the multiplicity of A6 2rho at mu = 0: 8.7 s untimed
         (["km", "mult"], lambda: {"cartan": "A6", "lambda": {"fund": [2] * 6}, "mu": {"fund": [0] * 6}}),
-        # the multiplicity of A8 rho at mu = 0
+        # the multiplicity of A8 rho at mu = 0: 79 s untimed
         (["km", "mult"], lambda: {"cartan": "A8", "lambda": {"fund": [1] * 8}, "mu": {"fund": [0] * 8}}),
     ],
     ids=["km-tensor", "quiver-satake", "km-dual", "km-mult-A6", "km-mult-A8"],
