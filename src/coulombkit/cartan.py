@@ -280,7 +280,7 @@ def _dual_datum(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     for start in range(gcm.size):
         if not d[start]:
             comp, seen = [start], {start}
-            for i in comp:  # breadth first, as the symmetrizer walk
+            for i in comp:
                 check()
                 comp += (new := nbrs[i].keys() - seen)
                 seen |= new
