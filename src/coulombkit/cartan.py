@@ -18,11 +18,14 @@ on first read, once per datum.  Root coordinates come from the Smith form
 U A V = D, the one exact-linear-algebra path.  Everything a solve reads is
 stored once per Cartan datum: the rows of U at the nonzero d_j, each scaled by
 den / d_j, the rows of U at the zero d_j, the columns of V at the nonzero d_j,
-and the common denominator den.  A solve (``_solve``) is then one zero-row check
-and two integer matrix-vector products, with no ``Fraction``.  The sum of a
-solve's coordinates is one form over (fund, delta) (``_height_form``, cached by
-the datum as well), which a Freudenthal table reads once and keeps with the solve
-data; it solves only above its filled layers.  The Langlands dual is read
+and the common denominator den; beside them the height form, which gives den
+times the sum of a solve's coordinates as one dot product over (fund, delta).  A
+solve (``_solve``) is then one zero-row check and two integer matrix-vector
+products, with no ``Fraction``; a Freudenthal table reads the record once and
+solves only above its filled layers.  One walk (``_dominant_walk``) reflects
+fundamental coordinates to the dominant chamber over the datum's nonzeros,
+carrying height, delta and det(w), for every caller that reads a weight at its
+dominant conjugate.  The Langlands dual is read
 off the datum's own fields once per datum: the transpose has the same type and
 swaps the Kac labels (Kac, Sec. 2.1, Ch. 4), so only its nonzeros are
 transposed, and its symmetrizers are read off d over each component; it and the
@@ -302,15 +305,24 @@ def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
 def _solve_data(gcm: GeneralizedCartanMatrix):
     """One Smith pass U A V = D, run under the deadline, kept as what every solve reads:
     the rows of U at the nonzero d_j, each scaled by den / d_j; the rows of U at
-    the zero d_j; the rows of V cut to the columns at the nonzero d_j; and den,
-    the largest d_j (1 for the rank-0 datum), which every nonzero d_j divides."""
+    the zero d_j; the rows of V cut to the columns at the nonzero d_j; den, the
+    largest d_j (1 for the rank-0 datum), which every nonzero d_j divides; and the
+    height form (form, per_delta), with den times the sum of a solve's coordinates
+    form . fund + per_delta delta.  The coordinates sum to (the column sums of V) . y
+    over den, and in affine type the free coordinate t = den delta - s . num adds t sum(a).
+    The form is None for a singular non-affine datum, which every solve refuses."""
     u, d, v = smith_normal_form(IntMatrix(gcm.entries))
     diag = [d.entries[j][j] for j in range(gcm.size)]
     den = max(diag, default=1)
     scaled = tuple(tuple(den // dj * x for x in row) for row, dj in zip(u.entries, diag) if dj)
     zero_rows = tuple(row for row, dj in zip(u.entries, diag) if not dj)
     v_cut = tuple(tuple(compress(row, diag)) for row in v.entries)
-    return scaled, zero_rows, v_cut, den
+    height = None
+    if not zero_rows or gcm.tag == "affine" and len(zero_rows) == 1:
+        a, s = sum(gcm.null_vector or ()), gcm.delta_split or (0,) * gcm.size
+        w = [sum(col) - a * sum(map(mul, s, col)) for col in zip(*v_cut)]
+        height = tuple(sum(map(mul, w, col)) for col in zip(*scaled)), den * a
+    return scaled, zero_rows, v_cut, den, height
 
 
 def _scaled_root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
@@ -324,7 +336,7 @@ def _solve(gcm: GeneralizedCartanMatrix, data, fund, delta: int):
     coordinates ``fund`` and delta ``delta``, or None, read off the datum's solve data.  A c = mu
     becomes D y = U mu with c = V y.  A zero d_j meeting a nonzero (U mu)_j makes the system
     inconsistent; otherwise y_j = (U mu)_j / d_j, held over den."""
-    scaled, zero_rows, v_cut, den = data
+    scaled, zero_rows, v_cut, den, _ = data
     if zero_rows and any(sum(map(mul, row, fund)) for row in zero_rows):
         return None
     y = [sum(map(mul, row, fund)) for row in scaled]
@@ -336,22 +348,6 @@ def _solve(gcm: GeneralizedCartanMatrix, data, fund, delta: int):
     # the free coordinate moves along the null vector a, and s . c = delta pins it (s . a = 1)
     t = den * delta - sum(map(mul, gcm.delta_split, num))
     return [x + t * a for x, a in zip(num, gcm.null_vector)], den
-
-
-@lru_cache(maxsize=16)
-def _height_form(gcm: GeneralizedCartanMatrix):
-    """(form, per_delta, den, zero, s): where ``_solve`` gives coordinates to (fund, delta), den
-    times their sum is form . fund + per_delta delta.  ``zero`` is the zero row of U (affine type;
-    () otherwise) and s the delta split (zeros outside affine type).  The coordinates sum to
-    (the column sums of V) . y over den, and in affine type the free coordinate t = den delta -
-    s . num adds t sum(a).  None for a singular non-affine datum, which every solve refuses."""
-    scaled, zero_rows, v_cut, den = _solve_data(gcm)
-    if zero_rows and (gcm.tag != "affine" or len(zero_rows) != 1):
-        return None
-    a, s = sum(gcm.null_vector or ()), gcm.delta_split or (0,) * gcm.size
-    w = [sum(col) - a * sum(map(mul, s, col)) for col in zip(*v_cut)]
-    form = tuple(sum(map(mul, w, col)) for col in zip(*scaled))
-    return form, den * a, den, zero_rows[0] if zero_rows else (), s
 
 
 def root_coordinates(gcm: GeneralizedCartanMatrix, mu: KMWeight):
@@ -380,6 +376,27 @@ def _cone(sol) -> tuple[int, ...] | None:
     if min(coords, default=0) < 0 or den * sum(coords) != sum(num):
         return None
     return tuple(coords)
+
+
+def _dominant_walk(gcm: GeneralizedCartanMatrix, c: list[int], h=math.inf, delta: int = 0):
+    """Reflect the fundamental coordinates ``c`` in place to the dominant chamber, and return
+    (h, delta, det w) for the Weyl group element w walked.  s_i sends c to c - c_i A e_i:
+    c_i -> -c_i, and c_j -= a_ji c_i for each neighbour j, read off the datum's nonzeros.  It
+    raises the weight by -c_i alpha_i, so it adds c_i to the height h of a highest weight above
+    it and -c_i s_i to its delta (s the delta split).  The walk stops once h is negative: a
+    weight lies under its highest weight (Kac, Prop. 11.2), and outside finite type a weight
+    that is not one may never reach the chamber.  A finite-type walk always ends, so a caller
+    that reads no height leaves h infinite."""
+    nbrs, split, sign = gcm.neighbours, gcm.delta_split, 1
+    while h >= 0 and (step := min(c, default=0)) < 0:
+        check()
+        i, h, sign = c.index(step), h + step, -sign
+        c[i] = -step
+        if split:
+            delta -= step * split[i]
+        for j in nbrs[i]:  # column i of A: a_ji != 0 exactly where a_ij != 0
+            c[j] -= nbrs[j][i] * step
+    return h, delta, sign
 
 
 def dominance_leq(mu: KMWeight, lam: KMWeight, gcm: GeneralizedCartanMatrix) -> bool:

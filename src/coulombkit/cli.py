@@ -189,11 +189,6 @@ def _require(doc, *keys):
         raise InputError([f"/{k}: required field is missing" for k in missing])
 
 
-def _get_weight(doc, key):
-    _check(doc[key], "weight", f"/{key}")
-    return jsonio.weight_from_json(doc[key])
-
-
 def _get_gcm(doc):
     _check(doc["cartan"], "gcm", "/cartan")
     try:
@@ -233,17 +228,23 @@ def _table_from_dims(dims: list[int]) -> list:
 
 # ------------------------------------------------------------ subcommands
 
-def _cmd_km_mult(doc, args):
-    _require(doc, "cartan", "lambda", "mu")
+def _gcm_and_weights(doc, *keys):
+    _require(doc, "cartan", *keys)
     gcm = _get_gcm(doc)
-    lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
+    weights = []
+    for k in keys:
+        _check(doc[k], "weight", f"/{k}")
+        weights.append(jsonio.weight_from_json(doc[k]))
+    return gcm, weights
+
+
+def _cmd_km_mult(doc, args):
+    gcm, (lam, mu) = _gcm_and_weights(doc, "lambda", "mu")
     return {"multiplicity": weight_multiplicity(gcm, lam, mu)}
 
 
 def _cmd_km_tensor(doc, args):
-    _require(doc, "cartan", "lambda1", "lambda2")
-    gcm = _get_gcm(doc)
-    lam1, lam2 = _get_weight(doc, "lambda1"), _get_weight(doc, "lambda2")
+    gcm, (lam1, lam2) = _gcm_and_weights(doc, "lambda1", "lambda2")
     comps = tensor_decompose(gcm, lam1, lam2)
     return {
         "components": [
@@ -270,9 +271,7 @@ def _cmd_quiver_slice(doc, args):
 
 
 def _cmd_quiver_strata(doc, args):
-    _require(doc, "cartan", "lambda", "mu")
-    gcm = _get_gcm(doc)
-    lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
+    gcm, (lam, mu) = _gcm_and_weights(doc, "lambda", "mu")
     if gcm.tag == "affine":
         strata = strata_affine(gcm, lam, mu, _depth(args))
         kappa = cache(jsonio.weight_to_json)  # every partition of a size shares its kappa's one dict
@@ -282,7 +281,7 @@ def _cmd_quiver_strata(doc, args):
 
 
 def _checked(items):
-    """``items`` with the deadline checked at every 4096th, so a long list of strata is converted under it."""
+    """``items`` with the deadline checked at every 4096th, so a long list is converted or printed under it."""
     for i, item in enumerate(items, 1):
         if i % 4096 == 0:
             check()
@@ -290,9 +289,7 @@ def _checked(items):
 
 
 def _cmd_quiver_satake(doc, args):
-    _require(doc, "cartan", "lambda", "mu")
-    gcm = _get_gcm(doc)
-    lam, mu = _get_weight(doc, "lambda"), _get_weight(doc, "mu")
+    gcm, (lam, mu) = _gcm_and_weights(doc, "lambda", "mu")
     mult = weight_multiplicity(langlands_dual(gcm), lam, mu)
     # as in quiver.fixed_point_nonempty: the fixed point exists iff the dual multiplicity is nonzero
     return {"nonempty": mult > 0, "dual_multiplicity": mult}
@@ -428,9 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CHUNKS_PER_CHECK = 4096
-
-
 def _render(result: dict, fmt: str) -> str:
     if fmt == "table":
         lines = []
@@ -446,12 +440,7 @@ def _render(result: dict, fmt: str) -> str:
                 lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
         return "\n".join(lines)
     # the bytes of json.dumps(result, indent=2, sort_keys=True), which encodes in these chunks too
-    chunks = []
-    for i, chunk in enumerate(json.JSONEncoder(indent=2, sort_keys=True).iterencode(result), 1):
-        chunks.append(chunk)
-        if i % _CHUNKS_PER_CHECK == 0:
-            check()
-    return "".join(chunks)
+    return "".join(_checked(json.JSONEncoder(indent=2, sort_keys=True).iterencode(result)))
 
 
 def main(argv=None) -> int:

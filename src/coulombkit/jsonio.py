@@ -14,7 +14,7 @@ from .abelian import AbelianTheory
 from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
 from .difference_ops import DifferenceOperator
 from .errors import DimensionError, DomainError
-from .higgs import GradedDimensionTable, dims_to_table  # noqa: F401 (re-exported)
+from .higgs import GradedDimensionTable
 from .lattices import IntMatrix
 from .monopole import CoulombElement
 from .polynomial import Polynomial
@@ -24,10 +24,6 @@ from .quiver import DimVectors, Quiver
 def fraction_str(q) -> str:
     """An int or a Fraction as "n" or "n/d"."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(s) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------- weights
@@ -77,12 +73,13 @@ def _poly_to_json(poly: Polynomial, nvars: int) -> list:
     return out
 
 
-def _poly_from_json(terms, rank: int, nvars: int, path) -> Polynomial:
+def _poly_from_json(terms, rank: int, path) -> Polynomial:
+    """An element's polynomial: ``rank`` exponents per term, and hbar, the last variable, at 0."""
     coeffs: dict[tuple, Fraction] = {}
     for i, t in enumerate(terms):
-        if len(t["powers"]) != nvars:
+        if len(t["powers"]) != rank:
             raise DimensionError(
-                f"{path}/{i}/powers: {len(t['powers'])} exponents for {nvars} generators"
+                f"{path}/{i}/powers: {len(t['powers'])} exponents for {rank} generators"
             )
         try:
             q = Fraction(t["coeff"])
@@ -93,7 +90,7 @@ def _poly_from_json(terms, rank: int, nvars: int, path) -> Polynomial:
                 f"{path}/{i}/coeff: not a fraction of integers of at most "
                 f"{sys.get_int_max_str_digits()} digits"
             ) from None
-        monom = tuple(int(p) for p in t["powers"]) + (0,) * (rank + 1 - nvars)
+        monom = tuple(int(p) for p in t["powers"]) + (0,)
         if min(monom, default=0) < 0:
             raise DomainError(f"{path}/{i}/powers: negative exponent in {t['powers']}")
         coeffs[monom] = coeffs.get(monom, 0) + q
@@ -110,18 +107,6 @@ def _to_json(value, with_hbar: bool) -> dict:
     }
 
 
-def _terms_from_json(doc, with_hbar: bool) -> list:
-    rank = int(doc["rank"])
-    nvars = rank + with_hbar
-    terms = []
-    for j, t in enumerate(doc["terms"]):
-        # checked before any exponent tuple of an unbounded rank is built
-        if len(t["coweight"]) != rank:
-            raise DimensionError(f"/terms/{j}/coweight: {len(t['coweight'])} entries for rank {rank}")
-        terms.append((tuple(t["coweight"]), _poly_from_json(t["poly"], rank, nvars, f"/terms/{j}/poly")))
-    return terms
-
-
 # ---------------------------------------------------------------- elements
 
 def element_to_json(a: CoulombElement) -> dict:
@@ -129,25 +114,24 @@ def element_to_json(a: CoulombElement) -> dict:
 
 
 def element_from_json(doc) -> CoulombElement:
-    return CoulombElement.from_terms(int(doc["rank"]), _terms_from_json(doc, with_hbar=False))
+    rank = int(doc["rank"])
+    terms = []
+    for j, t in enumerate(doc["terms"]):
+        # checked before any exponent tuple of an unbounded rank is built
+        if len(t["coweight"]) != rank:
+            raise DimensionError(f"/terms/{j}/coweight: {len(t['coweight'])} entries for rank {rank}")
+        terms.append((tuple(t["coweight"]), _poly_from_json(t["poly"], rank, f"/terms/{j}/poly")))
+    return CoulombElement.from_terms(rank, terms)
 
 
 def operator_to_json(op: DifferenceOperator) -> dict:
     return _to_json(op, with_hbar=True)
 
 
-def operator_from_json(doc) -> DifferenceOperator:
-    return DifferenceOperator.from_terms(int(doc["rank"]), _terms_from_json(doc, with_hbar=True))
-
-
 # ---------------------------------------------------------------- theories
 
 def theory_from_json(doc) -> AbelianTheory:
     return AbelianTheory.of(int(doc["rank"]), doc.get("characters", []))
-
-
-def theory_to_json(th: AbelianTheory) -> dict:
-    return {"rank": th.rank, "characters": [list(c) for c in th.characters]}
 
 
 def quiver_from_json(doc) -> tuple[Quiver, DimVectors]:

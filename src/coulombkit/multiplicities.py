@@ -7,16 +7,18 @@ affine and indefinite symmetrizable Cartan data.  Freudenthal's formula is
 summed only at dominant weights: any other weight takes the multiplicity of a
 Weyl conjugate in a lower layer, and a query is read at its dominant conjugate,
 so the table grows only to that conjugate's height.  A table indexes its sums at
-dominant weights by (fund, delta) and reads a height form off the solve data at
-its first query; a query walks to its dominant conjugate over the datum's
-nonzeros, carrying height and delta, and reads the index, so a filled query
-solves nothing and reads no cache keyed by the datum.  Its sums read the
-summands the shared root table lists as it grows.  A table is cached by the
-datum and lam.fund alone: delta pairs to zero with every coroot, so V(lam + k
-delta) is V(lam) with every weight moved by k delta (Kac, Ch. 9-12), and every
-delta-shift of one highest weight reads the same table.  Peterson's pair sums
-run in integers, layer h over lcm(1, ..., h)^2.  Finite-type tensor products come
-from the Brauer-Klimyk formula.  Height bounds make affine tables finite.
+dominant weights by (fund, delta) and reads the solve data, height form
+included, at its first query; a query takes the one walk to its dominant
+conjugate (``cartan._dominant_walk``), carrying height and delta, and reads the
+index, so a filled query solves nothing and reads no cache keyed by the datum.
+Its sums read the summands the shared root table lists as it grows.  A table is
+cached by the datum and lam.fund alone: delta pairs to zero with every coroot,
+so V(lam + k delta) is V(lam) with every weight moved by k delta (Kac, Ch.
+9-12), and every delta-shift of one highest weight reads the same table.
+Peterson's pair sums run in integers, layer h over lcm(1, ..., h)^2, and its
+denominators take each norm from the Gram rows the pair sums read.  Finite-type
+tensor products come from the Brauer-Klimyk formula, which reads det(w) off the
+same walk.  Height bounds make affine tables finite.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from operator import add, itemgetter, mul, sub
 
 from .cancel import check
 from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
-from .cartan import _cone, _height_form, _solve, _solve_data
+from .cartan import _cone, _dominant_walk, _solve, _solve_data
 from .errors import DimensionError, DomainError, UnsupportedError
 
 RootVector = tuple[int, ...]  # coordinates over the simple roots
@@ -99,15 +101,16 @@ class RootTable:
                         beta = tuple(map(add, bp, bpp))
                         num[beta] = num.get(beta, 0) + sum(map(mul, gp, bpp)) * cp * cpp
             roots = {tuple(int(i == j) for j in range(n)): 1 for i in range(n)} if h == 1 else {}
-            norms = {beta: _form(gcm, beta, beta) for beta in roots}
+            norms = {beta: _norm(gram, beta) for beta in roots}
             layer = dict.fromkeys(roots, scale)
             for beta, s in num.items():
                 check()
                 divisor_part = 0  # sum of mult(beta/k) / k over k >= 2, times L(h)
-                for k in range(2, gcd(*beta) + 1):
-                    if all(b % k == 0 for b in beta):
+                g = gcd(*beta)
+                for k in range(2, g + 1):
+                    if g % k == 0:
                         divisor_part += mults.get(tuple(b // k for b in beta), 0) * (scale // k)
-                norm = _form(gcm, beta, beta)
+                norm = _norm(gram, beta)
                 den = norm - 2 * _pair(gcm, (1,) * n, beta)
                 if den == 0:
                     # the denominator vanishes only off the root system (a real root of height >= 2
@@ -134,9 +137,9 @@ class RootTable:
                 return
 
 
-def _form(gcm: GeneralizedCartanMatrix, beta: RootVector, gamma: RootVector) -> int:
-    n = gcm.size
-    return sum(gcm.gram(i, j) * beta[i] * gamma[j] for i in range(n) for j in range(n))
+def _norm(gram, beta: RootVector) -> int:
+    """(beta, beta) = sum_j beta_j (beta, alpha_j), with gram[j] the row ((alpha_i, alpha_j))_i."""
+    return sum(b * sum(map(mul, row, beta)) for b, row in zip(beta, gram))
 
 
 def _pair(gcm: GeneralizedCartanMatrix, fund, beta: RootVector) -> int:
@@ -163,22 +166,6 @@ def root_multiplicities(gcm: GeneralizedCartanMatrix, height: int) -> RootTable:
 def _root_table(gcm: GeneralizedCartanMatrix) -> RootTable:
     """The Peterson table that every Freudenthal table of ``gcm`` extends."""
     return RootTable(gcm, 0)
-
-
-def _dominant(gcm: GeneralizedCartanMatrix, mu: KMWeight) -> tuple[KMWeight, int]:
-    """The dominant Weyl conjugate of ``mu`` and the sign det(w) of a Weyl group element w that
-    takes ``mu`` there, in finite type, where a reflection leaves delta alone.  s_i sends the
-    fundamental coordinates c to c - c_i A e_i: c_i -> -c_i, and c_j -= a_ji c_i for each
-    neighbour j, read off the datum's nonzeros."""
-    if len(mu.fund) != gcm.size:
-        raise DimensionError("weight length does not match Cartan matrix size")
-    nbrs, c, sign = gcm.neighbours, list(mu.fund), 1
-    while (i := next((i for i, x in enumerate(c) if x < 0), None)) is not None:
-        step = c[i]
-        c[i], sign = -step, -sign
-        for j in nbrs[i]:
-            c[j] -= nbrs[j][i] * step
-    return KMWeight(tuple(c), mu.delta), sign
 
 
 class FreudenthalTable:
@@ -277,23 +264,19 @@ class FreudenthalTable:
             if len(lam.fund) != gcm.size:
                 raise DimensionError("weight length does not match Cartan matrix size")
             self._data = _solve_data(gcm)  # under the deadline; a cancelled Smith pass stores nothing
-            if (shape := _height_form(gcm)) is None:  # singular, not affine: the solve raises or finds no weight
+            _, zero_rows, _, den, height = self._data
+            if height is None:  # singular, not affine: the solve raises or finds no weight
                 _solve(gcm, self._data, tuple(map(sub, lam.fund, mu.fund)), lam.delta - mu.delta)
                 return 0
-            form, per_delta, _, zero, _ = shape
-            self._form = *shape, sum(map(mul, form, lam.fund)) + per_delta * lam.delta, sum(map(mul, zero, lam.fund))
-        form, per_delta, den, zero, split, top, zero_top = self._form
+            (form, per_delta), zero = height, zero_rows[0] if zero_rows else ()
+            top = sum(map(mul, form, lam.fund)) + per_delta * lam.delta
+            self._form = form, per_delta, den, zero, top, sum(map(mul, zero, lam.fund))
+        form, per_delta, den, zero, top, zero_top = self._form
         c, delta = list(mu.fund), mu.delta
         h, r = divmod(top - sum(map(mul, form, c)) - per_delta * delta, den)
         if r or (sum(map(mul, zero, c)) != zero_top if zero else delta != lam.delta):
             return 0
-        nbrs = gcm.neighbours
-        while h >= 0 and (step := min(c, default=0)) < 0:
-            check()
-            i, h = c.index(step), h + step
-            c[i], delta = -step, delta - step * split[i]
-            for j in nbrs[i]:  # column i of A: a_ji != 0 exactly where a_ij != 0
-                c[j] -= nbrs[j][i] * step
+        h, delta, _ = _dominant_walk(gcm, c, h, delta)
         nu = (tuple(c), delta) if zero else tuple(c)
         if h < 0 or h > self.height and self._top and \
                 _cone(_solve(gcm, self._data, tuple(map(sub, lam.fund, c)), lam.delta - delta)) is None:
@@ -322,7 +305,11 @@ def antidominant_conjugate(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> KMWei
     """The antidominant Weyl conjugate of lam (finite type only)."""
     if gcm.tag != "finite":
         raise UnsupportedError("antidominant conjugate requires finite type")
-    return -_dominant(gcm, -lam)[0]
+    if len(lam.fund) != gcm.size:
+        raise DimensionError("weight length does not match Cartan matrix size")
+    c = [-x for x in lam.fund]
+    _dominant_walk(gcm, c)
+    return KMWeight(tuple(-x for x in c), lam.delta)
 
 
 def default_support_depth(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> int:
@@ -393,12 +380,14 @@ def tensor_decompose(gcm: GeneralizedCartanMatrix, lam1: KMWeight, lam2: KMWeigh
         raise DomainError("tensor factors must have dominant highest weights")
     if len(lam1.fund) != len(lam2.fund):
         raise DimensionError("weights live on different Cartan data")
-    rho = KMWeight((1,) * gcm.size)
-    result: dict[KMWeight, int] = {}
+    shift = [x + 1 for x in lam2.fund]  # lam2 + rho
+    result: dict[tuple[int, ...], int] = {}
     for mu, m in weight_support(gcm, lam1):
-        nu, sign = _dominant(gcm, lam2 + mu + rho)
-        if all(c > 0 for c in nu.fund):
-            kappa = nu - rho
+        c = list(map(add, shift, mu.fund))
+        sign = _dominant_walk(gcm, c)[2]
+        if min(c, default=1) > 0:
+            kappa = tuple(x - 1 for x in c)
             result[kappa] = result.get(kappa, 0) + sign * m
     assert all(m >= 0 for m in result.values())
-    return {kappa: m for kappa, m in result.items() if m}
+    delta = lam1.delta + lam2.delta  # a finite-type reflection leaves delta alone
+    return {KMWeight(kappa, delta): m for kappa, m in result.items() if m}

@@ -762,23 +762,25 @@ def test_dual_symmetrizers_are_the_component_lcm_over_d():
 
 
 def test_height_form_sums_every_solve():
-    # den times the sum of a solve's coordinates is one form over (fund, delta), and the
-    # affine zero row is the solve's own consistency check; a singular non-affine datum has none
+    # den times the sum of a solve's coordinates is one form over (fund, delta), kept in the solve
+    # data, and the affine zero row is the solve's own consistency check; a singular non-affine
+    # datum has no form
     rng = random.Random(35)
     singular = validate_and_symmetrize([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]])
-    assert singular.tag == "indefinite" and cartan._height_form(singular) is None
+    assert singular.tag == "indefinite" and cartan._solve_data(singular)[4] is None
     kinds = set()
     for gcm in ORACLE_DATA[::7]:
-        shape = cartan._height_form(gcm)
-        if shape is None:
+        data = cartan._solve_data(gcm)
+        _, zero_rows, _, den, height = data
+        if height is None:
             continue
-        form, per_delta, den, zero, split = shape
-        assert den == cartan._solve_data(gcm)[3] and split == (gcm.delta_split or (0,) * gcm.size)
+        (form, per_delta), zero = height, zero_rows[0] if zero_rows else ()
+        assert len(zero_rows) == (gcm.tag == "affine")
         for _ in range(6):
             fund, delta = tuple(rng.randint(-5, 5) for _ in range(gcm.size)), rng.randint(-3, 3)
-            sol = cartan._solve(gcm, cartan._solve_data(gcm), fund, delta)
+            sol = cartan._solve(gcm, data, fund, delta)
             assert (sol is None) == (sum(map(mul, zero, fund)) != 0 or gcm.tag != "affine" and delta != 0)
             if sol is not None:
-                assert sum(sol[0]) == sum(map(mul, form, fund)) + per_delta * delta
+                assert sol[1] == den and sum(sol[0]) == sum(map(mul, form, fund)) + per_delta * delta
                 kinds.add(gcm.tag)
     assert kinds == {"finite", "affine", "indefinite"}

@@ -611,6 +611,33 @@ def test_kac_moody_queries_meet_their_deadline(command, doc):
     assert elapsed < 1.5
 
 
+def _linear_quiver(n):
+    return {"vertices": n, "edges": [[i, i + 1] for i in range(n - 1)], "v": [1] * n, "w": [2] + [0] * (n - 1)}
+
+
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        # untimed: 1.9–2.6 s for the 10^5-vertex slice and 2.6–3.8 s to validate 3 * 10^5 vertices
+        (["quiver", "slice"], 100000),
+        (["validate", "--schema", "quiver"], 300000),
+    ],
+    ids=["quiver-slice", "validate-quiver"],
+)
+def test_linear_quiver_commands_meet_their_deadline(command, n):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    text = json.dumps(_linear_quiver(n))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombkit.cli", *command, "--timeout", "0.5"],
+        input=text, env=env, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("cancelled: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 1.5
+
+
 def _quiver_slice_under_1_5_gb(doc):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))

@@ -10,6 +10,7 @@ from coulombkit import jsonio
 from coulombkit.cartan import KMWeight, named_gcm
 from coulombkit.difference_ops import DifferenceOperator
 from coulombkit.errors import DomainError
+from coulombkit.higgs import dims_to_table
 from coulombkit.monopole import CoulombElement
 from coulombkit.symbolic import HBAR, w_vars
 
@@ -18,7 +19,6 @@ def test_fraction_strings():
     assert jsonio.fraction_str(Fraction(3, 2)) == "3/2"
     assert jsonio.fraction_str(Fraction(4, 2)) == "2"
     assert jsonio.fraction_str(-1) == "-1"
-    assert jsonio.parse_fraction("3/2") == Fraction(3, 2)
 
 
 def test_weight_roundtrip():
@@ -45,11 +45,14 @@ def test_element_roundtrip():
     assert json.dumps(doc) == json.dumps(jsonio.element_to_json(a))
 
 
-def test_operator_roundtrip():
+def test_operator_encoding():
+    # an operator's powers include hbar's, the last variable, which an element's leave out
     w = w_vars(1)[0]
     op = DifferenceOperator.from_terms(1, {(2,): (w - HBAR) ** 2, (0,): HBAR})
-    doc = jsonio.operator_to_json(op)
-    assert jsonio.operator_from_json(doc) == op
+    assert jsonio.operator_to_json(op) == {"rank": 1, "terms": [
+        {"coweight": [0], "poly": [{"coeff": "1", "powers": [0, 1]}]},
+        {"coweight": [2], "poly": [{"coeff": "1", "powers": [0, 2]}, {"coeff": "-2", "powers": [1, 1]},
+                                   {"coeff": "1", "powers": [2, 0]}]}]}
 
 
 def test_negative_power_is_rejected():
@@ -61,10 +64,10 @@ def test_negative_power_is_rejected():
 def test_theory_roundtrip():
     doc = {"rank": 2, "characters": [[1, 0], [1, 1]]}
     th = jsonio.theory_from_json(doc)
-    assert jsonio.theory_to_json(th) == doc
+    assert {"rank": th.rank, "characters": [list(c) for c in th.characters]} == doc
 
 
 def test_table_serialization_sorted():
     table = {Fraction(1): 3, Fraction(0): 1, Fraction(1, 2): 0}
     assert jsonio.table_to_json(table) == [["0", 1], ["1/2", 0], ["1", 3]]
-    assert jsonio.dims_to_table([1, 0, 3]) == table
+    assert dims_to_table([1, 0, 3]) == table

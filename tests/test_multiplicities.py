@@ -8,6 +8,7 @@ no code with the Freudenthal recursion under test.
 
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -667,12 +668,32 @@ def reflecting_dominant(gcm, mu):
 
 
 def test_dominant_conjugate_in_integers_matches_the_reflection_walk():
+    # the walk reflects at the least coordinate and the oracle at the first negative one: the
+    # conjugate is unique, and so is det(w) where it is regular, the only place Brauer-Klimyk reads it
     rng = random.Random(33)
     for name in ("A1", "A3", "B2", "C2", "G2", "B3", "C3", "A5"):
         gcm = named_gcm(name)
         for _ in range(40):
             mu = KMWeight(tuple(rng.randint(-4, 4) for _ in range(gcm.size)), rng.randint(-2, 2))
-            assert multiplicities._dominant(gcm, mu) == reflecting_dominant(gcm, mu), (name, mu)
+            nu, sign = reflecting_dominant(gcm, mu)
+            h, delta, walked = cartan._dominant_walk(gcm, c := list(mu.fund), delta=mu.delta)
+            assert (tuple(c), delta, h) == (nu.fund, mu.delta, math.inf), (name, mu)
+            assert walked == sign or min(nu.fund) == 0, (name, mu)
+    # A1~, A2~, the twisted A2^(2) and a hyperbolic datum: a Weyl conjugate mu of a dominant nu walks
+    # back to nu, with nu's delta, and its height falls by the height of nu - mu; a walk stops once
+    # its height is negative, also where it would never reach the chamber
+    for a in (NAMED_CARTAN_MATRICES["A1~"], NAMED_CARTAN_MATRICES["A2~"], [[2, -1], [-4, 2]], [[2, -3], [-3, 2]]):
+        gcm = validate_and_symmetrize(a)
+        for _ in range(40):
+            nu = mu = KMWeight(tuple(rng.randint(0, 3) for _ in range(gcm.size)), rng.randint(-2, 2))
+            for _ in range(rng.randint(0, 6)):
+                mu = gcm.reflect(rng.randrange(gcm.size), mu)
+            rise = sum(in_positive_root_cone(gcm, nu - mu))
+            h, delta, _ = cartan._dominant_walk(gcm, c := list(mu.fund), rise + 5, mu.delta)
+            assert (tuple(c), delta, h) == (nu.fund, nu.delta, 5), (a, mu)
+            if rise:
+                assert cartan._dominant_walk(gcm, list(mu.fund), rise - 1, mu.delta)[0] < 0, (a, mu)
+    assert cartan._dominant_walk(validate_and_symmetrize([[2, -3], [-3, 2]]), [-1, -1], 50)[0] < 0
 
 
 def test_tensor_weight_mult_examples():
@@ -731,6 +752,26 @@ def test_tensor_decompose_consistent_with_weight_mult_other_types(name, fund1, f
     _assert_decompose_matches_convolution(
         named_gcm(name), KMWeight.of(fund1), KMWeight.of(fund2)
     )
+
+
+def brauer_klimyk(gcm, lam1, lam2):
+    """The Brauer-Klimyk sum with ``KMWeight`` reflections, as tensor_decompose once walked it."""
+    rho, result = KMWeight((1,) * gcm.size), {}
+    for mu, m in weight_support(gcm, lam1):
+        nu, sign = reflecting_dominant(gcm, lam2 + mu + rho)
+        if all(c > 0 for c in nu.fund):
+            result[nu - rho] = result.get(nu - rho, 0) + sign * m
+    return {kappa: m for kappa, m in result.items() if m}
+
+
+def test_tensor_decompose_matches_a_brauer_klimyk_oracle():
+    rng = random.Random(340)
+    for name in ("A1", "A2", "A3", "A4", "B2", "C2", "G2", "B3", "C3"):
+        gcm = named_gcm(name)
+        for _ in range(5):
+            lam1, lam2 = (KMWeight(tuple(rng.randint(0, 2) for _ in range(gcm.size)), rng.randint(-1, 1))
+                          for _ in range(2))
+            assert tensor_decompose(gcm, lam1, lam2) == brauer_klimyk(gcm, lam1, lam2), (name, lam1, lam2)
 
 
 def test_tensor_decompose_requires_finite():
