@@ -6,12 +6,14 @@ JSON (or plain table) result.  Exit codes: 0 success, 1 malformed input
 (usage errors included), 2 a verification subcommand found a mismatch,
 3 bound exceeded / cancelled.
 
-A document is checked against its schema by a small interpreter of the
-Draft 2020-12 keywords that the shipped schemas use; any other keyword
-raises.  The interpreter also words each diagnostic, as jsonschema 4.26
-words it, so the CLI has no runtime dependency.  ``main`` opens the one
-``--timeout`` deadline scope of the run (``cancel``): it starts before the
-document is read and also covers printing the result.
+Each shipped schema is compiled once, on first use, into closures for the
+Draft 2020-12 keywords it uses (any other keyword raises).  They word each
+diagnostic as jsonschema 4.26 words it, so the CLI has no runtime
+dependency, and a value that is surely valid, such as an int at or above
+its minimum, skips them.  ``main`` reads argv that names a leaf with that
+leaf's parser.  It opens the one ``--timeout`` deadline scope of the run
+(``cancel``): it starts before the document is read and also covers
+printing the result.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from itertools import count
+from itertools import repeat
 
 from . import jsonio, monopole, quiver
 from .abelian import hilbert_series
@@ -67,100 +69,119 @@ def _schemas() -> dict[str, dict]:
     }
 
 
-def _is_integer(x) -> bool:
-    # Draft 2020-12: a float with no fractional part is an integer, and JSON true is not
-    return (isinstance(x, int) and not isinstance(x, bool)) or (isinstance(x, float) and x.is_integer())
+# type -> its test: Draft 2020-12 takes a float with no fractional part for an integer, and JSON true for none
+_TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
+          "string": lambda x: isinstance(x, str),
+          "integer": lambda x: isinstance(x, int) and type(x) is not bool or isinstance(x, float) and x.is_integer()}
 
 
-_TYPES = {"object": dict, "array": list, "string": str}
-# the array items the schema check in progress has visited: a small document never meets the deadline
-_items_seen = count(1)
+def _leaf(passes, word):
+    """A keyword that fails at most once, at the instance itself, worded by ``word(x)``."""
+    return lambda x, seen: () if passes(x) else [((), lambda: word(x))]
 
-# keyword -> its failures (path below the instance, message) given (instance, keyword value,
-# enclosing schema), worded as jsonschema 4.26 words them; a keyword ignores instances of other types
+
+def _members(keys, errors):
+    """A keyword that holds each member ``keys(x)`` of an instance to the subschema ``errors(key)``."""
+    return lambda x, seen: [((k, *p), m) for k in keys(x) for p, m in errors(k)(x[k], seen)]
+
+
+def _items(errors):
+    """``items`` of the subschema ``errors``: ``seen[0]`` counts the run's array items, and every 4096th meets the
+    deadline, so a small document is checked in full.  An invalid array is read again for its failures."""
+    def failures(x, seen):
+        if not isinstance(x, list):
+            return ()
+        seen[0] += len(x)
+        if (seen[0] - len(x)) >> 12 != seen[0] >> 12:
+            check()
+        if not any(map(errors, x, repeat(seen))):
+            return ()
+        return [((i, *p), m) for i, v in enumerate(x) for p, m in errors(v, seen)]
+    return failures
+
+
+def _one_of(subs, branches):
+    # a branch says only whether it passes; jsonschema names the passing ones from the second on, then the first
+    return lambda x, seen: () if len(ok := [sub for sub, errors in zip(subs, branches) if not errors(x, seen)]) == 1 \
+        else [((), lambda: f"{x!r} is valid under each of {', '.join(map(repr, ok[1:] + ok[:1]))}" if ok
+               else f"{x!r} is not valid under any of the given schemas")]
+
+
+def _extras(x, s) -> list:
+    return [k for k in x if k not in s.get("properties", ())] if isinstance(x, dict) else []
+
+
+# keyword -> its compiler: (keyword value, enclosing schema) -> failures(x, seen), the (path below x, message) of each
+# way x fails it, where message() words it as jsonschema 4.26 does; it passes instances of other types
 _KEYWORDS = {
-    "type": lambda x, t, s: ()
-    if (_is_integer(x) if t == "integer" else isinstance(x, _TYPES[t]))
-    else [((), f"{x!r} is not of type {t!r}")],
-    "properties": lambda x, props, s: ()
-    if not isinstance(x, dict)
-    else (((k, *p), m) for k, sub in props.items() if k in x for p, m in _errors(x[k], sub)),
-    "required": lambda x, keys, s: ()
-    if not isinstance(x, dict)
-    else [((), f"{k!r} is a required property") for k in keys if k not in x],
-    "additionalProperties": lambda x, sub, s: ()
-    if not isinstance(x, dict) or not (extras := [k for k in x if k not in s.get("properties", ())])
-    else [((), "Additional properties are not allowed (%s %s unexpected)" % (
-        ", ".join(map(repr, sorted(extras, key=str))), "was" if len(extras) == 1 else "were"))]
-    if sub is False
-    else (((k, *p), m) for k in extras for p, m in _errors(x[k], sub)),
-    "items": lambda x, sub, s: ()
-    if not isinstance(x, list)  # check() returns None, so each 4096th item checks the deadline
-    else (((i, *p), m) for i, v in enumerate(x) if next(_items_seen) % 4096 or not check()
-          for p, m in _errors(v, sub)),
+    "type": lambda t, s: _leaf(_TYPES[t], lambda x: f"{x!r} is not of type {t!r}"),
+    "properties": lambda props, s: _members(lambda x: [k for k in props if k in x] if isinstance(x, dict) else (),
+                                            {k: _compile(sub) for k, sub in props.items()}.get),
+    "required": lambda keys, s: lambda x, seen: [
+        ((), lambda k=k: f"{k!r} is a required property") for k in keys if isinstance(x, dict) and k not in x],
+    "additionalProperties": lambda sub, s: _members(lambda x: _extras(x, s), lambda k, errors=_compile(sub): errors)
+    if sub is not False else _leaf(lambda x: not _extras(x, s), lambda x: (
+        "Additional properties are not allowed (%s %s unexpected)"
+        % (", ".join(map(repr, sorted(e := _extras(x, s), key=str))), "was" if len(e) == 1 else "were"))),
+    "items": lambda sub, s: _items(_compile(sub)),
     # a bool is not a number, and NaN is not below any minimum
-    "minimum": lambda x, n, s: [((), f"{x!r} is less than the minimum of {n!r}")]
-    if isinstance(x, numbers.Number) and not isinstance(x, bool) and x < n
-    else (),
-    "minItems": lambda x, n, s: [((), f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}")]
-    if isinstance(x, list) and len(x) < n
-    else (),
-    "maxItems": lambda x, n, s: [((), f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}")]
-    if isinstance(x, list) and len(x) > n
-    else (),
-    # jsonschema names the valid subschemas after the first, then the first
-    "oneOf": lambda x, subs, s: ()
-    if len(ok := [sub for sub in subs if next(_errors(x, sub), None) is None]) == 1
-    else [((), f"{x!r} is valid under each of {', '.join(map(repr, ok[1:] + ok[:1]))}" if ok
-           else f"{x!r} is not valid under any of the given schemas")],
-    "pattern": lambda x, p, s: [((), f"{x!r} does not match {p!r}")]
-    if isinstance(x, str) and re.search(p, x) is None
-    else (),
-    **dict.fromkeys(("$schema", "$id", "title"), lambda x, v, s: ()),  # annotations
+    "minimum": lambda n, s: _leaf(lambda x: not isinstance(x, numbers.Number) or isinstance(x, bool) or not x < n,
+                                  lambda x: f"{x!r} is less than the minimum of {n!r}"),
+    "minItems": lambda n, s: _leaf(lambda x: not isinstance(x, list) or len(x) >= n,
+                                   lambda x: f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}"),
+    "maxItems": lambda n, s: _leaf(lambda x: not isinstance(x, list) or len(x) <= n,
+                                   lambda x: f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}"),
+    "oneOf": lambda subs, s: _one_of(subs, [_compile(sub) for sub in subs]),
+    "pattern": lambda p, s: _leaf(lambda x: not isinstance(x, str) or re.search(p, x) is not None,
+                                  lambda x: f"{x!r} does not match {p!r}"),
+    **dict.fromkeys(("$schema", "$id", "title"), lambda v, s: lambda x, seen: ()),  # annotations
 }
 
 
-def _errors(x, schema):
-    """Yield ``(path, message)`` for each way ``x`` fails ``schema`` under Draft
-    2020-12, depth first in keyword order.  A keyword outside ``_KEYWORDS``
-    raises, whatever the document, so no check is skipped silently."""
+def _compile(schema):
+    """``errors(x, seen)``: the ``(path, message)`` of each way ``x`` fails ``schema`` under Draft 2020-12, depth
+    first in keyword order, where ``seen`` counts the run's array items.  Any keyword outside ``_KEYWORDS`` raises."""
     if isinstance(schema, bool):
-        if not schema:
-            yield (), f"False schema does not allow {x!r}"
-        return
+        return _leaf(lambda x: schema, lambda x: f"False schema does not allow {x!r}")
     if not _KEYWORDS.keys() >= schema.keys():
         raise ValueError(f"unsupported schema keywords: {sorted(schema.keys() - _KEYWORDS.keys())}")
-    for key, value in schema.items():
-        yield from _KEYWORDS[key](x, value, schema)
+    parts = {key: _KEYWORDS[key](value, schema) for key, value in schema.items()}
+    errors = lambda x, seen: [e for failures in parts.values() for e in failures(x, seen)]
+    # a surely valid int, list or dict skips the keywords: each test below implies all those of its schema
+    kind, keys = schema.get("type"), schema.keys()
+    if kind == "integer" and keys <= {"type", "minimum"}:
+        floor = schema.get("minimum", -math.inf)
+        return lambda x, seen: () if type(x) is int and x >= floor else errors(x, seen)
+    if kind == "array" and "items" in keys and keys <= {"type", "items", "minItems", "maxItems"}:
+        lo, hi, items = schema.get("minItems", 0), schema.get("maxItems", math.inf), parts["items"]
+        return lambda x, seen: () if type(x) is list and lo <= len(x) <= hi and not items(x, seen) else errors(x, seen)
+    if kind == "object" and "properties" in keys and schema.get("additionalProperties") is False \
+            and keys <= {"type", "required", "additionalProperties", "properties", "$schema", "$id", "title"}:
+        need, known, props = set(schema.get("required", ())), schema["properties"].keys(), parts["properties"]
+        return lambda x, seen: (() if type(x) is dict and need <= x.keys() <= known and not props(x, seen)
+                                else errors(x, seen))
+    return errors
 
 
-def _pointer(path) -> str:
-    return "/" + "/".join(str(p) for p in path)
+_compiled = cache(lambda schema_name: _compile(_schemas()[schema_name]))  # a shipped schema, on its first use
 
 
 def validate_schema(doc, schema_name: str, prefix: str = "") -> list[str]:
     """Schema diagnostics with JSON-pointer paths, sorted by path; empty means valid."""
-    global _items_seen
-    _items_seen = count(1)
-    errors = sorted(_errors(doc, _schemas()[schema_name]), key=lambda e: e[0])
+    errors = sorted(_compiled(schema_name)(doc, [0]), key=lambda e: e[0])
     if errors:
-        return [f"{prefix}{_pointer(path)}: {message}" for path, message in errors]
-    out = []
-    if schema_name == "quiver":
-        n = doc["vertices"]
-        for i, edge in enumerate(doc.get("edges", [])):
-            for j, v in enumerate(edge):
-                if v >= n:
-                    out.append(f"{prefix}/edges/{i}/{j}: vertex index out of range")
-        for key in ("v", "w"):
-            if key in doc and len(doc[key]) != n:
-                out.append(f"{prefix}/{key}: length must equal the vertex count")
-    return out
+        return [f"{prefix}/{'/'.join(map(str, path))}: {word()}" for path, word in errors]
+    if schema_name != "quiver":
+        return []
+    n = doc["vertices"]
+    out = [f"{prefix}/edges/{i}/{j}: vertex index out of range"
+           for i, edge in enumerate(doc.get("edges", [])) for j, v in enumerate(edge) if v >= n]
+    return out + [f"{prefix}/{key}: length must equal the vertex count"
+                  for key in ("v", "w") if key in doc and len(doc[key]) != n]
 
 
 def _check(doc, schema_name: str, prefix: str = "") -> None:
-    diags = validate_schema(doc, schema_name, prefix)
-    if diags:
+    if diags := validate_schema(doc, schema_name, prefix):
         raise InputError(diags)
 
 
@@ -399,30 +420,32 @@ _COMMANDS = {
 
 
 @cache  # parse_args leaves the parser as it was, so one per process serves every call
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The whole parser, and each leaf's subparser in it by its key in ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="coulombkit",
         description="Exact Coulomb-branch, hypertoric and Kac-Moody computations.",
     )
     top = parser.add_subparsers(dest="group", required=True)
+    leaves = {}
 
-    def leaf(sub, name, flags):
-        p = sub.add_parser(name)
+    def leaf(sub, name, key):
+        p = leaves[key] = sub.add_parser(name)
+        p.set_defaults(group=key[0], command=key[1])
         p.add_argument("--input", default="-", help="input JSON path, or - for stdin")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--timeout", type=float, default=None)
-        for flag, kind in flags.items():
+        for flag, kind in _COMMANDS[key][1].items():
             p.add_argument(flag, type=kind)
-        return p
 
     for group in ("km", "quiver", "abelian", "hypertoric", "jordan"):
         g = top.add_parser(group)
         sub = g.add_subparsers(dest="command", required=True)
-        for (grp, cmd), (_, flags) in _COMMANDS.items():
+        for grp, cmd in _COMMANDS:
             if grp == group:
-                leaf(sub, cmd, flags)
-    leaf(top, "validate", _COMMANDS["validate", None][1]).set_defaults(command=None)
-    return parser
+                leaf(sub, cmd, (grp, cmd))
+    leaf(top, "validate", ("validate", None))
+    return parser, leaves
 
 
 def _render(result: dict, fmt: str) -> str:
@@ -444,8 +467,13 @@ def _render(result: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
+    parser, leaves = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    key = ("validate", None) if argv[:1] == ["validate"] else tuple(argv[:2])
+    try:  # a leaf that argv names reads the rest with its own parser, and the whole tree anything else:
+        args, rest = leaves[key].parse_known_args(argv[1 if key[1] is None else 2:]) if key in leaves else (None, ())
+        if args is None or rest:  # the tree words help and usage errors, "unrecognized arguments" among them
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error: malformed input
         return 1 if exc.code else 0
     handler = _COMMANDS[(args.group, args.command)][0]

@@ -6,16 +6,17 @@ strings like "3/2" so round-trips stay exact.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .abelian import AbelianTheory
 from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
 from .difference_ops import DifferenceOperator
 from .errors import DimensionError, DomainError
 from .higgs import GradedDimensionTable
-from .lattices import IntMatrix
+from .lattices import IntMatrix, as_integers
 from .monopole import CoulombElement
 from .polynomial import Polynomial
 from .quiver import DimVectors, Quiver
@@ -73,16 +74,23 @@ def _poly_to_json(poly: Polynomial, nvars: int) -> list:
     return out
 
 
+# the schemas' coefficient pattern, -?[0-9]+(/[0-9]+)?, whose matches _poly_from_json reads as two ints
+_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _poly_from_json(terms, rank: int, path) -> Polynomial:
     """An element's polynomial: ``rank`` exponents per term, and hbar, the last variable, at 0."""
-    coeffs: dict[tuple, Fraction] = {}
+    read = []
     for i, t in enumerate(terms):
         if len(t["powers"]) != rank:
             raise DimensionError(
                 f"{path}/{i}/powers: {len(t['powers'])} exponents for {rank} generators"
             )
         try:
-            q = Fraction(t["coeff"])
+            if isinstance(c := t["coeff"], str) and (m := _COEFF.fullmatch(c)) and (d := int(m[2] or 1)):
+                num = int(m[1])
+            else:  # "1.5", " 2" or "1\n" is read, and a zero denominator refused, by Fraction as before
+                num, d = (q := Fraction(c)).numerator, q.denominator
         except ZeroDivisionError:
             raise DomainError(f"{path}/{i}/coeff: zero denominator in {t['coeff']!r}") from None
         except ValueError:  # also raised past the interpreter's limit on int <-> str digits
@@ -90,11 +98,15 @@ def _poly_from_json(terms, rank: int, path) -> Polynomial:
                 f"{path}/{i}/coeff: not a fraction of integers of at most "
                 f"{sys.get_int_max_str_digits()} digits"
             ) from None
-        monom = tuple(int(p) for p in t["powers"]) + (0,)
+        monom = as_integers(t["powers"], "exponent") + (0,)
         if min(monom, default=0) < 0:
             raise DomainError(f"{path}/{i}/powers: negative exponent in {t['powers']}")
-        coeffs[monom] = coeffs.get(monom, 0) + q
-    return Polynomial.from_fractions(coeffs)
+        read.append((monom, num, d))
+    den = lcm(*(d for _, _, d in read))  # the numerators are summed over one common denominator
+    nums: dict[tuple, int] = {}
+    for monom, num, d in read:
+        nums[monom] = nums.get(monom, 0) + num * (den // d)
+    return Polynomial.make(nums, den)
 
 
 def _to_json(value, with_hbar: bool) -> dict:
@@ -114,7 +126,7 @@ def element_to_json(a: CoulombElement) -> dict:
 
 
 def element_from_json(doc) -> CoulombElement:
-    rank = int(doc["rank"])
+    (rank,) = as_integers((doc["rank"],), "rank")
     terms = []
     for j, t in enumerate(doc["terms"]):
         # checked before any exponent tuple of an unbounded rank is built
@@ -131,11 +143,11 @@ def operator_to_json(op: DifferenceOperator) -> dict:
 # ---------------------------------------------------------------- theories
 
 def theory_from_json(doc) -> AbelianTheory:
-    return AbelianTheory.of(int(doc["rank"]), doc.get("characters", []))
+    return AbelianTheory.of(*as_integers((doc["rank"],), "rank"), doc.get("characters", []))
 
 
 def quiver_from_json(doc) -> tuple[Quiver, DimVectors]:
-    n = int(doc["vertices"])
+    (n,) = as_integers((doc["vertices"],), "vertex count")
     if n > sys.maxsize:  # the default dimension vectors are lists of n zeros
         raise DomainError(f"/vertices: {n} vertices are more than a list can index")
     q = Quiver.of(n, doc.get("edges", []))
