@@ -7,13 +7,11 @@ JSON (or plain table) result.  Exit codes: 0 success, 1 malformed input
 3 bound exceeded / cancelled.
 
 Each shipped schema is compiled once, on first use, into closures for the
-Draft 2020-12 keywords it uses (any other keyword raises).  They word each
+Draft 2020-12 keywords it uses; any other keyword raises.  They word each
 diagnostic as jsonschema 4.26 words it, so the CLI has no runtime
-dependency, and a value that is surely valid, such as an int at or above
-its minimum, skips them.  ``main`` reads argv that names a leaf with that
-leaf's parser.  It opens the one ``--timeout`` deadline scope of the run
-(``cancel``): it starts before the document is read and also covers
-printing the result.
+dependency.  ``main`` reads argv that names a leaf with that leaf's parser
+and opens the one ``--timeout`` deadline scope of the run (``cancel``): it
+starts before the document is read and also covers printing the result.
 """
 
 from __future__ import annotations
@@ -86,22 +84,24 @@ def _members(keys, errors):
 
 
 def _items(errors):
-    """``items`` of the subschema ``errors``: ``seen[0]`` counts the run's array items, and every 4096th meets the
-    deadline, so a small document is checked in full.  An invalid array is read again for its failures."""
+    """``items`` of the subschema ``errors``, each item read once.  ``seen[0]`` counts the run's array items, and the
+    deadline is met where the count passes a multiple of 4096, so a small document is checked in full."""
     def failures(x, seen):
         if not isinstance(x, list):
             return ()
+        if len(x) > 4096:  # read in slices, so that a long array meets the deadline as it is read
+            return [((lo + i, *p), m) for lo in range(0, len(x), 4096)
+                    for (i, *p), m in failures(x[lo:lo + 4096], seen)]
         seen[0] += len(x)
         if (seen[0] - len(x)) >> 12 != seen[0] >> 12:
             check()
-        if not any(map(errors, x, repeat(seen))):
-            return ()
-        return [((i, *p), m) for i, v in enumerate(x) for p, m in errors(v, seen)]
+        found = list(map(errors, x, repeat(seen)))
+        return [((i, *p), m) for i, f in enumerate(found) if f for p, m in f] if any(found) else ()
     return failures
 
 
 def _one_of(subs, branches):
-    # a branch says only whether it passes; jsonschema names the passing ones from the second on, then the first
+    # no branch's failure is worded; jsonschema names the passing ones from the second on, then the first
     return lambda x, seen: () if len(ok := [sub for sub, errors in zip(subs, branches) if not errors(x, seen)]) == 1 \
         else [((), lambda: f"{x!r} is valid under each of {', '.join(map(repr, ok[1:] + ok[:1]))}" if ok
                else f"{x!r} is not valid under any of the given schemas")]
@@ -154,34 +154,42 @@ def _compile(schema):
         return lambda x, seen: () if type(x) is int and x >= floor else errors(x, seen)
     if kind == "array" and "items" in keys and keys <= {"type", "items", "minItems", "maxItems"}:
         lo, hi, items = schema.get("minItems", 0), schema.get("maxItems", math.inf), parts["items"]
-        return lambda x, seen: () if type(x) is list and lo <= len(x) <= hi and not items(x, seen) else errors(x, seen)
+        return lambda x, seen: items(x, seen) if type(x) is list and lo <= len(x) <= hi else errors(x, seen)
     if kind == "object" and "properties" in keys and schema.get("additionalProperties") is False \
             and keys <= {"type", "required", "additionalProperties", "properties", "$schema", "$id", "title"}:
         need, known, props = set(schema.get("required", ())), schema["properties"].keys(), parts["properties"]
-        return lambda x, seen: (() if type(x) is dict and need <= x.keys() <= known and not props(x, seen)
-                                else errors(x, seen))
+        return lambda x, seen: props(x, seen) if type(x) is dict and need <= x.keys() <= known else errors(x, seen)
     return errors
 
 
 _compiled = cache(lambda schema_name: _compile(_schemas()[schema_name]))  # a shipped schema, on its first use
 
 
+def _pointer(path) -> str:
+    return "/" + "/".join(str(p) for p in path)
+
+
 def validate_schema(doc, schema_name: str, prefix: str = "") -> list[str]:
     """Schema diagnostics with JSON-pointer paths, sorted by path; empty means valid."""
     errors = sorted(_compiled(schema_name)(doc, [0]), key=lambda e: e[0])
     if errors:
-        return [f"{prefix}/{'/'.join(map(str, path))}: {word()}" for path, word in errors]
-    if schema_name != "quiver":
-        return []
-    n = doc["vertices"]
-    out = [f"{prefix}/edges/{i}/{j}: vertex index out of range"
-           for i, edge in enumerate(doc.get("edges", [])) for j, v in enumerate(edge) if v >= n]
-    return out + [f"{prefix}/{key}: length must equal the vertex count"
-                  for key in ("v", "w") if key in doc and len(doc[key]) != n]
+        return [f"{prefix}{_pointer(path)}: {word()}" for path, word in errors]
+    out = []
+    if schema_name == "quiver":
+        n = doc["vertices"]
+        for i, edge in enumerate(doc.get("edges", [])):
+            for j, v in enumerate(edge):
+                if v >= n:
+                    out.append(f"{prefix}/edges/{i}/{j}: vertex index out of range")
+        for key in ("v", "w"):
+            if key in doc and len(doc[key]) != n:
+                out.append(f"{prefix}/{key}: length must equal the vertex count")
+    return out
 
 
 def _check(doc, schema_name: str, prefix: str = "") -> None:
-    if diags := validate_schema(doc, schema_name, prefix):
+    diags = validate_schema(doc, schema_name, prefix)
+    if diags:
         raise InputError(diags)
 
 
@@ -426,25 +434,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="coulombkit",
         description="Exact Coulomb-branch, hypertoric and Kac-Moody computations.",
     )
-    top = parser.add_subparsers(dest="group", required=True)
-    leaves = {}
-
-    def leaf(sub, name, key):
-        p = leaves[key] = sub.add_parser(name)
-        p.set_defaults(group=key[0], command=key[1])
+    top, groups, leaves = parser.add_subparsers(dest="group", required=True), {}, {}
+    for (grp, cmd), (_, flags) in _COMMANDS.items():  # each group's leaves in turn, then validate
+        if cmd is not None and grp not in groups:
+            groups[grp] = top.add_parser(grp).add_subparsers(dest="command", required=True)
+        p = leaves[grp, cmd] = groups[grp].add_parser(cmd) if cmd else top.add_parser(grp)
+        p.set_defaults(group=grp, command=cmd)  # as the tree sets them, for a leaf that parses alone
         p.add_argument("--input", default="-", help="input JSON path, or - for stdin")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--timeout", type=float, default=None)
-        for flag, kind in _COMMANDS[key][1].items():
+        for flag, kind in flags.items():
             p.add_argument(flag, type=kind)
-
-    for group in ("km", "quiver", "abelian", "hypertoric", "jordan"):
-        g = top.add_parser(group)
-        sub = g.add_subparsers(dest="command", required=True)
-        for grp, cmd in _COMMANDS:
-            if grp == group:
-                leaf(sub, cmd, (grp, cmd))
-    leaf(top, "validate", ("validate", None))
     return parser, leaves
 
 

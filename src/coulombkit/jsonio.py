@@ -74,8 +74,7 @@ def _poly_to_json(poly: Polynomial, nvars: int) -> list:
     return out
 
 
-# the schemas' coefficient pattern, -?[0-9]+(/[0-9]+)?, whose matches _poly_from_json reads as two ints
-_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # the schemas' coefficient pattern, read as two ints
 
 
 def _poly_from_json(terms, rank: int, path) -> Polynomial:

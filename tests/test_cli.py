@@ -272,7 +272,8 @@ def test_usage_errors_are_malformed_input(capsys, argv, code):
         [], ["km"], ["--help"], ["km", "mult", "-h"], ["km", "mult", "--bogus"], ["abelian", "ring", "x"],
         ["abelian", "ring", "--format", "xml"], ["validate"], ["validate", "--schema"],
         ["quiver", "strata", "--depth", "x"], ["jordan", "hilbert", "--max-deg", "2", "--format", "table"],
-        ["validate", "--schema", "quiver", "--timeout", "5"],
+        ["validate", "--schema", "quiver", "--timeout", "5"], ["km", "mult", "--", "x"], ["km", "mult", "--"],
+        ["jordan", "hilbert", "--max=2", "--time", "5"], ["validate", "-h", "--schema", "quiver"],
     ],
 )
 def test_a_leaf_parser_answers_as_the_whole_tree(capsys, monkeypatch, argv):
@@ -356,25 +357,26 @@ def test_json_nested_past_the_recursion_limit_is_invalid_json(capsys, tmp_path, 
 
 
 def test_json_nested_just_under_the_recursion_limit_is_an_input_error(capsys, monkeypatch):
-    # the deepest documents that parse can still recurse too deep in the schema check or its message.
-    # validate words a document at its root, a few calls shallower than the subcommands that check a
-    # part of theirs, so it answers each one that parses and only those subcommands meet the limit
-    first_words = set()
-    for argv, wrap in [
-        (["validate", "--schema", "matrix"], "%s"),
-        (["km", "mult"], '{"cartan": %s, "lambda": [1, 1], "mu": [0, 0]}'),
-        (["hypertoric", "compare", "--max-deg", "1"], "%s"),
+    # the ten deepest documents that parse, answered as follows by each command
+    for argv, wrap, answers in [
+        # the document is worded at its root, no deeper than it was parsed, so each one that parses is answered
+        (["validate", "--schema", "matrix"], "%s", {(2, "is not valid under any of the given schemas")}),
+        (["hypertoric", "compare", "--max-deg", "1"], "%s", {(1, "is not valid under any of the given schemas")}),
+        # the part worded sits a few calls deeper than the parser: the deepest documents that parse meet the limit
+        (["km", "mult"], '{"cartan": %s, "lambda": [1, 1], "mu": [0, 0]}',
+         {(1, "input nested too deeply"), (1, "is not valid under any of the given schemas")}),
     ]:
-        depth, parsed = sys.getrecursionlimit(), 0
+        depth, parsed, seen = sys.getrecursionlimit(), 0, set()
         while parsed < 10:
             monkeypatch.setattr("sys.stdin", io.StringIO(wrap % ("[" * depth + "]" * depth)))
             code = main(argv)
             out, err = capsys.readouterr()
-            assert code in (1, 2) and (err if code == 1 else out), (argv, depth)
-            parsed += not err.startswith("invalid JSON")
-            first_words.add(err.split(":")[0])
             depth -= 1
-    assert "input nested too deeply" in first_words
+            if not err.startswith("invalid JSON"):
+                parsed += 1
+                text = err if code == 1 else json.loads(out)["diagnostics"][0]
+                seen |= {(c, a) for c, a in answers if c == code and a in text} or {(code, text[-60:])}
+        assert seen == answers, argv
 
 
 @pytest.mark.parametrize(
