@@ -21,14 +21,13 @@ class AbelianTheory:
 
     rank: int
     characters: tuple[CharacterVector, ...]
-    names: tuple[str, ...] = ()
 
     @staticmethod
-    def of(rank: int, characters, names=()) -> "AbelianTheory":
+    def of(rank: int, characters) -> "AbelianTheory":
         chars = tuple(as_integers(c, "character") for c in characters)
         if any(len(c) != rank for c in chars):
             raise DimensionError("character length does not match torus rank")
-        return AbelianTheory(rank, chars, tuple(names))
+        return AbelianTheory(rank, chars)
 
     @staticmethod
     def a_type(ell: int) -> "AbelianTheory":

@@ -28,8 +28,8 @@ carrying height, delta and det(w), for every caller that reads a weight at its
 dominant conjugate.  The Langlands dual is read
 off the datum's own fields once per datum: the transpose has the same type and
 swaps the Kac labels (Kac, Sec. 2.1, Ch. 4), so only its nonzeros are
-transposed, and its symmetrizers are read off d over each component; it and the
-solve data sit in an ``lru_cache`` keyed by the datum and are built under the
+transposed, and its symmetrizers come from the walk that validation runs; it and
+the solve data sit in an ``lru_cache`` keyed by the datum and are built under the
 deadline (``cancel.check``), so a cancelled pass stores nothing.
 """
 
@@ -269,36 +269,19 @@ def _delta_splitter(a: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def _dual_datum(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
-    """The transpose's datum without validating it again.  D A is symmetric, and
-    the transpose's D' A^T is a positive multiple of D^-1 (D A) D^-1 on each
-    component, so every principal minor keeps its sign and the tag stays.  a^vee A = 0
-    makes the Kac labels and the dual labels trade places.  The transpose's minimal
-    symmetrizers are L / d_i for L the lcm of d over the component of i: d_i a_ij = d_j a_ji
-    makes them symmetrize it, and their gcd is 1, so only the components are walked."""
-    nbrs, at, d = gcm.neighbours, [], [0] * gcm.size
+def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
+    """Replace the Cartan matrix by its transpose, with its minimal symmetrizers: built once per
+    datum, so repeated calls return the same object, and not validated again.  D A is symmetric,
+    and the transpose's D' A^T is a positive multiple of D^-1 (D A) D^-1 on each component, so
+    every principal minor keeps its sign and the tag stays.  a^vee A = 0 makes the Kac labels and
+    the dual labels trade places.  The symmetrizers come from the walk that validation runs."""
+    nbrs, at = gcm.neighbours, []
     for i, row in enumerate(nbrs):
         check()
         at.append({j: nbrs[j][i] for j in row})
-    for start in range(gcm.size):
-        if not d[start]:
-            comp, seen = [start], {start}
-            for i in comp:
-                check()
-                comp += (new := nbrs[i].keys() - seen)
-                seen |= new
-            scale = reduce(math.lcm, (gcm.d[i] for i in comp))
-            for i in comp:
-                d[i] = scale // gcm.d[i]
     labels = gcm.dual_labels
     split = None if labels is None else _delta_splitter(labels)
-    return GeneralizedCartanMatrix(tuple(at), tuple(d), gcm.tag, labels, gcm.null_vector, split)
-
-
-def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
-    """Replace the Cartan matrix by its transpose, with its minimal symmetrizers.
-    Built once per datum, so repeated calls return the same object."""
-    return _dual_datum(gcm)
+    return GeneralizedCartanMatrix(tuple(at), _minimal_symmetrizers(at), gcm.tag, labels, gcm.null_vector, split)
 
 
 @lru_cache(maxsize=16)

@@ -113,10 +113,6 @@ class DifferenceOperator(_GradedSum):
         return DifferenceOperator(rank, _merge(rank, terms, lambda p: to_poly(rank, p), "operator"))
 
     @staticmethod
-    def zero(rank: int) -> "DifferenceOperator":
-        return DifferenceOperator(rank, ())
-
-    @staticmethod
     def one(rank: int) -> "DifferenceOperator":
         return DifferenceOperator.from_terms(rank, {(0,) * rank: 1})
 

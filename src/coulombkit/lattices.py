@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .cancel import check
@@ -95,7 +96,7 @@ def pairing(lam: Sequence[int], rho: Sequence[int]) -> int:
     """Canonical pairing of a coweight with a character vector."""
     if len(lam) != len(rho):
         raise DimensionError(f"pairing length mismatch: {len(lam)} vs {len(rho)}")
-    return sum(int(a) * int(b) for a, b in zip(lam, rho))
+    return sum(map(mul, lam, rho))
 
 
 def _hermite(rows: list[list[int]], ncols: int) -> int:
@@ -146,10 +147,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     The deadline is checked at each Euclid step.
     """
     rows, cols = mat.nrows, mat.ncols
-    wide = 0 < rows < cols  # then work on the transpose: its first row pass leaves less to clear
-    m = [list(r) for r in (zip(*mat.entries) if wide else mat.entries)]
-    if wide:
-        rows, cols = cols, rows
+    m = [list(r) for r in mat.entries]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     vt = [[int(i == j) for j in range(cols)] for i in range(cols)]  # V transposed
 
@@ -173,8 +171,6 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for row in m:
             row[i] += row[i + 1]
         vt[i] = [x + y for x, y in zip(vt[i], vt[i + 1])]
-    if wide:  # U mat^T V = D gives V^T mat U^T = D^T
-        return IntMatrix(tuple(map(tuple, vt))), IntMatrix(tuple(zip(*m))), IntMatrix(tuple(zip(*u)))
     return IntMatrix(tuple(map(tuple, u))), IntMatrix(tuple(map(tuple, m))), IntMatrix(tuple(zip(*vt)))
 
 

@@ -43,17 +43,15 @@ RootVector = tuple[int, ...]  # coordinates over the simple roots
 class RootTable:
     """Positive roots up to a height bound, with multiplicities.
 
-    ``multiplicities`` maps root-lattice vectors to positive integers and
-    ``norms`` each of those roots to (beta, beta); ``c_values`` holds the
-    nonzero Peterson auxiliaries c_beta up to ``height``, which stops one
-    layer above the highest root in finite type.
+    ``multiplicities`` maps root-lattice vectors to positive integers;
+    ``c_values`` holds the nonzero Peterson auxiliaries c_beta up to
+    ``height``, which stops one layer above the highest root in finite type.
     """
 
     gcm: GeneralizedCartanMatrix
     height: int
     multiplicities: dict[RootVector, int] = field(default_factory=dict)
     c_values: dict[RootVector, Fraction] = field(default_factory=dict)
-    norms: dict[RootVector, int] = field(default_factory=dict)
     # (alpha, mult, (alpha, alpha), d alpha, height) per root of ``multiplicities``, in its order:
     # what Freudenthal's sums read, appended to as each layer is committed
     summands: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -130,7 +128,6 @@ class RootTable:
             layers[h] = list(layer.items())
             c.update((beta, Fraction(cb, scale)) for beta, cb in layer.items())
             mults.update(roots)
-            self.norms.update(norms)
             self.summands += [(b, m, norms[b], tuple(map(mul, gcm.d, b)), h) for b, m in roots.items()]
             self.height = h
             if not roots:
@@ -157,7 +154,7 @@ def root_multiplicities(gcm: GeneralizedCartanMatrix, height: int) -> RootTable:
     (shared := _root_table(gcm)).extend(height)
     h = min(height, shared.height)
     table = RootTable(gcm, h, *({b: v for b, v in d.items() if sum(b) <= h}
-                               for d in (shared.multiplicities, shared.c_values, shared.norms)))
+                               for d in (shared.multiplicities, shared.c_values)))
     table.summands = shared.summands[:len(table.multiplicities)]
     return table
 

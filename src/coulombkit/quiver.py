@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .abelian import top_half_degree
 from .cancel import check
 from .cartan import (
     GeneralizedCartanMatrix,
     KMWeight,
     _datum,
     central_element_as_root_sum,
-    dominance_leq,
     in_positive_root_cone,
     langlands_dual,
     level,
@@ -219,10 +219,6 @@ def strata_finite(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeight) -> 
 
 def _partitions(n: int):
     """Partitions of n as descending tuples; the empty partition for n = 0."""
-    if n == 0:
-        yield ()
-        return
-
     def rec(remaining, largest):
         if remaining == 0:
             yield ()
@@ -273,10 +269,12 @@ def strata_affine(
 
 def cocharacter_split(weights, mu: Coweight) -> tuple[int, int, int]:
     """Counts of representation weights pairing negative / zero / positive
-    against the cocharacter; dim N^mu_{<=0} = neg + zero."""
+    against the cocharacter; dim N^mu_{<=0} = neg + zero.  Entries are read by
+    ``as_integers``, so none is truncated."""
+    mu = as_integers(mu, "cocharacter")
     neg = zero = pos = 0
     for rho in weights:
-        p = pairing(mu, rho)
+        p = pairing(mu, as_integers(rho, "weight"))
         if p < 0:
             neg += 1
         elif p == 0:
@@ -288,7 +286,10 @@ def cocharacter_split(weights, mu: Coweight) -> tuple[int, int, int]:
 
 def parabolic_codim(gl_ranks, mu_blocks) -> int:
     """dim G/P_mu for a product of GLs: GL root pairs (a, b), a < b inside a
-    factor, separated by unequal cocharacter entries."""
+    factor, separated by unequal cocharacter entries.  Entries are read by
+    ``as_integers``, so none is truncated."""
+    gl_ranks = as_integers(gl_ranks, "GL rank")
+    mu_blocks = [as_integers(block, "cocharacter block") for block in mu_blocks]
     if len(gl_ranks) != len(mu_blocks):
         raise DimensionError("one cocharacter block per GL factor is required")
     total = 0
@@ -315,8 +316,6 @@ def jordan_coulomb_hilbert(n: int, ell: int, max_deg) -> list[int]:
         raise UnsupportedError("the grading degenerates for ell = 0")
     if n < 0:
         raise DomainError("n must be non-negative")
-    from .abelian import top_half_degree  # here, so that the Kac-Moody commands do not load it
-
     top = top_half_degree(max_deg)
     h: list[int] = []  # h[t]: normal-form monomials of doubled degree t
     # sym[j][t]: multisets of j of them; one of doubled degree t <= top has at most top members

@@ -29,8 +29,6 @@ HBAR = sympy.Symbol("hbar")
 @lru_cache(maxsize=32)
 def w_vars(rank: int) -> tuple[sympy.Symbol, ...]:
     """Equivariant parameters w_1 .. w_rank."""
-    if rank == 0:
-        return ()
     return sympy.symbols(f"w1:{rank + 1}")
 
 
@@ -93,7 +91,7 @@ def birationality_witness(th: AbelianTheory, lam) -> sympy.Expr:
 
 def higgs_variables(n: int) -> tuple[tuple[sympy.Symbol, ...], tuple[sympy.Symbol, ...]]:
     """The hypermultiplet coordinates x_1 .. x_n and y_1 .. y_n."""
-    return (sympy.symbols(f"x1:{n + 1}"), sympy.symbols(f"y1:{n + 1}")) if n else ((), ())
+    return sympy.symbols(f"x1:{n + 1}"), sympy.symbols(f"y1:{n + 1}")
 
 
 def moment_ideal_generators(th: HiggsTheory) -> list[sympy.Expr]:

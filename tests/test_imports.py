@@ -1,6 +1,7 @@
 """The package namespace is lazy, only the symbolic API loads sympy, only
-``coulombkit.symbolic`` imports it, no CLI document loads jsonschema, and the
-deadline reaches the library as a scope, not as a parameter."""
+``coulombkit.symbolic`` imports it, no CLI document loads jsonschema, every
+module-level import is used, and the deadline reaches the library as a scope,
+not as a parameter."""
 
 import ast
 import importlib
@@ -183,6 +184,26 @@ def test_only_the_symbolic_module_names_sympy_or_imports_symbolic_on_load():
             paths = [ast.unparse(node)] if isinstance(node, ast.Attribute) else _imported_modules(node)
             if any(p.split(".")[0] == "sympy" and rings & set(p.split(".")) for p in paths):
                 found.append(f"{name}:{node.lineno}: uses sympy's sparse rings")
+    assert found == []
+
+
+def test_every_module_level_import_is_used():
+    """A name that a module imports at module level is read in that module, unless
+    its import is marked ``# noqa: F401`` as a re-export."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in _module_level(tree.body):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                marked = "# noqa: F401" in lines[alias.lineno - 1] + lines[node.lineno - 1]
+                if name not in read and not marked:
+                    found.append(f"{path.relative_to(SRC)}:{alias.lineno}: {name}")
     assert found == []
 
 

@@ -226,6 +226,13 @@ def test_dual_sequence_rejects_torsion_and_rank_deficiency():
         dual_sequence(IntMatrix.from_rows([[1, 1], [1, 1]]))
 
 
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 1], [1, 1]]], ids=["wide", "square"])
+def test_dual_sequence_rejects_a_matrix_without_full_column_rank(rows):
+    # a wide matrix reaches the Smith form as it is, and so does a rank-deficient square one
+    with pytest.raises(LatticeError, match="^cocharacter inclusion does not have full column rank$"):
+        dual_sequence(IntMatrix.from_rows(rows))
+
+
 def test_dual_sequence_rank_and_involution():
     rng = random.Random(11)
     tried = 0

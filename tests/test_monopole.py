@@ -20,7 +20,7 @@ from coulombkit.difference_ops import (
     poisson_from_lifts,
     specialize_hbar,
 )
-from coulombkit.errors import DomainError, LiftError
+from coulombkit.errors import Cancelled, DomainError, LiftError
 from coulombkit.jsonio import element_to_json, operator_to_json
 from coulombkit.lattices import IntMatrix, pairing, smith_diagonal
 from coulombkit.monopole import (
@@ -262,6 +262,19 @@ def test_pi1_grading_additivity():
     th = AbelianTheory.a_type(2)
     prod = classical_product(th, mono((2,)), mono((-1,)))
     assert [lam for lam, _ in prod.terms] == [(1,)]
+
+
+def test_hilbert_series_with_more_torus_rank_than_characters():
+    # a 2 x 1000 character matrix goes through the Smith form untransposed, then is refused;
+    # under an expired deadline the Smith form is cancelled first
+    rng = random.Random(36)
+    th = AbelianTheory.of(1000, [tuple(rng.randint(-3, 3) for _ in range(1000)) for _ in range(2)])
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^unbounded degree-0 piece: characters do not span the dual lattice$"):
+        hilbert_series(th, 2)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(Cancelled), CancellationToken(0):
+        hilbert_series(th, 2)
 
 
 def test_hilbert_series_examples():

@@ -129,18 +129,20 @@ def test_root_table_stops_after_the_highest_root():
     assert max(map(sum, table.c_values)) == 6
 
 
+def gram_norm(gcm, b):
+    n = gcm.size
+    return sum(gcm.gram(i, j) * b[i] * b[j] for i in range(n) for j in range(n))
+
+
 def test_root_table_norms_are_the_forms_of_its_roots():
-    # kept beside the multiplicities, so Freudenthal's sums do not recompute them;
-    # real roots have (beta, beta) = 2 d_i > 0, imaginary ones (beta, beta) <= 0
+    # kept in the summands beside the multiplicities, so Freudenthal's sums do not recompute
+    # them; real roots have (beta, beta) = 2 d_i > 0, imaginary ones (beta, beta) <= 0
     for name in ("A3", "B2", "G2", "C3", "A1~", "A2~", "A3~"):
         gcm = named_gcm(name)
         table = root_multiplicities(gcm, 8)
-        n = gcm.size
-        assert table.norms == {
-            b: sum(gcm.gram(i, j) * b[i] * b[j] for i in range(n) for j in range(n))
-            for b in table.multiplicities
-        }
-        assert list(table.norms) == list(table.multiplicities)
+        assert [(b, norm) for b, _, norm, _, _ in table.summands] == [
+            (b, gram_norm(gcm, b)) for b in table.multiplicities
+        ]
 
 
 def test_root_table_extends_in_place():
@@ -155,7 +157,7 @@ def test_root_table_extends_in_place():
         assert table.multiplicities == fresh.multiplicities
         # Freudenthal's summands list the roots in the multiplicities' order, a copied prefix included
         assert table.summands == fresh.summands == fresh_root_table(gcm, 7).summands == [
-            (b, m, fresh.norms[b], tuple(x * d for x, d in zip(b, gcm.d)), sum(b))
+            (b, m, gram_norm(gcm, b), tuple(x * d for x, d in zip(b, gcm.d)), sum(b))
             for b, m in fresh.multiplicities.items()
         ]
 
@@ -324,6 +326,60 @@ def test_affine_a1_imaginary_root_multiplicities():
     # real roots all multiplicity 1
     assert table.multiplicities[(2, 1)] == 1
     assert table.multiplicities[(1, 2)] == 1
+
+
+def coloured_partitions(colours, top):
+    """p_colours(n) for n <= top: the coefficients of prod_k (1 - q^k)^-colours."""
+    p = [1] + [0] * top
+    for k in range(1, top + 1):
+        for _ in range(colours):
+            for n in range(k, top + 1):
+                p[n] += p[n - k]
+    return p
+
+
+@pytest.mark.parametrize("l, top", [(1, 40), (2, 25), (3, 14)])
+def test_basic_modules_follow_frenkel_kac(l, top):
+    # Frenkel-Kac: on A_l~, mult(Lambda_i - n delta) in V(Lambda_i) is the number of l-coloured
+    # partitions of n, for i = 0 and 1
+    gcm = named_gcm(f"A{l}~")
+    delta = gcm.root_combination(gcm.null_vector)
+    want = coloured_partitions(l, top)
+    for i in (0, 1):
+        lam = KMWeight(tuple(int(j == i) for j in range(l + 1)), 0)
+        assert [weight_multiplicity(gcm, lam, lam - delta.scaled(n)) for n in range(top + 1)] == want
+
+
+def test_level_one_roots_of_the_feingold_frenkel_algebra():
+    # Feingold-Frenkel: the hyperbolic F extends A1~ (vertices 1, 2) by vertex 0, and a root with
+    # alpha_0-coefficient 1 has mult = p(1 - (a, a) / 2); every such vector with (a, a) <= 2 is a root
+    gcm = validate_and_symmetrize([[2, -1, 0], [-1, 2, -2], [0, -2, 2]])
+    height = 40
+    table = root_multiplicities(gcm, height)
+    p = coloured_partitions(1, height)
+    level_one = {(1, b1, h - 1 - b1) for h in range(1, height + 1) for b1 in range(h)}
+    want = {b: p[1 - gram_norm(gcm, b) // 2] for b in level_one if gram_norm(gcm, b) <= 2}
+    assert len(want) == 122
+    assert {b: m for b, m in table.multiplicities.items() if b[0] == 1} == want
+
+
+@pytest.mark.parametrize("a, imaginary", [
+    (NAMED_CARTAN_MATRICES["A1~"], 1), (NAMED_CARTAN_MATRICES["A2~"], 2),
+    (NAMED_CARTAN_MATRICES["A3~"], 3), ([[2, -1], [-4, 2]], 1),
+], ids=["A1~", "A2~", "A3~", "A2^(2)"])
+def test_affine_roots_are_real_of_multiplicity_one_or_multiples_of_delta(a, imaginary):
+    # Kac, Ch. 6: mult(n delta) is l on A_l~ and 1 on A2^(2); every other positive root is real,
+    # with (a, a) > 0 and multiplicity 1
+    gcm = validate_and_symmetrize(a)
+    delta = gcm.null_vector
+    table = root_multiplicities(gcm, 12 * sum(delta))
+    for b, m in table.multiplicities.items():
+        k = sum(b) // sum(delta)
+        if b == tuple(k * x for x in delta):
+            assert m == imaginary, b
+        else:
+            assert gram_norm(gcm, b) > 0 and m == 1, b
+    assert all(table.multiplicities[tuple(k * x for x in delta)] == imaginary for k in range(1, 13))
 
 
 def test_weight_multiplicity_highest_weight():

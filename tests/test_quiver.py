@@ -1,6 +1,7 @@
 """Quiver bookkeeping, slice parameters, strata, and fixed-point shadows."""
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -303,6 +304,24 @@ def test_parabolic_codim():
     assert parabolic_codim([2], [(5, 5)]) == 0
     assert parabolic_codim([3], [(1, 0, 0)]) == 2
     assert parabolic_codim([2, 3], [(1, 0), (2, 1, 1)]) == 1 + 2
+
+
+@pytest.mark.parametrize("read, noun, seen", [
+    (lambda: cocharacter_split([(1.5, 0), (-0.5, 0), (0.9, 0)], (1, 0)), "weight", "(1.5, 0)"),
+    (lambda: cocharacter_split([(1, 0)], (0.5, 0)), "cocharacter", "(0.5, 0)"),
+    (lambda: parabolic_codim([2.5], [(1, 2)]), "GL rank", "(2.5,)"),
+    (lambda: parabolic_codim([2], [(1, 1.5)]), "cocharacter block", "(1, 1.5)"),
+], ids=["split-weight", "split-cocharacter", "codim-rank", "codim-block"])
+def test_split_inputs_that_are_not_integers_are_domain_errors(read, noun, seen):
+    # pairing read each entry through int(), so the weights above split as (0, 2, 1), and a
+    # float GL rank reached range() as a bare TypeError; the error names what was read
+    with pytest.raises(DomainError, match=f"^{noun} entries must be integers, not {re.escape(seen)}$"):
+        read()
+
+
+def test_split_inputs_read_integral_floats_as_integers():
+    assert cocharacter_split([(2.0, 0), (-1, 0.0)], (1.0, 0)) == (1, 0, 1)
+    assert parabolic_codim([2.0], [(1, 2.0)]) == parabolic_codim([2], [(1, 2)]) == 1
 
 
 def test_jordan_hilbert_examples():
