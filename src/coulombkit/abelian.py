@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cancel import check
 from .errors import DimensionError, DomainError
 from .lattices import CharacterVector, IntMatrix, as_integers, koszul_counts, smith_normal_form
 
@@ -61,9 +62,11 @@ def hilbert_series(th: AbelianTheory, max_deg) -> list[int]:
     """
     top = top_half_degree(max_deg)
     n, k = len(th.characters), th.rank
+    if n < k:  # the shape alone refuses, with no Smith form
+        check()
+        raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
     u, d, _ = smith_normal_form(IntMatrix.from_rows(th.characters))
-    diag = [d.entries[j][j] for j in range(min(n, k))]
-    if n < k or 0 in diag:
+    if 0 in (diag := [d.entries[j][j] for j in range(k)]):
         raise DomainError("unbounded degree-0 piece: characters do not span the dual lattice")
     # (U y)_j must vanish mod d_j for j < k and in Z for j >= k; d_j = 1 asks nothing
     rows = [j for j in range(n) if j >= k or diag[j] != 1]

@@ -30,7 +30,8 @@ off the datum's own fields once per datum: the transpose has the same type and
 swaps the Kac labels (Kac, Sec. 2.1, Ch. 4), so only its nonzeros are
 transposed, and its symmetrizers come from the walk that validation runs; it and
 the solve data sit in an ``lru_cache`` keyed by the datum and are built under the
-deadline (``cancel.check``), so a cancelled pass stores nothing.
+deadline (``cancel.check``), so a cancelled pass stores nothing; the datum's hash,
+which those caches read per call, is computed once, when it is built.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class KMWeight:
 
     @staticmethod
     def of(coords, delta: int = 0) -> "KMWeight":
-        """The coordinates and delta read by ``as_integers``, so nothing is truncated."""
-        return KMWeight(as_integers(coords, "weight"), *as_integers((delta,), "weight"))
+        """Coordinates and delta read by ``as_integers`` (an ``int`` delta as it is): nothing is truncated."""
+        return KMWeight(as_integers(coords, "weight"),
+                        delta if type(delta) is int else as_integers((delta,), "weight")[0])
 
     def __add__(self, other: "KMWeight") -> "KMWeight":
         self._match(other)
@@ -92,6 +94,13 @@ class GeneralizedCartanMatrix:
     null_vector: tuple[int, ...] | None       # primitive a with A a = 0 (affine)
     dual_labels: tuple[int, ...] | None       # primitive a^vee with a^vee A = 0 (affine)
     delta_split: tuple[int, ...] | None       # integer s with s . a = 1 (affine)
+
+    def __post_init__(self):  # the generated hash's value, once: caches keyed by the datum read it per call
+        fields = self.d, self.tag, self.null_vector, self.dual_labels, self.delta_split
+        object.__setattr__(self, "_hash", hash(fields))  # not through __dict__, which would slow every attribute read
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:

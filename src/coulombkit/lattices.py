@@ -5,8 +5,8 @@ goes, runs under every lattice computation: the Smith normal form with
 unimodular transforms alternates it on rows and columns, the column-style
 Hermite form that canonicalizes sublattices is one pass, and so are rank and
 the saturated integer kernel.  On top of these sit the dual-torus kernel
-construction and the count of weight-zero monomials that gives the graded
-dimensions on both sides of hypertoric duality.  That count sums the
+construction, checked by that kernel pass, and the count of weight-zero monomials
+that gives the graded dimensions on both sides of hypertoric duality.  That count sums the
 relation vectors of the weights one pair at a time, with each class keyed by
 one integer in coordinates that one Hermite pass over the generators adapts
 to the spans of the later weights, so the moves a pair allows are read off
@@ -31,14 +31,17 @@ from .errors import DimensionError, DomainError, LatticeError
 
 Coweight = tuple[int, ...]
 CharacterVector = tuple[int, ...]
+_INT = frozenset((int,))
 
 
 def as_integers(values, noun: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints.  An entry x with int(x) != x is a DomainError
     that says what was read ("{noun} entries must be integers"), so nothing is
-    truncated; 1.0 reads as 1, as the JSON schema reads it."""
+    truncated; 1.0 reads as 1, as the JSON schema reads it; all-``int`` entries take one C-level pass."""
     try:
         values = tuple(values)
+        if _INT.issuperset(map(type, values)):
+            return values
         out = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
         out = None
@@ -358,12 +361,19 @@ def integer_kernel(mat: IntMatrix) -> IntMatrix:
     kernel's basis in the transform's rows past the rank; the deadline is
     checked at each of its Euclid steps.
     """
-    n = mat.ncols
-    a = [list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(zip(*mat.entries))]
-    basis = [row[mat.nrows :] for row in a[_hermite(a, mat.nrows) :]]
-    if not basis:
-        return IntMatrix(tuple(() for _ in range(n)))
-    return hermite_column_form(IntMatrix(tuple(zip(*basis))))
+    return _kernel_columns(*_with_transform(tuple(zip(*mat.entries)), mat.nrows), mat.nrows)
+
+
+def _with_transform(rows, width: int):
+    """(``rows`` each followed by its row of the identity, Hermite-reduced over the first ``width`` columns, rank)."""
+    a = [list(r) + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
+    return a, _hermite(a, width)
+
+
+def _kernel_columns(a, rank: int, width: int) -> IntMatrix:
+    """The transforms ``_with_transform`` left past the rank, as Hermite columns: the saturated left kernel."""
+    basis = [row[width:] for row in a[rank:]]
+    return hermite_column_form(IntMatrix(tuple(zip(*basis)))) if basis else IntMatrix(tuple(() for _ in a))
 
 
 def dual_sequence(a: IntMatrix) -> IntMatrix:
@@ -373,16 +383,14 @@ def dual_sequence(a: IntMatrix) -> IntMatrix:
     subtorus T of (C^x)^n, returns B: Z^{n-k} -> Z^n with im(B) = ker(a^T),
     the cocharacter inclusion of the dual side.  Requires ``a`` to have full
     column rank with saturated image so that the quotient is again a torus.
+    One kernel pass gives U a = [H; 0] (U unimodular); at rank k, coker H + Z^(n-k) is free iff H's pivots are 1.
     """
-    n, k = a.nrows, a.ncols
-    if k == 0:
-        return IntMatrix.identity(n)
-    diag = smith_diagonal(a)
-    if sum(1 for d in diag if d != 0) != k:
+    rows, rank = _with_transform(a.entries, a.ncols)
+    if rank < a.ncols:
         raise LatticeError("cocharacter inclusion does not have full column rank")
-    if any(d not in (0, 1) for d in diag):
+    if any(rows[i][i] != 1 for i in range(rank)):
         raise LatticeError("quotient is not a torus (cokernel has torsion)")
-    return integer_kernel(a.transpose())
+    return _kernel_columns(rows, rank, a.ncols)
 
 
 def saturation(a: IntMatrix) -> IntMatrix:

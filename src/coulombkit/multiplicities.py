@@ -18,7 +18,7 @@ so V(lam + k delta) is V(lam) with every weight moved by k delta (Kac, Ch.
 Peterson's pair sums run in integers, layer h over lcm(1, ..., h)^2, and its
 denominators take each norm from the Gram rows the pair sums read.  Finite-type
 tensor products come from the Brauer-Klimyk formula, which reads det(w) off the
-same walk.  Height bounds make affine tables finite.
+same walk.  Height bounds make affine tables finite; a support listing writes each weight from its parent.
 """
 
 from __future__ import annotations
@@ -210,11 +210,11 @@ class FreudenthalTable:
             layer, top = {}, {}
             for beta, mu in below.items():
                 check()
-                i = next((i for i, x in enumerate(mu) if x < 0), None)
-                if i is None:
+                if (low := min(mu)) >= 0:
                     q = self._freudenthal_sum(beta, mu, roots)
                 else:
-                    q = mult.get(beta[:i] + (beta[i] + mu[i],) + beta[i + 1:], 0)
+                    i = mu.index(low)
+                    q = mult.get(beta[:i] + (beta[i] + low,) + beta[i + 1:], 0)
                 if q:
                     layer[beta], top[beta] = q, mu
             mult.update(layer)
@@ -314,10 +314,10 @@ def default_support_depth(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> int:
 
 
 def weight_support(gcm: GeneralizedCartanMatrix, lam: KMWeight, depth: int | None = None):
-    """Pairs (mu, mult) with mult > 0 and lam - mu of height <= depth.
+    """Pairs (mu, mult) with mult > 0 and beta = lam - mu of height <= depth, in (height, beta) order.
 
     ``depth`` may be omitted in finite type, where the full support fits under
-    the height of lam minus its antidominant conjugate.
+    the height of lam minus its antidominant conjugate.  The deadline is checked once per weight.
     """
     if depth is None:
         if gcm.tag != "finite":
@@ -327,8 +327,18 @@ def weight_support(gcm: GeneralizedCartanMatrix, lam: KMWeight, depth: int | Non
         raise DomainError("depth must be non-negative")
     table = _freudenthal(gcm, lam.fund)  # its weights moved by lam.delta are lam's
     table.extend(depth)
-    betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
-    return [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
+    columns, split = list(zip(*gcm.entries)), gcm.delta_split or (0,) * gcm.size
+    weights = {(0,) * gcm.size: lam}  # every other weight is a listed one minus alpha_i (Kac, Prop. 11.2)
+    check()  # the deadline, once per weight: lam's here, every other one's in the loop
+    for b in sorted((b for b in table._mult if any(b) and sum(b) <= depth), key=lambda b: (sum(b), b)):
+        check()
+        for i, x in enumerate(b):
+            if x and (up := weights.get(b[:i] + (x - 1,) + b[i + 1:])) is not None:
+                break
+        else:
+            raise AssertionError(f"no listed weight lies a simple root above lam - {b}")
+        weights[b] = KMWeight(tuple(map(sub, up.fund, columns[i])), up.delta - split[i])
+    return [(mu, table._mult[b]) for b, mu in weights.items()]
 
 
 def tensor_weight_mult(

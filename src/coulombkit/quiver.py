@@ -161,12 +161,12 @@ def _dominant_interval(
     cannot reach 0.  That uses only the GCM axioms, so no dominant kappa is cut in any type, and the
     sorted list is the box scan's.  Fixing u_k moves the bounds of k and of its neighbours, read off
     the datum's nonzeros, and backtracking undoes it: the walk holds O(n + nonzeros) integers, runs
-    on an explicit stack and checks the deadline once per node.
+    on an explicit stack and checks the deadline once per node; at a leaf its bounds are kappa = top - A u.
     """
     t = in_positive_root_cone(gcm, top - mu)
     if t is None:
         return []
-    nbrs, n = gcm.neighbours, gcm.size
+    nbrs, n, split = gcm.neighbours, gcm.size, gcm.delta_split or ()
     cols = [[(j, nbrs[j][k]) for j in nbrs[k]] for k in range(n)]  # (j, a_jk) for a_jk != 0, j != k
     reach = [c - sum(x * t[j] for j, x in row.items()) for c, row in zip(top.fund, nbrs)]
     if min(reach, default=0) < 0:
@@ -178,7 +178,7 @@ def _dominant_interval(
     k, fresh = 0, True
     while k >= 0:
         if k == n:
-            out.append((sum(u), top - gcm.root_combination(u)))
+            out.append((sum(u), KMWeight(tuple(reach), top.delta - sum(s * x for s, x in zip(split, u)))))
             k, fresh = k - 1, False
             continue
         tk, col = t[k], cols[k]

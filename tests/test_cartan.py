@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coulombkit import cartan
+from coulombkit import cartan, multiplicities
 from coulombkit.cancel import CancellationToken
 from coulombkit.cartan import (
     NAMED_CARTAN_MATRICES,
@@ -565,6 +565,20 @@ def test_a_datum_stores_its_nonzeros_and_writes_its_rows_once_when_read():
     # written once per datum: an equal datum reads the same rows, and the instance is left as it was
     assert named_gcm("B3").entries is gcm.entries and vars(gcm).keys() == vars(named_gcm("B3")).keys()
     assert rows.cache_info().misses == 2 and gcm == named_gcm("B3") and hash(gcm) == hash(named_gcm("B3"))
+
+
+@pytest.mark.parametrize("rows", [NAMED_CARTAN_MATRICES["B3"], NAMED_CARTAN_MATRICES["A2~"]], ids=["B3", "A2~"])
+def test_a_datum_validated_twice_hashes_its_fields_and_shares_the_tables(rows):
+    first, second = validate_and_symmetrize(rows), validate_and_symmetrize(rows)
+    assert first is not second and first == second
+    fields = (first.d, first.tag, first.null_vector, first.dual_labels, first.delta_split)
+    assert hash(first) == hash(second) == hash(fields)
+    lam = KMWeight.of((1,) * first.size)
+    multiplicities.weight_multiplicity(first, lam, lam)
+    before = multiplicities._freudenthal.cache_info()
+    assert multiplicities.weight_multiplicity(second, lam, lam) == 1
+    after = multiplicities._freudenthal.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_root_coordinates_wrong_length():

@@ -448,6 +448,8 @@ def test_abelian_products_honour_timeout(capsys, tmp_path, command):
         (["km", "mult"], {"cartan": "A2", "lambda": {"fund": [2, 2]}, "mu": {"fund": [0, 0]}}),
         (["km", "tensor"], {"cartan": "A2", "lambda1": {"fund": [2, 1]}, "lambda2": {"fund": [1, 1]}}),
         (["quiver", "satake"], {"cartan": "B2", "lambda": {"fund": [2, 1]}, "mu": {"fund": [0, 1]}}),
+        # no loop work at all: the weight listing reads the deadline for lam itself (this exited 0)
+        (["km", "tensor"], {"cartan": [], "lambda1": {"fund": []}, "lambda2": {"fund": []}}),
     ],
 )
 def test_km_queries_honour_timeout(capsys, tmp_path, command, doc):
@@ -458,6 +460,15 @@ def test_km_queries_honour_timeout(capsys, tmp_path, command, doc):
     assert code == 3 and out == "" and "cancelled" in err
     code, _, _ = run(capsys, command, doc, tmp_path=tmp_path)
     assert code == 0
+
+
+def test_a_theory_refused_by_its_shape_still_reads_the_deadline(capsys, tmp_path):
+    # no characters for rank 2: one deadline check comes before the refusal (this exited 1 at --timeout 0)
+    doc = {"rank": 2, "characters": []}
+    code, out, err = run(capsys, ["abelian", "hilbert", "--max-deg", "2", "--timeout", "0"], doc, tmp_path=tmp_path)
+    assert code == 3 and out == "" and "cancelled" in err
+    code, out, err = run(capsys, ["abelian", "hilbert", "--max-deg", "2"], doc, tmp_path=tmp_path)
+    assert code == 1 and out == "" and "unbounded degree-0 piece" in err
 
 
 def _assert_deep_affine_query_times_out_before_allocating(capsys, tmp_path, depth):

@@ -1,12 +1,15 @@
 """Integer lattice linear algebra: Smith/Hermite forms and the dual torus."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulombkit import lattices
 from coulombkit.cancel import CancellationToken, check
@@ -228,9 +231,49 @@ def test_dual_sequence_rejects_torsion_and_rank_deficiency():
 
 @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 1], [1, 1]]], ids=["wide", "square"])
 def test_dual_sequence_rejects_a_matrix_without_full_column_rank(rows):
-    # a wide matrix reaches the Smith form as it is, and so does a rank-deficient square one
+    # a wide matrix and a rank-deficient square one leave the Hermite pass with rank below k
     with pytest.raises(LatticeError, match="^cocharacter inclusion does not have full column rank$"):
         dual_sequence(IntMatrix.from_rows(rows))
+
+
+def smith_dual_sequence(a):
+    """Reference oracle: the dual sequence as it was decided before, by the Smith diagonal,
+    with the kernel of a^T as the answer."""
+    n, k = a.nrows, a.ncols
+    if k == 0:
+        return IntMatrix.identity(n)
+    diag = smith_diagonal(a)
+    if sum(1 for d in diag if d != 0) != k:
+        raise LatticeError("cocharacter inclusion does not have full column rank")
+    if any(d not in (0, 1) for d in diag):
+        raise LatticeError("quotient is not a torus (cokernel has torsion)")
+    return integer_kernel(a.transpose())
+
+
+def test_dual_sequence_matches_the_smith_decision():
+    # seeded n x k matrices, n <= 6 and k <= n + 1: k = 0, n = k, wide, rank-deficient (a repeated
+    # or zero column) and torsion (a column scaled by 2 or 3) cases all occur, with the same message
+    rng, kinds = random.Random(37), Counter()
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        k = rng.randint(0, n + 1) if n else 0  # a matrix with no rows has no columns
+        cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if k >= 2 and rng.random() < 0.2:
+            cols[-1] = list(cols[0]) if rng.random() < 0.5 else [0] * n
+        if k and rng.random() < 0.2:
+            cols[0] = [rng.choice((2, 3)) * x for x in cols[0]]
+        a = IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(n)) if k else tuple(() for _ in range(n)))
+        try:
+            want = smith_dual_sequence(a)
+        except LatticeError as exc:
+            with pytest.raises(LatticeError, match=f"^{re.escape(str(exc))}$"):
+                dual_sequence(a)
+            kinds["torsion" if "torsion" in str(exc) else "rank"] += 1
+            continue
+        got = dual_sequence(a)
+        assert got == want and got.nrows == n and got.ncols == n - k, a
+        kinds["k = 0" if k == 0 else "n = k" if n == k else "dual"] += 1
+    assert min(kinds.values()) >= 20 and len(kinds) == 5, kinds
 
 
 def test_dual_sequence_rank_and_involution():
@@ -432,3 +475,55 @@ def test_matrix_entries_that_are_not_integers_are_domain_errors(entry):
     with pytest.raises(DomainError, match="^matrix entries must be integers"):
         IntMatrix.from_rows([[1, entry]])
     assert IntMatrix.from_rows([[1, 2.0]]) == IntMatrix(((1, 2),))
+
+
+def reference_as_integers(values, noun):
+    """The reader as it was before exact ints were returned at once: every input takes the
+    int() round trip and one elementwise comparison."""
+    try:
+        values = tuple(values)
+        out = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != values:
+        raise DomainError(f"{noun} entries must be integers, not {values!r}")
+    return out
+
+
+ENTRIES = st.one_of(
+    st.integers(), st.booleans(), st.floats(allow_nan=True), st.integers(-10**6, 10**6).map(float),
+    st.fractions(max_denominator=4), st.text(max_size=3), st.none(),
+)
+
+
+def assert_reads_like_the_reference(values):
+    try:
+        want = reference_as_integers(values, "weight")
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            lattices.as_integers(values, "weight")
+        return
+    got = lattices.as_integers(values, "weight")
+    assert got == want and all(type(x) is int for x in got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ENTRIES, max_size=5), st.booleans())
+def test_as_integers_reads_what_the_reference_reader_reads(values, as_tuple):
+    assert_reads_like_the_reference(tuple(values) if as_tuple else values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_as_integers_reads_numpy_integers_as_the_reference_reader_does(data):
+    np = pytest.importorskip("numpy")  # optional: the test extra does not install it
+    int64s = st.integers(-2**63, 2**63 - 1).map(np.int64)
+    assert_reads_like_the_reference(data.draw(st.lists(st.one_of(ENTRIES, int64s), min_size=1, max_size=5)))
+
+
+def test_as_integers_returns_a_tuple_of_exact_ints_as_it_is():
+    t = (1, -2, 10**40)
+    assert lattices.as_integers(t, "weight") is t
+    assert type(lattices.as_integers([True, 2.0, Fraction(3)], "weight")[0]) is int
+    with pytest.raises(DomainError, match="^weight entries must be integers, not 5$"):
+        lattices.as_integers(5, "weight")

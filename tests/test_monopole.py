@@ -265,16 +265,19 @@ def test_pi1_grading_additivity():
 
 
 def test_hilbert_series_with_more_torus_rank_than_characters():
-    # a 2 x 1000 character matrix goes through the Smith form untransposed, then is refused;
-    # under an expired deadline the Smith form is cancelled first
+    # a 2 x rank character matrix is refused by its shape, with no Smith form (rank 3000 took
+    # 5.35 s and 229 MB through one); under an expired deadline the run is cancelled first
     rng = random.Random(36)
-    th = AbelianTheory.of(1000, [tuple(rng.randint(-3, 3) for _ in range(1000)) for _ in range(2)])
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match="^unbounded degree-0 piece: characters do not span the dual lattice$"):
-        hilbert_series(th, 2)
-    assert time.perf_counter() - start < 1.0
-    with pytest.raises(Cancelled), CancellationToken(0):
-        hilbert_series(th, 2)
+    for rank, budget in ((1000, 1.0), (3000, 0.5)):
+        th = AbelianTheory.of(rank, [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(2)])
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^unbounded degree-0 piece: characters do not span the dual lattice$"):
+            hilbert_series(th, 2)
+        assert time.perf_counter() - start < budget
+        with pytest.raises(Cancelled), CancellationToken(0):
+            hilbert_series(th, 2)
+    with pytest.raises(Cancelled), CancellationToken(0):  # no characters at all: the deadline is read first too
+        hilbert_series(AbelianTheory.of(2, []), 2)
 
 
 def test_hilbert_series_examples():

@@ -689,6 +689,81 @@ def test_freudenthal_matches_character_oracle_spot():
         assert oracle_multiplicity(gcm, lam, mu) == m
 
 
+# named finite and affine data, the twisted A2^(2) and the hyperbolic Feingold-Frenkel datum
+LISTING_DATA = [named_gcm(name) for name in ("A1", "A2", "A3", "A4", "B3", "C3", "G2", "A1~", "A2~", "A3~")] + [
+    validate_and_symmetrize(a) for a in ([[2, -1], [-4, 2]], [[2, -1, 0], [-1, 2, -2], [0, -2, 2]])
+]
+
+
+def root_combination_form(gcm, lam, depth):
+    """The listing as it was written before: lam minus each beta's root combination, read off a
+    fresh table in (height, beta) order."""
+    table = FreudenthalTable(gcm, lam)
+    table.extend(depth)
+    betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
+    return [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
+
+
+def refuse_root_combination(monkeypatch):
+    def refuse(self, coeffs):
+        raise AssertionError("a listing called root_combination")
+    monkeypatch.setattr(cartan.GeneralizedCartanMatrix, "root_combination", refuse)
+
+
+@pytest.mark.parametrize("gcm", LISTING_DATA, ids=lambda g: f"{g.tag}{g.size}:{g.d}")
+def test_weight_support_writes_each_weight_from_the_one_above_it(gcm, monkeypatch):
+    rng = random.Random(f"{gcm.d}{gcm.tag}{gcm.size}")
+    cases = []
+    for _ in range(12):
+        lam = KMWeight.of([rng.randint(0, 2) for _ in range(gcm.size)], rng.randint(-2, 2))
+        depth = rng.randint(0, 6 if gcm.size <= 2 else 4)
+        cases.append((lam, depth, root_combination_form(gcm, lam, depth)))
+    refuse_root_combination(monkeypatch)
+    for lam, depth, want in cases:
+        got = weight_support(gcm, lam, depth)
+        assert got == want and all(type(x) is int for mu, _ in got for x in mu.fund + (mu.delta,)), (lam, depth)
+    assert sum(len(want) > 1 for _, _, want in cases) >= 4
+
+
+def test_a_long_support_listing_is_cancelled_by_the_deadline():
+    # the table is filled first, so every deadline check the second listing reads is its own
+    gcm, lam = named_gcm("A4"), KMWeight.of((2, 2, 2, 2))
+    depth = multiplicities.default_support_depth(gcm, lam)
+    support = weight_support(gcm, lam, depth)
+    checks = []
+
+    class Countdown(CancellationToken):
+        def __init__(self, allowed):
+            super().__init__()
+            self.allowed = allowed
+
+        def check(self):
+            checks.append(1)
+            if len(checks) > self.allowed:
+                raise Cancelled("operation timed out")
+
+    with pytest.raises(Cancelled), Countdown(len(support) // 2):
+        weight_support(gcm, lam, depth)
+    checks.clear()
+    with Countdown(len(support)):
+        assert weight_support(gcm, lam, depth) == support
+    assert len(checks) == len(support) == 3081  # one per weight
+
+
+def test_a_support_weight_with_no_listed_parent_fails_loudly(monkeypatch):
+    # every weight but lam lies a simple root below a listed one; a table that broke this must
+    # not have the orphan listed as lam
+    class Orphaned:
+        _mult = {(0, 0): 1, (1, 1): 2}
+
+        def extend(self, depth):
+            pass
+
+    monkeypatch.setattr(multiplicities, "_freudenthal", lambda gcm, fund: Orphaned())
+    with pytest.raises(AssertionError, match="simple root above"):
+        weight_support(named_gcm("A2"), KMWeight.of((1, 1)), 2)
+
+
 def test_weight_support_depth_required_for_affine():
     aff = named_gcm("A1~")
     with pytest.raises(DomainError):

@@ -36,6 +36,7 @@ from coulombkit.quiver import (
     strata_affine,
     strata_finite,
 )
+from test_multiplicities import LISTING_DATA, refuse_root_combination
 
 
 def test_gauge_data_jordan():
@@ -222,6 +223,22 @@ def test_dominant_interval_walk_matches_the_box_scan(gcm):
         assert _dominant_interval(gcm, top, mu) == want, (top, mu)
         found += len(want) > 1
     assert found
+
+
+@pytest.mark.parametrize("gcm", LISTING_DATA, ids=_datum_id)
+def test_dominant_interval_reads_each_kappa_off_the_walk(gcm, monkeypatch):
+    # the box scan writes each kappa as top - root_combination(u); the walk reads it off its bounds
+    rng = random.Random(f"reach {_datum_id(gcm)}")
+    n, cases = gcm.size, []
+    for _ in range(20):
+        top = KMWeight(tuple(rng.randint(0, 4) for _ in range(n)), rng.randint(-3, 3) if gcm.tag != "finite" else 0)
+        mu = top - gcm.root_combination([rng.randint(0, 3 if n <= 3 else 2) for _ in range(n)])
+        cases.append((top, mu, box_interval(gcm, top, mu)))
+    refuse_root_combination(monkeypatch)
+    for top, mu, want in cases:
+        got = _dominant_interval(gcm, top, mu)
+        assert got == want and all(type(x) is int for _, k in got for x in k.fund + (k.delta,)), (top, mu)
+    assert sum(len(want) > 1 for _, _, want in cases) >= 5
 
 
 def dominant_closure(gcm, top, mu, roots):
