@@ -407,11 +407,12 @@ def level(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> int:
 
 
 def central_element_as_root_sum(gcm: GeneralizedCartanMatrix) -> KMWeight:
-    """The canonical central element embedded in the (co)weight lattice via the
-    dual Kac labels: sum a_i^vee alpha_i (an imaginary weight of level 0)."""
+    """The canonical central element K = sum a_i^vee alpha_i^vee read in the weight lattice:
+    the form sends K to the null root delta = sum a_i alpha_i (Kac, Sec. 6.2), an imaginary
+    weight of level 0 with every fundamental coordinate 0 and delta coordinate s . a = 1."""
     if gcm.tag != "affine":
         raise UnsupportedError("central element requires affine type")
-    return gcm.root_combination(gcm.dual_labels)
+    return KMWeight((0,) * gcm.size, 1)
 
 
 # Registry of named Cartan data for the CLI and fixtures.

@@ -18,7 +18,8 @@ so V(lam + k delta) is V(lam) with every weight moved by k delta (Kac, Ch.
 Peterson's pair sums run in integers, layer h over lcm(1, ..., h)^2, and its
 denominators take each norm from the Gram rows the pair sums read.  Finite-type
 tensor products come from the Brauer-Klimyk formula, which reads det(w) off the
-same walk.  Height bounds make affine tables finite; a support listing writes each weight from its parent.
+same walk.  Height bounds make affine tables finite; a finite-type support listing reaches
+2 ht(lam), read off the height form, and writes each weight from its parent.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .cancel import check
-from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual
+from .cartan import GeneralizedCartanMatrix, KMWeight, langlands_dual
 from .cartan import _cone, _dominant_walk, _solve, _solve_data
 from .errors import DimensionError, DomainError, UnsupportedError
 
@@ -175,6 +176,8 @@ class FreudenthalTable:
     def __init__(self, gcm: GeneralizedCartanMatrix, lam: KMWeight):
         if not gcm.is_dominant(lam):
             raise DomainError("highest weight must be dominant")
+        if len(lam.fund) != gcm.size:
+            raise DimensionError("weight length does not match Cartan matrix size")
         self.gcm, self.lam = gcm, lam
         # _top: the weights of the layer at height, each with its fundamental coordinates
         self.height, self._top = 0, {(0,) * gcm.size: lam.fund}
@@ -192,9 +195,7 @@ class FreudenthalTable:
         has a negative coordinate mu_i, and s_i moves it up -mu_i layers to a
         complete one; multiplicities are Weyl-invariant (Kac, Prop. 10.1), so it
         takes the multiplicity stored there, or 0 off the positive cone."""
-        gcm, lam, mult = self.gcm, self.lam.fund, self._mult
-        if len(lam) != gcm.size:
-            raise DimensionError("weight length does not match Cartan matrix size")
+        gcm, mult = self.gcm, self._mult
         if height <= self.height or not self._top:
             return
         table = _root_table(gcm)
@@ -258,8 +259,6 @@ class FreudenthalTable:
         (lam := self.lam)._match(mu)  # "weights live on different Cartan data"
         gcm = self.gcm
         if self._form is None:
-            if len(lam.fund) != gcm.size:
-                raise DimensionError("weight length does not match Cartan matrix size")
             self._data = _solve_data(gcm)  # under the deadline; a cancelled Smith pass stores nothing
             _, zero_rows, _, den, height = self._data
             if height is None:  # singular, not affine: the solve raises or finds no weight
@@ -298,26 +297,23 @@ def weight_multiplicity(gcm: GeneralizedCartanMatrix, lam: KMWeight, mu: KMWeigh
     return table.multiplicity(KMWeight(mu.fund, mu.delta - lam.delta) if lam.delta else mu)
 
 
-def antidominant_conjugate(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> KMWeight:
-    """The antidominant Weyl conjugate of lam (finite type only)."""
+def default_support_depth(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> int:
+    """The height of lam minus the lowest weight w0 lam of V(lam), finite type only.  w0 sends
+    rho^vee to -rho^vee, so it is 2 <lam, rho^vee> = 2 ht(lam) (Humphreys, Sec. 10.3): twice the
+    height form of the datum's solve data at lam.fund, over den."""
     if gcm.tag != "finite":
-        raise UnsupportedError("antidominant conjugate requires finite type")
+        raise UnsupportedError("support depth requires finite type")
     if len(lam.fund) != gcm.size:
         raise DimensionError("weight length does not match Cartan matrix size")
-    c = [-x for x in lam.fund]
-    _dominant_walk(gcm, c)
-    return KMWeight(tuple(-x for x in c), lam.delta)
-
-
-def default_support_depth(gcm: GeneralizedCartanMatrix, lam: KMWeight) -> int:
-    return sum(in_positive_root_cone(gcm, lam - antidominant_conjugate(gcm, lam)))
+    _, _, _, den, (form, _) = _solve_data(gcm)
+    return 2 * sum(map(mul, form, lam.fund)) // den
 
 
 def weight_support(gcm: GeneralizedCartanMatrix, lam: KMWeight, depth: int | None = None):
     """Pairs (mu, mult) with mult > 0 and beta = lam - mu of height <= depth, in (height, beta) order.
 
     ``depth`` may be omitted in finite type, where the full support fits under
-    the height of lam minus its antidominant conjugate.  The deadline is checked once per weight.
+    the height of lam minus its lowest weight.  The deadline is checked once per weight.
     """
     if depth is None:
         if gcm.tag != "finite":

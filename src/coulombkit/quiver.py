@@ -237,8 +237,8 @@ def strata_affine(
     bound: int,
 ) -> list[tuple[KMWeight, tuple[int, ...]]]:
     """Brute-force enumeration of the affine strata index set: pairs
-    (kappa, partition) with lam - |partition| c >= kappa >= mu, where c is the
-    canonical central element written through the dual Kac labels.
+    (kappa, partition) with lam - |partition| delta >= kappa >= mu, where delta is
+    the null root, the canonical central element read in the weight lattice.
 
     The literal constraint is applied for every level >= 1; the level-1
     description is stated only up to analogy, so level-1 output follows the

@@ -384,9 +384,13 @@ def test_level_examples():
 
 
 def test_central_element():
-    aff = named_gcm("A1~")
-    c = central_element_as_root_sum(aff)
-    assert c == aff.root_combination(aff.null_vector)
+    # the null root sum a_i alpha_i, also where the Kac labels a differ from the dual labels
+    affine = [gcm for gcm in ORACLE_DATA if gcm.tag == "affine"]
+    assert len(affine) >= 100 and any(gcm.null_vector != gcm.dual_labels for gcm in affine)
+    for aff in affine:
+        c = central_element_as_root_sum(aff)
+        assert c == aff.root_combination(aff.null_vector) == KMWeight((0,) * aff.size, 1), aff
+        assert level(aff, c) == 0
 
 
 def test_dominance_a1():

@@ -323,6 +323,15 @@ def test_validate_ok_and_violations(capsys, tmp_path):
     assert diags == ["/edges/0/1: vertex index out of range"]
 
 
+def test_a_theory_that_carries_names_is_refused(capsys, tmp_path):
+    # nothing reads names, so the theory schema has no such property
+    doc = {"rank": 1, "characters": [[1]], "names": ["q"]}
+    diag = "/: Additional properties are not allowed ('names' was unexpected)"
+    assert run(capsys, ["abelian", "hilbert", "--max-deg", "1"], doc, tmp_path=tmp_path) == (1, "", diag + "\n")
+    code, out, _ = run(capsys, ["validate", "--schema", "theory"], doc, tmp_path=tmp_path)
+    assert (code, json.loads(out)) == (2, {"diagnostics": [diag]})
+
+
 def test_malformed_input_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("not json")
@@ -892,6 +901,9 @@ def test_km_mult_deep_weight_space(capsys, tmp_path):
          "weight length does not match Cartan matrix size"),
         (["km", "tensor"], {"cartan": "A1", "lambda1": {"fund": [0, 5]}, "lambda2": {"fund": [1]}},
          "weights live on different Cartan data"),
+        # a highest weight of the wrong length is refused before mu is compared with it
+        (["km", "mult"], {"cartan": "A1", "lambda": {"fund": [0, 5]}, "mu": {"fund": [0, 5, 1]}},
+         "weight length does not match Cartan matrix size"),
     ],
 )
 def test_wrong_length_weights_are_input_errors(capsys, tmp_path, command, doc, message):

@@ -32,7 +32,7 @@ from coulombkit.errors import Cancelled, DimensionError, DomainError, Unsupporte
 from coulombkit.multiplicities import (
     FreudenthalTable,
     RootTable,
-    antidominant_conjugate,
+    default_support_depth,
     root_multiplicities,
     tensor_decompose,
     tensor_fixed_components,
@@ -518,7 +518,8 @@ def test_table_queries_raise_the_parent_errors_in_its_order():
     gcm = named_gcm("A2")
     for lam, mu, message in [
         ((1, 0), (1, 0, 0), "weights live on different Cartan data"),
-        ((1, 0, 0), (1, 0), "weights live on different Cartan data"),
+        # a highest weight of the wrong length is refused as its table is built, before mu is read
+        ((1, 0, 0), (1, 0), "weight length does not match Cartan matrix size"),
         ((1, 0, 0), (1, 0, 0), "weight length does not match Cartan matrix size"),
     ]:
         for _ in range(2):  # a failed query leaves the table as it was
@@ -777,17 +778,15 @@ def test_weight_support_rejects_a_negative_depth():
 
 
 def test_freudenthal_rejects_a_highest_weight_of_another_rank():
-    table = FreudenthalTable(named_gcm("A1~"), KMWeight.of((1, 0, 0)))
-    with pytest.raises(DimensionError):
-        table.multiplicity_at_depth((1, 1))
-
-
-def test_antidominant_conjugate():
-    gcm = named_gcm("A2")
-    anti = antidominant_conjugate(gcm, KMWeight.of((1, 1)))
-    assert anti.fund == (-1, -1)
-    with pytest.raises(UnsupportedError):
-        antidominant_conjugate(named_gcm("A1~"), KMWeight.of((1, 0)))
+    gcm, lam = named_gcm("A1~"), KMWeight.of((1, 0, 0))
+    with pytest.raises(DimensionError, match="weight length"):
+        FreudenthalTable(gcm, lam)
+    # a table every later call would refuse is not cached, and its length is read before mu's
+    multiplicities._freudenthal.cache_clear()
+    for mu in (KMWeight.of((1, 0, 0)), KMWeight.of((1, 0, 0, 0))):
+        with pytest.raises(DimensionError, match="weight length"):
+            weight_multiplicity(gcm, lam, mu)
+    assert multiplicities._freudenthal.cache_info().currsize == 0
 
 
 def reflecting_dominant(gcm, mu):
@@ -796,6 +795,27 @@ def reflecting_dominant(gcm, mu):
     while (i := next((i for i, c in enumerate(mu.fund) if c < 0), None)) is not None:
         mu, sign = gcm.reflect(i, mu), -sign
     return mu, sign
+
+
+def test_default_support_depth_is_the_height_down_to_the_lowest_weight():
+    # the lowest weight of V(lam) is -nu for nu the dominant conjugate of -lam, found by reflecting
+    names = [name for name in NAMED_CARTAN_MATRICES if named_gcm(name).tag == "finite"]
+    data = [named_gcm(name) for name in names] + [
+        validate_and_symmetrize(tuple(zip(*NAMED_CARTAN_MATRICES[name]))) for name in ("B2", "C2", "G2", "B3", "C3")]
+    assert len(names) == 14
+    rng = random.Random("lowest weights")
+    for gcm in data:
+        for _ in range(12):
+            lam = KMWeight(tuple(rng.randint(0, 3) for _ in range(gcm.size)), rng.randint(-2, 2))
+            lowest = -reflecting_dominant(gcm, -lam)[0]
+            assert default_support_depth(gcm, lam) == sum(in_positive_root_cone(gcm, lam - lowest)), (gcm, lam)
+
+
+def test_default_support_depth_refuses_other_types_and_lengths():
+    with pytest.raises(UnsupportedError):
+        default_support_depth(named_gcm("A1~"), KMWeight.of((1, 0)))
+    with pytest.raises(DimensionError):
+        default_support_depth(named_gcm("A2"), KMWeight.of((1, 0, 0)))
 
 
 def test_dominant_conjugate_in_integers_matches_the_reflection_walk():

@@ -293,6 +293,27 @@ def test_strata_affine_contains_endpoints():
         assert dominance_leq(kappa, lam - c.scaled(sum(part)), aff)
 
 
+@pytest.mark.parametrize("matrix", [[[2, -1], [-4, 2]], [[2, -4], [-1, 2]]])
+def test_twisted_strata_affine_shift_by_the_null_root(matrix):
+    # A2^(2) and its transpose: the Kac labels differ from the dual labels, and each size |p| moves
+    # the top to lam - |p| delta, delta = sum a_i alpha_i; every kappa has lam's level, so a box of
+    # fundamental coordinates and deltas between mu's and lam's holds them all
+    gcm = validate_and_symmetrize(matrix)
+    delta = gcm.root_combination(gcm.null_vector)
+    partitions = {0: [()], 1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
+    lam, counts = KMWeight.of((1, 0)), []
+    for mu in (KMWeight.of((1, 0), -2), KMWeight.of((0, 2), -3), lam):
+        box = [KMWeight(f, d) for f in product(range(5), repeat=2) for d in range(mu.delta, lam.delta + 1)]
+        want = set()
+        for size, parts in partitions.items():
+            top = lam - delta.scaled(size)
+            want |= {(k, p) for k in box for p in parts if dominance_leq(mu, k, gcm) and dominance_leq(k, top, gcm)}
+        got = strata_affine(gcm, lam, mu, 3)
+        assert len(got) == len(set(got)) and set(got) == want, mu
+        counts.append(len(got))
+    assert counts == ([10, 14, 1] if matrix[0][1] == -1 else [7, 0, 1])
+
+
 def test_strata_affine_requires_level():
     aff = named_gcm("A1~")
     delta = aff.root_combination(aff.null_vector)
