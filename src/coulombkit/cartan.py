@@ -285,6 +285,7 @@ def langlands_dual(gcm: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
     every principal minor keeps its sign and the tag stays.  a^vee A = 0 makes the Kac labels and
     the dual labels trade places.  The symmetrizers come from the walk that validation runs."""
     nbrs, at = gcm.neighbours, []
+    check()  # the deadline once per call, so the rank-0 datum reads it too
     for i, row in enumerate(nbrs):
         check()
         at.append({j: nbrs[j][i] for j in row})

@@ -11,7 +11,11 @@ dominant weights by (fund, delta) and reads the solve data, height form
 included, at its first query; a query takes the one walk to its dominant
 conjugate (``cartan._dominant_walk``), carrying height and delta, and reads the
 index, so a filled query solves nothing and reads no cache keyed by the datum.
-Its sums read the summands the shared root table lists as it grows.  A table is
+Its sums read the summands the shared root table lists as it grows.  A table keys each
+weight by its root coordinates packed into one int of W-bit digits, the first most
+significant, with every digit and the height below 2^(W-1) (it re-packs wider before a
+layer would reach that), so a coordinate that goes negative borrows into no key; it records
+where each layer ends, and a listing sorts each layer's ints, in the tuples' order.  A table is
 cached by the datum and lam.fund alone: delta pairs to zero with every coroot,
 so V(lam + k delta) is V(lam) with every weight moved by k delta (Kac, Ch.
 9-12), and every delta-shift of one highest weight reads the same table.
@@ -28,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
@@ -146,6 +150,17 @@ def _pair(gcm: GeneralizedCartanMatrix, fund, beta: RootVector) -> int:
     return sum(d * f * b for d, f, b in zip(gcm.d, fund, beta))
 
 
+def _pack(beta: RootVector, width: int) -> int:
+    """beta as one int of ``width``-bit digits, the first coordinate most significant, so
+    that int order is tuple order; every coordinate must lie in [0, 2^width)."""
+    return sum(b << width * i for i, b in enumerate(reversed(beta)))
+
+
+def _unpack(key: int, width: int, size: int) -> RootVector:
+    """The ``size`` coordinates that ``_pack`` packed into ``key``."""
+    return tuple(key >> width * i & (1 << width) - 1 for i in reversed(range(size)))
+
+
 def root_multiplicities(gcm: GeneralizedCartanMatrix, height: int) -> RootTable:
     """Peterson's recursion up to ``height``: a copy of the table that every Freudenthal
     table of ``gcm`` extends, grown under the deadline.  A cancelled call leaves that table
@@ -169,7 +184,9 @@ def _root_table(gcm: GeneralizedCartanMatrix) -> RootTable:
 class FreudenthalTable:
     """Weight multiplicities of the integrable module V(lam), keyed by the
     root-lattice distance beta from the highest weight and built in layers of
-    equal height of beta; only nonzero multiplicities are stored.  ``evaluated``
+    equal height of beta; only nonzero multiplicities are stored.  A key packs beta
+    into one int of ``_width``-bit digits, the first coordinate most significant
+    (``_pack``), and ``_ends[h]`` counts the keys of the layers up to h.  ``evaluated``
     counts the weights whose multiplicity the table computed rather than read
     off a conjugate: lam, and each dominant weight summed by Freudenthal's formula."""
 
@@ -180,8 +197,8 @@ class FreudenthalTable:
             raise DimensionError("weight length does not match Cartan matrix size")
         self.gcm, self.lam = gcm, lam
         # _top: the weights of the layer at height, each with its fundamental coordinates
-        self.height, self._top = 0, {(0,) * gcm.size: lam.fund}
-        self._mult: dict[RootVector, int] = dict.fromkeys(self._top, 1)
+        self.height, self._top, self._width, self._ends = 0, {0: lam.fund}, 1, [1]
+        self._mult: dict[int, int] = {0: 1}
         # the nonzero sums at dominant weights, by fund, and in affine type by (fund, delta)
         self._dominant = {(lam.fund, lam.delta) if gcm.delta_split else lam.fund: 1}
         self.evaluated = 1
@@ -194,60 +211,84 @@ class FreudenthalTable:
         Freudenthal's formula is summed only at dominant candidates.  Any other
         has a negative coordinate mu_i, and s_i moves it up -mu_i layers to a
         complete one; multiplicities are Weyl-invariant (Kac, Prop. 10.1), so it
-        takes the multiplicity stored there, or 0 off the positive cone."""
-        gcm, mult = self.gcm, self._mult
+        takes the multiplicity stored there, or 0 off the positive cone.  The keys
+        are re-packed wider first if ``height`` would reach 2^(W-1)."""
         if height <= self.height or not self._top:
             return
-        table = _root_table(gcm)
+        table = _root_table(self.gcm)
         table.extend(height)
-        roots = table.summands[:bisect_right(table.summands, height, key=itemgetter(4))]
-        columns = list(zip(*gcm.entries))  # lam - beta - alpha_i has coordinates lam - beta - A e_i
+        if height >> (self._width - 1):
+            self._repack(height.bit_length() + 1)
+        gcm, mult, width = self.gcm, self._mult, self._width
+        units, mask = [1 << width * i for i in reversed(range(gcm.size))], (1 << width) - 1
+        roots = [(_pack(alpha, width), *rest) for alpha, *rest in
+                 table.summands[:bisect_right(table.summands, height, key=itemgetter(4))]]
+        columns = list(zip(units, zip(*gcm.entries)))  # lam - beta - alpha_i has coordinates lam - beta - A e_i
         while self._top and self.height < height:
+            h = self.height + 1
             below = {}
             for b, c in self._top.items():
-                for i, col in enumerate(columns):
-                    if (beta := b[:i] + (b[i] + 1,) + b[i + 1:]) not in below:
+                for unit, col in columns:
+                    if (beta := b + unit) not in below:
                         below[beta] = tuple(map(sub, c, col))
             layer, top = {}, {}
+            summands = roots[:bisect_right(roots, h, key=itemgetter(4))]
             for beta, mu in below.items():
                 check()
                 if (low := min(mu)) >= 0:
-                    q = self._freudenthal_sum(beta, mu, roots)
+                    q = self._freudenthal_sum(beta, mu, h, summands)
                 else:
                     i = mu.index(low)
-                    q = mult.get(beta[:i] + (beta[i] + low,) + beta[i + 1:], 0)
+                    q = mult.get(beta + low * units[i], 0) if beta // units[i] & mask >= -low else 0
                 if q:
                     layer[beta], top[beta] = q, mu
             mult.update(layer)
-            self._top, self.height = top, self.height + 1
+            self._top, self.height = top, h
+            self._ends.append(len(mult))
 
-    def _freudenthal_sum(self, beta: RootVector, mu: tuple[int, ...], roots) -> int:
-        """Freudenthal's formula at lam - beta, whose fundamental coordinates are
-        ``mu``, from the complete layers below it; ``roots`` are the root table's summands."""
-        gcm, lam, mult = self.gcm, self.lam.fund, self._mult
+    def _repack(self, width: int) -> None:
+        """Every key of the table in digits of ``width`` bits."""
+        old, n = self._width, self.gcm.size
+        self._mult = {_pack(_unpack(b, old, n), width): q for b, q in self._mult.items()}
+        self._top = {_pack(_unpack(b, old, n), width): mu for b, mu in self._top.items()}
+        self._width = width
+
+    def _freudenthal_sum(self, beta: int, mu: tuple[int, ...], h: int, roots) -> int:
+        """Freudenthal's formula at lam - beta, of height h and fundamental coordinates ``mu``,
+        from the complete layers below it; ``roots`` are the root table's summands of height
+        at most h, each under its key.  beta - k alpha has height h - k ht(alpha) >= 0, so each of
+        its digits is above -2^(W-1): one that went negative has borrowed, leaving a digit at
+        2^(W-1) or more or a negative int, and neither is a key."""
+        mult = self._mult
         self.evaluated += 1
         num = 0
-        for alpha, m_alpha, norm, d_alpha, _ in roots:
-            pairing = sum(map(mul, mu, d_alpha))  # (mu + k alpha, alpha) = pairing + k norm
-            shifted, k = beta, 1
-            while min(shifted := tuple(map(sub, shifted, alpha))) >= 0:
-                num += m_alpha * (pairing + k * norm) * mult.get(shifted, 0)
-                k += 1
+        for alpha, m_alpha, norm, d_alpha, h_alpha in roots:
+            shifted, pairing = beta, None
+            for k in range(1, h // h_alpha + 1):
+                shifted -= alpha
+                if q := mult.get(shifted):
+                    if pairing is None:  # (mu + k alpha, alpha) = pairing + k norm
+                        pairing = sum(map(mul, mu, d_alpha))
+                    num += m_alpha * (pairing + k * norm) * q
+        if not num:
+            return 0
+        beta = _unpack(beta, self._width, len(mu))
         # (lam + rho, lam + rho) - (mu + rho, mu + rho) = (lam + mu + 2 rho, lam - mu)
-        den = _pair(gcm, [x + y + 2 for x, y in zip(lam, mu)], beta)
-        if den == 0 and num != 0:
+        den = _pair(self.gcm, [x + y + 2 for x, y in zip(self.lam.fund, mu)], beta)
+        if den == 0:
             raise UnsupportedError("Freudenthal recursion degenerate at " + repr(beta))
-        q, r = divmod(2 * num, den) if den else (0, 0)
+        q, r = divmod(2 * num, den)
         assert r == 0 and q >= 0
         if q:  # in affine type lam - beta has delta lam.delta - s . beta, s the delta split
-            split = gcm.delta_split
+            split = self.gcm.delta_split
             self._dominant[(mu, self.lam.delta - sum(map(mul, split, beta))) if split else mu] = q
         return q
 
     def multiplicity_at_depth(self, beta: RootVector) -> int:
         """dim of the weight space at lam - sum beta_i alpha_i."""
         self.extend(sum(beta))
-        return self._mult.get(beta, 0)
+        packs = min(beta, default=0) >= 0 and sum(beta) <= self.height  # else beta is no stored weight
+        return self._mult.get(_pack(beta, self._width), 0) if packs else 0
 
     def multiplicity(self, mu: KMWeight) -> int:
         """dim of the weight space at mu, read at its dominant conjugate nu.  den times the
@@ -323,18 +364,21 @@ def weight_support(gcm: GeneralizedCartanMatrix, lam: KMWeight, depth: int | Non
         raise DomainError("depth must be non-negative")
     table = _freudenthal(gcm, lam.fund)  # its weights moved by lam.delta are lam's
     table.extend(depth)
-    columns, split = list(zip(*gcm.entries)), gcm.delta_split or (0,) * gcm.size
-    weights = {(0,) * gcm.size: lam}  # every other weight is a listed one minus alpha_i (Kac, Prop. 11.2)
+    mult, width, ends, n = table._mult, table._width, table._ends[:depth + 1], gcm.size
+    columns = list(zip([1 << width * i for i in reversed(range(n))], zip(*gcm.entries), gcm.delta_split or (0,) * n))
+    keys = list(islice(mult, ends[-1]))
+    weights = {0: lam}  # every other weight is a listed one minus alpha_i (Kac, Prop. 11.2)
     check()  # the deadline, once per weight: lam's here, every other one's in the loop
-    for b in sorted((b for b in table._mult if any(b) and sum(b) <= depth), key=lambda b: (sum(b), b)):
-        check()
-        for i, x in enumerate(b):
-            if x and (up := weights.get(b[:i] + (x - 1,) + b[i + 1:])) is not None:
-                break
-        else:
-            raise AssertionError(f"no listed weight lies a simple root above lam - {b}")
-        weights[b] = KMWeight(tuple(map(sub, up.fund, columns[i])), up.delta - split[i])
-    return [(mu, table._mult[b]) for b, mu in weights.items()]
+    for start, end in zip(ends, ends[1:]):
+        for b in sorted(keys[start:end]):  # int order is beta's order within a layer
+            check()
+            for unit, col, s in columns:
+                if (up := weights.get(b - unit)) is not None:
+                    break
+            else:
+                raise AssertionError(f"no listed weight lies a simple root above lam - {_unpack(b, width, n)}")
+            weights[b] = KMWeight(tuple(map(sub, up.fund, col)), up.delta - s)
+    return [(mu, mult[b]) for b, mu in weights.items()]
 
 
 def tensor_weight_mult(

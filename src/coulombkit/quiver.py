@@ -163,6 +163,7 @@ def _dominant_interval(
     the datum's nonzeros, and backtracking undoes it: the walk holds O(n + nonzeros) integers, runs
     on an explicit stack and checks the deadline once per node; at a leaf its bounds are kappa = top - A u.
     """
+    check()  # the deadline once per call, so the rank-0 datum reads it too
     t = in_positive_root_cone(gcm, top - mu)
     if t is None:
         return []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from coulombkit import cli, monopole, multiplicities
+from coulombkit import cartan, cli, monopole, multiplicities
 from coulombkit.abelian import AbelianTheory
 from coulombkit.cancel import CancellationToken
 from coulombkit.cli import _render, main, validate_schema
@@ -459,12 +459,17 @@ def test_abelian_products_honour_timeout(capsys, tmp_path, command):
         (["quiver", "satake"], {"cartan": "B2", "lambda": {"fund": [2, 1]}, "mu": {"fund": [0, 1]}}),
         # no loop work at all: the weight listing reads the deadline for lam itself (this exited 0)
         (["km", "tensor"], {"cartan": [], "lambda1": {"fund": []}, "lambda2": {"fund": []}}),
+        # the dominant interval and the dual datum read the deadline once per call (these exited 0)
+        (["quiver", "strata"], {"cartan": [], "lambda": {"fund": []}, "mu": {"fund": []}}),
+        (["quiver", "satake"], {"cartan": [], "lambda": {"fund": []}, "mu": {"fund": []}}),
+        (["km", "dual"], {"cartan": []}),
     ],
 )
 def test_km_queries_honour_timeout(capsys, tmp_path, command, doc):
-    # Freudenthal tables are shared by the whole process: start from empty ones
+    # Freudenthal tables and dual data are shared by the whole process: start from empty ones
     multiplicities._freudenthal.cache_clear()
     multiplicities._root_table.cache_clear()
+    cartan.langlands_dual.cache_clear()
     code, out, err = run(capsys, command + ["--timeout", "0"], doc, tmp_path=tmp_path)
     assert code == 3 and out == "" and "cancelled" in err
     code, _, _ = run(capsys, command, doc, tmp_path=tmp_path)

@@ -16,6 +16,7 @@ from coulombkit.cli import main
 SCHEMAS = ("element", "gcm", "matrix", "operator", "quiver", "theory", "weight")
 
 small = st.integers(-3, 3)
+TWISTED = (((2, -1), (-4, 2)), ((2, -4), (-1, 2)))
 
 
 def vector(rank, elements=small):
@@ -35,10 +36,15 @@ def weight(draw, rank):
 
 @st.composite
 def cartan(draw):
-    """(gcm document, rank): a name, or an explicit matrix, at ranks 0-3."""
+    """(gcm document, rank): a name, or an explicit matrix, at ranks 0-3; the explicit ones
+    include the twisted affine A2^(2) and its transpose, whose Kac labels differ from their
+    dual labels."""
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(NAMED_CARTAN_MATRICES)))
         return name, len(NAMED_CARTAN_MATRICES[name])
+    if draw(st.integers(0, 3)) == 0:
+        m = [list(row) for row in draw(st.sampled_from(TWISTED))]  # a fresh copy: mutated() edits it
+        return (m if draw(st.booleans()) else {"matrix": m}), 2
     n = draw(st.integers(0, 3))
     off = st.sampled_from((0, 0, -1, -1, -2, -3))
     m = [[2 if i == j else draw(off) for j in range(n)] for i in range(n)]

@@ -393,6 +393,11 @@ def test_weight_multiplicity_adjoint_zero_weight():
     assert weight_multiplicity(gcm, KMWeight.of((1, 1)), KMWeight.of((0, 0))) == 2
 
 
+def decoded(table):
+    """A table's multiplicities under the root coordinates its keys pack, in its order."""
+    return {multiplicities._unpack(b, table._width, table.gcm.size): m for b, m in table._mult.items()}
+
+
 def _stack_depth():
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -509,8 +514,9 @@ def test_table_queries_and_supports_match_the_parent_path():
         depth = rng.randint(0, 5)
         table = FreudenthalTable(gcm, lam)
         table.extend(depth)
-        betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
-        want = [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
+        stored = decoded(table)
+        betas = sorted((b for b in stored if sum(b) <= depth), key=lambda b: (sum(b), b))
+        want = [(lam - gcm.root_combination(b), stored[b]) for b in betas]
         assert weight_support(gcm, lam, depth) == want, (gcm.entries, lam, depth)
 
 
@@ -654,8 +660,9 @@ def test_every_delta_shift_of_a_highest_weight_reads_one_table(a):
                 mu = KMWeight(mu.fund, mu.delta + rng.randint(-2, 2))
             assert weight_multiplicity(gcm, lam, mu) == FreudenthalTable(gcm, lam).multiplicity(mu), (lam, mu)
         (table := FreudenthalTable(gcm, lam)).extend(3)
-        betas = sorted((b for b in table._mult if sum(b) <= 3), key=lambda b: (sum(b), b))
-        assert weight_support(gcm, lam, 3) == [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
+        stored = decoded(table)
+        betas = sorted((b for b in stored if sum(b) <= 3), key=lambda b: (sum(b), b))
+        assert weight_support(gcm, lam, 3) == [(lam - gcm.root_combination(b), stored[b]) for b in betas]
     assert multiplicities._freudenthal.cache_info().misses == 1
 
 
@@ -701,8 +708,9 @@ def root_combination_form(gcm, lam, depth):
     fresh table in (height, beta) order."""
     table = FreudenthalTable(gcm, lam)
     table.extend(depth)
-    betas = sorted((b for b in table._mult if sum(b) <= depth), key=lambda b: (sum(b), b))
-    return [(lam - gcm.root_combination(b), table._mult[b]) for b in betas]
+    stored = decoded(table)
+    betas = sorted((b for b in stored if sum(b) <= depth), key=lambda b: (sum(b), b))
+    return [(lam - gcm.root_combination(b), stored[b]) for b in betas]
 
 
 def refuse_root_combination(monkeypatch):
@@ -755,7 +763,9 @@ def test_a_support_weight_with_no_listed_parent_fails_loudly(monkeypatch):
     # every weight but lam lies a simple root below a listed one; a table that broke this must
     # not have the orphan listed as lam
     class Orphaned:
-        _mult = {(0, 0): 1, (1, 1): 2}
+        # lam and (1, 1) in 2-bit digits, with layer 1 empty
+        _width, _ends = 2, [1, 1, 2]
+        _mult = {multiplicities._pack((0, 0), 2): 1, multiplicities._pack((1, 1), 2): 2}
 
         def extend(self, depth):
             pass
@@ -775,6 +785,124 @@ def test_weight_support_rejects_a_negative_depth():
     with pytest.raises(DomainError):
         weight_support(named_gcm("A2"), KMWeight.of((1, 0)), -1)
     assert weight_support(named_gcm("A2"), KMWeight.of((1, 0)), 0) == [(KMWeight.of((1, 0)), 1)]
+
+
+class TupleTable:
+    """The layered fill as it was before its keys were packed: each weight under the tuple of
+    its root coordinates, a candidate built by tuple addition, and Freudenthal's sums read by
+    tuple subtraction until a coordinate goes negative.  The oracle of the packed table."""
+
+    def __init__(self, gcm, lam):
+        self.gcm, self.lam = gcm, lam
+        self.height, self._top = 0, {(0,) * gcm.size: lam.fund}
+        self._mult = dict.fromkeys(self._top, 1)
+        self._dominant = {(lam.fund, lam.delta) if gcm.delta_split else lam.fund: 1}
+        self.evaluated = 1
+
+    def extend(self, height):
+        gcm, mult = self.gcm, self._mult
+        if height <= self.height or not self._top:
+            return
+        table = multiplicities._root_table(gcm)
+        table.extend(height)
+        roots = [r for r in table.summands if r[4] <= height]
+        columns = list(zip(*gcm.entries))
+        while self._top and self.height < height:
+            below = {}
+            for b, c in self._top.items():
+                for i, col in enumerate(columns):
+                    if (beta := b[:i] + (b[i] + 1,) + b[i + 1:]) not in below:
+                        below[beta] = tuple(x - y for x, y in zip(c, col))
+            layer, top = {}, {}
+            for beta, mu in below.items():
+                if (low := min(mu)) >= 0:
+                    q = self._freudenthal_sum(beta, mu, roots)
+                else:
+                    i = mu.index(low)
+                    q = mult.get(beta[:i] + (beta[i] + low,) + beta[i + 1:], 0)
+                if q:
+                    layer[beta], top[beta] = q, mu
+            mult.update(layer)
+            self._top, self.height = top, self.height + 1
+
+    def _freudenthal_sum(self, beta, mu, roots):
+        gcm, lam, mult = self.gcm, self.lam.fund, self._mult
+        self.evaluated += 1
+        num = 0
+        for alpha, m_alpha, norm, d_alpha, _ in roots:
+            pairing = sum(x * y for x, y in zip(mu, d_alpha))
+            shifted, k = beta, 1
+            while min(shifted := tuple(x - y for x, y in zip(shifted, alpha))) >= 0:
+                num += m_alpha * (pairing + k * norm) * mult.get(shifted, 0)
+                k += 1
+        den = multiplicities._pair(gcm, [x + y + 2 for x, y in zip(lam, mu)], beta)
+        q = 2 * num // den if den else 0
+        if q:
+            split = gcm.delta_split
+            self._dominant[(mu, self.lam.delta - sum(x * y for x, y in zip(split, beta))) if split else mu] = q
+        return q
+
+
+def assert_same_fill(table, oracle):
+    """The packed table holds the oracle's weights in its order, with its layer ends and sums."""
+    assert list(decoded(table).items()) == list(oracle._mult.items())
+    assert (table.height, table.evaluated, table._dominant) == (oracle.height, oracle.evaluated, oracle._dominant)
+    assert table._ends == [sum(sum(b) <= h for b in oracle._mult) for h in range(oracle.height + 1)]
+
+
+F = validate_and_symmetrize([[2, -1, 0], [-1, 2, -2], [0, -2, 2]])  # hyperbolic Feingold-Frenkel
+FILL_DATA = [named_gcm(name) for name in sorted(NAMED_CARTAN_MATRICES)] + [
+    validate_and_symmetrize(a) for a in ([[2, -1], [-4, 2]], [[2, -4], [-1, 2]])
+] + [F]
+
+
+@pytest.mark.parametrize("gcm", FILL_DATA, ids=lambda g: str([list(r) for r in g.entries]))
+def test_the_packed_table_matches_the_tuple_keyed_fill(gcm):
+    # seeded highest weights, each filled in two steps, so that most tables re-pack between them
+    rng = random.Random(str(gcm.entries))
+    cap = 9 if gcm.size <= 3 else 6 if gcm.size <= 5 else 4
+    widths = set()
+    for _ in range(4):
+        lam = KMWeight.of([rng.randint(0, 2) for _ in range(gcm.size)], rng.randint(-1, 1))
+        table, oracle = FreudenthalTable(gcm, lam), TupleTable(gcm, lam)
+        for height in sorted(rng.randint(1, cap) for _ in range(2)):
+            table.extend(height)
+            oracle.extend(height)
+            assert_same_fill(table, oracle)
+            widths.add(table._width)
+    assert len(widths) >= 2
+
+
+def test_a_table_filled_past_its_digit_width_keeps_the_partition_numbers():
+    # Lambda_0 - n delta has height 2n: the keys are re-packed as 2n reaches 2, 4, 8, 16, 32 and 64
+    gcm, lam = named_gcm("A1~"), KMWeight.of((1, 0))
+    table, p, widths = FreudenthalTable(gcm, lam), coloured_partitions(1, 40), []
+    for n in range(1, 41):
+        assert table.multiplicity(KMWeight((1, 0), -n)) == p[n], n
+        widths.append(table._width)
+    assert widths == sorted(widths) and len(set(widths)) == 6 and 2 ** (widths[-1] - 1) > table.height == 80
+    (oracle := TupleTable(gcm, lam)).extend(80)
+    assert_same_fill(table, oracle)
+
+
+def test_a_reflection_off_the_positive_cone_reads_zero_at_huge_coordinates():
+    # the digit width is set by heights, not by lam; a candidate whose -mu_i exceeds beta_i
+    # reflects to a vector with a negative coordinate, which holds no weight
+    big = 10**40
+    for gcm, fund in [(named_gcm("A2"), (big, 0)), (named_gcm("A2"), (0, big)),
+                      (named_gcm("B3"), (big, 0, big)), (named_gcm("A1~"), (big, 0)), (F, (0, big, 0))]:
+        lam = KMWeight.of(fund)
+        table, oracle = FreudenthalTable(gcm, lam), TupleTable(gcm, lam)
+        table.extend(5)
+        oracle.extend(5)
+        assert_same_fill(table, oracle)
+        assert table._width == 4
+    # A2, lam = 10^40 varpi_1: lam - alpha_2 has mu_2 = -2 at beta_2 = 1, and lam - 2 alpha_2
+    # has mu_2 = -4 at beta_2 = 2; lam - alpha_1 - alpha_2 reflects to lam - alpha_1.  V(lam) is
+    # the symmetric power Sym^(10^40) C^3, whose weights have multiplicity 1
+    table = FreudenthalTable(named_gcm("A2"), KMWeight.of((big, 0)))
+    assert [table.multiplicity_at_depth(b) for b in ((0, 1), (0, 2), (1, 0), (1, 1), (2, 2))] == [0, 0, 1, 1, 1]
+    assert table.multiplicity_at_depth((-1, 3)) == table.multiplicity_at_depth((3, -1)) == 0
 
 
 def test_freudenthal_rejects_a_highest_weight_of_another_rank():
