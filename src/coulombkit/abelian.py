@@ -38,10 +38,13 @@ class AbelianTheory:
 
 def top_half_degree(max_deg) -> int:
     """2 * max_deg, the last half-degree a graded dimension table covers."""
-    top = 2 * Fraction(max_deg)
-    if top < 0 or top.denominator != 1:
+    try:
+        q = Fraction(max_deg)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):  # None, nan or "abc", inf, "1/0"
+        q = None
+    if q is None or q.numerator < 0 or 2 % q.denominator:
         raise DomainError(f"max_deg must be a non-negative half-integer, not {max_deg}")
-    return int(top)
+    return 2 * q.numerator // q.denominator
 
 
 def hilbert_series(th: AbelianTheory, max_deg) -> list[int]:

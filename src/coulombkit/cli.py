@@ -252,7 +252,7 @@ def _depth(args) -> int:
 
 
 def _table_from_dims(dims: list[int]) -> list:
-    return [[jsonio.fraction_str(Fraction(t, 2)), d] for t, d in enumerate(dims)]
+    return [[str(t // 2) if t % 2 == 0 else f"{t}/2", d] for t, d in enumerate(dims)]
 
 
 # ------------------------------------------------------------ subcommands

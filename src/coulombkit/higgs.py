@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .abelian import AbelianTheory, hilbert_series, top_half_degree
 from .errors import DimensionError
@@ -51,9 +52,15 @@ class HiggsTheory:
 GradedDimensionTable = dict[Fraction, int]
 
 
+@lru_cache(maxsize=4)
+def _half_degrees(n: int) -> tuple[Fraction, ...]:
+    """The keys 0, 1/2, 1, ... of an n-entry table, shared by the tables of one length."""
+    return tuple(Fraction(t, 2) for t in range(n))
+
+
 def dims_to_table(dims: list[int]) -> GradedDimensionTable:
     """Dimensions listed by half-degree 0, 1/2, 1, ... as a table by degree."""
-    return {Fraction(t, 2): d for t, d in enumerate(dims)}
+    return dict(zip(_half_degrees(len(dims)), dims))
 
 
 def invariant_hilbert(th: HiggsTheory, max_deg) -> GradedDimensionTable:
@@ -83,20 +90,21 @@ def coulomb_higgs_compare(a: IntMatrix, max_deg) -> ComparisonReport:
 
     The Coulomb side is the abelian theory whose characters are the rows of
     the cocharacter inclusion ``a``; the Higgs side reduces C^n + (C^n)* by
-    the dual torus, whose charges are ``dual_sequence(a)``.
+    the dual torus, whose charges ``dual_sequence(a)`` are a saturated kernel
+    basis: independent columns, so no rank pass checks them again.
 
     Both sides run one ``koszul_counts`` DP, which sums s^|m|_1 over the
     relation vectors m of its weights: the image of ``a`` on the Coulomb side,
     ker(B^T) with B = ``dual_sequence(a)`` on the Higgs side, which is the same
-    lattice when ``dual_sequence`` is right (Gale duality).  So the verdict
-    checks ``dual_sequence``, the Smith form and the grading; the independent
-    oracles (coweight box scan, rank method) live in the tests.
+    lattice when ``dual_sequence`` is right (Gale duality).  So the verdict,
+    which compares the two dimension lists in half-degree order, checks
+    ``dual_sequence``, the Smith form and the grading; the independent oracles
+    (coweight box scan, rank method) live in the tests.
     """
-    max_deg = Fraction(max_deg)
-    coulomb_th = AbelianTheory.of(a.ncols, a.entries)
-    coulomb_table = dims_to_table(hilbert_series(coulomb_th, max_deg))
+    max_deg = Fraction(top_half_degree(max_deg), 2)
+    coulomb_dims = hilbert_series(AbelianTheory.of(a.ncols, a.entries), max_deg)
     b = dual_sequence(a)
-    higgs_th = HiggsTheory.of(b.entries)
-    higgs_table = invariant_hilbert(higgs_th, max_deg)
-    # both tables cover the half-degrees 0 .. max_deg
-    return ComparisonReport(coulomb_table, higgs_table, max_deg, coulomb_table == higgs_table)
+    higgs_table = invariant_hilbert(HiggsTheory(b.nrows, b.entries), max_deg)
+    # both tables cover the half-degrees 0 .. max_deg, in order
+    verdict = coulomb_dims == list(higgs_table.values())
+    return ComparisonReport(dims_to_table(coulomb_dims), higgs_table, max_deg, verdict)

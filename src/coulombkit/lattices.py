@@ -21,7 +21,6 @@ arithmetic.  Coweights and character vectors are plain integer tuples;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -32,6 +31,7 @@ from .errors import DimensionError, DomainError, LatticeError
 Coweight = tuple[int, ...]
 CharacterVector = tuple[int, ...]
 _INT = frozenset((int,))
+_SLICE = 4096  # moves of one state in koszul_counts between two deadline checks
 
 
 def as_integers(values, noun: str) -> tuple[int, ...]:
@@ -301,11 +301,12 @@ def koszul_counts(weights, moduli, top: int, power: int) -> list[int]:
     e + |m| for each m with c + m w_i in H_i, the span of the later weights and
     the moduli, since no other class can return to zero.  ``_flag_keys`` reads
     these m off the key: the one that clears c's top coordinate when w_i raises
-    the rank, else one residue class mod [H_{i-1} : H_i].  The kept classes lie
-    in a subgroup of rank at most min(R, n - R), R the rank of the weights, and
-    a move is one multiply-add (and one carry lookup when the group has
-    torsion).  The deadline is checked before each move and each output
-    degree, so a huge ``top`` grows under it.
+    the rank, else one residue class mod [H_{i-1} : H_i], walked upward from
+    its least m >= e - top.  The kept classes lie in a subgroup of rank at most
+    min(R, n - R), R the rank of the weights, and a move is one multiply-add
+    (and one carry lookup when the group has torsion).  The deadline is checked
+    once per state that moves (and per slice of ``_SLICE`` moves) and per
+    output degree, so a huge ``top`` grows under it.
     """
     pairs, radix = _flag_keys(weights, moduli, top)
     width = top + 1
@@ -317,16 +318,23 @@ def koszul_counts(weights, moduli, top: int, power: int) -> list[int]:
             room = top - degree
             if index:  # the allowed m form one residue class mod index
                 first = 0 if read is None else read[key]
-                ms = chain(range(first, room + 1, index), range(first - index, -room - 1, -index))
+                ms = range(first - (first + room) // index * index, room + 1, index)
             else:  # at most one m: the one that clears the top coordinate of c
                 m = -((key + read[0]) // read[1])
-                ms = (m,) if abs(m) <= room else ()
-            for m in ms:
+                if abs(m) > room:
+                    continue
+                ms = (m,)
+            for part in (ms,) if len(ms) <= _SLICE else (ms[s : s + _SLICE] for s in range(0, len(ms), _SLICE)):
                 check()
-                at = state + m * jump + abs(m)
-                if carry is not None:
-                    at += carry[key % radix, m] * width
-                new[at] = new.get(at, 0) + count
+                if carry is None:
+                    for m in part:
+                        at = state + m * jump + abs(m)
+                        new[at] = new.get(at, 0) + count
+                else:
+                    tau = key % radix
+                    for m in part:
+                        at = state + m * jump + abs(m) + carry[tau, m] * width
+                        new[at] = new.get(at, 0) + count
         layer = new
     out, last = [], [[0, 0] for _ in range(abs(power - len(weights)))]
     for t in range(width):

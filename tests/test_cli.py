@@ -12,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from coulombkit import cartan, cli, monopole, multiplicities
+from coulombkit import cartan, cli, higgs, monopole, multiplicities
 from coulombkit.abelian import AbelianTheory
 from coulombkit.cancel import CancellationToken
 from coulombkit.cli import _render, main, validate_schema
 from coulombkit.difference_ops import DifferenceOperator, multiply
 from coulombkit.errors import Cancelled
+from coulombkit.lattices import IntMatrix
 from coulombkit.polynomial import Polynomial
 from test_monopole import _box_scan
 
@@ -139,6 +140,19 @@ def test_hypertoric_compare_verdicts(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+def test_hypertoric_compare_prints_a_false_verdict_and_exits_2(capsys, tmp_path, monkeypatch):
+    # a dual sequence that spans no kernel of a^T: the report is printed on one line, verdict false
+    monkeypatch.setattr(higgs, "dual_sequence", lambda a: IntMatrix.from_rows([[2], [1]]))
+    code, out, err = run(capsys, ["hypertoric", "compare", "--max-deg", "2"], [[1], [1]], tmp_path=tmp_path)
+    assert (code, err, out.count("\n")) == (2, "", 1)
+    assert json.loads(out) == {
+        "coulomb": [["0", 1], ["1/2", 0], ["1", 3], ["3/2", 0], ["2", 5]],
+        "equal_up_to": "2",
+        "higgs": [["0", 1], ["1/2", 0], ["1", 1], ["3/2", 2], ["2", 1]],
+        "verdict": False,
+    }
 
 
 def test_jordan_hilbert(capsys, tmp_path):

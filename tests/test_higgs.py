@@ -8,6 +8,7 @@ from math import comb
 import pytest
 import sympy
 
+from coulombkit import higgs
 from coulombkit.errors import DimensionError, DomainError
 from coulombkit.higgs import (
     HiggsTheory,
@@ -156,17 +157,35 @@ def test_koszul_count_matches_rank_method():
         assert invariant_hilbert(th, 3) == _rank_method(th, 3), rows
 
 
-@pytest.mark.parametrize("max_deg", [-1, Fraction(1, 3)], ids=["negative", "one_third"])
+@pytest.mark.parametrize(
+    "max_deg",
+    [-1, Fraction(1, 3), float("inf"), float("nan"), "abc", None, "1/0"],
+    ids=["negative", "one_third", "inf", "nan", "word", "none", "zero_denominator"],
+)
 def test_invariant_hilbert_rejects_a_degree_that_is_not_a_non_negative_half_integer(max_deg):
     with pytest.raises(DomainError, match="non-negative half-integer"):
         invariant_hilbert(HiggsTheory.of([[1], [-1]]), max_deg)
 
 
-@pytest.mark.parametrize("max_deg", [-1, Fraction(1, 3)], ids=["negative", "one_third"])
+@pytest.mark.parametrize(
+    "max_deg",
+    [-1, Fraction(1, 3), float("inf"), float("nan"), "abc", None, "1/0"],
+    ids=["negative", "one_third", "inf", "nan", "word", "none", "zero_denominator"],
+)
 def test_compare_rejects_a_degree_that_is_not_a_non_negative_half_integer(max_deg):
     # at 1/3 the report covered degree 0 only and still read max_deg 1/3, verdict true
     with pytest.raises(DomainError, match="non-negative half-integer"):
         coulomb_higgs_compare(IntMatrix.from_rows([[1], [1]]), max_deg)
+
+
+def test_a_wrong_dual_sequence_reads_a_false_verdict(monkeypatch):
+    # [[2], [1]] spans no kernel of a^T = [1, 1]: its weight-zero monomials are not the Coulomb side's
+    monkeypatch.setattr(higgs, "dual_sequence", lambda a: IntMatrix.from_rows([[2], [1]]))
+    report = coulomb_higgs_compare(IntMatrix.from_rows([[1], [1]]), 2)
+    assert report.verdict is False
+    assert report.max_deg == 2
+    assert report.coulomb == dict(zip([Fraction(t, 2) for t in range(5)], [1, 0, 3, 0, 5]))
+    assert report.higgs == dict(zip([Fraction(t, 2) for t in range(5)], [1, 0, 1, 2, 1]))
 
 
 def test_half_integer_degrees_are_accepted_in_any_exact_form():

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -427,6 +428,32 @@ def test_koszul_counts_match_tuple_dp(monkeypatch):
     assert cases == 600
     assert min(kinds.count(kind) for kind in ("rank", "index 1", "index > 1")) >= 50, Counter(kinds)
     assert min(lookups.values()) >= 100, lookups
+
+
+def test_a_long_walk_from_one_state_meets_the_deadline(monkeypatch):
+    # the first pair of ((1,), (1,)) walks 2 * 10**6 + 1 moves from the one state at degree 0;
+    # the deadline passes right after the count's first check, which then comes again within a slice
+    calls = 0
+
+    def counted():
+        nonlocal calls
+        calls += 1
+
+    monkeypatch.setattr(lattices, "check", counted)
+    lattices._flag_keys(((1,), (1,)), (0,), 10**6)
+    before, calls = calls, 0
+
+    def expiring():
+        counted()
+        if calls > before + 1:
+            raise Cancelled("operation timed out")
+
+    monkeypatch.setattr(lattices, "check", expiring)
+    start = time.monotonic()
+    with pytest.raises(Cancelled):
+        koszul_counts(((1,), (1,)), (0,), 10**6, 2)
+    assert time.monotonic() - start < 0.1
+    assert calls == before + 2
 
 
 def _in_span_by_smith(c, gens):
