@@ -21,8 +21,8 @@ den / d_j, the rows of U at the zero d_j, the columns of V at the nonzero d_j,
 and the common denominator den; beside them the height form, which gives den
 times the sum of a solve's coordinates as one dot product over (fund, delta).  A
 solve (``_solve``) is then one zero-row check and two integer matrix-vector
-products, with no ``Fraction``; a Freudenthal table reads the record once and
-solves only above its filled layers.  One walk (``_dominant_walk``) reflects
+products, with no ``Fraction``; a Freudenthal table reads only the height form off
+the record and solves only above its filled layers.  One walk (``_dominant_walk``) reflects
 fundamental coordinates to the dominant chamber over the datum's nonzeros,
 carrying height, delta and det(w), for every caller that reads a weight at its
 dominant conjugate.  The Langlands dual is read
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, repeat
@@ -88,7 +88,7 @@ class KMWeight:
 class GeneralizedCartanMatrix:
     """Validated symmetrizable GCM, stored as its rows' nonzeros; ``entries`` is written on first read."""
 
-    neighbours: tuple[dict[int, int], ...] = field(hash=False)  # row i: {j != i: a_ij != 0}
+    neighbours: tuple[dict[int, int], ...]  # row i: {j != i: a_ij != 0}
     d: tuple[int, ...]                # minimal positive symmetrizers
     tag: str                          # "finite" | "affine" | "indefinite"
     null_vector: tuple[int, ...] | None       # primitive a with A a = 0 (affine)

@@ -29,10 +29,10 @@ from importlib import resources
 from itertools import repeat
 
 from . import jsonio, monopole, quiver
-from .abelian import hilbert_series
+from .abelian import hilbert_series, top_half_degree
 from .cancel import CancellationToken, check
 from .cartan import langlands_dual
-from .errors import Cancelled, CoulombKitError
+from .errors import Cancelled, CoulombKitError, DomainError
 from .higgs import coulomb_higgs_compare
 from .multiplicities import tensor_decompose, weight_multiplicity
 from .quiver import jordan_coulomb_hilbert, strata_affine, strata_finite
@@ -232,15 +232,13 @@ def _max_deg(args) -> Fraction:
     if args.max_deg is None:
         raise InputError(["--max-deg is required for this subcommand"])
     try:
-        q = Fraction(args.max_deg)
-    except (ValueError, ZeroDivisionError) as exc:
+        top = top_half_degree(args.max_deg)
+    except DomainError as exc:
         raise InputError([f"--max-deg: {exc}"]) from exc
-    if q < 0 or q.denominator > 2:
-        raise InputError(["--max-deg must be a non-negative half-integer"])
-    if 2 * q + 1 > sys.maxsize:
+    if top + 1 > sys.maxsize:
         # every degree table holds 2 * max_deg + 1 slots
         raise InputError([f"--max-deg: too large, 2 * max_deg + 1 must not exceed {sys.maxsize}"])
-    return q
+    return Fraction(top, 2)
 
 
 def _depth(args) -> int:
@@ -380,8 +378,8 @@ def _cmd_hypertoric_compare(doc, args):
     a = jsonio.matrix_from_json(doc)
     report = coulomb_higgs_compare(a, _max_deg(args))
     out = {
-        "coulomb": jsonio.table_to_json(report.coulomb),
-        "higgs": jsonio.table_to_json(report.higgs),
+        "coulomb": _table_from_dims(list(report.coulomb.values())),
+        "higgs": _table_from_dims(list(report.higgs.values())),
         "equal_up_to": jsonio.fraction_str(report.max_deg),
         "verdict": report.verdict,
     }
@@ -478,8 +476,6 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     handler = _COMMANDS[(args.group, args.command)][0]
     try:
-        if args.timeout is not None and math.isnan(args.timeout):  # a NaN deadline never expires
-            raise InputError(["--timeout must be a number of seconds, not nan"])
         with CancellationToken(args.timeout):
             text, code = _render(handler(_read_document(args), args), args.format), 0
     except InputError as exc:

@@ -15,7 +15,6 @@ from .abelian import AbelianTheory
 from .cartan import GeneralizedCartanMatrix, KMWeight, named_gcm, validate_and_symmetrize
 from .difference_ops import DifferenceOperator
 from .errors import DimensionError, DomainError
-from .higgs import GradedDimensionTable
 from .lattices import IntMatrix, as_integers
 from .monopole import CoulombElement
 from .polynomial import Polynomial
@@ -158,9 +157,3 @@ def matrix_from_json(doc) -> IntMatrix:
     if isinstance(doc, dict):
         doc = doc["matrix"]
     return IntMatrix.from_rows(doc)
-
-
-# ---------------------------------------------------------------- tables
-
-def table_to_json(table: GradedDimensionTable) -> list:
-    return [[fraction_str(deg), dim] for deg, dim in sorted(table.items())]

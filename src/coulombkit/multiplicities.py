@@ -7,10 +7,11 @@ affine and indefinite symmetrizable Cartan data.  Freudenthal's formula is
 summed only at dominant weights: any other weight takes the multiplicity of a
 Weyl conjugate in a lower layer, and a query is read at its dominant conjugate,
 so the table grows only to that conjugate's height.  A table indexes its sums at
-dominant weights by (fund, delta) and reads the solve data, height form
-included, at its first query; a query takes the one walk to its dominant
-conjugate (``cartan._dominant_walk``), carrying height and delta, and reads the
-index, so a filled query solves nothing and reads no cache keyed by the datum.
+dominant weights by (fund, delta) in every type and keeps no solve record: it reads
+only the height form off the solve data, at its first query; a query takes the one
+walk to its dominant conjugate (``cartan._dominant_walk``), carrying height and delta,
+and reads the index, so a filled query solves nothing and reads no cache keyed by the
+datum, and a deeper one solves through ``in_positive_root_cone``.
 Its sums read the summands the shared root table lists as it grows.  A table keys each
 weight by its root coordinates packed into one int of W-bit digits, the first most
 significant, with every digit and the height below 2^(W-1) (it re-packs wider before a
@@ -37,8 +38,8 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .cancel import check
-from .cartan import GeneralizedCartanMatrix, KMWeight, langlands_dual
-from .cartan import _cone, _dominant_walk, _solve, _solve_data
+from .cartan import GeneralizedCartanMatrix, KMWeight, in_positive_root_cone, langlands_dual, root_coordinates
+from .cartan import _dominant_walk, _solve_data
 from .errors import DimensionError, DomainError, UnsupportedError
 
 RootVector = tuple[int, ...]  # coordinates over the simple roots
@@ -199,10 +200,10 @@ class FreudenthalTable:
         # _top: the weights of the layer at height, each with its fundamental coordinates
         self.height, self._top, self._width, self._ends = 0, {0: lam.fund}, 1, [1]
         self._mult: dict[int, int] = {0: 1}
-        # the nonzero sums at dominant weights, by fund, and in affine type by (fund, delta)
-        self._dominant = {(lam.fund, lam.delta) if gcm.delta_split else lam.fund: 1}
+        # the nonzero sums at dominant weights, by (fund, delta) in every type
+        self._dominant = {(lam.fund, lam.delta): 1}
         self.evaluated = 1
-        self._data = self._form = None
+        self._form = None
 
     def extend(self, height: int) -> None:
         """Every layer up to ``height``.  V(lam) = U(n^-) v_lam, so a weight of
@@ -279,9 +280,8 @@ class FreudenthalTable:
             raise UnsupportedError("Freudenthal recursion degenerate at " + repr(beta))
         q, r = divmod(2 * num, den)
         assert r == 0 and q >= 0
-        if q:  # in affine type lam - beta has delta lam.delta - s . beta, s the delta split
-            split = self.gcm.delta_split
-            self._dominant[(mu, self.lam.delta - sum(map(mul, split, beta))) if split else mu] = q
+        if q:  # lam - beta has delta lam.delta - s . beta, s the delta split (none outside affine type)
+            self._dominant[mu, self.lam.delta - sum(map(mul, self.gcm.delta_split or (), beta))] = q
         return q
 
     def multiplicity_at_depth(self, beta: RootVector) -> int:
@@ -300,10 +300,9 @@ class FreudenthalTable:
         (lam := self.lam)._match(mu)  # "weights live on different Cartan data"
         gcm = self.gcm
         if self._form is None:
-            self._data = _solve_data(gcm)  # under the deadline; a cancelled Smith pass stores nothing
-            _, zero_rows, _, den, height = self._data
+            _, zero_rows, _, den, height = _solve_data(gcm)  # under the deadline; a cancelled Smith pass stores nothing
             if height is None:  # singular, not affine: the solve raises or finds no weight
-                _solve(gcm, self._data, tuple(map(sub, lam.fund, mu.fund)), lam.delta - mu.delta)
+                root_coordinates(gcm, lam - mu)
                 return 0
             (form, per_delta), zero = height, zero_rows[0] if zero_rows else ()
             top = sum(map(mul, form, lam.fund)) + per_delta * lam.delta
@@ -314,13 +313,12 @@ class FreudenthalTable:
         if r or (sum(map(mul, zero, c)) != zero_top if zero else delta != lam.delta):
             return 0
         h, delta, _ = _dominant_walk(gcm, c, h, delta)
-        nu = (tuple(c), delta) if zero else tuple(c)
         if h < 0 or h > self.height and self._top and \
-                _cone(_solve(gcm, self._data, tuple(map(sub, lam.fund, c)), lam.delta - delta)) is None:
+                in_positive_root_cone(gcm, KMWeight(tuple(map(sub, lam.fund, c)), lam.delta - delta)) is None:
             return 0
         if h > self.height:
             self.extend(h)
-        return self._dominant.get(nu, 0)
+        return self._dominant.get((tuple(c), delta), 0)
 
 
 @lru_cache(maxsize=128)

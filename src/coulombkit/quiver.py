@@ -36,6 +36,8 @@ class Quiver:
     @staticmethod
     def of(vertices: int, edges) -> "Quiver":
         edges = tuple(as_integers(edge, "quiver edge") for edge in edges)
+        if (bad := next((edge for edge in edges if len(edge) != 2), None)) is not None:
+            raise DimensionError(f"quiver edge {bad} is not a pair (out, in)")
         for a, b in edges:
             if not (0 <= a < vertices and 0 <= b < vertices):
                 raise DimensionError(f"edge ({a},{b}) references a missing vertex")
@@ -311,6 +313,7 @@ def jordan_coulomb_hilbert(n: int, ell: int, max_deg) -> list[int]:
     normal-form monomials x^a z^c and y^b z^c (b > 0), one degree at a time
     and one multiset size at a time, with a deadline check before each.
     """
+    n, ell = as_integers((n, ell), "n and ell")  # 2.0 reads as 2; 1.5 names no surface
     if ell < 0:
         raise DomainError(f"ell must be positive, got {ell}")
     if ell == 0:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from coulombkit import cartan, cli, higgs, monopole, multiplicities
+from coulombkit import cartan, cli, higgs, jsonio, monopole, multiplicities
 from coulombkit.abelian import AbelianTheory
 from coulombkit.cancel import CancellationToken
 from coulombkit.cli import _render, main, validate_schema
@@ -179,6 +179,39 @@ def test_max_deg_beyond_an_index_is_an_input_error(capsys, tmp_path, command, do
     code, out, err = run(capsys, command + ["--max-deg", max_deg], doc, tmp_path=tmp_path)
     assert code == 1 and out == ""
     assert err.startswith("--max-deg: too large")
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["abelian", "hilbert"], {"rank": 1, "characters": [[1], [1]]}),
+        (["hypertoric", "compare"], [[1], [1]]),
+        (["jordan", "hilbert"], {"n": 1, "ell": 2}),
+    ],
+)
+@pytest.mark.parametrize("max_deg", ["x", "-1", "1/3", "1/0", "inf", "nan"])
+def test_a_max_deg_that_is_no_half_integer_is_worded_by_the_library(capsys, tmp_path, command, doc, max_deg):
+    # the flag is read once, by abelian.top_half_degree; "1/0" was worded "--max-deg: Fraction(1, 0)"
+    code, out, err = run(capsys, command + [f"--max-deg={max_deg}"], doc, tmp_path=tmp_path)
+    assert (code, out, err) == (1, "", f"--max-deg: max_deg must be a non-negative half-integer, not {max_deg}\n")
+
+
+@pytest.mark.parametrize("matrix", [[[1], [1], [1]], [[1, 0], [0, 1], [1, 1], [1, -1]]], ids=["rank1", "rank2"])
+@pytest.mark.parametrize("max_deg", ["7/2", "12"])
+def test_hypertoric_compare_writes_its_tables_from_the_dimension_lists(capsys, tmp_path, matrix, max_deg):
+    # each table is written as _table_from_dims writes the report's list, which is the
+    # report's Fraction-keyed table in degree order, each degree as "n" or "n/d"
+    report = higgs.coulomb_higgs_compare(IntMatrix.from_rows(matrix), max_deg)
+    tables = {side: cli._table_from_dims(list(getattr(report, side).values())) for side in ("coulomb", "higgs")}
+    for side, table in tables.items():
+        assert table == [[jsonio.fraction_str(deg), dim] for deg, dim in sorted(getattr(report, side).items())]
+    code, out, err = run(capsys, ["hypertoric", "compare", "--max-deg", max_deg], matrix, tmp_path=tmp_path)
+    assert (code, err, json.loads(out)) == (0, "", {**tables, "equal_up_to": max_deg, "verdict": True})
+    code, out, err = run(capsys, ["hypertoric", "compare", "--max-deg", max_deg, "--format", "table"],
+                         matrix, tmp_path=tmp_path)
+    rows = {side: [f"  {deg}\t{dim}" for deg, dim in table] for side, table in tables.items()}
+    lines = ["coulomb:", *rows["coulomb"], f'equal_up_to: "{max_deg}"', "higgs:", *rows["higgs"], "verdict: true"]
+    assert (code, err, out) == (0, "", "\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -417,7 +450,7 @@ def test_validate_takes_only_shipped_schema_names(capsys, tmp_path, name):
 def test_nan_timeout_is_rejected(capsys, tmp_path, timeout):
     doc = {"cartan": "A2", "lambda": {"fund": [1, 1]}, "mu": {"fund": [0, 0]}}
     code, out, err = run(capsys, ["km", "mult", *timeout], doc, tmp_path=tmp_path)
-    assert (code, out, err) == (1, "", "--timeout must be a number of seconds, not nan\n")
+    assert (code, out, err) == (1, "", "error: timeout must be a number of seconds, not nan\n")
     code, out, _ = run(capsys, ["km", "mult", "--timeout", "inf"], doc, tmp_path=tmp_path)
     assert code == 0 and json.loads(out) == {"multiplicity": 2}
 

@@ -1,7 +1,7 @@
 """The package namespace is lazy, only the symbolic API loads sympy, only
 ``coulombkit.symbolic`` imports it, no CLI document loads jsonschema, every
-module-level import is used, and the deadline reaches the library as a scope,
-not as a parameter."""
+module-level import is used, private names cross modules only where listed,
+and the deadline reaches the library as a scope, not as a parameter."""
 
 import ast
 import importlib
@@ -205,6 +205,33 @@ def test_every_module_level_import_is_used():
                 if name not in read and not marked:
                     found.append(f"{path.relative_to(SRC)}:{alias.lineno}: {name}")
     assert found == []
+
+
+# the private names that a module may import from another module of the package, by (importer, source)
+PRIVATE_IMPORTS = {
+    ("monopole", "difference_ops"): {"_collect", "_GradedSum", "_merge"},
+    ("multiplicities", "cartan"): {"_dominant_walk", "_solve_data"},
+    ("quiver", "cartan"): {"_datum"},
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    """A module imports a private name of another package module only where
+    ``PRIVATE_IMPORTS`` lists it, and the list names only imports that exist:
+    a Freudenthal table, for one, reads the height form off ``_solve_data`` and
+    solves through the public ``in_positive_root_cone``, not ``_solve``."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        importer = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom) or not _imported_modules(node)[0].startswith("coulombkit"):
+                continue
+            source = _imported_modules(node)[0].removeprefix("coulombkit").lstrip(".")
+            found |= {(importer, source, alias.name) for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")}
+    listed = {(importer, source, name) for (importer, source), names in PRIVATE_IMPORTS.items() for name in names}
+    assert sorted(found - listed) == []
+    assert sorted(listed - found) == []
 
 
 def _calls_by_function(tree, name):

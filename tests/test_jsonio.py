@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coulombkit import jsonio
+from coulombkit import cli, jsonio
 from coulombkit.cartan import KMWeight, named_gcm
 from coulombkit.difference_ops import DifferenceOperator
 from coulombkit.errors import DomainError
@@ -131,5 +131,5 @@ def test_theory_roundtrip():
 
 def test_table_serialization_sorted():
     table = {Fraction(1): 3, Fraction(0): 1, Fraction(1, 2): 0}
-    assert jsonio.table_to_json(table) == [["0", 1], ["1/2", 0], ["1", 3]]
+    assert cli._table_from_dims([1, 0, 3]) == [["0", 1], ["1/2", 0], ["1", 3]]
     assert dims_to_table([1, 0, 3]) == table

@@ -553,6 +553,10 @@ class SolvingTable(FreudenthalTable):
     (s_i adds c_i to beta_i; a negative beta_i leaves the weights) and read there.
     ``reason`` records where the last query ended."""
 
+    def __init__(self, gcm, lam):
+        super().__init__(gcm, lam)
+        self._data = None
+
     def multiplicity(self, mu):
         (lam := self.lam)._match(mu)
         if self._data is None:
@@ -628,8 +632,8 @@ def test_a_covered_query_solves_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a covered query solved")
 
-    monkeypatch.setattr(multiplicities, "_solve", refuse)
-    monkeypatch.setattr(multiplicities, "_cone", refuse)
+    monkeypatch.setattr(multiplicities, "in_positive_root_cone", refuse)
+    monkeypatch.setattr(multiplicities, "root_coordinates", refuse)
     assert [weight_multiplicity(*q) for q in queries] == want
 
 
@@ -796,7 +800,7 @@ class TupleTable:
         self.gcm, self.lam = gcm, lam
         self.height, self._top = 0, {(0,) * gcm.size: lam.fund}
         self._mult = dict.fromkeys(self._top, 1)
-        self._dominant = {(lam.fund, lam.delta) if gcm.delta_split else lam.fund: 1}
+        self._dominant = {(lam.fund, lam.delta): 1}
         self.evaluated = 1
 
     def extend(self, height):
@@ -838,8 +842,8 @@ class TupleTable:
         den = multiplicities._pair(gcm, [x + y + 2 for x, y in zip(lam, mu)], beta)
         q = 2 * num // den if den else 0
         if q:
-            split = gcm.delta_split
-            self._dominant[(mu, self.lam.delta - sum(x * y for x, y in zip(split, beta))) if split else mu] = q
+            split = gcm.delta_split or ()
+            self._dominant[mu, self.lam.delta - sum(x * y for x, y in zip(split, beta))] = q
         return q
 
 

@@ -18,7 +18,7 @@ from coulombkit.cartan import (
     named_gcm,
     validate_and_symmetrize,
 )
-from coulombkit.errors import CoulombKitError, DomainError, UnsupportedError
+from coulombkit.errors import CoulombKitError, DimensionError, DomainError, UnsupportedError
 from coulombkit.monopole import AbelianTheory, hilbert_series
 from coulombkit.multiplicities import weight_multiplicity
 from coulombkit.quiver import (
@@ -368,6 +368,22 @@ def test_jordan_hilbert_examples():
     assert jordan_coulomb_hilbert(2, 1, 0) == [1]
     with pytest.raises(UnsupportedError):
         jordan_coulomb_hilbert(1, 0, 1)
+
+
+def test_jordan_hilbert_reads_n_and_ell_as_integers():
+    # both were read unchecked: ell = 2.0 gave float dimensions, and ell = 1.5 a table for no surface
+    assert jordan_coulomb_hilbert(2, 2.0, 2) == jordan_coulomb_hilbert(2.0, 2, 2) == [1, 0, 3, 0, 11]
+    assert all(type(d) is int for d in jordan_coulomb_hilbert(2, 2.0, 2))
+    for n, ell in ((2, 1.5), (1.5, 2), (2, "2"), (2, None)):
+        with pytest.raises(DomainError, match="^n and ell entries must be integers"):
+            jordan_coulomb_hilbert(n, ell, 2)
+
+
+def test_quiver_edge_that_is_not_a_pair_is_a_dimension_error():
+    # a triple was unpacked as a pair and escaped as a bare ValueError
+    for edge in ((0, 1, 2), (0,), ()):
+        with pytest.raises(DimensionError, match=re.escape(f"quiver edge {edge} is not a pair")):
+            Quiver.of(3, [(0, 1), edge])
 
 
 def test_jordan_hilbert_negative_ell():
