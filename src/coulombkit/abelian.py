@@ -8,16 +8,17 @@ element algebra on the monopole basis lives in ``monopole``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cancel import check
 from .errors import DimensionError, DomainError
 from .lattices import CharacterVector, IntMatrix, as_integers, koszul_counts, smith_normal_form
 
 
-@dataclass(frozen=True)
-class AbelianTheory:
+class AbelianTheory(NamedTuple):
     """Abelian gauge theory (T, N): torus rank and matter characters."""
 
     rank: int
@@ -37,14 +38,21 @@ class AbelianTheory:
 
 
 def top_half_degree(max_deg) -> int:
-    """2 * max_deg, the last half-degree a graded dimension table covers."""
+    """2 * max_deg, the last half-degree a graded dimension table covers, which holds 2 * max_deg + 1
+    slots.  A string with an exponent is read as a ``Decimal`` first, which builds no power of ten:
+    a nonzero value under 10^-2 is no half-integer, and one from 10^19 on is too large."""
     try:
-        q = Fraction(max_deg)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):  # None, nan or "abc", inf, "1/0"
+        d = Decimal(max_deg) if isinstance(max_deg, str) and "e" in max_deg.lower() else None
+        if d and not -2 < d.adjusted() < 19:
+            d = Decimal(sys.maxsize if d > 1 else -1)
+        q = Fraction(max_deg if d is None else d)
+    except (TypeError, ValueError, ArithmeticError):  # None, nan or "abc", inf, "1/0", "1e 5"
         q = None
     if q is None or q.numerator < 0 or 2 % q.denominator:
         raise DomainError(f"max_deg must be a non-negative half-integer, not {max_deg}")
-    return 2 * q.numerator // q.denominator
+    if (top := 2 * q.numerator // q.denominator) + 1 > sys.maxsize:
+        raise DomainError(f"too large, 2 * max_deg + 1 must not exceed {sys.maxsize}")
+    return top
 
 
 def hilbert_series(th: AbelianTheory, max_deg) -> list[int]:

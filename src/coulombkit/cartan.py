@@ -38,19 +38,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .cancel import check
 from .errors import CartanError, DimensionError, DomainError, SymmetrizabilityError, UnsupportedError
 from .lattices import IntMatrix, as_integers, smith_normal_form
 
 
-@dataclass(frozen=True)
-class KMWeight:
+class KMWeight(NamedTuple):
     """Integral weight: sum of fund[i] * varpi_i plus delta * (null root)."""
 
     fund: tuple[int, ...]
@@ -84,20 +83,31 @@ class KMWeight:
             raise DimensionError("weights live on different Cartan data")
 
 
-@dataclass(frozen=True)
 class GeneralizedCartanMatrix:
     """Validated symmetrizable GCM, stored as its rows' nonzeros; ``entries`` is written on first read."""
 
-    neighbours: tuple[dict[int, int], ...]  # row i: {j != i: a_ij != 0}
-    d: tuple[int, ...]                # minimal positive symmetrizers
-    tag: str                          # "finite" | "affine" | "indefinite"
-    null_vector: tuple[int, ...] | None       # primitive a with A a = 0 (affine)
-    dual_labels: tuple[int, ...] | None       # primitive a^vee with a^vee A = 0 (affine)
-    delta_split: tuple[int, ...] | None       # integer s with s . a = 1 (affine)
+    _fields = ("neighbours",    # row i: {j != i: a_ij != 0}
+               "d",             # minimal positive symmetrizers
+               "tag",           # "finite" | "affine" | "indefinite"
+               "null_vector",   # primitive a with A a = 0 (affine), or None
+               "dual_labels",   # primitive a^vee with a^vee A = 0 (affine), or None
+               "delta_split")   # integer s with s . a = 1 (affine), or None
+    __slots__ = (*_fields, "_hash")  # _hash: of every field but the nonzeros' dicts, once; caches keyed by the datum read it
 
-    def __post_init__(self):  # the generated hash's value, once: caches keyed by the datum read it per call
-        fields = self.d, self.tag, self.null_vector, self.dual_labels, self.delta_split
-        object.__setattr__(self, "_hash", hash(fields))  # not through __dict__, which would slow every attribute read
+    def __init__(self, neighbours, d, tag, null_vector, dual_labels, delta_split):
+        values = neighbours, d, tag, null_vector, dual_labels, delta_split
+        for name, value in zip(self.__slots__, (*values, hash(values[1:]))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):  # and __delattr__: a datum that keys caches never changes
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is GeneralizedCartanMatrix and (
+            self.neighbours, self.d, self.tag, self.null_vector, self.dual_labels, self.delta_split) == (
+            other.neighbours, other.d, other.tag, other.null_vector, other.dual_labels, other.delta_split)
 
     def __hash__(self) -> int:
         return self._hash

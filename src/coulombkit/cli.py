@@ -232,13 +232,9 @@ def _max_deg(args) -> Fraction:
     if args.max_deg is None:
         raise InputError(["--max-deg is required for this subcommand"])
     try:
-        top = top_half_degree(args.max_deg)
+        return Fraction(top_half_degree(args.max_deg), 2)
     except DomainError as exc:
         raise InputError([f"--max-deg: {exc}"]) from exc
-    if top + 1 > sys.maxsize:
-        # every degree table holds 2 * max_deg + 1 slots
-        raise InputError([f"--max-deg: too large, 2 * max_deg + 1 must not exceed {sys.maxsize}"])
-    return Fraction(top, 2)
 
 
 def _depth(args) -> int:
@@ -276,7 +272,7 @@ def _cmd_km_tensor(doc, args):
     return {
         "components": [
             [jsonio.weight_to_json(w), m]
-            for w, m in sorted(comps.items(), key=lambda p: (p[0].fund, p[0].delta))
+            for w, m in sorted(comps.items())
         ]
     }
 

@@ -17,9 +17,9 @@ Symbolic values cross in and out through ``coulombkit.symbolic``, on use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .cancel import check
 from .errors import DimensionError, LiftError
@@ -59,8 +59,7 @@ def _merge(rank: int, terms, convert, owner: str) -> tuple[tuple[Coweight, Polyn
     return _collect(pairs)
 
 
-@dataclass(frozen=True)
-class _GradedSum:
+class _GradedSum(NamedTuple):
     """Finite sum over coweights lam of a polynomial coefficient in
     w_1 .. w_rank, hbar times the basis element ``_basis``^lam of degree lam."""
 
@@ -105,6 +104,7 @@ class _GradedSum:
 class DifferenceOperator(_GradedSum):
     """Finite sum over coweights lam of f_lam(w, hbar) * e^lam."""
 
+    __slots__ = ()
     _basis = "e"
     _rank_mismatch = "operators act on tori of different ranks"
 

@@ -11,17 +11,16 @@ matching the Coulomb-side normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .abelian import AbelianTheory, hilbert_series, top_half_degree
 from .errors import DimensionError
 from .lattices import IntMatrix, as_integers, dual_sequence, koszul_counts
 
 
-@dataclass(frozen=True)
-class HiggsTheory:
+class HiggsTheory(NamedTuple):
     """n hypermultiplet pairs with an n x m integer charge matrix for the
     reducing torus; y_i carries the negated weight of x_i."""
 
@@ -77,8 +76,7 @@ def invariant_hilbert(th: HiggsTheory, max_deg) -> GradedDimensionTable:
     return dims_to_table(koszul_counts(th.charges, (0,) * th.m, top_half_degree(max_deg), th.m))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     coulomb: GradedDimensionTable
     higgs: GradedDimensionTable
     max_deg: Fraction

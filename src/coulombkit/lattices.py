@@ -20,10 +20,9 @@ arithmetic.  Coweights and character vectors are plain integer tuples;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cancel import check
 from .errors import DimensionError, DomainError, LatticeError
@@ -50,16 +49,15 @@ def as_integers(values, noun: str) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple)])):
     """Immutable integer matrix, stored row-major as a tuple of row tuples."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = self.entries
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]):
+        if entries and any(len(r) != len(entries[0]) for r in entries):
             raise DimensionError("ragged rows in integer matrix")
+        return super().__new__(cls, entries)
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":

@@ -32,6 +32,7 @@ class CoulombElement(_GradedSum):
     """Finite sum of f_lam(w) * r^lam with exact rational coefficients, held
     as polynomials in w_1 .. w_rank, hbar whose hbar exponents are all 0."""
 
+    __slots__ = ()
     _basis = "r"
     _rank_mismatch = "elements live in different theories"
 

@@ -30,7 +30,6 @@ same walk.  Height bounds make affine tables finite; a finite-type support listi
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -45,7 +44,6 @@ from .errors import DimensionError, DomainError, UnsupportedError
 RootVector = tuple[int, ...]  # coordinates over the simple roots
 
 
-@dataclass
 class RootTable:
     """Positive roots up to a height bound, with multiplicities.
 
@@ -54,13 +52,13 @@ class RootTable:
     ``height``, which stops one layer above the highest root in finite type.
     """
 
-    gcm: GeneralizedCartanMatrix
-    height: int
-    multiplicities: dict[RootVector, int] = field(default_factory=dict)
-    c_values: dict[RootVector, Fraction] = field(default_factory=dict)
-    # (alpha, mult, (alpha, alpha), d alpha, height) per root of ``multiplicities``, in its order:
-    # what Freudenthal's sums read, appended to as each layer is committed
-    summands: list = field(default_factory=list, init=False, repr=False, compare=False)
+    def __init__(self, gcm: GeneralizedCartanMatrix, height: int, multiplicities=None, c_values=None):
+        self.gcm, self.height = gcm, height
+        self.multiplicities = {} if multiplicities is None else multiplicities
+        self.c_values = {} if c_values is None else c_values
+        # (alpha, mult, (alpha, alpha), d alpha, height) per root of ``multiplicities``, in its order:
+        # what Freudenthal's sums read, appended to as each layer is committed
+        self.summands = []
 
     def roots(self):
         return sorted(self.multiplicities, key=lambda b: (sum(b), b))
@@ -323,8 +321,7 @@ class FreudenthalTable:
 
 @lru_cache(maxsize=128)
 def _freudenthal(gcm: GeneralizedCartanMatrix, fund: tuple[int, ...]) -> FreudenthalTable:
-    """The table of V(sum fund_i varpi_i), shared by every delta-shift of that highest weight.
-    Keyed by the tuple, whose hash is cheaper than a ``KMWeight``'s on a warm query."""
+    """The table of V(sum fund_i varpi_i), keyed by fund alone: every delta-shift of that highest weight shares it."""
     return FreudenthalTable(gcm, KMWeight(fund))
 
 
@@ -410,7 +407,7 @@ def tensor_fixed_components(
         mu2 = mu - mu1
         if weight_multiplicity(dual, lam2, mu2) > 0:
             out.append((mu1, mu2))
-    out.sort(key=lambda p: (p[0].fund, p[0].delta))
+    out.sort()
     return out
 
 

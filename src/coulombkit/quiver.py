@@ -8,7 +8,7 @@ Jordan-quiver symmetric-product Hilbert series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abelian import top_half_degree
 from .cancel import check
@@ -26,8 +26,7 @@ from .lattices import Coweight, as_integers, pairing
 from .multiplicities import weight_multiplicity
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     """Vertex count and ordered edge list (out, in); loops allowed but flagged."""
 
     vertices: int
@@ -67,8 +66,7 @@ class Quiver:
         return _datum(nbrs)
 
 
-@dataclass(frozen=True)
-class DimVectors:
+class DimVectors(NamedTuple):
     v: tuple[int, ...]
     w: tuple[int, ...]
 
@@ -83,8 +81,7 @@ class DimVectors:
             raise DomainError("dimension vectors must be non-negative")
 
 
-@dataclass(frozen=True)
-class GaugeData:
+class GaugeData(NamedTuple):
     """Gauge group and matter catalogue for (Q, V, W)."""
 
     gauge_ranks: tuple[int, ...]
@@ -93,8 +90,7 @@ class GaugeData:
     dim_n: int
 
 
-@dataclass(frozen=True)
-class SliceParams:
+class SliceParams(NamedTuple):
     lam: KMWeight
     mu: KMWeight
     dims: DimVectors
@@ -207,7 +203,7 @@ def _dominant_interval(
             k, fresh = k + 1, True
         else:
             fresh = False
-    out.sort(key=lambda p: (p[0], p[1].fund, p[1].delta))
+    out.sort()
     return out
 
 
@@ -266,7 +262,7 @@ def strata_affine(
         for part in _partitions(size):
             check()
             out.extend((kappa, part) for _, kappa in interval)
-    out.sort(key=lambda p: (sum(p[1]), p[1], p[0].fund, p[0].delta))
+    out.sort(key=lambda p: (sum(p[1]), p[1], p[0]))
     return out
 
 

@@ -164,36 +164,50 @@ def test_jordan_hilbert(capsys, tmp_path):
     assert [d for _, d in parsed["dimensions"]] == [1, 0, 3, 0, 5, 0, 7]
 
 
-@pytest.mark.parametrize(
-    "command, doc",
-    [
-        (["abelian", "hilbert"], {"rank": 1, "characters": [[1], [1]]}),
-        (["hypertoric", "compare"], [[1], [1]]),
-        (["jordan", "hilbert"], {"n": 1, "ell": 2}),
-    ],
-)
-@pytest.mark.parametrize("max_deg", ["1e400", "4611686018427387903.5"])
+def run_traced(capsys, argv, stdin_doc, tmp_path):
+    """``run`` under tracemalloc, followed by the peak it traced."""
+    tracemalloc.start()
+    try:
+        return *run(capsys, argv, stdin_doc, tmp_path=tmp_path), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MAX_DEG_COMMANDS = [
+    (["abelian", "hilbert"], {"rank": 1, "characters": [[1], [1]]}),
+    (["hypertoric", "compare"], [[1], [1]]),
+    (["jordan", "hilbert"], {"n": 1, "ell": 2}),
+]
+
+
+@pytest.mark.parametrize("command, doc", MAX_DEG_COMMANDS)
+@pytest.mark.parametrize("max_deg", ["1e400", "4611686018427387903.5", "1e20000000"])
 def test_max_deg_beyond_an_index_is_an_input_error(capsys, tmp_path, command, doc, max_deg):
-    # 2 * max_deg + 1 table slots must fit sys.maxsize; the smaller value is
-    # the first half-integer past it on a 64-bit build
-    code, out, err = run(capsys, command + ["--max-deg", max_deg], doc, tmp_path=tmp_path)
+    # 2 * max_deg + 1 table slots must fit sys.maxsize; the second value is
+    # the first half-integer past it on a 64-bit build, and the last is refused
+    # without building 10^20000000, which alone takes 8.3 MB
+    code, out, err, peak = run_traced(capsys, command + ["--max-deg", max_deg], doc, tmp_path)
     assert code == 1 and out == ""
-    assert err.startswith("--max-deg: too large")
+    assert err.startswith("--max-deg: too large") and peak < 2 * 2**20
 
 
-@pytest.mark.parametrize(
-    "command, doc",
-    [
-        (["abelian", "hilbert"], {"rank": 1, "characters": [[1], [1]]}),
-        (["hypertoric", "compare"], [[1], [1]]),
-        (["jordan", "hilbert"], {"n": 1, "ell": 2}),
-    ],
-)
-@pytest.mark.parametrize("max_deg", ["x", "-1", "1/3", "1/0", "inf", "nan"])
+@pytest.mark.parametrize("command, doc", MAX_DEG_COMMANDS)
+@pytest.mark.parametrize("max_deg", ["x", "-1", "1/3", "1/0", "inf", "nan", "1e-20000000"])
 def test_a_max_deg_that_is_no_half_integer_is_worded_by_the_library(capsys, tmp_path, command, doc, max_deg):
-    # the flag is read once, by abelian.top_half_degree; "1/0" was worded "--max-deg: Fraction(1, 0)"
-    code, out, err = run(capsys, command + [f"--max-deg={max_deg}"], doc, tmp_path=tmp_path)
+    # the flag is read once, by abelian.top_half_degree; "1/0" was worded "--max-deg: Fraction(1, 0)",
+    # and 10^-20000000 is no half-integer however far its exponent runs
+    code, out, err, peak = run_traced(capsys, command + [f"--max-deg={max_deg}"], doc, tmp_path)
     assert (code, out, err) == (1, "", f"--max-deg: max_deg must be a non-negative half-integer, not {max_deg}\n")
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("command, doc", MAX_DEG_COMMANDS)
+@pytest.mark.parametrize("max_deg, value", [("0e-20000000", "0"), ("5e-1", "1/2"), ("1e2", "100")])
+def test_a_max_deg_with_an_exponent_answers_like_its_value(capsys, tmp_path, command, doc, max_deg, value):
+    # a zero mantissa reads as 0 whatever its exponent, and no power of ten is built for it
+    code, out, err, peak = run_traced(capsys, command + ["--max-deg", max_deg], doc, tmp_path)
+    assert (code, out, err) == run(capsys, command + ["--max-deg", value], doc, tmp_path=tmp_path)
+    assert code == 0 and peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("matrix", [[[1], [1], [1]], [[1, 0], [0, 1], [1, 1], [1, -1]]], ids=["rank1", "rank2"])

@@ -20,15 +20,17 @@ import coulombkit
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "coulombkit"
 
-# Runs in a fresh interpreter: prints, after each step, whether sympy and jsonschema are loaded.
+# Runs in a fresh interpreter: prints, after each step, whether sympy and jsonschema are loaded,
+# and whether dataclasses and inspect are.
 FRESH_INTERPRETER = textwrap.dedent(
     """
     import contextlib, io, json, sys
 
-    steps = []
+    steps, machinery = [], []
 
     def record(step, code=None):
         steps.append([step, code, "sympy" in sys.modules, "jsonschema" in sys.modules])
+        machinery.append([step, "dataclasses" in sys.modules, "inspect" in sys.modules])
 
     import coulombkit
     record("import coulombkit")
@@ -75,19 +77,24 @@ FRESH_INTERPRETER = textwrap.dedent(
     record("coulombkit.HBAR")
     op.terms
     record("DifferenceOperator.terms")
-    print(json.dumps(steps))
+    print(json.dumps({"steps": steps, "machinery": machinery}))
     """
 )
 
 
 @pytest.fixture(scope="module")
-def steps():
+def fresh():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_INTERPRETER],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def steps(fresh):
+    return fresh["steps"]
 
 
 def test_only_the_symbolic_api_loads_sympy(steps):
@@ -140,6 +147,14 @@ def test_no_cli_document_loads_jsonschema(steps):
         ["coulombkit.HBAR", None, False],
         ["DifferenceOperator.terms", None, False],
     ]
+
+
+def test_no_step_before_sympy_loads_dataclasses_or_inspect(fresh):
+    """The records are tuples and the Cartan datum a slotted class, so neither the import
+    of the CLI nor any leaf loads ``dataclasses`` or the ``inspect`` it imports."""
+    before_sympy = [name for name, _, sympy, _ in fresh["steps"] if not sympy]
+    assert fresh["machinery"][:len(before_sympy)] == [[name, False, False] for name in before_sympy]
+    assert len(before_sympy) == 19
 
 
 def _module_level(nodes):
